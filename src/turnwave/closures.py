@@ -5,8 +5,8 @@ Darcy closure (Muskat):  omega = -(rho2 - rho1) * (kappa g / mu) * d_alpha z2.
 Euler closure (water waves): omega_t is defined implicitly because the
 time derivative of the Birkhoff-Rott velocity contains omega_t under the
 integral.  We split d_t BR into its omega_t-linear part, BR(z, omega_t),
-and the geometric part driven by the curve velocity, and solve the fixed
-point by Picard iteration.
+and the geometric part driven by the curve velocity; the relation is then
+a dense linear system for omega_t, solved directly by LU.
 """
 
 from dataclasses import dataclass
@@ -19,12 +19,13 @@ from .spectral import antiderivative, fourier_derivative
 
 
 class ClosureIterationError(Exception):
-    def __init__(self, residual, iterations):
-        super().__init__(
-            f"amplitude fixed point stalled at residual {residual:.3e} "
-            f"after {iterations} iterations")
-        self.residual = residual
-        self.iterations = iterations
+    """The water-wave amplitude system is singular or was not solved to
+    SOLVE_RESIDUAL_BOUND."""
+
+
+# max-norm residual allowed after the direct solve, relative to
+# max(1, |explicit terms|)
+SOLVE_RESIDUAL_BOUND = 1e-8
 
 
 @dataclass(frozen=True)
@@ -92,15 +93,15 @@ def waterwave_velocity(curve: Curve, omega, c=None, br_mat=None):
 
 
 def waterwave_amplitude_rhs(curve: Curve, omega, c, consts: PhysicalConstants,
-                            velocity=None, br_mat=None,
-                            tol: float = 1e-12, max_iter: int = 100) -> np.ndarray:
+                            velocity=None, br_mat=None) -> np.ndarray:
     """omega_t for the water-wave closure.
 
     omega_t = -2 d_t BR . z_a - d_a(|omega|^2 / (4 |z_a|^2))
               + d_a(c omega) + 2 c d_a BR . z_a - 2 g d_a z2,
 
-    with d_t BR = BR(z, omega_t) + geometric part.  Picard iteration on
-    omega_t until successive iterates differ by < tol in max norm.
+    with d_t BR = BR(z, omega_t) + geometric part.  BR(z, omega_t) . z_a
+    is linear in omega_t, so the relation is the dense system
+    (I + 2 T) omega_t = explicit terms, solved by LU.
     """
     omega = np.asarray(omega, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -124,20 +125,19 @@ def waterwave_amplitude_rhs(curve: Curve, omega, c, consts: PhysicalConstants,
                 + 2.0 * c * (dbr * tp).sum(axis=1)
                 - 2.0 * consts.g * d2)
 
-    # BR(omega_t) . z_alpha = Re(diag(t1 + i t2) @ mat @ omega_t) is linear
-    # in the real amplitude, so the implicit relation is a dense system
-    # (I + 2 T) omega_t = explicit; a direct solve replaces the marginally
-    # contractive fixed-point iteration, which stalls near roundoff.
+    # BR(omega_t) . z_alpha = Re(diag(t1 + i t2) @ mat @ omega_t)
     tau = tp[:, 0] + 1j * tp[:, 1]
     system = np.eye(n) + 2.0 * np.real(tau[:, None] * mat)
     try:
         omega_t = np.linalg.solve(system, explicit)
     except np.linalg.LinAlgError as exc:
-        raise ClosureIterationError(float("inf"), 0) from exc
+        raise ClosureIterationError("water-wave amplitude system is singular") from exc
     residual = float(np.max(np.abs(system @ omega_t - explicit)))
-    scale = max(1.0, float(np.max(np.abs(explicit))))
-    if not residual < max(tol, 1e-10) * scale * 100:
-        raise ClosureIterationError(residual, 1)
+    bound = SOLVE_RESIDUAL_BOUND * max(1.0, float(np.max(np.abs(explicit))))
+    if not residual < bound:
+        raise ClosureIterationError(
+            f"water-wave amplitude solve left residual {residual:.3e} "
+            f"above {bound:.3e}")
     return omega_t
 
 

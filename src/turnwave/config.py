@@ -48,8 +48,6 @@ class StripConfig:
     r0: float = 0.04
     M: int = 512            # mode/grid count used by the strip solver
     T: float = 0.02         # continuation horizon
-    shrink: str = "linear"  # or "exponential"
-    gamma: float = 1.0      # exponential-shrink rate
     panels: int = 64
     tol: float = 1e-10
     max_iter: int = 50

@@ -200,20 +200,19 @@ def arc_chord(curve: Curve) -> float:
     """
     beta, dz1, dz2 = _chord_components(curve)
     denom = dz1 ** 2 + dz2 ** 2
-    off = ~np.eye(curve.n, dtype=bool)
-    bad = off & (denom == 0.0)
-    if np.any(bad):
-        i, j = np.argwhere(bad)[0]
+    np.fill_diagonal(denom, 1.0)   # beta = 0 there: F = 0 until the limit
+    with np.errstate(divide="ignore"):
+        F = beta ** 2 / denom
+    sup_off = F.max()
+    if np.isinf(sup_off):
+        i, j = np.argwhere(np.isinf(F))[0]
         raise SelfIntersectionError(
             f"nodes {i} and {j} coincide: alpha={curve.alpha[i]:.6g}, {curve.alpha[j]:.6g}")
     d1, d2 = derivative(curve, 1)
     speed2 = d1 ** 2 + d2 ** 2
     if np.any(speed2 == 0.0):
         raise SelfIntersectionError("parameterization degenerate: |d_alpha z| = 0")
-    F = np.empty_like(denom)
-    F[off] = beta[off] ** 2 / denom[off]
-    np.fill_diagonal(F, 1.0 / speed2)
-    return float(F.max())
+    return float(max(sup_off, (1.0 / speed2).max()))
 
 
 @dataclass

@@ -48,44 +48,35 @@ class RTReport:
     sigma: np.ndarray
     negative_intervals: list
     min_sigma: float
+    longest_negative_run: int   # nodes in the longest run of sigma < 0
 
 
-def _negative_intervals(alpha, sigma, periodic):
+def rt_report(alpha, sigma, periodic: bool) -> RTReport:
+    """Maximal runs of nodes with sigma < 0, as (alpha_first, alpha_last)
+    intervals and the node count of the longest one.  On a periodic grid
+    a run through the seam is one run, and its interval has
+    alpha_first > alpha_last."""
+    sigma = np.asarray(sigma)
     neg = sigma < 0.0
-    if not np.any(neg):
-        return []
     n = neg.size
-    intervals = []
-    idx = np.flatnonzero(neg)
-    if np.all(neg):
-        return [(float(alpha[0]), float(alpha[-1]))]
-    # walk maximal runs, with wraparound merging in the periodic case
-    runs = []
-    start = prev = idx[0]
-    for i in idx[1:]:
-        if i == prev + 1:
-            prev = i
-        else:
-            runs.append((start, prev))
-            start = prev = i
-    runs.append((start, prev))
+    edges = np.diff(neg.astype(np.int8), prepend=0, append=0)
+    runs = list(zip(np.flatnonzero(edges == 1).tolist(),
+                    (np.flatnonzero(edges == -1) - 1).tolist()))
     if periodic and len(runs) > 1 and runs[0][0] == 0 and runs[-1][1] == n - 1:
         first = runs.pop(0)
-        last = runs.pop()
-        runs.append((last[0], first[1] + n))
-    for s, e in runs:
-        intervals.append((float(alpha[s % n]), float(alpha[e % n])))
-    return intervals
+        runs.append((runs.pop()[0], first[1] + n))
+    return RTReport(
+        sigma=sigma,
+        negative_intervals=[(float(alpha[s]), float(alpha[e % n])) for s, e in runs],
+        min_sigma=float(sigma.min()),
+        longest_negative_run=max((e - s + 1 for s, e in runs), default=0))
 
 
 def sigma_muskat(curve: Curve, consts: PhysicalConstants) -> RTReport:
     """RT sign proxy (rho2 - rho1) d_alpha z1 with sign-run extraction."""
     d1, _ = derivative(curve, 1)
-    sigma = consts.rho_jump * d1
-    return RTReport(sigma=sigma,
-                    negative_intervals=_negative_intervals(
-                        curve.alpha, sigma, curve.topology == PERIODIC),
-                    min_sigma=float(sigma.min()))
+    return rt_report(curve.alpha, consts.rho_jump * d1,
+                     curve.topology == PERIODIC)
 
 
 def sigma10(curve: Curve) -> np.ndarray:
@@ -212,9 +203,6 @@ def verify_weighted_rt(sigma10_grid, x, t, params: WeightParams) -> WeightedRTRe
 
 
 # --- sigma10 property checklist ----------------------------------------------
-
-SIGMA10_PROPERTIES = ["p1", "p2", "p3", "p4", "p5", "p6", "p7"]
-
 
 def sigma10_checklist(curves, times, tol: float = 1e-6) -> dict:
     """Evaluate the stated properties of sigma10 at (x, t) = (0, 0) on a

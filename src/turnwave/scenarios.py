@@ -21,8 +21,7 @@ from .config import ScenarioConfig, dump_config
 from .curve import (Curve, PERIODIC, as_graph, derivative, graph_curve,
                     graph_slope_sup, load_csv, min_slope, resample)
 from .diagnostics import (sigma10, sigma10_checklist, sigma_muskat,
-                          verify_weighted_rt, weight_h, weight_hbar,
-                          _negative_intervals)
+                          verify_weighted_rt, weight_h, weight_hbar)
 from .initial_data import (TurningParams, dv1_at_zero_periodic,
                            turning_candidate_open, turning_candidate_periodic,
                            turning_certificate, waterwave_datum)
@@ -30,7 +29,7 @@ from .stepping import (BlowUpError, GRAPH_BLOWUP, RT_SIGN_CHANGE, TURNING,
                        advance, initial_muskat_omega, muskat_state, run,
                        waterwave_state)
 from .strip import (InsufficientAnalyticityError, RegimeExitError, ck_solve,
-                    extend_to_strip, linear_shrink, strip_distance)
+                    extend_to_strip)
 from .svg import render_curve, render_series
 
 # fixed stage parameters of the breakdown pipeline (the backward
@@ -106,20 +105,6 @@ def _thin_snapshots(traj, cadence):
     if traj.snapshots and traj.snapshots[-1] is not keep[-1]:
         keep.append(traj.snapshots[-1])
     traj.snapshots = keep
-
-
-def _max_run(mask, periodic=True):
-    mask = np.asarray(mask, bool)
-    if not mask.any():
-        return 0
-    if mask.all():
-        return mask.size
-    doubled = np.concatenate([mask, mask]) if periodic else mask
-    best = cur = 0
-    for v in doubled:
-        cur = cur + 1 if v else 0
-        best = max(best, cur)
-    return min(best, mask.size)
 
 
 # --- scenarios ---------------------------------------------------------------
@@ -232,12 +217,10 @@ def muskat_breakdown(cfg: ScenarioConfig) -> ScenarioResult:
     report["turning_time"] = ev.t
 
     # handoff: resample so the truncated Fourier tail is exactly zero,
-    # then continue on a shrinking strip of analyticity
+    # then continue on a linearly shrinking strip of analyticity
     handoff = resample(final.curve, cfg.strip.M)
     sc = extend_to_strip(handoff, cfg.strip.r0, t=final.t)
-    shrink = (linear_shrink(cfg.strip.r0, cfg.strip.T)
-              if cfg.strip.shrink == "linear" else None)
-    res = ck_solve(sc, cfg.strip.T, pref, shrink=shrink,
+    res = ck_solve(sc, cfg.strip.T, pref,
                    panels=cfg.strip.panels, tol=cfg.strip.tol,
                    max_iter=cfg.strip.max_iter,
                    norm_bound=CONTINUATION_NORM_BOUND)
@@ -247,7 +230,7 @@ def muskat_breakdown(cfg: ScenarioConfig) -> ScenarioResult:
     for tt, sc_t in zip(res.times, res.curves):
         rc = sc_t.real_curve()
         sig = sigma_muskat(rc, consts)
-        run_len = _max_run(sig.sigma < 0.0)
+        run_len = sig.longest_negative_run
         cont_rows.append((final.t + tt, min_slope(rc).min_slope,
                           sig.min_sigma, run_len))
         if rt_event is None and run_len >= RT_RUN_LENGTH:

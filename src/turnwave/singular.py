@@ -6,10 +6,14 @@ Two kinds of kernels appear:
   and its geometric time derivative.  These use the alternating-point
   trapezoidal rule: targets of one grid parity integrate against sources
   of the other parity with doubled weight.  Spectrally accurate for
-  periodic analytic data.
+  periodic analytic data.  The kernels are antisymmetric in the pair, so
+  only the (even-row, odd-column) block of N/2 x N/2 pairs is evaluated;
+  the (odd-row, even-column) block is minus its transpose, and the
+  diagonal is never touched.
 * kernels with a removable singularity: the Muskat contour right-hand
   sides.  Plain trapezoid with the diagonal replaced by its analytic
-  limit.
+  limit.  The tangent-difference sum sum_j w_j K_ij (z'_i - z'_j) is
+  evaluated as z'_i (K w)_i - (K (w z'))_i, one matrix product.
 
 Complex shorthand: a point (x, y) is w = x + i*y; a velocity (v1, v2) is
 recovered from q = v1 - i*v2.  The perp convention is (x, y)^perp =
@@ -35,11 +39,26 @@ def _w(curve: Curve) -> np.ndarray:
     return curve.z1 + 1j * curve.z2
 
 
-def _parity_weights(n: int, h: float) -> np.ndarray:
-    """weights[i, j] = 2h if i-j odd else 0."""
-    i = np.arange(n)
-    odd = (i[:, None] - i[None, :]) % 2 == 1
-    return np.where(odd, 2.0 * h, 0.0)
+def _odd_pairs(block: np.ndarray) -> np.ndarray:
+    """Alternating-point matrix of an antisymmetric pair kernel from its
+    (even-row, odd-column) block: pairs with i - j even get weight 0."""
+    m = block.shape[0]
+    out = np.zeros((2 * m, 2 * m), dtype=block.dtype)
+    out[::2, 1::2] = block
+    out[1::2, ::2] = -block.T
+    return out
+
+
+def _tangent_difference(kern, weights, d, dd, diag_scale) -> np.ndarray:
+    """Per component c, sum_j w_j K_ij (d_c[i] - d_c[j]) plus w_i times the
+    diagonal limit diag_scale * d_1 dd_c / (d_1^2 + d_2^2); shape (2, N).
+
+    kern must vanish on its diagonal."""
+    d1, d2 = d
+    s = kern @ np.column_stack([weights, weights * d1, weights * d2])
+    limit = diag_scale * weights * d1 / (d1 ** 2 + d2 ** 2)
+    return np.stack([d1 * s[:, 0] - s[:, 1] + limit * dd[0],
+                     d2 * s[:, 0] - s[:, 2] + limit * dd[1]])
 
 
 def br_matrix(curve: Curve) -> np.ndarray:
@@ -47,23 +66,16 @@ def br_matrix(curve: Curve) -> np.ndarray:
     velocity.  Reusable across amplitudes on a frozen geometry."""
     _require_even(curve)
     w = _w(curve)
-    dw = w[:, None] - w[None, :]
-    n = curve.n
+    dw = w[::2, None] - w[None, 1::2]
     if curve.topology == PERIODIC:
-        h = 2.0 * np.pi / n
-        with np.errstate(divide="ignore", invalid="ignore"):
-            kern = 1.0 / np.tan(0.5 * dw)
-        np.fill_diagonal(kern, 0.0)
+        h = 2.0 * np.pi / curve.n
+        kern = 1.0 / np.tan(0.5 * dw)
         pref = 1.0 / (4.0j * np.pi)
     else:
         h = curve.alpha[1] - curve.alpha[0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            kern = 1.0 / dw
-        np.fill_diagonal(kern, 0.0)
+        kern = 1.0 / dw
         pref = 1.0 / (2.0j * np.pi)
-    A = pref * _parity_weights(n, h) * kern
-    np.fill_diagonal(A, 0.0)
-    return A
+    return _odd_pairs((pref * 2.0 * h) * kern)
 
 
 def birkhoff_rott(curve: Curve, omega, matrix=None) -> np.ndarray:
@@ -74,7 +86,7 @@ def birkhoff_rott(curve: Curve, omega, matrix=None) -> np.ndarray:
     return np.column_stack([q.real, -q.imag])
 
 
-def br_geometric_rate(curve: Curve, omega, velocity, matrix_unused=None) -> np.ndarray:
+def br_geometric_rate(curve: Curve, omega, velocity) -> np.ndarray:
     """Time derivative of the Birkhoff-Rott velocity due to the motion of
     the curve alone (amplitude frozen), for curve velocity `velocity`
     ((N, 2) samples).  Periodic curves only."""
@@ -85,15 +97,11 @@ def br_geometric_rate(curve: Curve, omega, velocity, matrix_unused=None) -> np.n
     velocity = np.asarray(velocity, dtype=float)
     w = _w(curve)
     u = velocity[:, 0] + 1j * velocity[:, 1]
-    dw = w[:, None] - w[None, :]
-    du = u[:, None] - u[None, :]
-    n = curve.n
-    h = 2.0 * np.pi / n
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kern = du / np.sin(0.5 * dw) ** 2
-    W = _parity_weights(n, h)
-    np.fill_diagonal(kern, 0.0)
-    q = (-1.0 / (8.0j * np.pi)) * (W * kern) @ omega
+    dw = w[::2, None] - w[None, 1::2]
+    du = u[::2, None] - u[None, 1::2]
+    h = 2.0 * np.pi / curve.n
+    kern = (-2.0 * h / (8.0j * np.pi)) * du / np.sin(0.5 * dw) ** 2
+    q = _odd_pairs(kern) @ omega
     return np.column_stack([q.real, -q.imag])
 
 
@@ -110,23 +118,14 @@ def muskat_rhs_periodic(curve: Curve, prefactor: float) -> np.ndarray:
     if curve.topology != PERIODIC:
         raise QuadratureError("use muskat_rhs_open for open curves")
     n = curve.n
-    h = 2.0 * np.pi / n
     dz1 = curve.z1[:, None] - curve.z1[None, :]
     dz2 = curve.z2[:, None] - curve.z2[None, :]
-    d1, d2 = derivative(curve, 1)
-    tp = d1 + 1j * d2
-    dt = tp[:, None] - tp[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kern = np.sin(dz1) / (np.cosh(dz2) - np.cos(dz1))
-    np.fill_diagonal(kern, 0.0)
-    integrand = kern * dt
-    dd1, dd2 = derivative(curve, 2)
-    speed2 = d1 ** 2 + d2 ** 2
-    diag = 2.0 * d1 * (dd1 + 1j * dd2) / speed2
-    idx = np.arange(n)
-    integrand[idx, idx] = diag
-    q = prefactor * h * integrand.sum(axis=1)
-    return np.column_stack([q.real, q.imag])
+    denom = np.cosh(dz2) - np.cos(dz1)
+    np.fill_diagonal(denom, 1.0)
+    kern = np.sin(dz1) / denom
+    v = _tangent_difference(kern, np.full(n, 2.0 * np.pi / n),
+                            derivative(curve, 1), derivative(curve, 2), 2.0)
+    return prefactor * v.T
 
 
 def _open_tail_levels(curve: Curve):
@@ -153,33 +152,24 @@ def muskat_rhs_open(curve: Curve, rho_jump: float = 1.0) -> np.ndarray:
     h = curve.alpha[1] - curve.alpha[0]
     dz1 = curve.z1[:, None] - curve.z1[None, :]
     dz2 = curve.z2[:, None] - curve.z2[None, :]
-    d1, d2 = derivative(curve, 1)
-    tp = d1 + 1j * d2
-    dt = tp[:, None] - tp[None, :]
     denom = dz1 ** 2 + dz2 ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kern = dz1 / denom
-    np.fill_diagonal(kern, 0.0)
-    integrand = kern * dt
-    dd1, dd2 = derivative(curve, 2)
-    speed2 = d1 ** 2 + d2 ** 2
-    idx = np.arange(n)
-    integrand[idx, idx] = d1 * (dd1 + 1j * dd2) / speed2
+    np.fill_diagonal(denom, 1.0)
+    kern = dz1 / denom
     weights = np.full(n, h)
     weights[0] = weights[-1] = 0.5 * h
-    q = integrand @ weights
+    d1, d2 = derivative(curve, 1)
+    v = _tangent_difference(kern, weights, (d1, d2), derivative(curve, 2), 1.0)
 
     L = float(curve.alpha[-1])
     c_right, c_left = _open_tail_levels(curve)
     num = (curve.z1 - L) ** 2 + (curve.z2 - c_right) ** 2
     den = (curve.z1 + L) ** 2 + (curve.z2 - c_left) ** 2
-    # at the truncation nodes num/den vanish, but so does tp - 1 (flat tail)
+    # at the truncation nodes num/den vanish, but so does z' - (1, 0) (flat tail)
     with np.errstate(divide="ignore"):
         T = np.where((num > 0) & (den > 0), 0.5 * np.log(num / den), 0.0)
-    q = q + T * (tp - 1.0)
-
-    q = q * (rho_jump / (2.0 * np.pi))
-    return np.column_stack([q.real, q.imag])
+    v[0] += T * (d1 - 1.0)
+    v[1] += T * d2
+    return (rho_jump / (2.0 * np.pi)) * v.T
 
 
 def quadrature_refinement_error(rhs_values_fine, rhs_values_coarse):

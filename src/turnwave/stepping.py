@@ -27,6 +27,7 @@ from .closures import (PhysicalConstants, darcy_amplitude, waterwave_amplitude_r
                        waterwave_velocity)
 from .curve import (Curve, PERIODIC, SelfIntersectionError, arc_chord, derivative,
                     graph_slope_sup, min_slope, save_csv)
+from .diagnostics import rt_report
 from .initial_data import discrete_h4_norm
 from .singular import br_matrix, muskat_rhs_open, muskat_rhs_periodic
 from .spectral import apply_krasny
@@ -177,11 +178,6 @@ class Trajectory:
     def times(self):
         return np.array([t for t, _, _ in self.snapshots])
 
-    def state_at(self, t):
-        """Snapshot closest to time t."""
-        i = int(np.argmin(np.abs(self.times - t)))
-        return self.snapshots[i]
-
     def column(self, name):
         j = DIAG_COLUMNS.index(name)
         return np.array([row[j] for row in self.diagnostics])
@@ -219,24 +215,6 @@ def _diagnose(state: SimState):
                      + discrete_h4_norm(curve.z2, period) ** 2)
         mean_f = float(np.trapezoid(curve.z2 * d1, curve.alpha))
     return report, supF, sigma, float(h4), mean_f
-
-
-def _max_negative_run(sigma, periodic):
-    neg = sigma < 0.0
-    if not np.any(neg):
-        return 0
-    if np.all(neg):
-        return neg.size
-    arr = neg
-    if periodic:
-        # rotate so the array starts at a non-negative node
-        start = int(np.argmin(arr))
-        arr = np.roll(arr, -start)
-    best = cur = 0
-    for v in arr:
-        cur = cur + 1 if v else 0
-        best = max(best, cur)
-    return best
 
 
 def run(state: SimState, t_end: float, dt: float,
@@ -287,10 +265,11 @@ def run(state: SimState, t_end: float, dt: float,
         prev_ms = (state.t, report.min_slope)
 
         if RT_SIGN_CHANGE not in seen:
-            run_len = _max_negative_run(sigma, state.curve.topology == PERIODIC)
-            if run_len >= rt_run_length:
-                log.add(state.t, RT_SIGN_CHANGE, nodes=int(run_len),
-                        sigma_min=float(sigma.min()))
+            rt = rt_report(state.curve.alpha, sigma,
+                           state.curve.topology == PERIODIC)
+            if rt.longest_negative_run >= rt_run_length:
+                log.add(state.t, RT_SIGN_CHANGE, nodes=rt.longest_negative_run,
+                        sigma_min=rt.min_sigma)
                 seen.add(RT_SIGN_CHANGE)
 
         if GRAPH_BLOWUP not in seen:

@@ -60,6 +60,15 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
     assert "dT" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("assignment", ["strip.shrink = exponential",
+                                        "strip.gamma = 2.0"])
+def test_cli_removed_strip_keys_exit_2(tmp_path, assignment):
+    """The continuation always shrinks the strip linearly; the keys that
+    once named another schedule are unknown now, not silently ignored."""
+    path = write_cfg(tmp_path, f"scenario = muskat-breakdown\n{assignment}\n")
+    assert main(["run", path]) == 2
+
+
 def test_cli_missing_config_exit_2(tmp_path):
     assert main(["run", str(tmp_path / "nope.cfg")]) == 2
 

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from turnwave.closures import PhysicalConstants
 from turnwave.curve import Curve, flat_curve, graph_curve, periodic_grid
-from turnwave.diagnostics import (WeightParams, energy_distance, sigma10,
-                                  sigma10_checklist, sigma_muskat,
+from turnwave.diagnostics import (WeightParams, energy_distance, rt_report,
+                                  sigma10, sigma10_checklist, sigma_muskat,
                                   sobolev_norm, strip_rt_norm,
                                   verify_weighted_rt, weight_h, weight_h_dt,
                                   weight_h_dx, weight_hbar, weight_hbar_dt,
@@ -35,6 +35,22 @@ def test_sigma_muskat_negative_interval_extraction():
     # d1 = 1 - 1.2 cos a < 0 around a = 0: the interval wraps the origin
     assert lo > hi  # wraparound representation
     assert np.cos(lo) > 1 / 1.2 - 0.1 and np.cos(hi) > 1 / 1.2 - 0.1
+
+
+@pytest.mark.parametrize("negative, periodic, intervals, longest", [
+    ([], True, [], 0),
+    (range(8), True, [(0.0, 7.0)], 8),
+    ([0, 1, 4, 6, 7], True, [(4.0, 4.0), (6.0, 1.0)], 4),
+    ([0, 1, 4, 6, 7], False, [(0.0, 1.0), (4.0, 4.0), (6.0, 7.0)], 2),
+], ids=["none", "all", "wraps-seam", "open-ends"])
+def test_rt_report_negative_runs(negative, periodic, intervals, longest):
+    alpha = np.arange(8.0)
+    sigma = np.ones(8)
+    sigma[list(negative)] = -0.5
+    rep = rt_report(alpha, sigma, periodic)
+    assert rep.negative_intervals == intervals
+    assert rep.longest_negative_run == longest
+    assert rep.min_sigma == sigma.min()
 
 
 def test_sigma10_flat_value():

@@ -4,11 +4,13 @@ Muskat kernel limits."""
 import numpy as np
 import pytest
 
-from turnwave.curve import Curve, flat_curve, graph_curve, open_grid, periodic_grid
-from turnwave.singular import (QuadratureError, birkhoff_rott, br_matrix,
-                               muskat_rhs_open, muskat_rhs_periodic,
+from turnwave.curve import (Curve, arc_chord, derivative, flat_curve, graph_curve,
+                            min_slope, open_grid, periodic_grid)
+from turnwave.singular import (QuadratureError, birkhoff_rott, br_geometric_rate,
+                               br_matrix, muskat_rhs_open, muskat_rhs_periodic,
                                quadrature_refinement_error)
 from turnwave.spectral import hilbert_transform
+from turnwave.strip import complex_G, extend_to_strip
 
 PERIODIC, OPEN = "periodic", "open"
 
@@ -120,3 +122,107 @@ def test_muskat_periodic_roll_equivariance():
     rolled = Curve(PERIODIC, a, a + 0.1 * np.sin(a + a[1]), 0.1 * np.cos(2 * (a + a[1])))
     vr = muskat_rhs_periodic(rolled, 1.0)
     assert np.max(np.abs(vr - np.roll(v, -1, axis=0))) < 1e-11
+
+
+def test_br_geometric_rate_is_frozen_amplitude_derivative():
+    """Moving the nodes along the curve velocity with omega frozen: a
+    centred difference of birkhoff_rott reproduces the geometric rate."""
+    n, eps = 128, 1e-5
+    a = periodic_grid(n)
+    c = Curve(PERIODIC, a, a + 0.1 * np.sin(a), 0.1 * np.cos(2 * a))
+    omega = np.sin(a) + 0.3 * np.cos(2 * a)
+    vel = np.column_stack([0.3 * np.cos(a), 0.2 * np.sin(3 * a)])
+
+    def moved(s):
+        return birkhoff_rott(c.with_components(c.z1 + s * vel[:, 0],
+                                               c.z2 + s * vel[:, 1]), omega)
+
+    fd = (moved(eps) - moved(-eps)) / (2.0 * eps)
+    rate = br_geometric_rate(c, omega, vel)
+    assert np.max(np.abs(rate)) > 0.1
+    assert np.max(np.abs(fd - rate)) < 1e-8
+
+
+# --- tangent-difference sums against the dense N x N integrand ----------------
+
+def dense_tangent_difference(kern, weights, d, dd, diag_scale):
+    """sum_j w_j K_ij (d_c[i] - d_c[j]) for c = 1, 2, with the diagonal of
+    each N x N integrand replaced by diag_scale * d_1 dd_c / |d|^2."""
+    speed2 = d[0] ** 2 + d[1] ** 2
+    out = []
+    for comp in (0, 1):
+        integrand = kern * (d[comp][:, None] - d[comp][None, :])
+        np.fill_diagonal(integrand, diag_scale * d[0] * dd[comp] / speed2)
+        out.append(integrand @ weights)
+    return np.array(out)
+
+
+def periodic_kernel(z1, z2):
+    dz1 = z1[:, None] - z1[None, :]
+    dz2 = z2[:, None] - z2[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kern = np.sin(dz1) / (np.cosh(dz2) - np.cos(dz1))
+    np.fill_diagonal(kern, 0.0)
+    return kern
+
+
+def turned_periodic(n=256):
+    a = periodic_grid(n)
+    return Curve(PERIODIC, a, a - 1.2 * np.sin(a), 0.8 * np.sin(a))
+
+
+def turned_open(n=257, L=10.0):
+    a = open_grid(n, L)
+    g = np.exp(-0.5 * a ** 2)
+    return Curve(OPEN, a, a - 1.2 * a * g, 0.8 * a * g, L=L)
+
+
+def test_turned_curves_are_not_graphs():
+    for c in (turned_periodic(), turned_open()):
+        assert min_slope(c).min_slope < -0.1
+        assert arc_chord(c) < 1e3
+
+
+def test_muskat_periodic_matches_dense_sum_on_turned_curve():
+    c = turned_periodic()
+    h = 2.0 * np.pi / c.n
+    ref = dense_tangent_difference(periodic_kernel(c.z1, c.z2), np.full(c.n, h),
+                                   derivative(c, 1), derivative(c, 2), 2.0)
+    v = muskat_rhs_periodic(c, 0.3)
+    assert np.max(np.abs(v - 0.3 * ref.T)) < 1e-13
+
+
+def test_muskat_open_matches_dense_sum_on_turned_curve():
+    c = turned_open()
+    h = c.alpha[1] - c.alpha[0]
+    dz1 = c.z1[:, None] - c.z1[None, :]
+    dz2 = c.z2[:, None] - c.z2[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kern = dz1 / (dz1 ** 2 + dz2 ** 2)
+    np.fill_diagonal(kern, 0.0)
+    weights = np.full(c.n, h)
+    weights[0] = weights[-1] = 0.5 * h
+    d = derivative(c, 1)
+    ref = dense_tangent_difference(kern, weights, d, derivative(c, 2), 1.0)
+    # flat tails beyond +-L at heights z2(+-L)
+    num = (c.z1 - c.L) ** 2 + (c.z2 - c.z2[-1]) ** 2
+    den = (c.z1 + c.L) ** 2 + (c.z2 - c.z2[0]) ** 2
+    tail = np.zeros(c.n)
+    inner = (num > 0) & (den > 0)
+    tail[inner] = 0.5 * np.log(num[inner] / den[inner])
+    ref[0] += tail * (d[0] - 1.0)
+    ref[1] += tail * d[1]
+    v = muskat_rhs_open(c, 1.7)
+    assert np.max(np.abs(v - (1.7 / (2.0 * np.pi)) * ref.T)) < 1e-13
+
+
+@pytest.mark.parametrize("zeta", [0.0, 0.03, -0.03])
+def test_complex_G_matches_dense_sum_on_turned_curve(zeta):
+    sc = extend_to_strip(turned_periodic(), 0.05)
+    tr = sc.trace(zeta)
+    ref = dense_tangent_difference(periodic_kernel(tr[0], tr[1]),
+                                   np.full(sc.n, 2.0 * np.pi / sc.n),
+                                   sc.trace_derivative(zeta, 1),
+                                   sc.trace_derivative(zeta, 2), 2.0)
+    g = complex_G(sc, zeta, 0.3)
+    assert np.max(np.abs(g - 0.3 * ref)) < 1e-13

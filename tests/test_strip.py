@@ -11,7 +11,7 @@ from turnwave.strip import (CKResult, InsufficientAnalyticityError,
                             RegimeExitError, StripCurve, amplified_tail,
                             ck_solve, complex_G, complex_arc_chord,
                             decay_violation, estimate_G_bounds,
-                            exponential_shrink, extend_to_strip,
+                            extend_to_strip,
                             generalized_rt, linear_shrink, strip_distance,
                             strip_norm, strip_norm_quadrature)
 
@@ -113,9 +113,6 @@ def test_shrink_schedules():
     lin = linear_shrink(0.1, 1.0)
     assert lin(0.0) == pytest.approx(0.1)
     assert lin(1.0) == pytest.approx(0.05)
-    exp = exponential_shrink(0.1, 2.0, (np.array([0.0, 1.0]), np.array([1.0, 1.0])))
-    assert exp(0.0) == pytest.approx(0.1)
-    assert exp(1.0) == pytest.approx(0.1 * np.exp(-2.0))
 
 
 def test_ck_solve_matches_rk4_small_data():
