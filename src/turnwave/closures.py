@@ -118,12 +118,11 @@ def waterwave_amplitude_rhs(curve: Curve, omega, c, consts: PhysicalConstants,
     geo = br_geometric_rate(curve, omega, velocity)
     dbr = np.column_stack([fourier_derivative(br[:, 0]),
                            fourier_derivative(br[:, 1])])
-    _, d2 = derivative(curve, 1)
     explicit = (-2.0 * (geo * tp).sum(axis=1)
                 - fourier_derivative(omega ** 2 / (4.0 * speed2))
                 + fourier_derivative(c * omega)
                 + 2.0 * c * (dbr * tp).sum(axis=1)
-                - 2.0 * consts.g * d2)
+                - 2.0 * consts.g * tp[:, 1])
 
     # BR(omega_t) . z_alpha = Re(diag(t1 + i t2) @ mat @ omega_t)
     tau = tp[:, 0] + 1j * tp[:, 1]

@@ -161,10 +161,9 @@ def derivative(curve: Curve, order: int = 1):
             d1 = d1 + 1.0
         d2 = fourier_derivative(curve.z2, order)
         return d1, d2
-    s1 = make_interp_spline(curve.alpha, curve.z1, k=5)
-    s2 = make_interp_spline(curve.alpha, curve.z2, k=5)
-    return (s1.derivative(order)(curve.alpha),
-            s2.derivative(order)(curve.alpha))
+    spline = make_interp_spline(curve.alpha, curve.points(), k=5)
+    d1, d2 = spline.derivative(order)(curve.alpha).T
+    return d1, d2
 
 
 def tangent(curve: Curve):

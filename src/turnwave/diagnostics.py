@@ -1,4 +1,4 @@
-"""Rayleigh-Taylor functions, Sobolev/strip norms, weighted-RT verifiers.
+"""Rayleigh-Taylor functions, weighted-RT verifiers, strip energy distance.
 
 Two RT reductions are implemented literally:
 
@@ -14,6 +14,9 @@ analytic time/space derivatives.  Note hbar is implemented with
 sin^2(x/2): the printed sin(x/2) is neither 2*pi-periodic nor
 sign-definite, contradicting the positivity/periodicity the weights must
 satisfy; set literal_hbar=True to evaluate the printed form.
+
+energy_distance compares two strip curves through the k-th derivative
+of their difference on the upper strip boundary.
 """
 
 import warnings
@@ -23,7 +26,6 @@ import numpy as np
 
 from .closures import PhysicalConstants
 from .curve import Curve, PERIODIC, derivative
-from .spectral import modes
 
 
 @dataclass(frozen=True)
@@ -86,17 +88,6 @@ def sigma10(curve: Curve) -> np.ndarray:
     if np.any(speed2 < 1e-14):
         raise ValueError("parameterization degenerate: |d_alpha z| ~ 0")
     return -2.0 * np.pi * d1 / speed2
-
-
-def sobolev_norm(samples, k: int, period: float = 2.0 * np.pi) -> float:
-    """(||f||_L2^2 + ||d^k f||_L2^2)^(1/2) of periodic samples, by Fourier."""
-    f = np.asarray(samples, dtype=float)
-    n = f.size
-    if k > n // 4:
-        warnings.warn(f"order {k} under-resolved at N={n}", stacklevel=2)
-    kk = modes(n) * (2.0 * np.pi / period)
-    fk = np.fft.fft(f) / n
-    return float(np.sqrt(period * np.sum((1.0 + kk ** (2 * k)) * np.abs(fk) ** 2)))
 
 
 # --- section-4 weight functions ----------------------------------------------
@@ -237,75 +228,6 @@ def sigma10_checklist(curves, times, tol: float = 1e-6) -> dict:
         "p7": {"value": float(st), "pass": bool(st > 0.0)},
     }
     return out
-
-
-# --- strip-based blow-up functional --------------------------------------------
-
-@dataclass
-class StripRTNorm:
-    h4: float            # ||z - flat||_{H4} over both strip boundaries
-    f_sup: float         # sup of the arc-chord ratio |beta|^2 / |dz|^2
-    inf_f: float         # inf over the strip boundaries of Re(dz1/((dz1)^2+(dz2)^2))
-    im_f_h2: float       # H2 trace norm of Im of the same quantity
-    value: float         # combined blow-up functional; inf on regime exit
-    regime_exit: bool
-
-
-def strip_rt_norm(strip, c: float = None, K: float = 1.0,
-                  n_levels: int = 5) -> StripRTNorm:
-    """Blow-up functional ||z||_RT^2 = H4-trace norm^2 + sup F + the
-    reciprocal stability margin 1/(inf Re f - c - K ||Im f||_H2).
-
-    f = d_a z1 / ((d_a z1)^2 + (d_a z2)^2) continued to the strip; its
-    real part is harmonic, so the infimum over the strip is attained on
-    the boundary traces, where it is evaluated.  c defaults to half the
-    current infimum; a nonpositive denominator is reported as regime
-    exit (value = +inf), not an exception.
-    """
-    from .strip import strip_norm
-    from .spectral import fourier_derivative
-
-    h4 = strip_norm(strip, j=4)
-
-    # arc-chord ratio over sampled horizontal levels (same-level pairs,
-    # real parameter offsets beta)
-    zetas = (np.linspace(-strip.r, strip.r, n_levels)
-             if strip.r > 0 else np.array([0.0]))
-    alpha = strip.alpha
-    dal = alpha[:, None] - alpha[None, :]
-    beta2 = np.angle(np.exp(1j * dal)) ** 2
-    f_sup = 0.0
-    inf_f = np.inf
-    im_h2 = 0.0
-    h_step = 2.0 * np.pi / strip.n
-    for z in zetas:
-        tr = strip.trace(z)
-        d1 = tr[0][:, None] - tr[0][None, :]
-        d2 = tr[1][:, None] - tr[1][None, :]
-        chord2 = np.abs(d1) ** 2 + np.abs(d2) ** 2
-        mask = beta2 > 1e-28
-        f_sup = max(f_sup, float((beta2[mask] / chord2[mask]).max()))
-    for z in (strip.r, -strip.r) if strip.r > 0 else (0.0,):
-        d = strip.trace_derivative(z, 1)
-        denom = d[0] ** 2 + d[1] ** 2
-        if np.abs(denom).min() < 1e-14:
-            return StripRTNorm(h4=h4, f_sup=f_sup, inf_f=-np.inf,
-                               im_f_h2=np.inf, value=np.inf, regime_exit=True)
-        f = d[0] / denom
-        inf_f = min(inf_f, float(f.real.min()))
-        imf = f.imag
-        d2f = np.fft.ifft((1j * strip.mode_numbers()) ** 2 * np.fft.fft(f))
-        im_h2 += h_step * (np.sum(imf ** 2) + np.sum(d2f.imag ** 2))
-    im_h2 = float(np.sqrt(im_h2))
-    if c is None:
-        c = inf_f / 2.0
-    denom = inf_f - c - K * im_h2
-    if denom <= 0.0:
-        return StripRTNorm(h4=h4, f_sup=f_sup, inf_f=inf_f, im_f_h2=im_h2,
-                           value=np.inf, regime_exit=True)
-    return StripRTNorm(h4=h4, f_sup=f_sup, inf_f=inf_f, im_f_h2=im_h2,
-                       value=float(np.sqrt(h4 ** 2 + f_sup + 1.0 / denom)),
-                       regime_exit=False)
 
 
 # --- energy distances on strip contours ---------------------------------------

@@ -402,7 +402,7 @@ def heat_mollify(curve: Curve, tau_smooth: float) -> Curve:
     return Curve(OPEN, curve.alpha, curve.z1.copy(), z2, L=curve.L)
 
 
-def _h4_seminorm_field(field, period):
+def discrete_h4_norm(field, period=2.0 * np.pi) -> float:
     """Discrete H^4 norm (L^2 + 4th derivative L^2) of periodic samples."""
     field = np.asarray(field, dtype=float)
     n = field.size
@@ -437,15 +437,11 @@ def perturb_h4(curve: Curve, epsilon: float, seed: int, kmax: int = 8) -> Curve:
             f += amp_c * np.cos(k * x) + amp_s * np.sin(k * x)
         fields.append(f * envelope)
     e1, e2 = fields
-    size = np.sqrt(_h4_seminorm_field(e1, period) ** 2
-                   + _h4_seminorm_field(e2, period) ** 2)
+    size = np.sqrt(discrete_h4_norm(e1, period) ** 2
+                   + discrete_h4_norm(e2, period) ** 2)
     scale = epsilon / size
     return Curve(curve.topology, curve.alpha, curve.z1 + scale * e1,
                  curve.z2 + scale * e2, L=curve.L)
-
-
-def discrete_h4_norm(field, period=2.0 * np.pi) -> float:
-    return _h4_seminorm_field(field, period)
 
 
 # --- water-wave datum --------------------------------------------------------

@@ -15,19 +15,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import strip as strip_mod
 from .closures import ClosureIterationError, PhysicalConstants
 from .config import ScenarioConfig, dump_config
-from .curve import (Curve, PERIODIC, as_graph, derivative, graph_curve,
-                    graph_slope_sup, load_csv, min_slope, resample)
+from .curve import as_graph, graph_curve, graph_slope_sup, load_csv, min_slope, resample
 from .diagnostics import (sigma10, sigma10_checklist, sigma_muskat,
                           verify_weighted_rt, weight_h, weight_hbar)
 from .initial_data import (TurningParams, dv1_at_zero_periodic,
                            turning_candidate_open, turning_candidate_periodic,
                            turning_certificate, waterwave_datum)
-from .stepping import (BlowUpError, GRAPH_BLOWUP, RT_SIGN_CHANGE, TURNING,
-                       advance, initial_muskat_omega, muskat_state, run,
-                       waterwave_state)
+from .stepping import (BlowUpError, GRAPH_BLOWUP, RT_RUN_LENGTH, RT_SIGN_CHANGE,
+                       TURNING, advance, muskat_state, run, waterwave_state)
 from .strip import (InsufficientAnalyticityError, RegimeExitError, ck_solve,
                     extend_to_strip)
 from .svg import render_curve, render_series
@@ -37,7 +34,6 @@ from .svg import render_curve, render_series
 BACKWARD_STRIP_R0 = 0.1
 BACKWARD_PANELS = 16
 CONTINUATION_NORM_BOUND = 1e12
-RT_RUN_LENGTH = 3
 
 
 @dataclass
@@ -331,8 +327,7 @@ def waterwave_turning(cfg: ScenarioConfig) -> ScenarioResult:
             as_graph(final.curve)
         except Exception:
             graph_fails = True
-    sup_fa = [graph_slope_sup(c) if np.all(derivative(c, 1)[0] > 0) else np.inf
-              for _, c, _ in traj.snapshots]
+    sup_fa = [graph_slope_sup(c) for _, c, _ in traj.snapshots]
     finite = [v for v in sup_fa if np.isfinite(v)]
     report = {
         "round_trip_error": round_trip,

@@ -170,11 +170,3 @@ def muskat_rhs_open(curve: Curve, rho_jump: float = 1.0) -> np.ndarray:
     v[0] += T * (d1 - 1.0)
     v[1] += T * d2
     return (rho_jump / (2.0 * np.pi)) * v.T
-
-
-def quadrature_refinement_error(rhs_values_fine, rhs_values_coarse):
-    """Max-norm discrepancy between a fine-grid evaluation and a coarse
-    evaluation injected on the shared (even-index) nodes."""
-    fine = np.asarray(rhs_values_fine)
-    coarse = np.asarray(rhs_values_coarse)
-    return float(np.max(np.abs(fine[:: fine.shape[0] // coarse.shape[0]] - coarse)))

@@ -10,10 +10,11 @@ supremum, Rayleigh-Taylor minimum, H4 size, and the graph mean.
 Events:
   Turning        first zero crossing of min d_alpha z1 (time located by
                  linear interpolation between accepted steps, O(dt^2))
-  RTSignChange   sigma = (rho2-rho1) d_alpha z1 < 0 on >= 3 consecutive
-                 nodes
-  GraphBlowup    sup |f_alpha| exceeds a threshold while still a graph
-  ArcChordFailure  sup F(z) exceeds a threshold or the curve
+  RTSignChange   sigma = (rho2-rho1) d_alpha z1 < 0 on >= RT_RUN_LENGTH
+                 consecutive nodes
+  GraphBlowup    sup |f_alpha| exceeds GRAPH_BLOWUP_THRESHOLD while still
+                 a graph
+  ArcChordFailure  sup F(z) reaches ARC_CHORD_MAX or the curve
                  self-intersects at grid resolution
 """
 
@@ -23,8 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .closures import (PhysicalConstants, darcy_amplitude, waterwave_amplitude_rhs,
-                       waterwave_velocity)
+from .closures import PhysicalConstants, waterwave_amplitude_rhs, waterwave_velocity
 from .curve import (Curve, PERIODIC, SelfIntersectionError, arc_chord, derivative,
                     graph_slope_sup, min_slope, save_csv)
 from .diagnostics import rt_report
@@ -40,6 +40,10 @@ TURNING = "Turning"
 RT_SIGN_CHANGE = "RTSignChange"
 ARC_CHORD_FAILURE = "ArcChordFailure"
 GRAPH_BLOWUP = "GraphBlowup"
+
+RT_RUN_LENGTH = 3               # consecutive nodes with sigma < 0
+GRAPH_BLOWUP_THRESHOLD = 1e3    # sup |f_alpha| flagged as slope blow-up
+ARC_CHORD_MAX = 1e8             # sup F(z) flagged as arc-chord failure
 
 
 class BlowUpError(Exception):
@@ -219,10 +223,7 @@ def _diagnose(state: SimState):
 
 def run(state: SimState, t_end: float, dt: float,
         snapshot_cadence: int = 10,
-        stop_on=(RT_SIGN_CHANGE, ARC_CHORD_FAILURE),
-        arc_chord_max: float = 1e8,
-        graph_blowup_threshold: float = 1e3,
-        rt_run_length: int = 3):
+        stop_on=(RT_SIGN_CHANGE, ARC_CHORD_FAILURE)):
     """Advance to t_end or a stopping event.  Returns (Trajectory, EventLog).
 
     Raises BlowUpError (carrying the partial trajectory) on NaN/Inf.
@@ -267,18 +268,18 @@ def run(state: SimState, t_end: float, dt: float,
         if RT_SIGN_CHANGE not in seen:
             rt = rt_report(state.curve.alpha, sigma,
                            state.curve.topology == PERIODIC)
-            if rt.longest_negative_run >= rt_run_length:
+            if rt.longest_negative_run >= RT_RUN_LENGTH:
                 log.add(state.t, RT_SIGN_CHANGE, nodes=rt.longest_negative_run,
                         sigma_min=rt.min_sigma)
                 seen.add(RT_SIGN_CHANGE)
 
         if GRAPH_BLOWUP not in seen:
             sup_fa = graph_slope_sup(state.curve)
-            if sup_fa > graph_blowup_threshold:
+            if sup_fa > GRAPH_BLOWUP_THRESHOLD:
                 log.add(state.t, GRAPH_BLOWUP, sup_f_alpha=float(sup_fa))
                 seen.add(GRAPH_BLOWUP)
 
-        if ARC_CHORD_FAILURE not in seen and not supF < arc_chord_max:
+        if ARC_CHORD_FAILURE not in seen and not supF < ARC_CHORD_MAX:
             log.add(state.t, ARC_CHORD_FAILURE, sup_F=float(supF))
             seen.add(ARC_CHORD_FAILURE)
 
@@ -308,7 +309,3 @@ def waterwave_state(curve, omega, consts=None, **kw) -> SimState:
         consts = PhysicalConstants(rho1=0.0, rho2=1.0)
     return SimState(curve=curve, omega=np.asarray(omega, float), consts=consts,
                     problem=WATER_WAVES, **kw)
-
-
-def initial_muskat_omega(curve, consts):
-    return darcy_amplitude(curve, consts)

@@ -1,4 +1,4 @@
-"""RT diagnostics, weight functions, blow-up functional, energy distance."""
+"""RT diagnostics, weight functions, discrete H4 norm, energy distance."""
 
 import numpy as np
 import pytest
@@ -9,11 +9,11 @@ from turnwave.closures import PhysicalConstants
 from turnwave.curve import Curve, flat_curve, graph_curve, periodic_grid
 from turnwave.diagnostics import (WeightParams, energy_distance, rt_report,
                                   sigma10, sigma10_checklist, sigma_muskat,
-                                  sobolev_norm, strip_rt_norm,
                                   verify_weighted_rt, weight_h, weight_h_dt,
                                   weight_h_dx, weight_hbar, weight_hbar_dt,
                                   weight_hbar_dx)
-from turnwave.initial_data import TurningParams, turning_candidate_periodic
+from turnwave.initial_data import (TurningParams, discrete_h4_norm,
+                                   turning_candidate_periodic)
 from turnwave.strip import extend_to_strip
 
 WP = WeightParams(A=100.0, tau=0.005)
@@ -68,9 +68,9 @@ def test_sigma10_vanishes_at_vertical_tangent():
 def test_sobolev_norm_single_mode():
     a = periodic_grid(128)
     f = np.cos(3 * a)
-    # |f|_{H^k}^2 = pi (1 + 3^{2k}) for the cosine normalization used
+    # |f|_{H^4}^2 = pi (1 + 3^8) for the cosine normalization used
     expect = np.sqrt(np.pi * (1 + 3 ** 8))
-    assert sobolev_norm(f, 4) == pytest.approx(expect, rel=1e-12)
+    assert discrete_h4_norm(f) == pytest.approx(expect, rel=1e-12)
 
 
 def test_weight_h_window_and_zero_at_final_time():
@@ -142,21 +142,6 @@ def test_sigma10_checklist_on_candidate_trajectory():
     assert out["p2"]["pass"] and out["p4"]["pass"] and out["p5"]["pass"]
     assert out["p6"]["value"] < 0.0
     assert out["p7"]["value"] > 0.0
-
-
-def test_strip_rt_norm_flat():
-    """Flat curve: H4 part 0, sup F = 1, f = 1 analytic, c = 1/2 =>
-    1 / (1 - 1/2 - 0) = 2; norm = sqrt(0 + 1 + 2) = sqrt(3)."""
-    sc = extend_to_strip(flat_curve(64), 0.2)
-    rep = strip_rt_norm(sc)
-    assert rep.value == pytest.approx(np.sqrt(3.0), rel=1e-10)
-
-
-def test_strip_rt_norm_grows_with_amplitude():
-    a = periodic_grid(128)
-    small = extend_to_strip(graph_curve(0.01 * np.cos(a)), 0.1)
-    large = extend_to_strip(graph_curve(0.2 * np.cos(a)), 0.1)
-    assert strip_rt_norm(large).value > strip_rt_norm(small).value
 
 
 def test_energy_distance_identity_and_symmetry():

@@ -7,10 +7,8 @@ import pytest
 from turnwave.curve import (Curve, arc_chord, derivative, flat_curve, graph_curve,
                             min_slope, open_grid, periodic_grid)
 from turnwave.singular import (QuadratureError, birkhoff_rott, br_geometric_rate,
-                               br_matrix, muskat_rhs_open, muskat_rhs_periodic,
-                               quadrature_refinement_error)
+                               br_matrix, muskat_rhs_open, muskat_rhs_periodic)
 from turnwave.spectral import hilbert_transform
-from turnwave.strip import complex_G, extend_to_strip
 
 PERIODIC, OPEN = "periodic", "open"
 
@@ -29,6 +27,14 @@ def test_flat_birkhoff_rott_matches_hilbert_transform():
                     np.max(np.abs(v[:, 1] - 0.5 * hilbert_transform(omega))),
                     np.max(np.abs(v[:, 1] + 0.5 * np.cos(k * c.alpha))))
     assert worst < 1e-10
+
+
+def quadrature_refinement_error(rhs_values_fine, rhs_values_coarse):
+    """Max-norm discrepancy between a fine-grid evaluation and a coarse
+    evaluation injected on the shared (even-index) nodes."""
+    fine = np.asarray(rhs_values_fine)
+    coarse = np.asarray(rhs_values_coarse)
+    return float(np.max(np.abs(fine[:: fine.shape[0] // coarse.shape[0]] - coarse)))
 
 
 def test_alternating_rule_spectral_convergence():
@@ -214,15 +220,3 @@ def test_muskat_open_matches_dense_sum_on_turned_curve():
     ref[1] += tail * d[1]
     v = muskat_rhs_open(c, 1.7)
     assert np.max(np.abs(v - (1.7 / (2.0 * np.pi)) * ref.T)) < 1e-13
-
-
-@pytest.mark.parametrize("zeta", [0.0, 0.03, -0.03])
-def test_complex_G_matches_dense_sum_on_turned_curve(zeta):
-    sc = extend_to_strip(turned_periodic(), 0.05)
-    tr = sc.trace(zeta)
-    ref = dense_tangent_difference(periodic_kernel(tr[0], tr[1]),
-                                   np.full(sc.n, 2.0 * np.pi / sc.n),
-                                   sc.trace_derivative(zeta, 1),
-                                   sc.trace_derivative(zeta, 2), 2.0)
-    g = complex_G(sc, zeta, 0.3)
-    assert np.max(np.abs(g - 0.3 * ref)) < 1e-13

@@ -1,19 +1,14 @@
-"""Analytic-strip machinery: traces, norms, complexified kernel, Picard
-continuation, generalized RT function."""
+"""Analytic-strip machinery: traces, analyticity checks, norms, Picard
+continuation on a shrinking strip."""
 
 import numpy as np
 import pytest
 
 from turnwave.closures import PhysicalConstants
-from turnwave.curve import Curve, flat_curve, graph_curve, min_slope, periodic_grid
-from turnwave.singular import muskat_rhs_periodic
-from turnwave.strip import (CKResult, InsufficientAnalyticityError,
-                            RegimeExitError, StripCurve, amplified_tail,
-                            ck_solve, complex_G, complex_arc_chord,
-                            decay_violation, estimate_G_bounds,
-                            extend_to_strip,
-                            generalized_rt, linear_shrink, strip_distance,
-                            strip_norm, strip_norm_quadrature)
+from turnwave.curve import Curve, flat_curve, periodic_grid
+from turnwave.strip import (InsufficientAnalyticityError, RegimeExitError,
+                            amplified_tail, ck_solve, decay_violation,
+                            extend_to_strip, strip_distance, strip_norm)
 
 PREF = PhysicalConstants().darcy_factor / (4.0 * np.pi)
 
@@ -63,6 +58,20 @@ def test_trace_at_zero_is_real_curve():
     assert np.max(np.abs(rc.z1 - c.z1)) < 1e-13
 
 
+def strip_norm_quadrature(strip, j=4):
+    """strip_norm by direct trapezoid quadrature of the traces on both
+    boundaries a +- i r (reference for the coefficient formula)."""
+    k = strip.mode_numbers()
+    h = 2.0 * np.pi / strip.n
+    total = 0.0
+    for sign in (+1.0, -1.0):
+        mult = np.exp(-k * sign * strip.r)
+        vals = np.fft.ifft(strip.coeffs * mult, axis=1) * strip.n
+        dvals = np.fft.ifft(strip.coeffs * mult * (1j * k) ** j, axis=1) * strip.n
+        total += h * (np.sum(np.abs(vals) ** 2) + np.sum(np.abs(dvals) ** 2))
+    return float(np.sqrt(total))
+
+
 def test_strip_norm_parseval_vs_quadrature():
     sc = extend_to_strip(eps_cos_curve(eps=0.02, k=2), 0.15)
     a = strip_norm(sc)
@@ -81,38 +90,17 @@ def test_amplified_tail_and_decay_violation_flat():
     assert decay_violation(sc.coeffs, sc.r) == 0.0
 
 
-def test_complex_G_reduces_to_real_kernel_on_axis():
-    c = eps_cos_curve(n=128, eps=0.05, k=2)
-    sc = extend_to_strip(c, 0.1)
-    g = complex_G(sc, 0.0, PREF)
-    v = muskat_rhs_periodic(c, PREF)
-    assert np.max(np.abs(g[0].real - v[:, 0])) < 1e-12
-    assert np.max(np.abs(g[1].real - v[:, 1])) < 1e-12
-    assert np.max(np.abs(g.imag)) < 1e-12
-
-
-def test_complex_G_schwarz_symmetry():
-    """Real data: G at conjugate heights are conjugates."""
-    sc = extend_to_strip(eps_cos_curve(n=128, eps=0.05, k=2), 0.1)
-    gp = complex_G(sc, 0.07, PREF)
-    gm = complex_G(sc, -0.07, PREF)
-    assert np.max(np.abs(gp - np.conj(gm))) < 1e-11
-
-
-def test_complex_G_flat_is_zero():
-    sc = extend_to_strip(flat_curve(64), 0.3)
-    assert np.max(np.abs(complex_G(sc, 0.1, PREF))) < 1e-13
-
-
-def test_complex_arc_chord_flat():
-    sc = extend_to_strip(flat_curve(64), 0.2)
-    assert complex_arc_chord(sc) > 0.1  # bounded below, no pinching
-
-
 def test_shrink_schedules():
-    lin = linear_shrink(0.1, 1.0)
-    assert lin(0.0) == pytest.approx(0.1)
-    assert lin(1.0) == pytest.approx(0.05)
+    """The strip half-width shrinks linearly from r0 at t = 0 to r0 / 2 at
+    t = T, for forward and backward solves alike."""
+    sc = extend_to_strip(eps_cos_curve(n=64, eps=0.01), 0.2, t=0.3)
+    for prefactor in (PREF, -PREF):
+        res = ck_solve(sc, 0.02, prefactor, panels=8)
+        rs = np.array([c.r for c in res.curves])
+        assert rs[0] == 0.2
+        assert rs[-1] == pytest.approx(0.1, rel=1e-15)
+        assert np.all(np.diff(rs) < 0.0)
+        assert res.times[0] == 0.3 and res.times[-1] == pytest.approx(0.32)
 
 
 def test_ck_solve_matches_rk4_small_data():
@@ -149,38 +137,3 @@ def test_ck_backward_forward_round_trip():
     fwd = ck_solve(back.curves[-1], 0.01, PREF, panels=8)
     rc = fwd.curves[-1].real_curve()
     assert np.max(np.abs(rc.z2 - c.z2)) < 1e-9
-
-
-def test_estimate_G_bounds_finite():
-    sc = extend_to_strip(eps_cos_curve(n=64, eps=0.05), 0.1)
-    sc2 = extend_to_strip(eps_cos_curve(n=64, eps=0.04, k=2), 0.1)
-    gb = estimate_G_bounds([sc, sc2], 0.1, 0.05, PREF)
-    assert np.isfinite(gb.c_size) and gb.c_size > 0
-    assert np.isfinite(gb.c_lipschitz)
-    assert np.isfinite(gb.c_modulus)
-
-
-def test_generalized_rt_flat_oracle():
-    """Flat interface, closed form: the PV integral vanishes, so
-    RT = -2 pi / (1 + h_x^2) + Im(i h_t / (1 + i h_x)); on the axis
-    contour (h = 0, h_t = 0) that is exactly -2 pi."""
-    sc = extend_to_strip(flat_curve(128), 0.2)
-    a = sc.alpha
-    zero = np.zeros_like(a)
-    rep0 = generalized_rt(sc, zero, zero, zero)
-    assert np.max(np.abs(rep0.values + 2.0 * np.pi)) < 1e-11
-    assert not rep0.passed  # negative sign: this arrangement is unstable
-
-    h, hx = 0.05 * np.sin(a), 0.05 * np.cos(a)
-    rep = generalized_rt(sc, h, hx, zero)
-    target = -2.0 * np.pi / (1.0 + hx ** 2)
-    assert np.max(np.abs(rep.values - target)) < 1e-9
-
-
-def test_save_load_strip_curve(tmp_path):
-    sc = extend_to_strip(eps_cos_curve(eps=0.03, k=2), 0.12, t=0.7)
-    path = tmp_path / "strip.csv"
-    sc.save_csv(path)
-    back = StripCurve.load_csv(path)
-    assert back.r == sc.r and back.t == sc.t
-    assert np.max(np.abs(back.coeffs - sc.coeffs)) < 1e-15
