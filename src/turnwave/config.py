@@ -31,7 +31,6 @@ SCENARIOS = (
 @dataclass
 class GridConfig:
     n: int = 256
-    periodic: bool = True
     L: float = 40.0
 
 

@@ -23,6 +23,9 @@ OPEN = "open"
 
 MAX_DERIVATIVE_ORDER = 5
 MIN_NODES = 16
+# Rows per block of the O(N^2) pair sweeps in arc_chord and singular.  Of
+# 32..256, 64 was fastest for the periodic Muskat kernel at N=512 and 2048.
+BLOCK_ROWS = 64
 
 
 class CurveError(Exception):
@@ -150,20 +153,27 @@ def derivative(curve: Curve, order: int = 1):
     Periodic: spectral (exact for band-limited data); the linear part of
     z1 is handled separately.  Open: quintic-spline differentiation.
     """
-    if not (1 <= order <= MAX_DERIVATIVE_ORDER):
-        raise ValueError(f"order must be in 1..{MAX_DERIVATIVE_ORDER}")
+    return derivatives(curve, order)[0]
+
+
+def derivatives(curve: Curve, *orders):
+    """[derivative(curve, k) for k in orders], from one spline fit on open
+    curves."""
+    for order in orders:
+        if not (1 <= order <= MAX_DERIVATIVE_ORDER):
+            raise ValueError(f"order must be in 1..{MAX_DERIVATIVE_ORDER}")
     if curve.n < MIN_NODES:
         raise ValueError("curve too coarse to differentiate")
     if curve.topology == PERIODIC:
-        p = curve.z1 - curve.alpha
-        d1 = fourier_derivative(p, order)
-        if order == 1:
-            d1 = d1 + 1.0
-        d2 = fourier_derivative(curve.z2, order)
-        return d1, d2
+        out = []
+        for order in orders:
+            d1 = fourier_derivative(curve.z1 - curve.alpha, order)
+            if order == 1:
+                d1 = d1 + 1.0
+            out.append((d1, fourier_derivative(curve.z2, order)))
+        return out
     spline = make_interp_spline(curve.alpha, curve.points(), k=5)
-    d1, d2 = spline.derivative(order)(curve.alpha).T
-    return d1, d2
+    return [tuple(spline.derivative(order)(curve.alpha).T) for order in orders]
 
 
 def tangent(curve: Curve):
@@ -172,42 +182,46 @@ def tangent(curve: Curve):
     return np.column_stack([d1, d2])
 
 
-def _chord_components(curve: Curve):
-    """Pairwise (beta, dz1, dz2) between all node pairs.
-
-    Periodic: beta is the wrapped parameter difference in (-pi, pi] and
-    the z1 difference is unwrapped consistently (z1 - alpha is periodic).
-    """
-    a = curve.alpha
-    if curve.topology == PERIODIC:
-        da = a[:, None] - a[None, :]
-        beta = (da + np.pi) % (2.0 * np.pi) - np.pi
-        p = curve.z1 - a
-        dz1 = p[:, None] - p[None, :] + beta
-    else:
-        beta = a[:, None] - a[None, :]
-        dz1 = curve.z1[:, None] - curve.z1[None, :]
-    dz2 = curve.z2[:, None] - curve.z2[None, :]
-    return beta, dz1, dz2
-
-
-def arc_chord(curve: Curve) -> float:
+def arc_chord(curve: Curve, d=None) -> float:
     """sup over node pairs of F(z) = |beta|^2 / |z(a) - z(a-beta)|^2.
 
-    The diagonal is the removable limit 1 / |d_alpha z|^2.  A zero chord
-    between distinct nodes raises SelfIntersectionError.
+    The diagonal is the removable limit 1 / |d_alpha z|^2, from the first
+    derivative d = (d1, d2) when the caller has it.  A zero chord between
+    distinct nodes raises SelfIntersectionError.
+
+    Periodic: beta is the wrapped parameter difference in [-pi, pi) and
+    the z1 difference is unwrapped consistently (z1 - alpha is periodic).
+    F is not symmetric there (antipodal pairs wrap the same way in both
+    orders), so the sweep runs over full rows, BLOCK_ROWS rows at a time.
     """
-    beta, dz1, dz2 = _chord_components(curve)
-    denom = dz1 ** 2 + dz2 ** 2
-    np.fill_diagonal(denom, 1.0)   # beta = 0 there: F = 0 until the limit
-    with np.errstate(divide="ignore"):
-        F = beta ** 2 / denom
-    sup_off = F.max()
+    a, n = curve.alpha, curve.n
+    periodic = curve.topology == PERIODIC
+    x1 = curve.z1 - a if periodic else curve.z1
+    block_max = []
+    coincident = None
+    for i0 in range(0, n, BLOCK_ROWS):
+        i1 = min(i0 + BLOCK_ROWS, n)
+        beta = a[i0:i1, None] - a[None, :]
+        dz1 = x1[i0:i1, None] - x1[None, :]
+        if periodic:
+            beta = (beta + np.pi) % (2.0 * np.pi) - np.pi
+            dz1 += beta
+        dz2 = curve.z2[i0:i1, None] - curve.z2[None, :]
+        denom = dz1 ** 2 + dz2 ** 2
+        rows = np.arange(i1 - i0)
+        denom[rows, rows + i0] = 1.0   # beta = 0 there: F = 0 until the limit
+        with np.errstate(divide="ignore"):
+            F = beta ** 2 / denom
+        block_max.append(F.max())
+        if coincident is None and np.isinf(block_max[-1]):
+            i, j = np.argwhere(np.isinf(F))[0]
+            coincident = i0 + i, j
+    sup_off = np.max(block_max)
     if np.isinf(sup_off):
-        i, j = np.argwhere(np.isinf(F))[0]
+        i, j = coincident
         raise SelfIntersectionError(
             f"nodes {i} and {j} coincide: alpha={curve.alpha[i]:.6g}, {curve.alpha[j]:.6g}")
-    d1, d2 = derivative(curve, 1)
+    d1, d2 = derivative(curve, 1) if d is None else d
     speed2 = d1 ** 2 + d2 ** 2
     if np.any(speed2 == 0.0):
         raise SelfIntersectionError("parameterization degenerate: |d_alpha z| = 0")
@@ -221,16 +235,17 @@ class SlopeReport:
     vertical_tangent: bool
 
 
-def min_slope(curve: Curve, tol: float = 0.0) -> SlopeReport:
+def min_slope(curve: Curve, tol: float = 0.0, d=None) -> SlopeReport:
     """Minimum of d_alpha z1 with 3-point quadratic subgrid refinement.
 
     Uses the curve's closed-form profile when one is attached (exact node
-    derivatives); otherwise the grid derivative.
+    derivatives); otherwise the grid derivative d = (d1, d2), computed
+    here unless the caller passes it.
     """
     if curve.profile is not None:
         d1 = np.asarray(curve.profile.dz1(curve.alpha), dtype=float)
     else:
-        d1, _ = derivative(curve, 1)
+        d1, _ = derivative(curve, 1) if d is None else d
     i = int(np.argmin(d1))
     a, v = curve.alpha, d1
     n = curve.n
@@ -278,10 +293,11 @@ def as_graph(curve: Curve) -> np.ndarray:
     return interp(target)
 
 
-def graph_slope_sup(curve: Curve) -> float:
+def graph_slope_sup(curve: Curve, d=None) -> float:
     """sup |f_alpha| = sup |d_alpha z2 / d_alpha z1| over nodes where the
-    curve is locally a graph; +inf if d_alpha z1 <= 0 somewhere."""
-    d1, d2 = derivative(curve, 1)
+    curve is locally a graph; +inf if d_alpha z1 <= 0 somewhere.  d is the
+    first derivative (d1, d2) when the caller has it."""
+    d1, d2 = derivative(curve, 1) if d is None else d
     if np.any(d1 <= 0.0):
         return np.inf
     return float(np.max(np.abs(d2 / d1)))

@@ -13,7 +13,14 @@ Two kinds of kernels appear:
 * kernels with a removable singularity: the Muskat contour right-hand
   sides.  Plain trapezoid with the diagonal replaced by its analytic
   limit.  The tangent-difference sum sum_j w_j K_ij (z'_i - z'_j) is
-  evaluated as z'_i (K w)_i - (K (w z'))_i, one matrix product.
+  evaluated as z'_i (K w)_i - (K (w z'))_i, one matrix product.  Both
+  Muskat kernels are exactly antisymmetric in floating point (IEEE
+  subtraction is, and numpy's sin is odd, cos and cosh even), so K is
+  assembled from row blocks of BLOCK_ROWS rows of its upper triangle:
+  rows i0:i1 are evaluated on columns i0:N only, and the part of that
+  block below the diagonal square is stored, negated and transposed, in
+  columns i0:i1.  K equals a dense N x N evaluation bit for bit, at half
+  the transcendental work and with only block-sized temporaries.
 
 Complex shorthand: a point (x, y) is w = x + i*y; a velocity (v1, v2) is
 recovered from q = v1 - i*v2.  The perp convention is (x, y)^perp =
@@ -23,7 +30,7 @@ recovered from q = v1 - i*v2.  The perp convention is (x, y)^perp =
 
 import numpy as np
 
-from .curve import Curve, OPEN, PERIODIC, derivative
+from .curve import BLOCK_ROWS, Curve, OPEN, PERIODIC, derivative, derivatives
 
 
 class QuadratureError(Exception):
@@ -47,6 +54,22 @@ def _odd_pairs(block: np.ndarray) -> np.ndarray:
     out[::2, 1::2] = block
     out[1::2, ::2] = -block.T
     return out
+
+
+def _antisymmetric_kernel(x1, x2, pair) -> np.ndarray:
+    """N x N matrix K_ij = pair(x1_i - x1_j, x2_i - x2_j) with a zero
+    diagonal, for a pair kernel that is odd under (dz1, dz2) -> -(dz1, dz2).
+
+    pair receives difference blocks whose entries [k, k] are the diagonal
+    pairs (zero differences) and must return 0 there."""
+    n = x1.size
+    kern = np.empty((n, n))
+    for i0 in range(0, n, BLOCK_ROWS):
+        i1 = min(i0 + BLOCK_ROWS, n)
+        blk = pair(x1[i0:i1, None] - x1[None, i0:], x2[i0:i1, None] - x2[None, i0:])
+        kern[i0:i1, i0:] = blk
+        kern[i1:, i0:i1] = -blk[:, i1 - i0:].T
+    return kern
 
 
 def _tangent_difference(kern, weights, d, dd, diag_scale) -> np.ndarray:
@@ -118,14 +141,16 @@ def muskat_rhs_periodic(curve: Curve, prefactor: float) -> np.ndarray:
     if curve.topology != PERIODIC:
         raise QuadratureError("use muskat_rhs_open for open curves")
     n = curve.n
-    dz1 = curve.z1[:, None] - curve.z1[None, :]
-    dz2 = curve.z2[:, None] - curve.z2[None, :]
-    denom = np.cosh(dz2) - np.cos(dz1)
-    np.fill_diagonal(denom, 1.0)
-    kern = np.sin(dz1) / denom
+    kern = _antisymmetric_kernel(curve.z1, curve.z2, _periodic_pair)
     v = _tangent_difference(kern, np.full(n, 2.0 * np.pi / n),
                             derivative(curve, 1), derivative(curve, 2), 2.0)
     return prefactor * v.T
+
+
+def _periodic_pair(dz1, dz2):
+    denom = np.cosh(dz2) - np.cos(dz1)
+    np.fill_diagonal(denom, 1.0)
+    return np.sin(dz1) / denom
 
 
 def _open_tail_levels(curve: Curve):
@@ -150,15 +175,11 @@ def muskat_rhs_open(curve: Curve, rho_jump: float = 1.0) -> np.ndarray:
         raise QuadratureError("use muskat_rhs_periodic for periodic curves")
     n = curve.n
     h = curve.alpha[1] - curve.alpha[0]
-    dz1 = curve.z1[:, None] - curve.z1[None, :]
-    dz2 = curve.z2[:, None] - curve.z2[None, :]
-    denom = dz1 ** 2 + dz2 ** 2
-    np.fill_diagonal(denom, 1.0)
-    kern = dz1 / denom
+    kern = _antisymmetric_kernel(curve.z1, curve.z2, _open_pair)
     weights = np.full(n, h)
     weights[0] = weights[-1] = 0.5 * h
-    d1, d2 = derivative(curve, 1)
-    v = _tangent_difference(kern, weights, (d1, d2), derivative(curve, 2), 1.0)
+    (d1, d2), dd = derivatives(curve, 1, 2)
+    v = _tangent_difference(kern, weights, (d1, d2), dd, 1.0)
 
     L = float(curve.alpha[-1])
     c_right, c_left = _open_tail_levels(curve)
@@ -170,3 +191,9 @@ def muskat_rhs_open(curve: Curve, rho_jump: float = 1.0) -> np.ndarray:
     v[0] += T * (d1 - 1.0)
     v[1] += T * d2
     return (rho_jump / (2.0 * np.pi)) * v.T
+
+
+def _open_pair(dz1, dz2):
+    denom = dz1 ** 2 + dz2 ** 2
+    np.fill_diagonal(denom, 1.0)
+    return dz1 / denom

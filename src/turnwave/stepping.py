@@ -200,14 +200,16 @@ class Trajectory:
             fh.write(self.events.to_json() + "\n")
 
 
-def _diagnose(state: SimState):
+def _diagnose(state: SimState, d):
+    """Per-step diagnostics of the state's curve, whose first derivative
+    (d1, d2) is d."""
     curve = state.curve
-    report = min_slope(curve)
+    report = min_slope(curve, d=d)
     try:
-        supF = arc_chord(curve)
+        supF = arc_chord(curve, d)
     except SelfIntersectionError:
         supF = np.inf
-    d1, _ = derivative(curve, 1)
+    d1 = d[0]
     sigma = state.consts.rho_jump * d1
     if curve.topology == PERIODIC:
         h4 = np.sqrt(discrete_h4_norm(curve.z1 - curve.alpha) ** 2
@@ -240,7 +242,7 @@ def run(state: SimState, t_end: float, dt: float,
                                  float(sigma.min()), h4, mean_f,
                                  t_star.t if t_star else float("nan")])
 
-    report, supF, sigma, h4, mean_f = _diagnose(state)
+    report, supF, sigma, h4, mean_f = _diagnose(state, derivative(state.curve, 1))
     record(state, report, supF, sigma, h4, mean_f)
     traj.snapshots.append((state.t, state.curve, None if state.omega is None
                            else state.omega.copy()))
@@ -254,7 +256,8 @@ def run(state: SimState, t_end: float, dt: float,
             exc.trajectory = traj
             raise
         step_index += 1
-        report, supF, sigma, h4, mean_f = _diagnose(state)
+        d = derivative(state.curve, 1)
+        report, supF, sigma, h4, mean_f = _diagnose(state, d)
 
         if TURNING not in seen and prev_ms[1] > 0.0 >= report.min_slope:
             t0, m0 = prev_ms
@@ -274,7 +277,7 @@ def run(state: SimState, t_end: float, dt: float,
                 seen.add(RT_SIGN_CHANGE)
 
         if GRAPH_BLOWUP not in seen:
-            sup_fa = graph_slope_sup(state.curve)
+            sup_fa = graph_slope_sup(state.curve, d)
             if sup_fa > GRAPH_BLOWUP_THRESHOLD:
                 log.add(state.t, GRAPH_BLOWUP, sup_f_alpha=float(sup_fa))
                 seen.add(GRAPH_BLOWUP)

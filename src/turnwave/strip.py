@@ -233,6 +233,20 @@ def ck_solve(z0: StripCurve, T: float, prefactor: float,
     times = np.linspace(0.0, T, n_nodes)
     rs = z0.r * (1.0 - times / (2.0 * T))
 
+    def check_admissible(coeffs, r):
+        sc = StripCurve(coeffs=coeffs, r=r)
+        if strip_norm(sc, r=r) > norm_bound:
+            raise RegimeExitError(f"iterate norm exceeds {norm_bound:g}")
+        if arc_chord(sc.real_curve()) > CHORD_BOUND:
+            raise RegimeExitError("real-trace arc-chord bound exceeded")
+
+    # z^n(0) = z0 in every sweep: check it and evaluate G(z0) once
+    if decay_violation(z0.coeffs, rs[0]) > 1.0:
+        raise RegimeExitError(
+            f"iterate 1 leaves the strip of half-width {rs[0]:g} at t=0")
+    g0 = _g_coeffs(z0, prefactor)
+    check_admissible(z0.coeffs, rs[0])
+
     iters = [np.array([z0.coeffs.copy() for _ in range(n_nodes)])]
     history = []
     converged = False
@@ -240,7 +254,8 @@ def ck_solve(z0: StripCurve, T: float, prefactor: float,
     for it in range(1, max_iter + 1):
         prev = iters[-1]
         g = np.empty_like(prev)
-        for j in range(n_nodes):
+        g[0] = g0
+        for j in range(1, n_nodes):
             sc = StripCurve(coeffs=prev[j], r=rs[j], t=z0.t + times[j])
             if decay_violation(sc.coeffs, rs[j]) > 1.0:
                 raise RegimeExitError(
@@ -257,12 +272,8 @@ def ck_solve(z0: StripCurve, T: float, prefactor: float,
         ]
         step = float(max(diffs))
         history.append(step)
-        for j in (0, n_nodes // 2, n_nodes - 1):
-            sc = StripCurve(coeffs=new[j], r=rs[j])
-            if strip_norm(sc, r=rs[j]) > norm_bound:
-                raise RegimeExitError(f"iterate norm exceeds {norm_bound:g}")
-            if arc_chord(sc.real_curve()) > CHORD_BOUND:
-                raise RegimeExitError("real-trace arc-chord bound exceeded")
+        for j in (n_nodes // 2, n_nodes - 1):
+            check_admissible(new[j], rs[j])
         iters.append(new)
         if len(iters) > 2:
             iters.pop(0)

@@ -41,9 +41,9 @@ def test_unknown_scenario_is_an_error():
 def test_assignment_type_coercion():
     cfg = ScenarioConfig()
     apply_assignment(cfg, "grid.n", "512")
-    apply_assignment(cfg, "grid.periodic", "false")
+    apply_assignment(cfg, "weights.literal_hbar", "true")
     apply_assignment(cfg, "numerics.dt", "1e-4")
-    assert cfg.grid.n == 512 and cfg.grid.periodic is False
+    assert cfg.grid.n == 512 and cfg.weights.literal_hbar is True
     assert cfg.numerics.dt == 1e-4
     with pytest.raises(ConfigError):
         apply_assignment(cfg, "grid.n", "many")
@@ -66,6 +66,12 @@ def test_cli_removed_strip_keys_exit_2(tmp_path, assignment):
     """The continuation always shrinks the strip linearly; the keys that
     once named another schedule are unknown now, not silently ignored."""
     path = write_cfg(tmp_path, f"scenario = muskat-breakdown\n{assignment}\n")
+    assert main(["run", path]) == 2
+
+
+def test_cli_removed_grid_periodic_exit_2(tmp_path):
+    """Each scenario fixes its own topology; grid.periodic chose nothing."""
+    path = write_cfg(tmp_path, "scenario = muskat-turning\ngrid.periodic = false\n")
     assert main(["run", path]) == 2
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from turnwave.curve import (Curve, NotAGraphError, SelfIntersectionError,
+from turnwave.curve import (BLOCK_ROWS, Curve, NotAGraphError, SelfIntersectionError,
                             arc_chord, as_graph, derivative, flat_curve,
                             graph_curve, graph_slope_sup, load_csv, min_slope,
                             open_grid, periodic_grid, resample, save_csv)
@@ -53,6 +53,56 @@ def test_arc_chord_detects_self_intersection():
     c = Curve(PERIODIC, a, np.cos(2 * a), np.sin(a))
     with pytest.raises(SelfIntersectionError):
         arc_chord(c)
+
+
+def dense_arc_chord_ratio(curve):
+    """F on all N x N node pairs at once, diagonal 0 (the off-diagonal sup
+    that arc_chord takes before the removable limit)."""
+    a = curve.alpha
+    if curve.topology == PERIODIC:
+        beta = (a[:, None] - a[None, :] + np.pi) % (2.0 * np.pi) - np.pi
+        p = curve.z1 - a
+        dz1 = p[:, None] - p[None, :] + beta
+    else:
+        beta = a[:, None] - a[None, :]
+        dz1 = curve.z1[:, None] - curve.z1[None, :]
+    dz2 = curve.z2[:, None] - curve.z2[None, :]
+    denom = dz1 ** 2 + dz2 ** 2
+    np.fill_diagonal(denom, 1.0)
+    return beta ** 2 / denom
+
+
+def test_arc_chord_matches_dense_reference():
+    """The row-blocked sup equals the dense one exactly.  On the periodic
+    curve the sup sits at an antipodal pair (i, j), i > j, whose mirror
+    (j, i) wraps the other way and is small, so a sweep over one triangle
+    would miss it."""
+    n = 4 * BLOCK_ROWS
+    a = periodic_grid(n)
+    per = Curve(PERIODIC, a, a - 1.2 * np.sin(a) + 1.05 * np.sin(2 * a),
+                1.5 * np.cos(a) + 0.6 * np.sin(2 * a))
+    F = dense_arc_chord_ratio(per)
+    i, j = np.unravel_index(np.argmax(F), F.shape)
+    assert i > j and abs(a[i] - a[j]) == np.pi and F[j, i] < 0.1 * F[i, j]
+    d1, d2 = derivative(per, 1)
+    assert F.max() > (1.0 / (d1 ** 2 + d2 ** 2)).max()
+    assert arc_chord(per) == F.max()
+
+    b = open_grid(2 * BLOCK_ROWS + 1, 10.0)
+    g = np.exp(-0.5 * b ** 2)
+    op = Curve(OPEN, b, b - 1.2 * b * g, 0.8 * b * g, L=10.0)
+    d1, d2 = derivative(op, 1)
+    assert arc_chord(op) == max(dense_arc_chord_ratio(op).max(),
+                                (1.0 / (d1 ** 2 + d2 ** 2)).max())
+
+
+def test_arc_chord_names_coincident_nodes_past_first_block():
+    i, j = BLOCK_ROWS + BLOCK_ROWS // 2, 2 * BLOCK_ROWS + 1
+    a = open_grid(3 * BLOCK_ROWS + 5, 12.0)
+    z1, z2 = a.copy(), np.zeros_like(a)
+    z1[j], z2[j] = z1[i], z2[i]
+    with pytest.raises(SelfIntersectionError, match=f"nodes {i} and {j} coincide"):
+        arc_chord(Curve(OPEN, a, z1, z2, L=12.0))
 
 
 def test_min_slope_subgrid_refinement():

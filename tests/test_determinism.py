@@ -1,0 +1,70 @@
+"""Byte-for-byte determinism of the O(N^2) right-hand sides across BLAS
+thread counts."""
+
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import turnwave
+
+SIZES = {"muskat_rhs_periodic": 512, "muskat_rhs_open": 513, "waterwave_amplitude_rhs": 256}
+
+SCRIPT = f"""
+import sys
+import numpy as np
+from turnwave.closures import PhysicalConstants, waterwave_amplitude_rhs, waterwave_velocity
+from turnwave.curve import Curve, open_grid, periodic_grid
+from turnwave.singular import muskat_rhs_open, muskat_rhs_periodic
+
+SIZES = {SIZES!r}
+
+def turned_periodic(n):
+    a = periodic_grid(n)
+    return Curve("periodic", a, a - 1.2 * np.sin(a), 0.8 * np.sin(a))
+
+a = open_grid(SIZES["muskat_rhs_open"], 10.0)
+g = np.exp(-0.5 * a ** 2)
+open_curve = Curve("open", a, a - 1.2 * a * g, 0.8 * a * g, L=10.0)
+wave = turned_periodic(SIZES["waterwave_amplitude_rhs"])
+omega = np.sin(wave.alpha) + 0.3 * np.cos(2 * wave.alpha)
+u, c, _ = waterwave_velocity(wave, omega)
+out = [muskat_rhs_periodic(turned_periodic(SIZES["muskat_rhs_periodic"]), 0.3),
+       muskat_rhs_open(open_curve, 1.7),
+       waterwave_amplitude_rhs(wave, omega, c, PhysicalConstants(rho1=0.0), velocity=u)]
+sys.stdout.buffer.write(b"".join(np.ascontiguousarray(x).tobytes() for x in out))
+"""
+
+
+def rhs_bytes(threads: int) -> dict:
+    """Raw bytes of each right-hand side, computed in a fresh interpreter
+    with OpenBLAS limited to `threads` threads."""
+    src = os.path.dirname(os.path.dirname(turnwave.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    raw = subprocess.run([sys.executable, "-c", SCRIPT], env=env, check=True,
+                         capture_output=True, timeout=300).stdout
+    lengths = [8 * (n if name.startswith("waterwave") else 2 * n)
+               for name, n in SIZES.items()]
+    assert len(raw) == sum(lengths)
+    cuts = np.cumsum([0] + lengths)
+    return {name: raw[cuts[k]:cuts[k + 1]] for k, name in enumerate(SIZES)}
+
+
+@pytest.fixture(scope="module")
+def one_and_two_threads():
+    return rhs_bytes(1), rhs_bytes(2)
+
+
+@pytest.mark.parametrize("name", [
+    "muskat_rhs_periodic",
+    "muskat_rhs_open",
+    pytest.param("waterwave_amplitude_rhs", marks=pytest.mark.xfail(
+        reason="LAPACK's LU solve takes a threaded path for N >= 100 and its "
+               "last bits depend on the thread count (see README)")),
+])
+def test_rhs_bytes_independent_of_blas_threads(one_and_two_threads, name):
+    one, two = one_and_two_threads
+    assert one[name] == two[name]

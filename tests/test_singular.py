@@ -4,10 +4,13 @@ Muskat kernel limits."""
 import numpy as np
 import pytest
 
-from turnwave.curve import (Curve, arc_chord, derivative, flat_curve, graph_curve,
-                            min_slope, open_grid, periodic_grid)
-from turnwave.singular import (QuadratureError, birkhoff_rott, br_geometric_rate,
-                               br_matrix, muskat_rhs_open, muskat_rhs_periodic)
+from turnwave import singular
+from turnwave.curve import (BLOCK_ROWS, Curve, arc_chord, derivative, flat_curve,
+                            graph_curve, min_slope, open_grid, periodic_grid)
+from turnwave.singular import (QuadratureError, _antisymmetric_kernel, _open_pair,
+                               _periodic_pair, birkhoff_rott,
+                               br_geometric_rate, br_matrix, muskat_rhs_open,
+                               muskat_rhs_periodic)
 from turnwave.spectral import hilbert_transform
 
 PERIODIC, OPEN = "periodic", "open"
@@ -172,6 +175,15 @@ def periodic_kernel(z1, z2):
     return kern
 
 
+def open_kernel(z1, z2):
+    dz1 = z1[:, None] - z1[None, :]
+    dz2 = z2[:, None] - z2[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kern = dz1 / (dz1 ** 2 + dz2 ** 2)
+    np.fill_diagonal(kern, 0.0)
+    return kern
+
+
 def turned_periodic(n=256):
     a = periodic_grid(n)
     return Curve(PERIODIC, a, a - 1.2 * np.sin(a), 0.8 * np.sin(a))
@@ -201,15 +213,11 @@ def test_muskat_periodic_matches_dense_sum_on_turned_curve():
 def test_muskat_open_matches_dense_sum_on_turned_curve():
     c = turned_open()
     h = c.alpha[1] - c.alpha[0]
-    dz1 = c.z1[:, None] - c.z1[None, :]
-    dz2 = c.z2[:, None] - c.z2[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kern = dz1 / (dz1 ** 2 + dz2 ** 2)
-    np.fill_diagonal(kern, 0.0)
     weights = np.full(c.n, h)
     weights[0] = weights[-1] = 0.5 * h
     d = derivative(c, 1)
-    ref = dense_tangent_difference(kern, weights, d, derivative(c, 2), 1.0)
+    ref = dense_tangent_difference(open_kernel(c.z1, c.z2), weights, d,
+                                   derivative(c, 2), 1.0)
     # flat tails beyond +-L at heights z2(+-L)
     num = (c.z1 - c.L) ** 2 + (c.z2 - c.z2[-1]) ** 2
     den = (c.z1 + c.L) ** 2 + (c.z2 - c.z2[0]) ** 2
@@ -220,3 +228,30 @@ def test_muskat_open_matches_dense_sum_on_turned_curve():
     ref[1] += tail * d[1]
     v = muskat_rhs_open(c, 1.7)
     assert np.max(np.abs(v - (1.7 / (2.0 * np.pi)) * ref.T)) < 1e-13
+
+
+# --- block assembly against the dense N x N evaluation, bit for bit ----------
+
+@pytest.mark.parametrize("n", sorted({16, 64, 65, BLOCK_ROWS, 513, 2048}))
+def test_blocked_kernels_equal_dense_evaluation(n):
+    """Row blocks of the upper triangle plus the negated transpose give the
+    same matrix as evaluating every pair, for sizes below, at and off a
+    multiple of BLOCK_ROWS."""
+    c = turned_periodic(n)
+    assert np.array_equal(_antisymmetric_kernel(c.z1, c.z2, _periodic_pair),
+                          periodic_kernel(c.z1, c.z2))
+    c = turned_open(n)
+    assert np.array_equal(_antisymmetric_kernel(c.z1, c.z2, _open_pair),
+                          open_kernel(c.z1, c.z2))
+
+
+def test_muskat_rhs_equal_dense_kernel_product(monkeypatch):
+    """With the dense kernels swapped in, both right-hand sides come out
+    bit-identical: the single N x 3 product is unchanged."""
+    cp, co = turned_periodic(512), turned_open(513)
+    blocked = muskat_rhs_periodic(cp, 0.3), muskat_rhs_open(co, 1.7)
+    dense = {_periodic_pair: periodic_kernel, _open_pair: open_kernel}
+    monkeypatch.setattr(singular, "_antisymmetric_kernel",
+                        lambda x1, x2, pair: dense[pair](x1, x2))
+    assert np.array_equal(blocked[0], muskat_rhs_periodic(cp, 0.3))
+    assert np.array_equal(blocked[1], muskat_rhs_open(co, 1.7))

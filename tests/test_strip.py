@@ -114,6 +114,24 @@ def test_ck_solve_matches_rk4_small_data():
     assert np.max(np.abs(rc.z2 - st.curve.z2)) < 1e-8
 
 
+def test_ck_solve_evaluates_initial_node_once(monkeypatch):
+    """z^n(0) = z0 in every sweep, so G runs once there and once per sweep
+    at each of the other panels nodes."""
+    import turnwave.strip as strip_mod
+    calls = []
+    rhs = strip_mod.muskat_rhs_periodic
+
+    def counted(curve, prefactor):
+        calls.append(curve.n)
+        return rhs(curve, prefactor)
+
+    monkeypatch.setattr(strip_mod, "muskat_rhs_periodic", counted)
+    res = ck_solve(extend_to_strip(eps_cos_curve(n=64, eps=0.01), 0.2), 0.02, PREF,
+                   panels=8)
+    assert res.iterations > 1
+    assert len(calls) == 1 + 8 * res.iterations
+
+
 def test_ck_contraction_geometric():
     sc = extend_to_strip(eps_cos_curve(n=64, eps=0.01), 0.2)
     res = ck_solve(sc, 0.02, PREF, panels=8)
