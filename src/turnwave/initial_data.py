@@ -35,6 +35,12 @@ from .curve import (Curve, CurveProfile, OPEN, PERIODIC, as_graph, derivative,
 from .spectral import heat_multiplier, modes
 
 
+# relative-only accuracy of the profile-branch quadratures: dv1(0) falls
+# to ~5e-4 on some candidates and the two-integral form cancels heavily,
+# so quad's default absolute tolerance (1.5e-8) would govern the result
+QUAD_EPSREL = 1e-10
+
+
 class PreconditionError(Exception):
     pass
 
@@ -261,9 +267,9 @@ def dv1_at_zero_reduced(curve: Curve) -> float:
             return zz1 * zz2 * prof.dz1(beta) / (zz1 ** 2 + zz2 ** 2) ** 2
         dz2_0 = float(prof.dz2(0.0))
         ts = prof.tail_start
-        body, _ = quad(g, 0.0, ts, limit=200,
+        body, _ = quad(g, 0.0, ts, limit=200, epsabs=0.0, epsrel=QUAD_EPSREL,
                        points=[p for p in (1.0, ts / 2) if p < ts])
-        tail, _ = quad(g, ts, np.inf, limit=200)
+        tail, _ = quad(g, ts, np.inf, limit=200, epsabs=0.0, epsrel=QUAD_EPSREL)
         return 4.0 * dz2_0 * (body + tail)
     # grid fallback: Simpson on [0, L] plus a flat-tail closed form
     d1, d2 = derivative(curve, 1)
@@ -295,9 +301,9 @@ def dv1_at_zero_full(curve: Curve) -> float:
             i2 = -2.0 * zz1 * dd1 * (zz1 * dd1 - zz2 * (dz2_0 - dd2)) / r2 ** 2
             return i1 + i2
         ts = prof.tail_start
-        body, _ = quad(g, 0.0, ts, limit=200,
+        body, _ = quad(g, 0.0, ts, limit=200, epsabs=0.0, epsrel=QUAD_EPSREL,
                        points=[p for p in (1.0, ts / 2) if p < ts])
-        tail, _ = quad(g, ts, np.inf, limit=200)
+        tail, _ = quad(g, ts, np.inf, limit=200, epsabs=0.0, epsrel=QUAD_EPSREL)
         return 2.0 * (body + tail)
     d1, d2 = derivative(curve, 1)
     dd1, _ = derivative(curve, 2)

@@ -6,10 +6,12 @@ Two kinds of kernels appear:
   and its geometric time derivative.  These use the alternating-point
   trapezoidal rule: targets of one grid parity integrate against sources
   of the other parity with doubled weight.  Spectrally accurate for
-  periodic analytic data.  The kernels are antisymmetric in the pair, so
-  only the (even-row, odd-column) block of N/2 x N/2 pairs is evaluated;
-  the (odd-row, even-column) block is minus its transpose, and the
-  diagonal is never touched.
+  periodic analytic data.  Only the (even-row, odd-column) block
+  cot((w_i - w_j) / 2) of N/2 x N/2 pairs is evaluated, once per curve
+  (br_block); the (odd-row, even-column) pairs use its transpose, the
+  diagonal is never touched, and no N x N matrix is formed.  The
+  geometric rate reuses the block through 1 / sin^2 = 1 + cot^2.
+  Periodic curves only: the water-wave problem is posed on a period.
 * kernels with a removable singularity: the Muskat contour right-hand
   sides.  Plain trapezoid with the diagonal replaced by its analytic
   limit.  The tangent-difference sum sum_j w_j K_ij (z'_i - z'_j) is
@@ -42,20 +44,6 @@ def _require_even(curve: Curve):
         raise QuadratureError("alternating-point quadrature requires even N")
 
 
-def _w(curve: Curve) -> np.ndarray:
-    return curve.z1 + 1j * curve.z2
-
-
-def _odd_pairs(block: np.ndarray) -> np.ndarray:
-    """Alternating-point matrix of an antisymmetric pair kernel from its
-    (even-row, odd-column) block: pairs with i - j even get weight 0."""
-    m = block.shape[0]
-    out = np.zeros((2 * m, 2 * m), dtype=block.dtype)
-    out[::2, 1::2] = block
-    out[1::2, ::2] = -block.T
-    return out
-
-
 def _antisymmetric_kernel(x1, x2, pair) -> np.ndarray:
     """N x N matrix K_ij = pair(x1_i - x1_j, x2_i - x2_j) with a zero
     diagonal, for a pair kernel that is odd under (dz1, dz2) -> -(dz1, dz2).
@@ -84,48 +72,58 @@ def _tangent_difference(kern, weights, d, dd, diag_scale) -> np.ndarray:
                      d2 * s[:, 0] - s[:, 2] + limit * dd[1]])
 
 
-def br_matrix(curve: Curve) -> np.ndarray:
-    """Matrix A with q = A @ omega, q = v1 - i*v2 of the Birkhoff-Rott
-    velocity.  Reusable across amplitudes on a frozen geometry."""
-    _require_even(curve)
-    w = _w(curve)
-    dw = w[::2, None] - w[None, 1::2]
-    if curve.topology == PERIODIC:
-        h = 2.0 * np.pi / curve.n
-        kern = 1.0 / np.tan(0.5 * dw)
-        pref = 1.0 / (4.0j * np.pi)
-    else:
-        h = curve.alpha[1] - curve.alpha[0]
-        kern = 1.0 / dw
-        pref = 1.0 / (2.0j * np.pi)
-    return _odd_pairs((pref * 2.0 * h) * kern)
-
-
-def birkhoff_rott(curve: Curve, omega, matrix=None) -> np.ndarray:
-    """Birkhoff-Rott velocity of amplitude omega: (N, 2) samples."""
-    omega = np.asarray(omega, dtype=float)
-    A = br_matrix(curve) if matrix is None else matrix
-    q = A @ omega
-    return np.column_stack([q.real, -q.imag])
-
-
-def br_geometric_rate(curve: Curve, omega, velocity) -> np.ndarray:
-    """Time derivative of the Birkhoff-Rott velocity due to the motion of
-    the curve alone (amplitude frozen), for curve velocity `velocity`
-    ((N, 2) samples).  Periodic curves only."""
+def br_block(curve: Curve) -> np.ndarray:
+    """cot((w_i - w_j) / 2) for even i and odd j: the N/2 x N/2 block from
+    which every water-wave Birkhoff-Rott quantity is formed.  Periodic
+    curves with even N only."""
     _require_even(curve)
     if curve.topology != PERIODIC:
-        raise QuadratureError("geometric BR rate implemented for periodic curves")
+        raise QuadratureError("Birkhoff-Rott quadrature implemented for periodic curves")
+    w = curve.z1 + 1j * curve.z2
+    return 1.0 / np.tan(0.5 * (w[::2, None] - w[None, 1::2]))
+
+
+def _alternating(block: np.ndarray, x, sign: float) -> np.ndarray:
+    """M @ x for the alternating-point matrix M with M[even, odd] = block,
+    M[odd, even] = sign * block.T and zeros on pairs of equal parity; x is
+    (N,) or (N, k)."""
+    q = np.empty(np.shape(x), dtype=complex)
+    q[::2] = block @ x[1::2]
+    q[1::2] = sign * (block.T @ x[::2])
+    return q
+
+
+def br_velocity(cot: np.ndarray, omega) -> np.ndarray:
+    """Birkhoff-Rott velocity of amplitude omega, (N, 2) samples, from the
+    block cot = br_block(curve).  With q = v1 - i v2 and h = 2 pi / N,
+    q_i = sum_j (2h / 4 pi i) cot((w_i - w_j) / 2) omega_j over i - j odd,
+    and 2h / 4 pi i = -i / N."""
+    omega = np.asarray(omega, dtype=float)
+    q = (-1j / omega.size) * _alternating(cot, omega, -1.0)
+    return np.column_stack([q.real, -q.imag])
+
+
+def br_rate(cot: np.ndarray, omega, velocity) -> np.ndarray:
+    """Time derivative of the Birkhoff-Rott velocity due to the motion of
+    the curve alone (amplitude frozen), for curve velocity `velocity`
+    ((N, 2) samples), from the block cot = br_block(curve).
+
+    The kernel is -(2h / 8 pi i) (u_i - u_j) / sin^2((w_i - w_j) / 2) with
+    u = v1 + i v2 and -2h / 8 pi i = i / 2N.  1 / sin^2 = 1 + cot^2 reuses
+    the BR block, and with S = 1 / sin^2 (symmetric) the difference is
+    applied as u_i (S omega)_i - (S (u omega))_i."""
     omega = np.asarray(omega, dtype=float)
     velocity = np.asarray(velocity, dtype=float)
-    w = _w(curve)
     u = velocity[:, 0] + 1j * velocity[:, 1]
-    dw = w[::2, None] - w[None, 1::2]
-    du = u[::2, None] - u[None, 1::2]
-    h = 2.0 * np.pi / curve.n
-    kern = (-2.0 * h / (8.0j * np.pi)) * du / np.sin(0.5 * dw) ** 2
-    q = _odd_pairs(kern) @ omega
+    s = _alternating(1.0 + cot * cot, np.column_stack([omega, u * omega]), 1.0)
+    q = (0.5j / omega.size) * (u * s[:, 0] - s[:, 1])
     return np.column_stack([q.real, -q.imag])
+
+
+def birkhoff_rott(curve: Curve, omega) -> np.ndarray:
+    """Birkhoff-Rott velocity of amplitude omega on a periodic curve:
+    (N, 2) samples."""
+    return br_velocity(br_block(curve), omega)
 
 
 def muskat_rhs_periodic(curve: Curve, prefactor: float) -> np.ndarray:

@@ -24,12 +24,12 @@ from typing import Optional
 
 import numpy as np
 
-from .closures import PhysicalConstants, waterwave_amplitude_rhs, waterwave_velocity
+from .closures import PhysicalConstants, waterwave_rhs
 from .curve import (Curve, PERIODIC, SelfIntersectionError, arc_chord, derivative,
                     graph_slope_sup, min_slope, save_csv)
 from .diagnostics import rt_report
 from .initial_data import discrete_h4_norm
-from .singular import br_matrix, muskat_rhs_open, muskat_rhs_periodic
+from .singular import muskat_rhs_open, muskat_rhs_periodic
 from .spectral import apply_krasny
 
 MUSKAT_OPEN = "muskat-open"
@@ -78,11 +78,7 @@ def _rhs(state: SimState, curve: Curve, omega):
     if state.problem == MUSKAT_PERIODIC:
         return muskat_rhs_periodic(curve, state.muskat_prefactor()), None
     if state.problem == WATER_WAVES:
-        mat = br_matrix(curve)
-        u, c, _ = waterwave_velocity(curve, omega, br_mat=mat)
-        wt = waterwave_amplitude_rhs(curve, omega, c, state.consts,
-                                     velocity=u, br_mat=mat)
-        return u, wt
+        return waterwave_rhs(curve, omega, state.consts)
     raise ValueError(f"unknown problem {state.problem!r}")
 
 

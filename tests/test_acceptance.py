@@ -8,6 +8,7 @@ Budgets are checked against CPU time so they are insensitive to external
 load on shared machines.
 """
 
+import os
 import time
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 
 from turnwave.closures import PhysicalConstants
 from turnwave.config import ScenarioConfig
-from turnwave.curve import flat_curve, graph_curve, min_slope
+from turnwave.curve import flat_curve, graph_curve, load_csv, min_slope
 from turnwave.diagnostics import energy_distance
 from turnwave.initial_data import (TurningParams, dv1_at_zero_full,
                                    dv1_at_zero_reduced)
@@ -187,8 +188,10 @@ def test_criterion_06_rt_breakdown_order(tmp_path):
 @pytest.mark.slow
 def test_criterion_07_waterwave_turning(tmp_path):
     """Water-wave run from the backward-constructed datum: the graph slope
-    exceeds 1e3 before the Turning event, the interface leaves the graph
-    class at it, and the forward-backward round trip closes to 1e-4."""
+    exceeds 1e3 before the Turning event and grows under the flow to at
+    least ten times the datum's, the interface leaves the graph class at
+    the Turning event, and the forward-backward round trip closes to 1e-4.
+    Only every 50th step (and the last) is written as a snapshot."""
     t0 = time.process_time()
     cfg = _cfg(tmp_path, "waterwave-turning", "ww_turn",
                grid__n=256, turning__beta1=1.5, turning__b=3.0,
@@ -211,6 +214,13 @@ def test_criterion_07_waterwave_turning(tmp_path):
     assert r["as_graph_fails_at_turning"]
     assert r["round_trip_error"] < 1e-4
     assert elapsed < 180.0
+    t_steps = np.genfromtxt(os.path.join(cfg.output_dir, "diagnostics.csv"),
+                            delimiter=",", names=True)["t"]
+    kept = sorted(set(range(0, t_steps.size, 50)) | {t_steps.size - 1})
+    snaps = sorted(f for f in os.listdir(cfg.output_dir) if f.startswith("snap_"))
+    assert snaps == [f"snap_{i:05d}.csv" for i in range(len(kept))]
+    assert [load_csv(os.path.join(cfg.output_dir, f))[1] for f in snaps] == list(t_steps[kept])
+    assert r["max_finite_slope_sup"] >= 10.0 * r["datum_slope_sup"]
 
 
 def test_criterion_08_ck_cross_validation(tmp_path):

@@ -1,13 +1,13 @@
-"""Velocity closures: Darcy amplitude, gauge choice, water-wave amplitude
-equation (implicit relation and linearized dispersion)."""
+"""Velocity closures: gauge choice, water-wave amplitude equation (implicit
+relation and linearized dispersion)."""
 
 import numpy as np
 import pytest
 
-from turnwave.closures import (PhysicalConstants, darcy_amplitude,
-                               tangential_speed, waterwave_amplitude_rhs,
-                               waterwave_rhs_residual, waterwave_velocity)
-from turnwave.curve import Curve, derivative, flat_curve, graph_curve, periodic_grid
+from turnwave.closures import PhysicalConstants, waterwave_rhs
+from turnwave.curve import derivative, flat_curve, graph_curve, periodic_grid
+from turnwave.singular import birkhoff_rott, br_block, br_rate
+from turnwave.spectral import antiderivative, fourier_derivative
 
 
 def test_constants_validation():
@@ -18,26 +18,14 @@ def test_constants_validation():
     assert c.darcy_factor == pytest.approx(4.0)
 
 
-def test_darcy_amplitude_flat_zero():
-    assert np.max(np.abs(darcy_amplitude(flat_curve(64), PhysicalConstants()))) == 0
-
-
-def test_darcy_amplitude_sign():
-    # omega = -darcy_factor * d_alpha z2
-    c = graph_curve(0.1 * np.sin(periodic_grid(64)))
-    om = darcy_amplitude(c, PhysicalConstants())
-    assert np.max(np.abs(om + 0.1 * np.cos(periodic_grid(64)))) < 1e-12
-
-
 def test_tangential_gauge_uniformizes_speed():
     # the gauge preserves an already-uniform |d_alpha z|: the rate of
     # change of |z_alpha|^2 must come out alpha-independent on such data
     a = periodic_grid(128)
     c = flat_curve(128)
     omega = np.sin(a) + 0.3 * np.cos(2 * a)
-    u, cg, br = waterwave_velocity(c, omega)
+    u, _ = waterwave_rhs(c, omega, PhysicalConstants(rho1=0.0))
     # d/dt |z_alpha|^2 = 2 z_alpha . d_alpha u must be alpha-independent
-    from turnwave.spectral import fourier_derivative
     du = np.column_stack([fourier_derivative(u[:, 0]) + 0.0,
                           fourier_derivative(u[:, 1])])
     tp = np.column_stack(derivative(c, 1))
@@ -45,14 +33,35 @@ def test_tangential_gauge_uniformizes_speed():
     assert np.max(rate) - np.min(rate) < 1e-8
 
 
+def waterwave_rhs_residual(curve, omega, consts, omega_t) -> float:
+    """Max-norm residual of the implicit omega_t relation, every term
+    re-derived from birkhoff_rott and the geometric rate, with d_t BR =
+    BR(z, omega_t) + geometric part applied directly (no linear system)."""
+    d1, d2 = derivative(curve, 1)
+    tp = np.column_stack([d1, d2])
+    speed2 = d1 ** 2 + d2 ** 2
+    br = birkhoff_rott(curve, omega)
+    dbr = np.column_stack([fourier_derivative(br[:, 0]),
+                           fourier_derivative(br[:, 1])])
+    theta = (tp * dbr).sum(axis=1) / speed2
+    c = antiderivative(np.mean(theta) - theta)
+    velocity = br + c[:, None] * tp
+    br_t = birkhoff_rott(curve, omega_t) + br_rate(br_block(curve), omega, velocity)
+    rhs = (-2.0 * (br_t * tp).sum(axis=1)
+           - fourier_derivative(omega ** 2 / (4.0 * speed2))
+           + fourier_derivative(c * omega)
+           + 2.0 * c * (dbr * tp).sum(axis=1)
+           - 2.0 * consts.g * d2)
+    return float(np.max(np.abs(rhs - omega_t)))
+
+
 def test_waterwave_amplitude_solves_implicit_relation():
     a = periodic_grid(64)
     c = graph_curve(0.05 * np.cos(a))
     omega = 0.02 * np.sin(a)
     consts = PhysicalConstants(rho1=0.0)
-    u, cg, _ = waterwave_velocity(c, omega)
-    wt = waterwave_amplitude_rhs(c, omega, cg, consts, velocity=u)
-    assert waterwave_rhs_residual(c, omega, cg, consts, wt, velocity=u) < 1e-12
+    _, wt = waterwave_rhs(c, omega, consts)
+    assert waterwave_rhs_residual(c, omega, consts, wt) < 1e-12
 
 
 def test_waterwave_linearized_dispersion():
@@ -65,8 +74,7 @@ def test_waterwave_linearized_dispersion():
     def column(fk, wk):
         c = graph_curve(np.real(fk * np.exp(1j * k * a) * 2))
         om = np.real(wk * np.exp(1j * k * a) * 2)
-        u, cg, _ = waterwave_velocity(c, om)
-        wt = waterwave_amplitude_rhs(c, om, cg, consts, velocity=u)
+        u, wt = waterwave_rhs(c, om, consts)
         return (np.fft.fft(u[:, 1])[k] / n, np.fft.fft(wt)[k] / n)
 
     c1, c2 = column(eps, 0.0), column(0.0, eps)

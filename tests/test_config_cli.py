@@ -112,6 +112,24 @@ def test_cli_run_verify_render_and_determinism(tmp_path, capsys):
     assert any(line.endswith("interface.svg") for line in rendered)
 
 
+def test_cli_waterwave_turning_stopped_before_delta_exit_4(tmp_path):
+    """The round trip is read from the forward run at t = delta; a run that
+    ends before then has no round trip and fails instead of skipping it."""
+    path = write_cfg(tmp_path, "\n".join([
+        "scenario = waterwave-turning",
+        "grid.n = 128",
+        "turning.beta1 = 1.5",
+        "wave.delta = 1e-3",
+        "numerics.dt = 1e-5",
+        "numerics.t_end = 5e-4",
+        f"output_dir = {tmp_path}/out",
+    ]) + "\n")
+    assert main(["run", path]) == 4
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["round_trip_error"] is None
+    assert report["pass"] is False
+
+
 def test_cli_verify_missing_dir_exit_2(tmp_path):
     assert main(["verify", str(tmp_path / "missing")]) == 2
     assert main(["render", str(tmp_path / "missing")]) == 2

@@ -10,12 +10,15 @@ import pytest
 
 import turnwave
 
-SIZES = {"muskat_rhs_periodic": 512, "muskat_rhs_open": 513, "waterwave_amplitude_rhs": 256}
+SIZES = {"muskat_rhs_periodic": 512, "muskat_rhs_open": 513, "waterwave_rhs": 256}
+# float64 values each right-hand side writes per node: (z_t, omega_t) for
+# the water waves
+VALUES_PER_NODE = {"muskat_rhs_periodic": 2, "muskat_rhs_open": 2, "waterwave_rhs": 3}
 
 SCRIPT = f"""
 import sys
 import numpy as np
-from turnwave.closures import PhysicalConstants, waterwave_amplitude_rhs, waterwave_velocity
+from turnwave.closures import PhysicalConstants, waterwave_rhs
 from turnwave.curve import Curve, open_grid, periodic_grid
 from turnwave.singular import muskat_rhs_open, muskat_rhs_periodic
 
@@ -28,12 +31,12 @@ def turned_periodic(n):
 a = open_grid(SIZES["muskat_rhs_open"], 10.0)
 g = np.exp(-0.5 * a ** 2)
 open_curve = Curve("open", a, a - 1.2 * a * g, 0.8 * a * g, L=10.0)
-wave = turned_periodic(SIZES["waterwave_amplitude_rhs"])
+wave = turned_periodic(SIZES["waterwave_rhs"])
 omega = np.sin(wave.alpha) + 0.3 * np.cos(2 * wave.alpha)
-u, c, _ = waterwave_velocity(wave, omega)
+u, omega_t = waterwave_rhs(wave, omega, PhysicalConstants(rho1=0.0))
 out = [muskat_rhs_periodic(turned_periodic(SIZES["muskat_rhs_periodic"]), 0.3),
        muskat_rhs_open(open_curve, 1.7),
-       waterwave_amplitude_rhs(wave, omega, c, PhysicalConstants(rho1=0.0), velocity=u)]
+       np.concatenate([u.ravel(), omega_t])]
 sys.stdout.buffer.write(b"".join(np.ascontiguousarray(x).tobytes() for x in out))
 """
 
@@ -46,8 +49,7 @@ def rhs_bytes(threads: int) -> dict:
                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     raw = subprocess.run([sys.executable, "-c", SCRIPT], env=env, check=True,
                          capture_output=True, timeout=300).stdout
-    lengths = [8 * (n if name.startswith("waterwave") else 2 * n)
-               for name, n in SIZES.items()]
+    lengths = [8 * VALUES_PER_NODE[name] * n for name, n in SIZES.items()]
     assert len(raw) == sum(lengths)
     cuts = np.cumsum([0] + lengths)
     return {name: raw[cuts[k]:cuts[k + 1]] for k, name in enumerate(SIZES)}
@@ -61,9 +63,10 @@ def one_and_two_threads():
 @pytest.mark.parametrize("name", [
     "muskat_rhs_periodic",
     "muskat_rhs_open",
-    pytest.param("waterwave_amplitude_rhs", marks=pytest.mark.xfail(
-        reason="LAPACK's LU solve takes a threaded path for N >= 100 and its "
-               "last bits depend on the thread count (see README)")),
+    pytest.param("waterwave_rhs", marks=pytest.mark.xfail(
+        reason="the LU solve of the N/2 = 128 Schur complement takes "
+               "OpenBLAS's threaded path and its last bits depend on the "
+               "thread count (see README)")),
 ])
 def test_rhs_bytes_independent_of_blas_threads(one_and_two_threads, name):
     one, two = one_and_two_threads

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from turnwave.closures import PhysicalConstants
@@ -136,6 +136,7 @@ def test_waterwave_datum_rejects_bad_delta():
 @settings(max_examples=10, deadline=None)
 @given(st.floats(min_value=0.5, max_value=4.0),
        st.floats(min_value=-1.0, max_value=-0.05))
+@example(2.0, -0.63671875)
 def test_open_candidate_certificate_quadratures_agree(b, cbar):
     c = turning_candidate_open(TurningParams(b=b, cbar=cbar), n=257, L=15.0)
     red, full = dv1_at_zero_reduced(c), dv1_at_zero_full(c)

@@ -7,10 +7,10 @@ import pytest
 from turnwave import singular
 from turnwave.curve import (BLOCK_ROWS, Curve, arc_chord, derivative, flat_curve,
                             graph_curve, min_slope, open_grid, periodic_grid)
+from turnwave.closures import ClosureIterationError, _amplitude_solve
 from turnwave.singular import (QuadratureError, _antisymmetric_kernel, _open_pair,
-                               _periodic_pair, birkhoff_rott,
-                               br_geometric_rate, br_matrix, muskat_rhs_open,
-                               muskat_rhs_periodic)
+                               _periodic_pair, birkhoff_rott, br_block, br_rate,
+                               br_velocity, muskat_rhs_open, muskat_rhs_periodic)
 from turnwave.spectral import hilbert_transform
 
 PERIODIC, OPEN = "periodic", "open"
@@ -50,18 +50,17 @@ def test_alternating_rule_spectral_convergence():
     assert err < 1e-10
 
 
-def test_br_matrix_consistent_with_direct_call():
-    a = periodic_grid(64)
-    c = Curve(PERIODIC, a, a + 0.05 * np.sin(2 * a), 0.05 * np.cos(a))
-    omega = np.cos(3 * a)
-    mat = br_matrix(c)
-    assert np.max(np.abs(birkhoff_rott(c, omega, matrix=mat)
-                         - birkhoff_rott(c, omega))) == 0.0
-
-
 def test_br_requires_even_grid():
     a = periodic_grid(65)
     c = Curve(PERIODIC, a, a.copy(), np.zeros(65))
+    with pytest.raises(QuadratureError):
+        birkhoff_rott(c, np.sin(a))
+
+
+def test_br_rejects_open_curve():
+    """The water-wave problem is periodic-only; an open curve is refused."""
+    a = open_grid(64, 10.0)
+    c = Curve(OPEN, a, a.copy(), np.zeros(64), L=10.0)
     with pytest.raises(QuadratureError):
         birkhoff_rott(c, np.sin(a))
 
@@ -147,7 +146,7 @@ def test_br_geometric_rate_is_frozen_amplitude_derivative():
                                                c.z2 + s * vel[:, 1]), omega)
 
     fd = (moved(eps) - moved(-eps)) / (2.0 * eps)
-    rate = br_geometric_rate(c, omega, vel)
+    rate = br_rate(br_block(c), omega, vel)
     assert np.max(np.abs(rate)) > 0.1
     assert np.max(np.abs(fd - rate)) < 1e-8
 
@@ -255,3 +254,81 @@ def test_muskat_rhs_equal_dense_kernel_product(monkeypatch):
                         lambda x1, x2, pair: dense[pair](x1, x2))
     assert np.array_equal(blocked[0], muskat_rhs_periodic(cp, 0.3))
     assert np.array_equal(blocked[1], muskat_rhs_open(co, 1.7))
+
+
+# --- water-wave block path against the dense N x N alternating-point rule ----
+
+def dense_alternating(kernel, n):
+    """N x N alternating-point matrix: kernel(i, j) on pairs with i - j odd,
+    zero on pairs of equal parity (the diagonal included)."""
+    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    odd = (i - j) % 2 == 1
+    out = np.zeros((n, n), dtype=complex)
+    out[odd] = kernel(i[odd], j[odd])
+    return out
+
+
+def dense_br_matrix(c):
+    """A with q = A @ omega, q = v1 - i v2, weight 2h on every odd pair."""
+    w = c.z1 + 1j * c.z2
+    h = 2.0 * np.pi / c.n
+    return dense_alternating(
+        lambda i, j: (2.0 * h / (4.0j * np.pi)) / np.tan(0.5 * (w[i] - w[j])), c.n)
+
+
+def dense_br_rate_matrix(c, vel):
+    w = c.z1 + 1j * c.z2
+    u = vel[:, 0] + 1j * vel[:, 1]
+    h = 2.0 * np.pi / c.n
+    return dense_alternating(
+        lambda i, j: (-2.0 * h / (8.0j * np.pi)) * (u[i] - u[j])
+        / np.sin(0.5 * (w[i] - w[j])) ** 2, c.n)
+
+
+def as_velocity(q):
+    return np.column_stack([q.real, -q.imag])
+
+
+def relative_gap(x, ref):
+    return np.max(np.abs(x - ref)) / np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_br_block_products_match_dense_matrices(n):
+    """BR and its geometric rate from the N/2 block equal the dense
+    alternating-point products on a turned curve."""
+    c = turned_periodic(n)
+    a = c.alpha
+    omega = np.sin(a) + 0.3 * np.cos(2 * a)
+    vel = np.column_stack([0.3 * np.cos(a), 0.2 * np.sin(3 * a)])
+    cot = br_block(c)
+    assert relative_gap(br_velocity(cot, omega),
+                        as_velocity(dense_br_matrix(c) @ omega)) < 1e-13
+    assert relative_gap(br_rate(cot, omega, vel),
+                        as_velocity(dense_br_rate_matrix(c, vel) @ omega)) < 1e-13
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_amplitude_schur_solve_matches_dense_solve(n):
+    """The N/2 Schur-complement solve of (I + 2 Re(diag(tau) A)) x = r
+    equals np.linalg.solve on the assembled N x N system."""
+    c = turned_periodic(n)
+    d1, d2 = derivative(c, 1)
+    tau = d1 + 1j * d2
+    rhs = np.cos(3 * c.alpha) + 0.5 * np.sin(c.alpha)
+    system = np.eye(n) + 2.0 * np.real(tau[:, None] * dense_br_matrix(c))
+    ref = np.linalg.solve(system, rhs)
+    assert relative_gap(_amplitude_solve(br_block(c), tau, rhs), ref) < 1e-13
+
+
+def test_amplitude_solve_rejects_corrupted_system():
+    """A NaN in the block fails the full-system residual check; a singular
+    Schur complement (N = 2, P Q = 1) is reported as singular."""
+    c = turned_periodic(64)
+    d1, d2 = derivative(c, 1)
+    cot = br_block(c)
+    cot[3, 5] = np.nan
+    with pytest.raises(ClosureIterationError, match="residual"):
+        _amplitude_solve(cot, d1 + 1j * d2, np.cos(c.alpha))
+    with pytest.raises(ClosureIterationError, match="singular"):
+        _amplitude_solve(np.ones((1, 1)), np.array([1j, -1j]), np.ones(2))
