@@ -12,7 +12,7 @@ import argparse
 import numpy as np
 
 from turnwave.initial_data import TurningParams, turning_candidate_open
-from turnwave.stepping import TURNING, muskat_state, run
+from turnwave.stepping import TURNING, SimState, run
 
 
 def main():
@@ -27,10 +27,9 @@ def main():
     previous = None
     for n in args.sizes:
         curve = turning_candidate_open(params, n=n, L=15.0, tilt=args.tilt)
-        state = muskat_state(curve)
-        _, log, _ = run(state, args.t_end, args.dt,
-                        snapshot_cadence=10 ** 9, stop_on=(TURNING,))
-        event = log.first(TURNING)
+        traj, _ = run(SimState(curve), args.t_end, args.dt,
+                      snapshot_cadence=10 ** 9, stop_on=(TURNING,))
+        event = traj.events.first(TURNING)
         t_star = event.t if event else np.nan
         shift = "" if previous is None else \
             f"  shift vs previous {abs(t_star - previous) / t_star:.2e}"

@@ -48,6 +48,12 @@ class PhysicalConstants:
     def darcy_factor(self) -> float:
         return self.rho_jump * self.kappa * self.g / self.mu
 
+    @property
+    def periodic_prefactor(self) -> float:
+        """Prefactor of the periodic Muskat velocity: darcy_factor / (4 pi)
+        reproduces the open-line linear decay rate."""
+        return self.darcy_factor / (4.0 * np.pi)
+
 
 def waterwave_rhs(curve: Curve, omega, consts: PhysicalConstants):
     """(z_t, omega_t) of the water-wave system on a periodic curve.

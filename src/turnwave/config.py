@@ -1,7 +1,7 @@
 """Flat `section.key = value` configuration files for scenario runs.
 
 The format is deliberately minimal: one assignment per line, `#`
-comments, values parsed as bool/int/float/string.  Every key must be
+comments, values parsed as int/float/string.  Every key must be
 known (a typo is an error, never a silently ignored default), and every
 known key has a documented default.
 """
@@ -38,7 +38,6 @@ class GridConfig:
 class NumericsConfig:
     dt: float = 2e-3
     t_end: float = 0.5
-    filter_threshold: float = 1e-12
     snapshot_cadence: int = 10
 
 
@@ -59,7 +58,6 @@ class TurningConfig:
     beta3: float = 5.0
     b: float = 3.0
     cbar: float = -0.2
-    mollify_tau: float = 0.0
     tilt: float = 0.05
 
 
@@ -67,7 +65,6 @@ class TurningConfig:
 class WeightConfig:
     A: float = 100.0
     tau: float = 0.005
-    literal_hbar: bool = False
 
 
 @dataclass
@@ -89,7 +86,6 @@ class WaveConfig:
 @dataclass
 class ScenarioConfig:
     scenario: str = "muskat-linear"
-    seed: int = 0
     output_dir: str = "out"
     grid: GridConfig = field(default_factory=GridConfig)
     physics: PhysicsConfig = field(default_factory=PhysicsConfig)
@@ -112,14 +108,14 @@ class ScenarioConfig:
     def turning_params(self) -> TurningParams:
         t = self.turning
         return TurningParams(beta1=t.beta1, beta2=t.beta2, beta3=t.beta3,
-                             b=t.b, cbar=t.cbar, mollify_tau=t.mollify_tau)
+                             b=t.b, cbar=t.cbar)
 
     def weight_params(self) -> WeightParams:
         w = self.weights
-        return WeightParams(A=w.A, tau=w.tau, literal_hbar=w.literal_hbar)
+        return WeightParams(A=w.A, tau=w.tau)
 
 
-_TOP_LEVEL = {"scenario": str, "seed": int, "output_dir": str}
+_TOP_LEVEL = {"scenario": str, "output_dir": str}
 _SECTIONS = {
     "grid": GridConfig,
     "physics": PhysicsConfig,
@@ -133,12 +129,6 @@ _SECTIONS = {
 
 def _parse_value(text: str, target_type):
     text = text.strip()
-    if target_type is bool:
-        if text.lower() in ("true", "1", "yes"):
-            return True
-        if text.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"expected a boolean, got {text!r}")
     if target_type is int:
         try:
             return int(text)
@@ -193,7 +183,6 @@ def load_config(path) -> ScenarioConfig:
 
 def dump_config(config: ScenarioConfig) -> str:
     lines = [f"scenario = {config.scenario}",
-             f"seed = {config.seed}",
              f"output_dir = {config.output_dir}"]
     for section, cls in _SECTIONS.items():
         target = getattr(config, section)

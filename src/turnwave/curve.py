@@ -103,15 +103,6 @@ def open_grid(n: int, L: float = 40.0) -> np.ndarray:
     return np.linspace(-L, L, n)
 
 
-def flat_curve(n: int = 256, topology: str = PERIODIC, L: float = 40.0,
-               offset: float = 0.0) -> Curve:
-    if topology == PERIODIC:
-        a = periodic_grid(n)
-    else:
-        a = open_grid(n, L)
-    return Curve(topology, a, a.copy(), np.full(n, offset), L=L if topology == OPEN else None)
-
-
 def resample(curve: Curve, m: int) -> Curve:
     """Trigonometric resampling of a periodic curve to m nodes.
 
@@ -232,10 +223,9 @@ def arc_chord(curve: Curve, d=None) -> float:
 class SlopeReport:
     min_slope: float
     argmin_alpha: float
-    vertical_tangent: bool
 
 
-def min_slope(curve: Curve, tol: float = 0.0, d=None) -> SlopeReport:
+def min_slope(curve: Curve, d=None) -> SlopeReport:
     """Minimum of d_alpha z1 with 3-point quadratic subgrid refinement.
 
     Uses the curve's closed-form profile when one is attached (exact node
@@ -267,8 +257,7 @@ def min_slope(curve: Curve, tol: float = 0.0, d=None) -> SlopeReport:
         val, amin = y0, a[i]
     if curve.topology == PERIODIC:
         amin = amin % (2.0 * np.pi)
-    return SlopeReport(min_slope=float(val), argmin_alpha=float(amin),
-                       vertical_tangent=bool(val <= tol))
+    return SlopeReport(min_slope=float(val), argmin_alpha=float(amin))
 
 
 def as_graph(curve: Curve) -> np.ndarray:
@@ -312,7 +301,7 @@ def save_csv(curve: Curve, path, t: float = 0.0, omega=None):
     if omega is not None:
         cols.append(np.asarray(omega, dtype=float))
         header_cols += ",omega"
-    meta = f"# topology={curve.topology} t={t!r} N={curve.n}"
+    meta = f"# topology={curve.topology} t={float(t)!r} N={curve.n}"
     if curve.topology == OPEN:
         meta += f" L={curve.L!r}"
     data = np.column_stack(cols)

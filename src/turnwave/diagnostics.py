@@ -10,13 +10,13 @@ Two RT reductions are implemented literally:
 
 The weight pair (weight_h on [tau^2, tau], weight_hbar on [0, tau^2]) and
 the weighted inequalities they enter are evaluated pointwise with
-analytic time/space derivatives.  Note hbar is implemented with
-sin^2(x/2): the printed sin(x/2) is neither 2*pi-periodic nor
-sign-definite, contradicting the positivity/periodicity the weights must
-satisfy; set literal_hbar=True to evaluate the printed form.
+analytic time derivatives.  Note hbar is implemented with sin^2(x/2): the
+printed sin(x/2) is an erratum, being neither 2*pi-periodic nor
+sign-definite, which contradicts the positivity and periodicity the
+weights must satisfy.
 
 energy_distance compares two strip curves through the k-th derivative
-of their difference on the upper strip boundary.
+of their difference on the upper strip boundary (acceptance criterion 10).
 """
 
 import warnings
@@ -32,7 +32,6 @@ from .curve import Curve, PERIODIC, derivative
 class WeightParams:
     A: float = 100.0
     tau: float = 0.005
-    literal_hbar: bool = False
 
     def __post_init__(self):
         if self.A < 1.0:
@@ -114,45 +113,19 @@ def weight_h_dt(x, t, params: WeightParams):
     return -2.0 * t / A + np.sin(0.5 * np.asarray(x, dtype=float)) ** 2
 
 
-def weight_h_dx(x, t, params: WeightParams):
-    A, tau = params.A, params.tau
-    t = _check_window(t, tau ** 2, tau, "weight_h")
-    x = np.asarray(x, dtype=float)
-    return (1.0 / A - (tau - t)) * 0.5 * np.sin(x)
-
-
-def _hbar_profile(x, params: WeightParams):
-    x = np.asarray(x, dtype=float)
-    if params.literal_hbar:
-        return np.sin(0.5 * x)
-    return np.sin(0.5 * x) ** 2
-
-
 def weight_hbar(x, t, params: WeightParams):
     """hbar(x,t) = (1/4)(A^-1 tau^2 + A^-1 s(x)) + A^-2 tau t + A t s(x),
-    t in [0, tau^2], with s = sin^2(x/2) (or the printed sin(x/2) when
-    literal_hbar)."""
+    t in [0, tau^2], with s = sin^2(x/2) (see the module note)."""
     A, tau = params.A, params.tau
     t = _check_window(t, 0.0, tau ** 2, "weight_hbar")
-    s = _hbar_profile(x, params)
+    s = np.sin(0.5 * np.asarray(x, dtype=float)) ** 2
     return 0.25 * (tau ** 2 / A + s / A) + tau * t / A ** 2 + A * t * s
 
 
 def weight_hbar_dt(x, t, params: WeightParams):
     A, tau = params.A, params.tau
     t = _check_window(t, 0.0, tau ** 2, "weight_hbar")
-    return tau / A ** 2 + A * _hbar_profile(x, params)
-
-
-def weight_hbar_dx(x, t, params: WeightParams):
-    A, tau = params.A, params.tau
-    t = _check_window(t, 0.0, tau ** 2, "weight_hbar")
-    x = np.asarray(x, dtype=float)
-    if params.literal_hbar:
-        ds = 0.5 * np.cos(0.5 * x)
-    else:
-        ds = 0.5 * np.sin(x)
-    return 0.25 * ds / A + A * np.asarray(t, dtype=float) * ds
+    return tau / A ** 2 + A * np.sin(0.5 * np.asarray(x, dtype=float)) ** 2
 
 
 @dataclass
@@ -234,7 +207,8 @@ def sigma10_checklist(curves, times, tol: float = 1e-6) -> dict:
 
 def energy_distance(strip, reference, k: int = 4) -> float:
     """int over Gamma_+ of |d^k z - d^k zbar|^2 dRe(zeta) between two strip
-    curves sharing the same strip geometry."""
+    curves sharing the same strip geometry.  The distance whose decay
+    acceptance criterion 10 bounds."""
     if abs(strip.r - reference.r) > 1e-14 or strip.n != reference.n:
         raise ValueError("strip curves must share strip geometry")
     kmodes = strip.mode_numbers()

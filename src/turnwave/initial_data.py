@@ -24,18 +24,18 @@ differentiating the contour equation directly (their agreement is an
 integration-by-parts identity).
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad, simpson
+from scipy.integrate import quad
 
 from .curve import (Curve, CurveProfile, OPEN, PERIODIC, as_graph, derivative,
                     min_slope, open_grid, periodic_grid)
-from .spectral import heat_multiplier, modes
+from .spectral import modes
 
 
-# relative-only accuracy of the profile-branch quadratures: dv1(0) falls
+# relative-only accuracy of the certificate quadratures: dv1(0) falls
 # to ~5e-4 on some candidates and the two-integral form cancels heavily,
 # so quad's default absolute tolerance (1.5e-8) would govern the result
 QUAD_EPSREL = 1e-10
@@ -56,7 +56,6 @@ class TurningParams:
     beta3: float = 5.0
     b: float = 3.0
     cbar: float = -0.2
-    mollify_tau: float = 0.0
 
     def __post_init__(self):
         if not (0 < self.beta1 < self.beta2 < self.beta3):
@@ -65,8 +64,6 @@ class TurningParams:
             raise ValueError("amplitude b must be positive")
         if self.cbar >= 0:
             raise ValueError("tail level cbar must be negative")
-        if self.mollify_tau < 0:
-            raise ValueError("mollify_tau must be >= 0")
 
 
 # --- closed-form horizontal profile ----------------------------------------
@@ -178,8 +175,8 @@ def turning_candidate_open(params: TurningParams, n: int = 1025,
     """Open-line turning candidate on a symmetric uniform grid.
 
     n odd places a node exactly at alpha = 0.  The returned curve carries
-    a closed-form profile (used by the high-accuracy certificate
-    quadratures) unless mollification is requested.  tilt > 0 adds
+    its closed-form profile (used by the high-accuracy certificate
+    quadratures).  tilt > 0 adds
     tilt * a/(1+a^2) to z1, unfolding the vertical tangent into a strict
     graph (slope tilt at 0) so forward evolution reaches it at a finite
     positive time.
@@ -200,10 +197,7 @@ def turning_candidate_open(params: TurningParams, n: int = 1025,
         z1=horiz[0], dz1=horiz[1], d2z1=horiz[2],
         z2=vert.value, dz2=vert.deriv,
         tail_start=params.beta3, tail_level=params.cbar)
-    curve = Curve(OPEN, alpha, z1, z2, L=L, profile=profile)
-    if params.mollify_tau > 0:
-        curve = heat_mollify(curve, params.mollify_tau)
-    return curve
+    return Curve(OPEN, alpha, z1, z2, L=L, profile=profile)
 
 
 def turning_candidate_periodic(params: TurningParams, n: int = 256,
@@ -226,10 +220,7 @@ def turning_candidate_periodic(params: TurningParams, n: int = 256,
         raise ValueError("periodic candidate needs beta1 in (0, pi)")
     z1 = alpha - np.sin(alpha) + tilt * np.sin(alpha)
     z2 = params.b * np.sin(alpha) * (np.cos(alpha) - np.cos(a1)) / (1.0 - np.cos(a1))
-    curve = Curve(PERIODIC, alpha, z1, z2)
-    if params.mollify_tau > 0:
-        curve = heat_mollify(curve, params.mollify_tau)
-    return curve
+    return Curve(PERIODIC, alpha, z1, z2)
 
 
 # --- sign certificate quadratures -------------------------------------------
@@ -238,12 +229,14 @@ _SLOPE_TOL = 1e-8
 
 
 def _check_reduced_hypotheses(curve: Curve):
+    """The certificate quadratures integrate an open candidate's closed-form
+    profile; a sampled curve without one is refused."""
     if curve.topology != OPEN:
         raise PreconditionError("reduced formula applies to open curves")
-    if curve.profile is not None:
-        d1 = np.asarray(curve.profile.dz1(curve.alpha), dtype=float)
-    else:
-        d1, _ = derivative(curve, 1)
+    if curve.profile is None:
+        raise PreconditionError("certificate quadratures need the curve's "
+                                "closed-form profile")
+    d1 = np.asarray(curve.profile.dz1(curve.alpha), dtype=float)
     i0 = int(np.argmin(np.abs(curve.alpha)))
     if abs(d1[i0]) > 1e-4:
         raise PreconditionError(
@@ -252,77 +245,47 @@ def _check_reduced_hypotheses(curve: Curve):
     if (np.max(np.abs(curve.z1 + curve.z1[::-1])) > 1e-10 * (1 + np.max(np.abs(curve.z1)))
             or np.max(np.abs(curve.z2 + curve.z2[::-1])) > 1e-8 * (1 + np.max(np.abs(curve.z2)))):
         raise PreconditionError("curve is not odd-symmetric")
-    return i0
 
 
 def dv1_at_zero_reduced(curve: Curve) -> float:
     """d_alpha v1(0) by the reduced formula
     4 z2'(0) int_0^inf z1 z2 z1' / (z1^2 + z2^2)^2 dbeta."""
-    i0 = _check_reduced_hypotheses(curve)
+    _check_reduced_hypotheses(curve)
     prof = curve.profile
-    if prof is not None:
-        def g(beta):
-            zz1 = prof.z1(beta)
-            zz2 = prof.z2(beta)
-            return zz1 * zz2 * prof.dz1(beta) / (zz1 ** 2 + zz2 ** 2) ** 2
-        dz2_0 = float(prof.dz2(0.0))
-        ts = prof.tail_start
-        body, _ = quad(g, 0.0, ts, limit=200, epsabs=0.0, epsrel=QUAD_EPSREL,
-                       points=[p for p in (1.0, ts / 2) if p < ts])
-        tail, _ = quad(g, ts, np.inf, limit=200, epsabs=0.0, epsrel=QUAD_EPSREL)
-        return 4.0 * dz2_0 * (body + tail)
-    # grid fallback: Simpson on [0, L] plus a flat-tail closed form
-    d1, d2 = derivative(curve, 1)
-    mask = curve.alpha >= 0.0
-    beta = curve.alpha[mask]
-    z1, z2 = curve.z1[mask], curve.z2[mask]
-    r4 = (z1 ** 2 + z2 ** 2) ** 2
-    integrand = np.where(beta > 0, z1 * z2 * d1[mask] / np.where(r4 > 0, r4, 1.0), 0.0)
-    body = simpson(integrand, x=beta)
-    L = beta[-1]
-    cbar = z2[-1]
-    tail = cbar / (2.0 * (L ** 2 + cbar ** 2))  # z ~ (beta, cbar) beyond L
-    return 4.0 * d2[i0] * (body + tail)
+
+    def g(beta):
+        zz1 = prof.z1(beta)
+        zz2 = prof.z2(beta)
+        return zz1 * zz2 * prof.dz1(beta) / (zz1 ** 2 + zz2 ** 2) ** 2
+    dz2_0 = float(prof.dz2(0.0))
+    ts = prof.tail_start
+    body, _ = quad(g, 0.0, ts, limit=200, epsabs=0.0, epsrel=QUAD_EPSREL,
+                   points=[p for p in (1.0, ts / 2) if p < ts])
+    tail, _ = quad(g, ts, np.inf, limit=200, epsabs=0.0, epsrel=QUAD_EPSREL)
+    return 4.0 * dz2_0 * (body + tail)
 
 
 def dv1_at_zero_full(curve: Curve) -> float:
     """d_alpha v1(0) by direct differentiation of the contour equation
-    (two-integral form, before integration by parts)."""
-    i0 = _check_reduced_hypotheses(curve)
+    (two-integral form, before integration by parts).  The independent
+    reference that dv1_at_zero_reduced is checked against in acceptance
+    criterion 4."""
+    _check_reduced_hypotheses(curve)
     prof = curve.profile
-    if prof is not None:
-        dz2_0 = float(prof.dz2(0.0))
+    dz2_0 = float(prof.dz2(0.0))
 
-        def g(beta):
-            zz1, zz2 = prof.z1(beta), prof.z2(beta)
-            dd1, dd2 = prof.dz1(beta), prof.dz2(beta)
-            r2 = zz1 ** 2 + zz2 ** 2
-            i1 = (dd1 ** 2 + zz1 * prof.d2z1(beta)) / r2
-            i2 = -2.0 * zz1 * dd1 * (zz1 * dd1 - zz2 * (dz2_0 - dd2)) / r2 ** 2
-            return i1 + i2
-        ts = prof.tail_start
-        body, _ = quad(g, 0.0, ts, limit=200, epsabs=0.0, epsrel=QUAD_EPSREL,
-                       points=[p for p in (1.0, ts / 2) if p < ts])
-        tail, _ = quad(g, ts, np.inf, limit=200, epsabs=0.0, epsrel=QUAD_EPSREL)
-        return 2.0 * (body + tail)
-    d1, d2 = derivative(curve, 1)
-    dd1, _ = derivative(curve, 2)
-    mask = curve.alpha >= 0.0
-    beta = curve.alpha[mask]
-    z1, z2 = curve.z1[mask], curve.z2[mask]
-    r2 = z1 ** 2 + z2 ** 2
-    safe = np.where(r2 > 0, r2, 1.0)
-    i1 = (d1[mask] ** 2 + z1 * dd1[mask]) / safe
-    i2 = -2.0 * z1 * d1[mask] * (z1 * d1[mask] - z2 * (d2[i0] - d2[mask])) / safe ** 2
-    integrand = np.where(beta > 0, i1 + i2, 0.0)
-    body = simpson(integrand, x=beta)
-    L = beta[-1]
-    cbar = z2[-1]
-    # flat-tail closed forms for both integrals with z = (beta, cbar)
-    tail1, _ = quad(lambda s: 1.0 / (s ** 2 + cbar ** 2), L, np.inf)
-    tail2, _ = quad(lambda s: -2.0 * s * (s - cbar * d2[i0]) / (s ** 2 + cbar ** 2) ** 2,
-                    L, np.inf)
-    return 2.0 * (body + tail1 + tail2)
+    def g(beta):
+        zz1, zz2 = prof.z1(beta), prof.z2(beta)
+        dd1, dd2 = prof.dz1(beta), prof.dz2(beta)
+        r2 = zz1 ** 2 + zz2 ** 2
+        i1 = (dd1 ** 2 + zz1 * prof.d2z1(beta)) / r2
+        i2 = -2.0 * zz1 * dd1 * (zz1 * dd1 - zz2 * (dz2_0 - dd2)) / r2 ** 2
+        return i1 + i2
+    ts = prof.tail_start
+    body, _ = quad(g, 0.0, ts, limit=200, epsabs=0.0, epsrel=QUAD_EPSREL,
+                   points=[p for p in (1.0, ts / 2) if p < ts])
+    tail, _ = quad(g, ts, np.inf, limit=200, epsabs=0.0, epsrel=QUAD_EPSREL)
+    return 2.0 * (body + tail)
 
 
 def dv1_at_zero_periodic(curve: Curve, prefactor: float,
@@ -381,32 +344,7 @@ def turning_certificate(curve: Curve, dv1: Optional[float] = None,
         dz2_at_zero=float(d2[i0]), dv1_at_zero=float(dv1), passed=passed)
 
 
-# --- smoothing and perturbations --------------------------------------------
-
-def heat_mollify(curve: Curve, tau_smooth: float) -> Curve:
-    """Gauss-Weierstrass smoothing of the vertical component only.
-
-    Periodic: exact Fourier multiplier exp(-k^2 tau).  Open: discrete
-    convolution with the sampled heat kernel, tails extended by their
-    constant levels.  tau_smooth = 0 is the identity.
-    """
-    if tau_smooth < 0:
-        raise ValueError("tau_smooth must be >= 0")
-    if tau_smooth == 0:
-        return curve
-    if curve.topology == PERIODIC:
-        z2 = heat_multiplier(curve.z2, tau_smooth)
-        return Curve(PERIODIC, curve.alpha, curve.z1.copy(), z2)
-    h = curve.alpha[1] - curve.alpha[0]
-    half = int(np.ceil(8.0 * np.sqrt(2.0 * tau_smooth) / h)) + 1
-    x = h * np.arange(-half, half + 1)
-    kern = np.exp(-x ** 2 / (4.0 * tau_smooth))
-    kern /= kern.sum()
-    padded = np.concatenate([np.full(half, curve.z2[0]), curve.z2,
-                             np.full(half, curve.z2[-1])])
-    z2 = np.convolve(padded, kern, mode="valid")
-    return Curve(OPEN, curve.alpha, curve.z1.copy(), z2, L=curve.L)
-
+# --- norms and perturbations ------------------------------------------------
 
 def discrete_h4_norm(field, period=2.0 * np.pi) -> float:
     """Discrete H^4 norm (L^2 + 4th derivative L^2) of periodic samples."""
@@ -453,7 +391,7 @@ def perturb_h4(curve: Curve, epsilon: float, seed: int, kmax: int = 8) -> Curve:
 # --- water-wave datum --------------------------------------------------------
 
 def waterwave_datum(curve_star: Curve, delta: float, consts=None,
-                    dt: float = 1e-3, filter_threshold: float = 1e-12):
+                    dt: float = 1e-3):
     """Graph datum for the water-wave turning run.
 
     Takes the amplitude omega* = d_alpha z1* on the turning curve and
@@ -461,16 +399,15 @@ def waterwave_datum(curve_star: Curve, delta: float, consts=None,
     run forward, negate back).  The returned state must be a graph.
     """
     from .closures import PhysicalConstants
-    from .stepping import SimState, WATER_WAVES, advance
+    from .stepping import SimState, advance
 
     if delta <= 0:
         raise ValueError("delta must be positive")
     if consts is None:
-        consts = PhysicalConstants(rho1=0.0, rho2=1.0)
+        consts = PhysicalConstants()
     d1, _ = derivative(curve_star, 1)
     omega_star = d1.copy()
-    state = SimState(curve=curve_star, omega=-omega_star, t=0.0, consts=consts,
-                     filter_threshold=filter_threshold, problem=WATER_WAVES)
+    state = SimState(curve=curve_star, omega=-omega_star, consts=consts)
     back = advance(state, delta, dt)
     datum_curve = back.curve
     datum_omega = -back.omega

@@ -20,11 +20,11 @@ from .config import ScenarioConfig, dump_config
 from .curve import as_graph, graph_curve, graph_slope_sup, load_csv, min_slope, resample
 from .diagnostics import (sigma10, sigma10_checklist, sigma_muskat,
                           verify_weighted_rt, weight_h, weight_hbar)
-from .initial_data import (TurningParams, dv1_at_zero_periodic,
+from .initial_data import (DeltaTooLargeError, dv1_at_zero_periodic,
                            turning_candidate_open, turning_candidate_periodic,
                            turning_certificate, waterwave_datum)
 from .stepping import (BlowUpError, GRAPH_BLOWUP, RT_RUN_LENGTH, RT_SIGN_CHANGE,
-                       TURNING, advance, muskat_state, run, waterwave_state)
+                       TURNING, SimState, advance, run)
 from .strip import (InsufficientAnalyticityError, RegimeExitError, ck_solve,
                     extend_to_strip)
 from .svg import render_curve, render_series
@@ -113,10 +113,8 @@ def muskat_linear(cfg: ScenarioConfig) -> ScenarioResult:
     eps = cfg.wave.epsilon
     curve = graph_curve(eps * np.cos(k * np.linspace(
         0.0, 2.0 * np.pi, cfg.grid.n, endpoint=False)))
-    state = muskat_state(curve, consts=consts,
-                         filter_threshold=cfg.numerics.filter_threshold)
-    traj, _, _ = run(state, cfg.numerics.t_end, cfg.numerics.dt,
-                     snapshot_cadence=1, stop_on=())
+    traj, _ = run(SimState(curve, consts=consts), cfg.numerics.t_end,
+                  cfg.numerics.dt, snapshot_cadence=1, stop_on=())
     times = traj.times
     amps = [_mode_amplitude(c.z2, k) for _, c, _ in traj.snapshots]
     measured = _fit_decay_rate(times, amps)
@@ -147,12 +145,10 @@ def muskat_turning(cfg: ScenarioConfig) -> ScenarioResult:
     cert = turning_certificate(exact)
     tilted = turning_candidate_open(params, n=cfg.grid.n, L=cfg.grid.L,
                                     tilt=cfg.turning.tilt)
-    state = muskat_state(tilted, consts=consts,
-                         filter_threshold=cfg.numerics.filter_threshold)
-    traj, log, _ = run(state, cfg.numerics.t_end, cfg.numerics.dt,
-                       snapshot_cadence=cfg.numerics.snapshot_cadence,
-                       stop_on=(TURNING,))
-    ev = log.first(TURNING)
+    traj, _ = run(SimState(tilted, consts=consts), cfg.numerics.t_end,
+                  cfg.numerics.dt, snapshot_cadence=cfg.numerics.snapshot_cadence,
+                  stop_on=(TURNING,))
+    ev = traj.events.first(TURNING)
     report = {
         "certificate": {"passed": cert.passed, "min_slope": cert.min_slope,
                         "dz2_at_zero": cert.dz2_at_zero,
@@ -176,7 +172,7 @@ def muskat_breakdown(cfg: ScenarioConfig) -> ScenarioResult:
     turnover until the RT function goes negative on >= 3 nodes."""
     consts = cfg.constants()
     params = cfg.turning_params()
-    pref = consts.darcy_factor / (4.0 * np.pi)
+    pref = consts.periodic_prefactor
     candidate = turning_candidate_periodic(params, n=cfg.grid.n)
     dv1 = dv1_at_zero_periodic(candidate, pref)
     cert = turning_certificate(candidate, dv1=dv1)
@@ -198,12 +194,10 @@ def muskat_breakdown(cfg: ScenarioConfig) -> ScenarioResult:
     datum = back.curves[-1].real_curve()
     report["datum_min_slope"] = min_slope(datum).min_slope
 
-    state = muskat_state(datum, consts=consts,
-                         filter_threshold=cfg.numerics.filter_threshold)
-    traj, log, final = run(state, cfg.numerics.t_end, cfg.numerics.dt,
-                           snapshot_cadence=cfg.numerics.snapshot_cadence,
-                           stop_on=(TURNING,))
-    ev = log.first(TURNING)
+    traj, final = run(SimState(datum, consts=consts), cfg.numerics.t_end,
+                      cfg.numerics.dt, snapshot_cadence=cfg.numerics.snapshot_cadence,
+                      stop_on=(TURNING,))
+    ev = traj.events.first(TURNING)
     if ev is None:
         report["pass"] = False
         traj.write_dir(out)
@@ -247,12 +241,12 @@ def muskat_breakdown(cfg: ScenarioConfig) -> ScenarioResult:
                               "no RT sign change within continuation horizon")
 
     t_rt, run_len, sig = rt_event
-    log.add(t_rt, RT_SIGN_CHANGE, nodes=int(run_len),
-            sigma_min=float(sig.min_sigma),
-            intervals=[list(map(float, iv)) for iv in sig.negative_intervals])
+    traj.events.add(t_rt, RT_SIGN_CHANGE, nodes=int(run_len),
+                    sigma_min=float(sig.min_sigma),
+                    intervals=[list(map(float, iv)) for iv in sig.negative_intervals])
     report["rt_sign_change_time"] = t_rt
     report["rt_negative_nodes"] = int(run_len)
-    report["event_order"] = [e.kind for e in log.events]
+    report["event_order"] = traj.events.kinds()
     report["pass"] = True
     traj.write_dir(out)
     _emit_common(cfg, report)
@@ -271,10 +265,8 @@ def waterwave_linear(cfg: ScenarioConfig) -> ScenarioResult:
     eps = cfg.wave.epsilon
     alpha = np.linspace(0.0, 2.0 * np.pi, cfg.grid.n, endpoint=False)
     curve = graph_curve(eps * np.cos(k * alpha))
-    state = waterwave_state(curve, np.zeros(cfg.grid.n), consts=consts,
-                            filter_threshold=cfg.numerics.filter_threshold)
-    traj, _, _ = run(state, cfg.numerics.t_end, cfg.numerics.dt,
-                     snapshot_cadence=1, stop_on=())
+    traj, _ = run(SimState(curve, np.zeros(cfg.grid.n), consts=consts),
+                  cfg.numerics.t_end, cfg.numerics.dt, snapshot_cadence=1, stop_on=())
     times = traj.times
     series = [np.real(np.fft.fft(c.z2)[k]) * 2.0 / c.n
               for _, c, _ in traj.snapshots]
@@ -307,12 +299,9 @@ def waterwave_turning(cfg: ScenarioConfig) -> ScenarioResult:
     params = cfg.turning_params()
     star = turning_candidate_periodic(params, n=cfg.grid.n)
     datum, omega0 = waterwave_datum(star, cfg.wave.delta, consts=consts,
-                                    dt=cfg.numerics.dt,
-                                    filter_threshold=cfg.numerics.filter_threshold)
-    state = waterwave_state(datum, omega0, consts=consts,
-                            filter_threshold=cfg.numerics.filter_threshold)
-    traj, log, final = run(state, cfg.numerics.t_end, cfg.numerics.dt,
-                           snapshot_cadence=1, stop_on=(TURNING,))
+                                    dt=cfg.numerics.dt)
+    traj, final = run(SimState(datum, omega0, consts=consts), cfg.numerics.t_end,
+                      cfg.numerics.dt, snapshot_cadence=1, stop_on=(TURNING,))
     # round trip: the datum integrated forward by delta must recover the
     # turning curve; every step is in memory, so read it at step delta/dt
     rt_step = round(cfg.wave.delta / cfg.numerics.dt)
@@ -321,8 +310,8 @@ def waterwave_turning(cfg: ScenarioConfig) -> ScenarioResult:
         rt_curve = traj.snapshots[rt_step][1]
         round_trip = float(max(np.max(np.abs(rt_curve.z1 - star.z1)),
                                np.max(np.abs(rt_curve.z2 - star.z2))))
-    ev_turn = log.first(TURNING)
-    ev_blow = log.first(GRAPH_BLOWUP)
+    ev_turn = traj.events.first(TURNING)
+    ev_blow = traj.events.first(GRAPH_BLOWUP)
     graph_fails = False
     if ev_turn is not None:
         try:
@@ -361,15 +350,14 @@ def ck_compare(cfg: ScenarioConfig) -> ScenarioResult:
     """Cross-validation of the strip Picard solver against the real-space
     RK4 integrator on stable small periodic data."""
     consts = cfg.constants()
-    pref = consts.darcy_factor / (4.0 * np.pi)
+    pref = consts.periodic_prefactor
     alpha = np.linspace(0.0, 2.0 * np.pi, cfg.grid.n, endpoint=False)
     curve = graph_curve(0.01 * np.cos(alpha) + 0.005 * np.sin(2 * alpha))
     sc = extend_to_strip(curve, cfg.strip.r0, t=0.0)
     res = ck_solve(sc, cfg.strip.T, pref, panels=cfg.strip.panels,
                    tol=cfg.strip.tol, max_iter=cfg.strip.max_iter)
 
-    state = muskat_state(curve, consts=consts,
-                         filter_threshold=cfg.numerics.filter_threshold)
+    state = SimState(curve, consts=consts)
     dists = []
     t_prev = 0.0
     for tt, sc_t in zip(res.times, res.curves):
@@ -412,9 +400,8 @@ def rt_verify(cfg: ScenarioConfig) -> ScenarioResult:
     params = cfg.turning_params()
     candidate = turning_candidate_periodic(params, n=cfg.grid.n)
     dt = wp.tau / 200.0
-    state = muskat_state(candidate, consts=consts,
-                         filter_threshold=cfg.numerics.filter_threshold)
-    traj, _, _ = run(state, wp.tau, dt, snapshot_cadence=1, stop_on=())
+    traj, _ = run(SimState(candidate, consts=consts), wp.tau, dt,
+                  snapshot_cadence=1, stop_on=())
     times = traj.times
     curves = [c for _, c, _ in traj.snapshots]
     checklist = sigma10_checklist(curves, times)
@@ -465,7 +452,7 @@ _PIPELINES = {
 }
 
 NUMERICAL_ERRORS = (BlowUpError, RegimeExitError, InsufficientAnalyticityError,
-                    ClosureIterationError, FloatingPointError)
+                    ClosureIterationError, DeltaTooLargeError, FloatingPointError)
 
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:

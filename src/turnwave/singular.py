@@ -122,7 +122,8 @@ def br_rate(cot: np.ndarray, omega, velocity) -> np.ndarray:
 
 def birkhoff_rott(curve: Curve, omega) -> np.ndarray:
     """Birkhoff-Rott velocity of amplitude omega on a periodic curve:
-    (N, 2) samples."""
+    (N, 2) samples.  The quadrature that acceptance criterion 1 checks
+    against the flat-interface closed form."""
     return br_velocity(br_block(curve), omega)
 
 

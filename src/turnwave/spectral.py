@@ -30,19 +30,13 @@ def fourier_derivative(f, order=1, period=2.0 * np.pi):
 
 
 def hilbert_transform(f):
-    """Periodic Hilbert transform, symbol -i*sign(k)."""
+    """Periodic Hilbert transform, symbol -i*sign(k).  The closed-form
+    reference of acceptance criterion 1: the Birkhoff-Rott velocity on a
+    flat interface is (0, hilbert_transform(omega) / 2)."""
     f = np.asarray(f, dtype=float)
     k = modes(f.size)
     fk = np.fft.fft(f)
     return np.fft.ifft(-1j * np.sign(k) * fk).real
-
-
-def heat_multiplier(f, tau, period=2.0 * np.pi):
-    """Gauss-Weierstrass smoothing: multiply mode k by exp(-k^2 tau)."""
-    f = np.asarray(f, dtype=float)
-    k = modes(f.size) * (2.0 * np.pi / period)
-    fk = np.fft.fft(f)
-    return np.fft.ifft(fk * np.exp(-(k ** 2) * tau)).real
 
 
 def krasny_filter(coeffs, threshold):
@@ -54,13 +48,8 @@ def krasny_filter(coeffs, threshold):
     if threshold < 0:
         raise ValueError("filter threshold must be >= 0")
     coeffs = np.array(coeffs, dtype=complex)
-    if threshold == 0:
-        return coeffs
     mags = np.abs(coeffs)
-    top = mags.max()
-    if top == 0.0:
-        return coeffs
-    coeffs[mags < threshold * top] = 0.0
+    coeffs[mags < threshold * mags.max()] = 0.0
     return coeffs
 
 

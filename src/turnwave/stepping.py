@@ -1,11 +1,13 @@
 """Explicit RK4 time stepping, spectral filtering, and event detection.
 
-The driver advances a SimState (curve, optional amplitude) under one of
-three problems: open-line Muskat, periodic Muskat, or periodic water
-waves.  After every accepted step the Krasny filter is applied to the
-Fourier coefficients (periodic case) to suppress roundoff-seeded
-instability, and cheap diagnostics are recorded: minimum slope, arc-chord
-supremum, Rayleigh-Taylor minimum, H4 size, and the graph mean.
+The driver advances a SimState (curve, optional amplitude).  The state
+names its problem: a state with an amplitude omega is a periodic water
+wave, one without is Muskat on its curve's topology (open line or
+period).  After every accepted step the Krasny filter (FILTER_THRESHOLD)
+is applied to the Fourier coefficients (periodic case) to suppress
+roundoff-seeded instability, and cheap diagnostics are recorded: minimum
+slope, arc-chord supremum, Rayleigh-Taylor minimum, H4 size, and the
+graph mean.
 
 Events:
   Turning        first zero crossing of min d_alpha z1 (time located by
@@ -32,16 +34,13 @@ from .initial_data import discrete_h4_norm
 from .singular import muskat_rhs_open, muskat_rhs_periodic
 from .spectral import apply_krasny
 
-MUSKAT_OPEN = "muskat-open"
-MUSKAT_PERIODIC = "muskat-periodic"
-WATER_WAVES = "water-waves"
-
 TURNING = "Turning"
 RT_SIGN_CHANGE = "RTSignChange"
 ARC_CHORD_FAILURE = "ArcChordFailure"
 GRAPH_BLOWUP = "GraphBlowup"
 
 RT_RUN_LENGTH = 3               # consecutive nodes with sigma < 0
+FILTER_THRESHOLD = 1e-12        # Krasny filter level, relative to the top mode
 GRAPH_BLOWUP_THRESHOLD = 1e3    # sup |f_alpha| flagged as slope blow-up
 ARC_CHORD_MAX = 1e8             # sup F(z) flagged as arc-chord failure
 
@@ -58,39 +57,29 @@ class BlowUpError(Exception):
 @dataclass
 class SimState:
     curve: Curve
-    omega: Optional[np.ndarray] = None
+    omega: Optional[np.ndarray] = None   # water-wave amplitude; None for Muskat
     t: float = 0.0
     consts: PhysicalConstants = field(default_factory=PhysicalConstants)
-    filter_threshold: float = 1e-12
-    problem: str = MUSKAT_PERIODIC
-    prefactor: Optional[float] = None  # periodic Muskat; default darcy/(4 pi)
-
-    def muskat_prefactor(self) -> float:
-        if self.prefactor is not None:
-            return self.prefactor
-        return self.consts.darcy_factor / (4.0 * np.pi)
 
 
-def _rhs(state: SimState, curve: Curve, omega):
-    """(z_t, omega_t or None) for the state's problem on given geometry."""
-    if state.problem == MUSKAT_OPEN:
-        return muskat_rhs_open(curve, state.consts.darcy_factor), None
-    if state.problem == MUSKAT_PERIODIC:
-        return muskat_rhs_periodic(curve, state.muskat_prefactor()), None
-    if state.problem == WATER_WAVES:
-        return waterwave_rhs(curve, omega, state.consts)
-    raise ValueError(f"unknown problem {state.problem!r}")
+def _rhs(consts: PhysicalConstants, curve: Curve, omega):
+    """(z_t, omega_t or None) on the given geometry: water waves when an
+    amplitude is given, otherwise Muskat for the curve's topology."""
+    if omega is not None:
+        return waterwave_rhs(curve, omega, consts)
+    if curve.topology == PERIODIC:
+        return muskat_rhs_periodic(curve, consts.periodic_prefactor), None
+    return muskat_rhs_open(curve, consts.darcy_factor), None
 
 
-def _filtered(state: SimState, curve: Curve, omega):
-    if curve.topology != PERIODIC or state.filter_threshold == 0:
+def _filtered(curve: Curve, omega):
+    if curve.topology != PERIODIC:
         return curve, omega
-    th = state.filter_threshold
-    z1 = apply_krasny(curve.z1 - curve.alpha, th) + curve.alpha
-    z2 = apply_krasny(curve.z2, th)
+    z1 = apply_krasny(curve.z1 - curve.alpha, FILTER_THRESHOLD) + curve.alpha
+    z2 = apply_krasny(curve.z2, FILTER_THRESHOLD)
     new = Curve(PERIODIC, curve.alpha, z1, z2)
     if omega is not None:
-        omega = apply_krasny(omega, th)
+        omega = apply_krasny(omega, FILTER_THRESHOLD)
     return new, omega
 
 
@@ -107,10 +96,11 @@ def step_rk4(state: SimState, dt: float) -> SimState:
         omega = None if w0 is None else w0 + a * dt * wt
         return curve, omega
 
-    k1 = _rhs(state, c0, w0)
-    k2 = _rhs(state, *shift(0.5, k1))
-    k3 = _rhs(state, *shift(0.5, k2))
-    k4 = _rhs(state, *shift(1.0, k3))
+    consts = state.consts
+    k1 = _rhs(consts, c0, w0)
+    k2 = _rhs(consts, *shift(0.5, k1))
+    k3 = _rhs(consts, *shift(0.5, k2))
+    k4 = _rhs(consts, *shift(1.0, k3))
 
     zt = (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]) / 6.0
     curve = c0.with_components(c0.z1 + dt * zt[:, 0], c0.z2 + dt * zt[:, 1])
@@ -121,7 +111,7 @@ def step_rk4(state: SimState, dt: float) -> SimState:
     if (not np.all(np.isfinite(curve.z1)) or not np.all(np.isfinite(curve.z2))
             or (omega is not None and not np.all(np.isfinite(omega)))):
         raise BlowUpError(f"non-finite values at t = {state.t + dt:.6g}", state=state)
-    curve, omega = _filtered(state, curve, omega)
+    curve, omega = _filtered(curve, omega)
     return replace(state, curve=curve, omega=omega, t=state.t + dt)
 
 
@@ -222,7 +212,8 @@ def _diagnose(state: SimState, d):
 def run(state: SimState, t_end: float, dt: float,
         snapshot_cadence: int = 10,
         stop_on=(RT_SIGN_CHANGE, ARC_CHORD_FAILURE)):
-    """Advance to t_end or a stopping event.  Returns (Trajectory, EventLog).
+    """Advance to t_end or a stopping event.  Returns (Trajectory, final
+    SimState); the events are the trajectory's `events`.
 
     Raises BlowUpError (carrying the partial trajectory) on NaN/Inf.
     """
@@ -292,19 +283,5 @@ def run(state: SimState, t_end: float, dt: float,
                                        None if state.omega is None else state.omega.copy()))
             break
 
-    return traj, log, state
+    return traj, state
 
-
-def muskat_state(curve, consts=None, problem=None, **kw) -> SimState:
-    if consts is None:
-        consts = PhysicalConstants()
-    if problem is None:
-        problem = MUSKAT_PERIODIC if curve.topology == PERIODIC else MUSKAT_OPEN
-    return SimState(curve=curve, omega=None, consts=consts, problem=problem, **kw)
-
-
-def waterwave_state(curve, omega, consts=None, **kw) -> SimState:
-    if consts is None:
-        consts = PhysicalConstants(rho1=0.0, rho2=1.0)
-    return SimState(curve=curve, omega=np.asarray(omega, float), consts=consts,
-                    problem=WATER_WAVES, **kw)

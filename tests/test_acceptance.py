@@ -16,20 +16,20 @@ import pytest
 
 from turnwave.closures import PhysicalConstants
 from turnwave.config import ScenarioConfig
-from turnwave.curve import flat_curve, graph_curve, load_csv, min_slope
+from turnwave.curve import graph_curve, load_csv
 from turnwave.diagnostics import energy_distance
 from turnwave.initial_data import (TurningParams, dv1_at_zero_full,
                                    dv1_at_zero_reduced)
 from turnwave.initial_data import turning_candidate_open
 from turnwave.scenarios import (ck_compare, muskat_breakdown, muskat_linear,
-                                muskat_turning, rt_verify, waterwave_linear,
-                                waterwave_turning)
+                                muskat_turning, render_trajectory, rt_verify,
+                                waterwave_linear, waterwave_turning)
 from turnwave.singular import birkhoff_rott
 from turnwave.spectral import hilbert_transform
-from turnwave.stepping import muskat_state, run
+from turnwave.stepping import SimState, run
 from turnwave.strip import extend_to_strip
 
-from conftest import record
+from conftest import flat_curve, record
 
 
 def _cfg(tmp_path, scenario, name, **overrides):
@@ -37,7 +37,10 @@ def _cfg(tmp_path, scenario, name, **overrides):
     cfg.output_dir = str(tmp_path / name)
     for dotted, value in overrides.items():
         section, _, field = dotted.partition("__")
-        setattr(getattr(cfg, section), field, value)
+        target = getattr(cfg, section)
+        if not hasattr(target, field):
+            raise AttributeError(f"no config key {section}.{field}")
+        setattr(target, field, value)
     return cfg
 
 
@@ -137,7 +140,7 @@ def test_criterion_05_turning_certificate_and_event(tmp_path):
     cert_ok = True
     for n in (513, 1025):
         cfg = _cfg(tmp_path, "muskat-turning", f"turn_n{n}",
-                   grid__n=n, grid__L=15.0, grid__periodic=False,
+                   grid__n=n, grid__L=15.0,
                    turning__beta1=1.0, turning__tilt=0.05,
                    numerics__dt=1e-3, numerics__t_end=0.5,
                    numerics__snapshot_cadence=50)
@@ -159,7 +162,8 @@ def test_criterion_05_turning_certificate_and_event(tmp_path):
 def test_criterion_06_rt_breakdown_order(tmp_path):
     """In the breakdown scenario the stability function turns negative on
     at least 3 consecutive nodes, strictly after the Turning event, via
-    strip continuation."""
+    strip continuation.  The run directory renders, and its last snapshot
+    (the continuation curve at the sign change) loads back."""
     t0 = time.process_time()
     cfg = _cfg(tmp_path, "muskat-breakdown", "breakdown",
                grid__n=512, turning__beta1=1.5, turning__b=3.0,
@@ -183,6 +187,10 @@ def test_criterion_06_rt_breakdown_order(tmp_path):
     assert ordered
     assert report["rt_negative_nodes"] >= 3
     assert elapsed < 180.0
+    assert any(p.endswith("interface.svg") for p in render_trajectory(cfg.output_dir))
+    snaps = sorted(f for f in os.listdir(cfg.output_dir) if f.startswith("snap_"))
+    _, t_last, _ = load_csv(os.path.join(cfg.output_dir, snaps[-1]))
+    assert t_last == report["rt_sign_change_time"]
 
 
 @pytest.mark.slow
@@ -288,8 +296,8 @@ def test_criterion_10_conservation_and_stability(tmp_path):
     base_f = 0.05 * np.cos(alpha) + 0.02 * np.sin(2 * alpha)
 
     def stable_run(f0):
-        state = muskat_state(graph_curve(f0), consts=consts)
-        traj, _, _ = run(state, t_end, dt, snapshot_cadence=5, stop_on=())
+        traj, _ = run(SimState(graph_curve(f0), consts=consts), t_end, dt,
+                      snapshot_cadence=5, stop_on=())
         return traj
 
     base = stable_run(base_f)

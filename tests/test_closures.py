@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from turnwave.closures import PhysicalConstants, waterwave_rhs
-from turnwave.curve import derivative, flat_curve, graph_curve, periodic_grid
+from turnwave.curve import derivative, graph_curve, periodic_grid
 from turnwave.singular import birkhoff_rott, br_block, br_rate
 from turnwave.spectral import antiderivative, fourier_derivative
+
+from conftest import flat_curve
 
 
 def test_constants_validation():

@@ -1,5 +1,6 @@
 """Config parsing, CLI exit codes, artifact determinism, SVG rendering."""
 
+import glob
 import json
 import os
 
@@ -10,6 +11,8 @@ from turnwave.cli import main
 from turnwave.config import (ConfigError, ScenarioConfig, apply_assignment,
                              dump_config, load_config)
 from turnwave.svg import render_curve, render_series
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 def write_cfg(tmp_path, text, name="case.cfg"):
@@ -41,17 +44,29 @@ def test_unknown_scenario_is_an_error():
 def test_assignment_type_coercion():
     cfg = ScenarioConfig()
     apply_assignment(cfg, "grid.n", "512")
-    apply_assignment(cfg, "weights.literal_hbar", "true")
+    apply_assignment(cfg, "output_dir", "'runs/a'")
     apply_assignment(cfg, "numerics.dt", "1e-4")
-    assert cfg.grid.n == 512 and cfg.weights.literal_hbar is True
+    assert cfg.grid.n == 512 and cfg.output_dir == "runs/a"
     assert cfg.numerics.dt == 1e-4
     with pytest.raises(ConfigError):
         apply_assignment(cfg, "grid.n", "many")
+    with pytest.raises(ConfigError):
+        apply_assignment(cfg, "numerics.dt", "true")
 
 
 def test_comments_and_blank_lines(tmp_path):
-    path = write_cfg(tmp_path, "# hello\n\nseed = 3  # trailing comment\n")
-    assert load_config(path).seed == 3
+    path = write_cfg(tmp_path, "# hello\n\ngrid.n = 96  # trailing comment\n")
+    assert load_config(path).grid.n == 96
+
+
+@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(CONFIG_DIR, "*.cfg"))),
+                         ids=os.path.basename)
+def test_bundled_config_loads_and_round_trips(tmp_path, path):
+    """Every bundled config names only known keys, and its resolved dump
+    loads back to the same configuration."""
+    cfg = load_config(path)
+    back = load_config(write_cfg(tmp_path, dump_config(cfg)))
+    assert back == cfg
 
 
 def test_cli_config_error_exit_2(tmp_path, capsys):
@@ -60,18 +75,20 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
     assert "dT" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("assignment", ["strip.shrink = exponential",
-                                        "strip.gamma = 2.0"])
-def test_cli_removed_strip_keys_exit_2(tmp_path, assignment):
-    """The continuation always shrinks the strip linearly; the keys that
-    once named another schedule are unknown now, not silently ignored."""
-    path = write_cfg(tmp_path, f"scenario = muskat-breakdown\n{assignment}\n")
-    assert main(["run", path]) == 2
-
-
-def test_cli_removed_grid_periodic_exit_2(tmp_path):
-    """Each scenario fixes its own topology; grid.periodic chose nothing."""
-    path = write_cfg(tmp_path, "scenario = muskat-turning\ngrid.periodic = false\n")
+@pytest.mark.parametrize("assignment", [
+    "grid.periodic = false",          # each scenario fixes its own topology
+    "strip.shrink = exponential",     # the strip always shrinks linearly
+    "strip.gamma = 2.0",
+    "seed = 3",                       # nothing drew random numbers from it
+    "turning.mollify_tau = 0.1",      # candidates are used unsmoothed
+    "weights.literal_hbar = true",    # hbar uses sin^2(x/2), see diagnostics
+    "numerics.filter_threshold = 0",  # the Krasny filter level is fixed
+])
+def test_cli_removed_keys_exit_2(tmp_path, assignment):
+    """Keys that no longer choose anything are unknown, not silently
+    ignored."""
+    path = write_cfg(tmp_path, f"scenario = muskat-linear\n{assignment}\n"
+                               f"output_dir = {tmp_path}/out\n")
     assert main(["run", path]) == 2
 
 
@@ -127,6 +144,23 @@ def test_cli_waterwave_turning_stopped_before_delta_exit_4(tmp_path):
     assert main(["run", path]) == 4
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["round_trip_error"] is None
+    assert report["pass"] is False
+
+
+def test_cli_waterwave_turning_backward_run_misses_graph_exit_3(tmp_path):
+    """A backward run by delta that does not reach a graph is a numerical
+    failure: exit 3 with a report, not a traceback."""
+    path = write_cfg(tmp_path, "\n".join([
+        "scenario = waterwave-turning",
+        "grid.n = 64",
+        "turning.beta1 = 1.5",
+        "wave.delta = 1e-3",
+        "numerics.dt = 1e-5",
+        f"output_dir = {tmp_path}/out",
+    ]) + "\n")
+    assert main(["run", path]) == 3
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["error"].startswith("DeltaTooLargeError")
     assert report["pass"] is False
 
 

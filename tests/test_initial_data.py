@@ -1,5 +1,7 @@
 """Turning candidates and sign certificates."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,8 +12,8 @@ from turnwave.curve import as_graph, derivative, min_slope
 from turnwave.initial_data import (DeltaTooLargeError, PreconditionError,
                                    TurningParams, discrete_h4_norm,
                                    dv1_at_zero_full, dv1_at_zero_periodic,
-                                   dv1_at_zero_reduced, heat_mollify,
-                                   perturb_h4, turning_candidate_open,
+                                   dv1_at_zero_reduced, perturb_h4,
+                                   turning_candidate_open,
                                    turning_candidate_periodic,
                                    turning_certificate, waterwave_datum)
 
@@ -72,6 +74,12 @@ def test_reduced_rejects_non_candidates():
     c = turning_candidate_open(DEFAULT, n=257, L=15.0, tilt=0.3)
     with pytest.raises(PreconditionError):
         dv1_at_zero_reduced(c)
+    # the certificate quadratures integrate the closed-form profile; a
+    # sampled curve without one is refused, not approximated on the grid
+    bare = replace(turning_candidate_open(DEFAULT, n=257, L=15.0), profile=None)
+    for quadrature in (dv1_at_zero_reduced, dv1_at_zero_full):
+        with pytest.raises(PreconditionError, match="profile"):
+            quadrature(bare)
 
 
 def test_certificate_passes_default_open_candidate():
@@ -85,7 +93,7 @@ def test_certificate_periodic_candidate_sign_depends_on_beta1():
     """Converged velocity gradient: the wide-bump candidate turns
     (dv1 < 0), the narrow one does not -- resolution artifacts at the
     vertical-tangent point must not flip these signs."""
-    pref = PhysicalConstants().darcy_factor / (4.0 * np.pi)
+    pref = PhysicalConstants().periodic_prefactor
     wide = turning_candidate_periodic(TurningParams(beta1=1.5, b=3.0), n=512)
     assert dv1_at_zero_periodic(wide, pref) < -0.1
     narrow = turning_candidate_periodic(TurningParams(beta1=0.6, b=3.0), n=512)
@@ -93,19 +101,11 @@ def test_certificate_periodic_candidate_sign_depends_on_beta1():
 
 
 def test_dv1_periodic_resolution_stable():
-    pref = PhysicalConstants().darcy_factor / (4.0 * np.pi)
+    pref = PhysicalConstants().periodic_prefactor
     c = turning_candidate_periodic(TurningParams(beta1=1.5, b=3.0), n=256)
     v1 = dv1_at_zero_periodic(c, pref, n_eval=2048)
     v2 = dv1_at_zero_periodic(c, pref, n_eval=4096)
     assert abs(v1 - v2) < 5e-3 * abs(v2)
-
-
-def test_heat_mollify_identity_and_smoothing():
-    c = turning_candidate_periodic(TurningParams(beta1=1.5, b=3.0), n=128)
-    same = heat_mollify(c, 0.0)
-    assert np.array_equal(same.z2, c.z2)
-    smooth = heat_mollify(c, 0.1)
-    assert discrete_h4_norm(smooth.z2) < discrete_h4_norm(c.z2)
 
 
 def test_perturb_h4_exact_size_and_reproducible():
@@ -122,8 +122,8 @@ def test_waterwave_datum_is_graph_and_round_trips():
     star = turning_candidate_periodic(TurningParams(beta1=1.5, b=3.0), n=128)
     datum, omega0 = waterwave_datum(star, 1e-3, dt=1e-4)
     assert min_slope(datum).min_slope > 0
-    from turnwave.stepping import advance, waterwave_state
-    back = advance(waterwave_state(datum, omega0), 1e-3, 1e-4)
+    from turnwave.stepping import SimState, advance
+    back = advance(SimState(datum, omega0), 1e-3, 1e-4)
     assert np.max(np.abs(back.curve.z2 - star.z2)) < 1e-6
 
 

@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 
 from turnwave import singular
-from turnwave.curve import (BLOCK_ROWS, Curve, arc_chord, derivative, flat_curve,
-                            graph_curve, min_slope, open_grid, periodic_grid)
+from turnwave.curve import (BLOCK_ROWS, Curve, arc_chord, derivative, graph_curve,
+                            min_slope, open_grid, periodic_grid)
 from turnwave.closures import ClosureIterationError, _amplitude_solve
 from turnwave.singular import (QuadratureError, _antisymmetric_kernel, _open_pair,
                                _periodic_pair, birkhoff_rott, br_block, br_rate,
                                br_velocity, muskat_rhs_open, muskat_rhs_periodic)
 from turnwave.spectral import hilbert_transform
+
+from conftest import flat_curve
 
 PERIODIC, OPEN = "periodic", "open"
 

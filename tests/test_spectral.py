@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from turnwave.spectral import (antiderivative, apply_krasny,
-                               fourier_derivative, heat_multiplier,
-                               hilbert_transform, krasny_filter, modes)
+                               fourier_derivative, hilbert_transform,
+                               krasny_filter, modes)
 
 GRID = 2.0 * np.pi * np.arange(128) / 128
 
@@ -45,13 +45,6 @@ def test_hilbert_transform_oracle():
 
 def test_hilbert_transform_kills_mean():
     assert np.max(np.abs(hilbert_transform(np.full(64, 3.7)))) < 1e-13
-
-
-def test_heat_multiplier_single_mode():
-    f = np.cos(4 * GRID)
-    tau = 0.03
-    out = heat_multiplier(f, tau)
-    assert np.max(np.abs(out - np.exp(-16 * tau) * f)) < 1e-13
 
 
 def test_krasny_filter_zeroes_small_modes():

@@ -8,10 +8,9 @@ import pytest
 
 from turnwave.closures import PhysicalConstants
 from turnwave.curve import Curve, graph_curve, periodic_grid
-from turnwave.initial_data import TurningParams, turning_candidate_periodic
-from turnwave.stepping import (BlowUpError, GRAPH_BLOWUP, RT_SIGN_CHANGE,
-                               TURNING, SimState, advance, muskat_state, run,
-                               step_rk4, waterwave_state)
+from turnwave.initial_data import (TurningParams, turning_candidate_open,
+                                   turning_candidate_periodic)
+from turnwave.stepping import BlowUpError, TURNING, SimState, advance, run
 
 
 def small_graph(n=64, eps=1e-3, k=2):
@@ -24,7 +23,7 @@ def test_rk4_fourth_order_self_convergence():
     k = 2
 
     def amplitude(dt):
-        st = muskat_state(small_graph(64, 1e-2, k))
+        st = SimState(small_graph(64, 1e-2, k))
         st = advance(st, 0.5, dt)
         return 2 * abs(np.fft.fft(st.curve.z2)[k]) / 64
 
@@ -38,13 +37,13 @@ def test_rk4_fourth_order_self_convergence():
 
 
 def test_advance_reaches_target_time():
-    st = muskat_state(small_graph())
+    st = SimState(small_graph())
     out = advance(st, 0.123, 0.02)  # not divisible by dt
     assert abs(out.t - 0.123) < 1e-12
 
 
 def test_krasny_filter_keeps_solution_clean():
-    st = muskat_state(small_graph(), filter_threshold=1e-12)
+    st = SimState(small_graph())
     out = advance(st, 0.2, 1e-2)
     coeffs = np.abs(np.fft.fft(out.curve.z2)) / 64
     peak = coeffs.max()
@@ -54,20 +53,20 @@ def test_krasny_filter_keeps_solution_clean():
 
 
 def test_run_records_monotone_diagnostics():
-    st = muskat_state(small_graph())
-    traj, log, final = run(st, 0.05, 1e-2, snapshot_cadence=2, stop_on=())
+    st = SimState(small_graph())
+    traj, final = run(st, 0.05, 1e-2, snapshot_cadence=2, stop_on=())
     t = traj.column("t")
     assert np.all(np.diff(t) > 0)
     assert final.t == pytest.approx(0.05)
-    assert log.kinds() == []
+    assert traj.events.kinds() == []
 
 
 def test_run_emits_turning_event():
     params = TurningParams(beta1=1.5, b=3.0)
     cand = turning_candidate_periodic(params, n=256, tilt=0.02)
-    st = muskat_state(cand)
-    traj, log, final = run(st, 0.2, 1e-3, stop_on=(TURNING,))
-    ev = log.first(TURNING)
+    st = SimState(cand)
+    traj, final = run(st, 0.2, 1e-3, stop_on=(TURNING,))
+    ev = traj.events.first(TURNING)
     assert ev is not None and 0.0 < ev.t <= final.t + 1e-12
     # interpolated crossing: min_slope positive before, negative at stop
     ms = traj.column("min_slope")
@@ -75,7 +74,7 @@ def test_run_emits_turning_event():
 
 
 def test_blowup_error_carries_trajectory():
-    st = muskat_state(small_graph())
+    st = SimState(small_graph())
     st.curve.z2[3] = np.nan
     with pytest.raises(BlowUpError) as err:
         run(st, 0.05, 1e-2)
@@ -83,8 +82,8 @@ def test_blowup_error_carries_trajectory():
 
 
 def test_trajectory_write_dir_round_trip(tmp_path):
-    st = muskat_state(small_graph())
-    traj, log, _ = run(st, 0.03, 1e-2, snapshot_cadence=1, stop_on=())
+    st = SimState(small_graph())
+    traj, _ = run(st, 0.03, 1e-2, snapshot_cadence=1, stop_on=())
     traj.write_dir(tmp_path)
     events = json.loads((tmp_path / "events.json").read_text())
     assert events == []
@@ -94,17 +93,30 @@ def test_trajectory_write_dir_round_trip(tmp_path):
     assert len(snaps) == len(traj.snapshots)
 
 
-def test_waterwave_state_defaults_vacuum_above():
-    st = waterwave_state(small_graph(), np.zeros(64))
-    assert st.consts.rho1 == 0.0
-    assert st.problem == "water-waves"
+def test_state_picks_its_problem():
+    """An amplitude makes a water-wave state; without one the curve's
+    topology picks the Muskat kernel."""
+    from turnwave import stepping
+    consts = PhysicalConstants()
+    assert consts.rho1 == 0.0   # vacuum above by default
+    periodic, omega = small_graph(), np.cos(periodic_grid(64))
+    zt, wt = stepping._rhs(consts, periodic, omega)
+    assert np.array_equal(zt, stepping.waterwave_rhs(periodic, omega, consts)[0])
+    assert wt is not None
+    zt, wt = stepping._rhs(consts, periodic, None)
+    assert wt is None
+    assert np.array_equal(zt, stepping.muskat_rhs_periodic(
+        periodic, consts.darcy_factor / (4.0 * np.pi)))
+    open_curve = turning_candidate_open(TurningParams(), n=129, L=15.0, tilt=0.05)
+    zt, wt = stepping._rhs(consts, open_curve, None)
+    assert wt is None
+    assert np.array_equal(zt, stepping.muskat_rhs_open(open_curve, consts.darcy_factor))
 
 
 def test_waterwave_energy_bounded_small_amplitude():
     """A small standing wave stays bounded over a few periods (the stable
     stratification)."""
     n, k, eps = 64, 2, 1e-4
-    st = waterwave_state(graph_curve(eps * np.cos(k * periodic_grid(n))),
-                         np.zeros(n))
+    st = SimState(graph_curve(eps * np.cos(k * periodic_grid(n))), np.zeros(n))
     out = advance(st, 3.0, 5e-3)
     assert np.max(np.abs(out.curve.z2)) < 3 * eps

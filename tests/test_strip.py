@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from turnwave.closures import PhysicalConstants
-from turnwave.curve import Curve, flat_curve, periodic_grid
+from turnwave.curve import Curve, periodic_grid
 from turnwave.strip import (InsufficientAnalyticityError, RegimeExitError,
                             amplified_tail, ck_solve, decay_violation,
                             extend_to_strip, strip_distance, strip_norm)
 
-PREF = PhysicalConstants().darcy_factor / (4.0 * np.pi)
+from conftest import flat_curve
+
+PREF = PhysicalConstants().periodic_prefactor
 
 
 def eps_cos_curve(n=64, eps=0.01, k=1):
@@ -104,12 +106,12 @@ def test_shrink_schedules():
 
 
 def test_ck_solve_matches_rk4_small_data():
-    from turnwave.stepping import advance, muskat_state
+    from turnwave.stepping import SimState, advance
     c = eps_cos_curve(n=64, eps=0.01)
     sc = extend_to_strip(c, 0.2)
     res = ck_solve(sc, 0.02, PREF, panels=8)
     assert res.converged
-    st = advance(muskat_state(c), 0.02, 1e-4)
+    st = advance(SimState(c), 0.02, 1e-4)
     rc = res.curves[-1].real_curve()
     assert np.max(np.abs(rc.z2 - st.curve.z2)) < 1e-8
 
