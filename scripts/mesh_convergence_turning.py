@@ -27,8 +27,7 @@ def main():
     previous = None
     for n in args.sizes:
         curve = turning_candidate_open(params, n=n, L=15.0, tilt=args.tilt)
-        traj, _ = run(SimState(curve), args.t_end, args.dt,
-                      snapshot_cadence=10 ** 9, stop_on=(TURNING,))
+        traj, _ = run(SimState(curve), args.t_end, args.dt, stop_on=(TURNING,))
         event = traj.events.first(TURNING)
         t_star = event.t if event else np.nan
         shift = "" if previous is None else \

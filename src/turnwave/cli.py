@@ -60,6 +60,7 @@ def main(argv=None) -> int:
                 apply_assignment(cfg, key.strip(), value.strip())
             if args.out is not None:
                 cfg.output_dir = args.out
+            cfg.validate()
         except (ConfigError, OSError) as exc:
             print(f"turnwave: config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG

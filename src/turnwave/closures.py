@@ -37,8 +37,9 @@ class PhysicalConstants:
     kappa: float = 1.0
 
     def __post_init__(self):
-        if self.g <= 0 or self.mu <= 0 or self.kappa <= 0:
-            raise ValueError("g, mu, kappa must be positive")
+        for name in ("g", "mu", "kappa"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
 
     @property
     def rho_jump(self) -> float:

@@ -3,10 +3,11 @@
 The format is deliberately minimal: one assignment per line, `#`
 comments, values parsed as int/float/string.  Every key must be
 known (a typo is an error, never a silently ignored default), and every
-known key has a documented default.
+known key has a documented default.  `ScenarioConfig.validate` checks
+the values of an assembled config before a run starts.
 """
 
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 from .closures import PhysicalConstants
 from .diagnostics import WeightParams
@@ -101,9 +102,7 @@ class ScenarioConfig:
                 f"unknown scenario {self.scenario!r}; choose from {', '.join(SCENARIOS)}")
 
     def constants(self) -> PhysicalConstants:
-        p = self.physics
-        return PhysicalConstants(rho1=p.rho1, rho2=p.rho2, g=p.g,
-                                 mu=p.mu, kappa=p.kappa)
+        return PhysicalConstants(**asdict(self.physics))
 
     def turning_params(self) -> TurningParams:
         t = self.turning
@@ -111,8 +110,31 @@ class ScenarioConfig:
                              b=t.b, cbar=t.cbar)
 
     def weight_params(self) -> WeightParams:
-        w = self.weights
-        return WeightParams(A=w.A, tau=w.tau)
+        return WeightParams(**asdict(self.weights))
+
+    def validate(self) -> None:
+        """Range checks on the assembled config, through the checks of the
+        objects it builds (their messages begin with the field at fault).
+        Water waves have vacuum above and only g in their right-hand side,
+        so their configs keep rho1, mu and kappa at the defaults."""
+        for section, build in (("physics", self.constants),
+                               ("turning", self.turning_params),
+                               ("weights", self.weight_params)):
+            try:
+                build()
+            except ValueError as exc:
+                raise ConfigError(f"{section}.{exc}") from exc
+        if not self.numerics.dt > 0:
+            raise ConfigError("numerics.dt must be positive")
+        if self.numerics.snapshot_cadence < 1:
+            raise ConfigError("numerics.snapshot_cadence must be >= 1")
+        if self.scenario.startswith("waterwave-"):
+            default = PhysicsConfig()
+            for name in ("rho1", "mu", "kappa"):
+                if getattr(self.physics, name) != getattr(default, name):
+                    raise ConfigError(
+                        f"physics.{name} does not enter the water-wave problem; "
+                        f"leave it at {getattr(default, name)!r}")
 
 
 _TOP_LEVEL = {"scenario": str, "output_dir": str}

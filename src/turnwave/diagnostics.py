@@ -26,6 +26,7 @@ import numpy as np
 
 from .closures import PhysicalConstants
 from .curve import Curve, PERIODIC, derivative
+from .spectral import fourier_derivative
 
 
 @dataclass(frozen=True)
@@ -34,7 +35,7 @@ class WeightParams:
     tau: float = 0.005
 
     def __post_init__(self):
-        if self.A < 1.0:
+        if not self.A >= 1.0:
             raise ValueError("A must be >= 1")
         if not (0.0 < self.tau <= 1.0):
             raise ValueError("tau must be in (0, 1]")
@@ -184,7 +185,6 @@ def sigma10_checklist(curves, times, tol: float = 1e-6) -> dict:
     c0 = curves[0]
     if abs(c0.alpha[0]) > 1e-12:
         raise ValueError("grid must contain x = 0")
-    from .spectral import fourier_derivative
     s0 = sig_rows[0]
     ds = fourier_derivative(s0)
     d2s = fourier_derivative(s0, 2)

@@ -30,9 +30,12 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import quad
 
+from .closures import PhysicalConstants
 from .curve import (Curve, CurveProfile, OPEN, PERIODIC, as_graph, derivative,
-                    min_slope, open_grid, periodic_grid)
-from .spectral import modes
+                    min_slope, open_grid, periodic_grid, resample)
+from .singular import muskat_rhs_periodic
+from .spectral import discrete_h4_norm
+from .stepping import SimState, advance
 
 
 # relative-only accuracy of the certificate quadratures: dv1(0) falls
@@ -59,11 +62,11 @@ class TurningParams:
 
     def __post_init__(self):
         if not (0 < self.beta1 < self.beta2 < self.beta3):
-            raise ValueError("need 0 < beta1 < beta2 < beta3")
-        if self.b <= 0:
-            raise ValueError("amplitude b must be positive")
-        if self.cbar >= 0:
-            raise ValueError("tail level cbar must be negative")
+            raise ValueError("beta1, beta2, beta3 need 0 < beta1 < beta2 < beta3")
+        if not self.b > 0:
+            raise ValueError("b (amplitude) must be positive")
+        if not self.cbar < 0:
+            raise ValueError("cbar (tail level) must be negative")
 
 
 # --- closed-form horizontal profile ----------------------------------------
@@ -299,9 +302,6 @@ def dv1_at_zero_periodic(curve: Curve, prefactor: float,
     derivative taken by a centered fourth-order stencil: spectral
     differentiation at the original resolution aliases badly here.
     """
-    from .curve import resample
-    from .singular import muskat_rhs_periodic
-
     c = resample(curve, n_eval) if curve.n < n_eval else curve
     v = muskat_rhs_periodic(c, prefactor)
     h = 2.0 * np.pi / c.n
@@ -346,16 +346,6 @@ def turning_certificate(curve: Curve, dv1: Optional[float] = None,
 
 # --- norms and perturbations ------------------------------------------------
 
-def discrete_h4_norm(field, period=2.0 * np.pi) -> float:
-    """Discrete H^4 norm (L^2 + 4th derivative L^2) of periodic samples."""
-    field = np.asarray(field, dtype=float)
-    n = field.size
-    k = modes(n) * (2.0 * np.pi / period)
-    fk = np.fft.fft(field) / n
-    weights = 1.0 + k ** 8
-    return float(np.sqrt(period * np.sum(weights * np.abs(fk) ** 2)))
-
-
 def perturb_h4(curve: Curve, epsilon: float, seed: int, kmax: int = 8) -> Curve:
     """Add a reproducible band-limited perturbation of exact discrete H^4
     size epsilon (split across both components)."""
@@ -390,21 +380,16 @@ def perturb_h4(curve: Curve, epsilon: float, seed: int, kmax: int = 8) -> Curve:
 
 # --- water-wave datum --------------------------------------------------------
 
-def waterwave_datum(curve_star: Curve, delta: float, consts=None,
-                    dt: float = 1e-3):
+def waterwave_datum(curve_star: Curve, delta: float,
+                    consts: PhysicalConstants = PhysicalConstants(), dt: float = 1e-3):
     """Graph datum for the water-wave turning run.
 
     Takes the amplitude omega* = d_alpha z1* on the turning curve and
     integrates the system backward by delta (time reversal: negate omega,
     run forward, negate back).  The returned state must be a graph.
     """
-    from .closures import PhysicalConstants
-    from .stepping import SimState, advance
-
     if delta <= 0:
         raise ValueError("delta must be positive")
-    if consts is None:
-        consts = PhysicalConstants()
     d1, _ = derivative(curve_star, 1)
     omega_star = d1.copy()
     state = SimState(curve=curve_star, omega=-omega_star, consts=consts)

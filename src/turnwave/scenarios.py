@@ -1,10 +1,16 @@
 """Scenario pipelines: each canonical experiment as a single driver function.
 
-Every scenario consumes a ScenarioConfig, writes its artifacts (snapshots,
-diagnostics.csv, events.json, report.json, SVG plots) under
-config.output_dir, and returns a ScenarioResult whose exit_code follows the
-CLI convention: 0 success, 3 numerical failure, 4 certificate failure.
-Config errors (exit 2) are raised before any pipeline starts.
+Every scenario consumes a validated ScenarioConfig, computes its report
+and returns through `_finish`, the one writer of a run directory under
+config.output_dir.  For a scenario that steps a trajectory it writes the
+snapshots (every numerics.snapshot_cadence-th step and the last),
+diagnostics.csv and events.json, then the scenario's own files,
+config.txt and report.json, and finally the interface, min_slope and
+sigma_min plots through render_trajectory.  The returned ScenarioResult's
+exit_code follows the CLI convention: 0 success, 3 numerical failure
+(the directory keeps the partial trajectory that a BlowUpError carries),
+4 certificate failure.  Config errors (exit 2) are raised before any
+pipeline starts.
 """
 
 from __future__ import annotations
@@ -49,25 +55,24 @@ def _write(path, text):
         fh.write(text)
 
 
-def _emit_common(cfg: ScenarioConfig, report: dict):
+def _finish(cfg: ScenarioConfig, report: dict, message: str, traj=None,
+            files=None) -> ScenarioResult:
+    """Write the run directory: the thinned trajectory, `files` (name ->
+    text), config.txt, report.json and the trajectory's plots.  The exit
+    code is 3 for a report that carries an "error", else 0 or 4 from
+    report["pass"]."""
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
+    if traj is not None:
+        traj.write_dir(out, cfg.numerics.snapshot_cadence)
+    for name, text in (files or {}).items():
+        _write(os.path.join(out, name), text)
     _write(os.path.join(out, "config.txt"), dump_config(cfg))
-    _write(os.path.join(out, "report.json"),
-           json.dumps(report, indent=1, sort_keys=False) + "\n")
-
-
-def _emit_trajectory_svgs(out, traj, consts):
-    t = traj.column("t")
-    _write(os.path.join(out, "min_slope.svg"),
-           render_series(t, traj.column("min_slope"), "min_slope"))
-    _write(os.path.join(out, "sigma_min.svg"),
-           render_series(t, traj.column("sigma_min"), "sigma_min"))
-    tl, curve, _ = traj.snapshots[-1]
-    rep = sigma_muskat(curve, consts)
-    _write(os.path.join(out, "interface.svg"),
-           render_curve(curve.alpha, curve.z1, curve.z2,
-                        rep.negative_intervals, title=f"interface t={tl:.6g}"))
+    _write(os.path.join(out, "report.json"), json.dumps(report, indent=1) + "\n")
+    if traj is not None:
+        render_trajectory(out, cfg.constants())
+    code = 3 if "error" in report else (0 if report["pass"] else 4)
+    return ScenarioResult(cfg.scenario, code, report, message)
 
 
 def _fit_decay_rate(times, amplitudes):
@@ -94,15 +99,6 @@ def _mode_amplitude(samples, k):
     return 2.0 * abs(np.fft.fft(np.asarray(samples, float))[k]) / n
 
 
-def _thin_snapshots(traj, cadence):
-    """Keep every cadence-th snapshot (plus the last) before writing; the
-    linear scenarios record every step in memory for the mode fit."""
-    keep = traj.snapshots[::cadence]
-    if traj.snapshots and traj.snapshots[-1] is not keep[-1]:
-        keep.append(traj.snapshots[-1])
-    traj.snapshots = keep
-
-
 # --- scenarios ---------------------------------------------------------------
 
 def muskat_linear(cfg: ScenarioConfig) -> ScenarioResult:
@@ -113,8 +109,7 @@ def muskat_linear(cfg: ScenarioConfig) -> ScenarioResult:
     eps = cfg.wave.epsilon
     curve = graph_curve(eps * np.cos(k * np.linspace(
         0.0, 2.0 * np.pi, cfg.grid.n, endpoint=False)))
-    traj, _ = run(SimState(curve, consts=consts), cfg.numerics.t_end,
-                  cfg.numerics.dt, snapshot_cadence=1, stop_on=())
+    traj, _ = run(SimState(curve, consts=consts), cfg.numerics.t_end, cfg.numerics.dt)
     times = traj.times
     amps = [_mode_amplitude(c.z2, k) for _, c, _ in traj.snapshots]
     measured = _fit_decay_rate(times, amps)
@@ -122,18 +117,9 @@ def muskat_linear(cfg: ScenarioConfig) -> ScenarioResult:
     rel = abs(measured - theory) / theory
     report = {"k": k, "measured_rate": measured, "theory_rate": theory,
               "relative_error": rel, "pass": bool(rel < 5e-3)}
-    out = cfg.output_dir
-    os.makedirs(out, exist_ok=True)
-    _thin_snapshots(traj, cfg.numerics.snapshot_cadence)
-    traj.write_dir(out)
-    _emit_common(cfg, report)
-    _emit_trajectory_svgs(out, traj, consts)
-    _write(os.path.join(out, "mode_amplitude.svg"),
-           render_series(times, np.log(np.maximum(amps, 1e-300)),
-                         f"log|f_hat_{k}|"))
-    code = 0 if report["pass"] else 4
-    return ScenarioResult(cfg.scenario, code, report,
-                          f"decay rate {measured:.6g} vs {theory:.6g}")
+    plot = render_series(times, np.log(np.maximum(amps, 1e-300)), f"log|f_hat_{k}|")
+    return _finish(cfg, report, f"decay rate {measured:.6g} vs {theory:.6g}",
+                   traj, {"mode_amplitude.svg": plot})
 
 
 def muskat_turning(cfg: ScenarioConfig) -> ScenarioResult:
@@ -146,8 +132,7 @@ def muskat_turning(cfg: ScenarioConfig) -> ScenarioResult:
     tilted = turning_candidate_open(params, n=cfg.grid.n, L=cfg.grid.L,
                                     tilt=cfg.turning.tilt)
     traj, _ = run(SimState(tilted, consts=consts), cfg.numerics.t_end,
-                  cfg.numerics.dt, snapshot_cadence=cfg.numerics.snapshot_cadence,
-                  stop_on=(TURNING,))
+                  cfg.numerics.dt, stop_on=(TURNING,))
     ev = traj.events.first(TURNING)
     report = {
         "certificate": {"passed": cert.passed, "min_slope": cert.min_slope,
@@ -156,20 +141,16 @@ def muskat_turning(cfg: ScenarioConfig) -> ScenarioResult:
         "turning_time": ev.t if ev else None,
         "pass": bool(cert.passed and ev is not None),
     }
-    out = cfg.output_dir
-    os.makedirs(out, exist_ok=True)
-    traj.write_dir(out)
-    _emit_common(cfg, report)
-    _emit_trajectory_svgs(out, traj, consts)
-    code = 0 if report["pass"] else 4
     msg = (f"t* = {ev.t:.6g}" if ev else "no Turning event before t_end")
-    return ScenarioResult(cfg.scenario, code, report, msg)
+    return _finish(cfg, report, msg, traj)
 
 
 def muskat_breakdown(cfg: ScenarioConfig) -> ScenarioResult:
     """Periodic breakdown: certificate -> backward analytic construction of
     a graph datum -> forward run to Turning -> strip continuation past
-    turnover until the RT function goes negative on >= 3 nodes."""
+    turnover until the RT function goes negative on >= 3 nodes.  The
+    continuation curve at the sign change is written as the last
+    snapshot."""
     consts = cfg.constants()
     params = cfg.turning_params()
     pref = consts.periodic_prefactor
@@ -178,13 +159,9 @@ def muskat_breakdown(cfg: ScenarioConfig) -> ScenarioResult:
     cert = turning_certificate(candidate, dv1=dv1)
     report = {"certificate": {"passed": cert.passed, "dv1_at_zero": dv1,
                               "dz2_at_zero": cert.dz2_at_zero}}
-    out = cfg.output_dir
-    os.makedirs(out, exist_ok=True)
     if not cert.passed:
         report["pass"] = False
-        _emit_common(cfg, report)
-        return ScenarioResult(cfg.scenario, 4, report,
-                              "turning certificate failed")
+        return _finish(cfg, report, "turning certificate failed")
 
     # backward-in-time analytic continuation produces a strict graph datum
     sc0 = extend_to_strip(candidate, BACKWARD_STRIP_R0, t=0.0)
@@ -195,15 +172,11 @@ def muskat_breakdown(cfg: ScenarioConfig) -> ScenarioResult:
     report["datum_min_slope"] = min_slope(datum).min_slope
 
     traj, final = run(SimState(datum, consts=consts), cfg.numerics.t_end,
-                      cfg.numerics.dt, snapshot_cadence=cfg.numerics.snapshot_cadence,
-                      stop_on=(TURNING,))
+                      cfg.numerics.dt, stop_on=(TURNING,))
     ev = traj.events.first(TURNING)
     if ev is None:
         report["pass"] = False
-        traj.write_dir(out)
-        _emit_common(cfg, report)
-        return ScenarioResult(cfg.scenario, 4, report,
-                              "forward run reached no Turning event")
+        return _finish(cfg, report, "forward run reached no Turning event", traj)
     report["turning_time"] = ev.t
 
     # handoff: resample so the truncated Fourier tail is exactly zero,
@@ -227,18 +200,13 @@ def muskat_breakdown(cfg: ScenarioConfig) -> ScenarioResult:
             rt_event = (final.t + tt, run_len, sig)
             traj.snapshots.append((final.t + tt, rc, None))
             break
-
-    with open(os.path.join(out, "continuation.csv"), "w") as fh:
-        fh.write("t,min_slope,sigma_min,negative_run\n")
-        for row in cont_rows:
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+    files = {"continuation.csv": "t,min_slope,sigma_min,negative_run\n" + "".join(
+        ",".join(f"{x:.17g}" for x in row) + "\n" for row in cont_rows)}
 
     if rt_event is None:
         report["pass"] = False
-        traj.write_dir(out)
-        _emit_common(cfg, report)
-        return ScenarioResult(cfg.scenario, 4, report,
-                              "no RT sign change within continuation horizon")
+        return _finish(cfg, report, "no RT sign change within continuation horizon",
+                       traj, files)
 
     t_rt, run_len, sig = rt_event
     traj.events.add(t_rt, RT_SIGN_CHANGE, nodes=int(run_len),
@@ -248,25 +216,20 @@ def muskat_breakdown(cfg: ScenarioConfig) -> ScenarioResult:
     report["rt_negative_nodes"] = int(run_len)
     report["event_order"] = traj.events.kinds()
     report["pass"] = True
-    traj.write_dir(out)
-    _emit_common(cfg, report)
-    _emit_trajectory_svgs(out, traj, consts)
-    return ScenarioResult(cfg.scenario, 0, report,
-                          f"Turning at {ev.t:.6g}, RT sign change at {t_rt:.6g}")
+    return _finish(cfg, report, f"Turning at {ev.t:.6g}, RT sign change at {t_rt:.6g}",
+                   traj, files)
 
 
 def waterwave_linear(cfg: ScenarioConfig) -> ScenarioResult:
     """Standing-wave frequency of a small water-wave graph versus the
     dispersion value sqrt(g |k|)."""
-    consts = PhysicalConstants(rho1=0.0, rho2=cfg.physics.rho2,
-                               g=cfg.physics.g, mu=cfg.physics.mu,
-                               kappa=cfg.physics.kappa)
+    consts = cfg.constants()
     k = cfg.wave.k
     eps = cfg.wave.epsilon
     alpha = np.linspace(0.0, 2.0 * np.pi, cfg.grid.n, endpoint=False)
     curve = graph_curve(eps * np.cos(k * alpha))
     traj, _ = run(SimState(curve, np.zeros(cfg.grid.n), consts=consts),
-                  cfg.numerics.t_end, cfg.numerics.dt, snapshot_cadence=1, stop_on=())
+                  cfg.numerics.t_end, cfg.numerics.dt)
     times = traj.times
     series = [np.real(np.fft.fft(c.z2)[k]) * 2.0 / c.n
               for _, c, _ in traj.snapshots]
@@ -275,16 +238,8 @@ def waterwave_linear(cfg: ScenarioConfig) -> ScenarioResult:
     rel = abs(measured - theory) / theory
     report = {"k": k, "measured_frequency": measured, "theory_frequency": theory,
               "relative_error": rel, "pass": bool(rel < 1e-2)}
-    out = cfg.output_dir
-    os.makedirs(out, exist_ok=True)
-    _thin_snapshots(traj, cfg.numerics.snapshot_cadence)
-    traj.write_dir(out)
-    _emit_common(cfg, report)
-    _write(os.path.join(out, "mode_series.svg"),
-           render_series(times, series, f"Re f_hat_{k}"))
-    code = 0 if report["pass"] else 4
-    return ScenarioResult(cfg.scenario, code, report,
-                          f"frequency {measured:.6g} vs {theory:.6g}")
+    return _finish(cfg, report, f"frequency {measured:.6g} vs {theory:.6g}", traj,
+                   {"mode_series.svg": render_series(times, series, f"Re f_hat_{k}")})
 
 
 def waterwave_turning(cfg: ScenarioConfig) -> ScenarioResult:
@@ -293,15 +248,13 @@ def waterwave_turning(cfg: ScenarioConfig) -> ScenarioResult:
     the Turning event.  The round trip compares the forward run's step
     round(delta / dt) with the turning curve; a run that stops before that
     step fails."""
-    consts = PhysicalConstants(rho1=0.0, rho2=cfg.physics.rho2,
-                               g=cfg.physics.g, mu=cfg.physics.mu,
-                               kappa=cfg.physics.kappa)
+    consts = cfg.constants()
     params = cfg.turning_params()
     star = turning_candidate_periodic(params, n=cfg.grid.n)
     datum, omega0 = waterwave_datum(star, cfg.wave.delta, consts=consts,
                                     dt=cfg.numerics.dt)
     traj, final = run(SimState(datum, omega0, consts=consts), cfg.numerics.t_end,
-                      cfg.numerics.dt, snapshot_cadence=1, stop_on=(TURNING,))
+                      cfg.numerics.dt, stop_on=(TURNING,))
     # round trip: the datum integrated forward by delta must recover the
     # turning curve; every step is in memory, so read it at step delta/dt
     rt_step = round(cfg.wave.delta / cfg.numerics.dt)
@@ -332,18 +285,11 @@ def waterwave_turning(cfg: ScenarioConfig) -> ScenarioResult:
                      and ev_blow.t <= ev_turn.t and graph_fails
                      and round_trip is not None and round_trip < 1e-4),
     }
-    out = cfg.output_dir
-    os.makedirs(out, exist_ok=True)
-    _thin_snapshots(traj, cfg.numerics.snapshot_cadence)
-    traj.write_dir(out)
-    _emit_common(cfg, report)
-    _write(os.path.join(out, "slope_sup.svg"),
-           render_series(times, np.minimum(sup_fa, 1e6), "sup|f_alpha| (capped)"))
-    _emit_trajectory_svgs(out, traj, consts)
     message = f"turning at {ev_turn.t:.6g}" if ev_turn else "no Turning event"
     if round_trip is None:
         message += f"; the run stopped before step {rt_step} (t = delta): no round trip"
-    return ScenarioResult(cfg.scenario, 0 if report["pass"] else 4, report, message)
+    plot = render_series(times, np.minimum(sup_fa, 1e6), "sup|f_alpha| (capped)")
+    return _finish(cfg, report, message, traj, {"slope_sup.svg": plot})
 
 
 def ck_compare(cfg: ScenarioConfig) -> ScenarioResult:
@@ -379,16 +325,10 @@ def ck_compare(cfg: ScenarioConfig) -> ScenarioResult:
         "pass": bool(res.converged and max(dists) < 1e-6
                      and late and max(late) < 0.9),
     }
-    out = cfg.output_dir
-    os.makedirs(out, exist_ok=True)
-    _emit_common(cfg, report)
-    with open(os.path.join(out, "ck_compare.csv"), "w") as fh:
-        fh.write("t,node_distance\n")
-        for tt, d in zip(res.times, dists):
-            fh.write(f"{tt:.17g},{d:.17g}\n")
-    code = 0 if report["pass"] else 4
-    return ScenarioResult(cfg.scenario, code, report,
-                          f"max node distance {max(dists):.3g}")
+    table = "t,node_distance\n" + "".join(
+        f"{tt:.17g},{d:.17g}\n" for tt, d in zip(res.times, dists))
+    return _finish(cfg, report, f"max node distance {max(dists):.3g}",
+                   files={"ck_compare.csv": table})
 
 
 def rt_verify(cfg: ScenarioConfig) -> ScenarioResult:
@@ -400,16 +340,14 @@ def rt_verify(cfg: ScenarioConfig) -> ScenarioResult:
     params = cfg.turning_params()
     candidate = turning_candidate_periodic(params, n=cfg.grid.n)
     dt = wp.tau / 200.0
-    traj, _ = run(SimState(candidate, consts=consts), wp.tau, dt,
-                  snapshot_cadence=1, stop_on=())
+    traj, _ = run(SimState(candidate, consts=consts), wp.tau, dt)
     times = traj.times
     curves = [c for _, c, _ in traj.snapshots]
     checklist = sigma10_checklist(curves, times)
     sig_grid = np.array([sigma10(c) for c in curves])
     weighted = verify_weighted_rt(sig_grid, candidate.alpha, times, wp)
-    x = candidate.alpha
-    h_vals = weight_h(x, wp.tau, wp)
-    hbar_vals = weight_hbar(x, 0.5 * wp.tau ** 2, wp)
+    nonnegative = bool(np.all(weight_h(candidate.alpha, wp.tau, wp) >= 0) and np.all(
+        weight_hbar(candidate.alpha, 0.5 * wp.tau ** 2, wp) >= 0))
     report = {
         "sigma10_checklist": checklist,
         "weighted": {
@@ -420,25 +358,15 @@ def rt_verify(cfg: ScenarioConfig) -> ScenarioResult:
             "hbari_pass": weighted.hbari_pass,
         },
         "h_at_origin_final_time": float(weight_h(np.array([0.0]), wp.tau, wp)[0]),
-        "weights_nonnegative": bool(np.all(h_vals >= 0)
-                                    and np.all(hbar_vals >= 0)),
+        "weights_nonnegative": nonnegative,
         "pass": bool(checklist["p2"]["pass"] and checklist["p4"]["pass"]
                      and checklist["p5"]["pass"]
                      and checklist["p6"]["value"] < 0.0
-                     and checklist["p7"]["value"] > 0.0
-                     and np.all(h_vals >= 0) and np.all(hbar_vals >= 0)),
+                     and checklist["p7"]["value"] > 0.0 and nonnegative),
     }
-    out = cfg.output_dir
-    os.makedirs(out, exist_ok=True)
-    traj.write_dir(out)
-    _emit_common(cfg, report)
-    _write(os.path.join(out, "rt_report.json"),
-           json.dumps(report, indent=1) + "\n")
-    _write(os.path.join(out, "sigma10.svg"),
-           render_series(candidate.alpha, sig_grid[0], "sigma10(x, 0)"))
-    code = 0 if report["pass"] else 4
-    return ScenarioResult(cfg.scenario, code, report,
-                          "sigma10 checklist and weighted inequalities")
+    plot = render_series(candidate.alpha, sig_grid[0], "sigma10(x, 0)")
+    return _finish(cfg, report, "sigma10 checklist and weighted inequalities",
+                   traj, {"sigma10.svg": plot})
 
 
 _PIPELINES = {
@@ -456,15 +384,14 @@ NUMERICAL_ERRORS = (BlowUpError, RegimeExitError, InsufficientAnalyticityError,
 
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
-    pipeline = _PIPELINES[cfg.scenario]
+    """Run cfg's pipeline.  A numerical failure exits 3 through the same
+    writer, with the partial trajectory when the error carries one."""
     try:
-        return pipeline(cfg)
+        return _PIPELINES[cfg.scenario](cfg)
     except NUMERICAL_ERRORS as exc:
-        os.makedirs(cfg.output_dir, exist_ok=True)
         report = {"error": f"{type(exc).__name__}: {exc}", "pass": False}
-        _emit_common(cfg, report)
-        return ScenarioResult(cfg.scenario, 3, report,
-                              f"numerical failure: {exc}")
+        return _finish(cfg, report, f"numerical failure: {exc}",
+                       getattr(exc, "trajectory", None))
 
 
 # --- post-hoc verification and rendering of a trajectory directory -----------
@@ -497,11 +424,10 @@ def verify_trajectory(path) -> ScenarioResult:
                           "trajectory consistent" if ok else "inconsistent")
 
 
-def render_trajectory(path, consts: PhysicalConstants = None) -> list:
-    """Render SVG plots for an existing artifact directory.  Returns the
+def render_trajectory(path, consts: PhysicalConstants = PhysicalConstants()) -> list:
+    """Draw interface.svg from the last snapshot, and min_slope.svg and
+    sigma_min.svg from diagnostics.csv, in a run directory.  Returns the
     list of files written."""
-    if consts is None:
-        consts = PhysicalConstants()
     snaps = sorted(f for f in os.listdir(path) if f.startswith("snap_")
                    and f.endswith(".csv"))
     if not snaps:

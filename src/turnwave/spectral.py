@@ -59,6 +59,16 @@ def apply_krasny(f, threshold):
     return np.fft.ifft(fk).real
 
 
+def discrete_h4_norm(field, period=2.0 * np.pi) -> float:
+    """Discrete H^4 norm (L^2 + 4th derivative L^2) of periodic samples."""
+    field = np.asarray(field, dtype=float)
+    n = field.size
+    k = modes(n) * (2.0 * np.pi / period)
+    fk = np.fft.fft(field) / n
+    weights = 1.0 + k ** 8
+    return float(np.sqrt(period * np.sum(weights * np.abs(fk) ** 2)))
+
+
 def antiderivative(f, period=2.0 * np.pi):
     """Zero-mean antiderivative of the zero-mean part of f.
 

@@ -7,7 +7,9 @@ period).  After every accepted step the Krasny filter (FILTER_THRESHOLD)
 is applied to the Fourier coefficients (periodic case) to suppress
 roundoff-seeded instability, and cheap diagnostics are recorded: minimum
 slope, arc-chord supremum, Rayleigh-Taylor minimum, H4 size, and the
-graph mean.
+graph mean.  `run` keeps every accepted step in memory; the trajectory
+is thinned to every snapshot_cadence-th step only when it is written
+(`Trajectory.write_dir`).
 
 Events:
   Turning        first zero crossing of min d_alpha z1 (time located by
@@ -21,6 +23,7 @@ Events:
 """
 
 import json
+import os
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -30,9 +33,8 @@ from .closures import PhysicalConstants, waterwave_rhs
 from .curve import (Curve, PERIODIC, SelfIntersectionError, arc_chord, derivative,
                     graph_slope_sup, min_slope, save_csv)
 from .diagnostics import rt_report
-from .initial_data import discrete_h4_norm
 from .singular import muskat_rhs_open, muskat_rhs_periodic
-from .spectral import apply_krasny
+from .spectral import apply_krasny, discrete_h4_norm
 
 TURNING = "Turning"
 RT_SIGN_CHANGE = "RTSignChange"
@@ -172,10 +174,15 @@ class Trajectory:
         j = DIAG_COLUMNS.index(name)
         return np.array([row[j] for row in self.diagnostics])
 
-    def write_dir(self, path):
-        import os
+    def write_dir(self, path, cadence: int = 1):
+        """Write every cadence-th snapshot and the last recorded step, then
+        any snapshot past the recorded steps (a curve appended after the
+        run, such as the continuation curve at the RT sign change),
+        diagnostics.csv and events.json."""
         os.makedirs(path, exist_ok=True)
-        for i, (t, curve, omega) in enumerate(self.snapshots):
+        last = len(self.diagnostics) - 1
+        kept = [s for i, s in enumerate(self.snapshots) if i % cadence == 0 or i >= last]
+        for i, (t, curve, omega) in enumerate(kept):
             save_csv(curve, os.path.join(path, f"snap_{i:05d}.csv"), t=t, omega=omega)
         with open(os.path.join(path, "diagnostics.csv"), "w") as fh:
             fh.write(",".join(DIAG_COLUMNS) + "\n")
@@ -197,42 +204,37 @@ def _diagnose(state: SimState, d):
         supF = np.inf
     d1 = d[0]
     sigma = state.consts.rho_jump * d1
-    if curve.topology == PERIODIC:
-        h4 = np.sqrt(discrete_h4_norm(curve.z1 - curve.alpha) ** 2
-                     + discrete_h4_norm(curve.z2) ** 2)
-        mean_f = float(np.mean(curve.z2 * d1))
-    else:
-        period = 2.0 * curve.L
-        h4 = np.sqrt(discrete_h4_norm(curve.z1 - curve.alpha, period) ** 2
-                     + discrete_h4_norm(curve.z2, period) ** 2)
-        mean_f = float(np.trapezoid(curve.z2 * d1, curve.alpha))
+    periodic = curve.topology == PERIODIC
+    period = 2.0 * np.pi if periodic else 2.0 * curve.L
+    h4 = np.sqrt(discrete_h4_norm(curve.z1 - curve.alpha, period) ** 2
+                 + discrete_h4_norm(curve.z2, period) ** 2)
+    mean_f = float(np.mean(curve.z2 * d1) if periodic
+                   else np.trapezoid(curve.z2 * d1, curve.alpha))
     return report, supF, sigma, float(h4), mean_f
 
 
-def run(state: SimState, t_end: float, dt: float,
-        snapshot_cadence: int = 10,
-        stop_on=(RT_SIGN_CHANGE, ARC_CHORD_FAILURE)):
-    """Advance to t_end or a stopping event.  Returns (Trajectory, final
-    SimState); the events are the trajectory's `events`.
+def run(state: SimState, t_end: float, dt: float, stop_on=()):
+    """Advance to t_end or the step at which an event kind in stop_on
+    first fires.  Returns (Trajectory, final SimState); the trajectory
+    holds every accepted step, the initial state included, and its
+    `events`.
 
     Raises BlowUpError (carrying the partial trajectory) on NaN/Inf.
     """
     traj = Trajectory()
     log = traj.events
     seen = set()
-    prev_ms = None
-    step_index = 0
 
     def record(st, report, supF, sigma, h4, mean_f):
         t_star = log.first(TURNING)
         traj.diagnostics.append([st.t, report.min_slope, supF,
                                  float(sigma.min()), h4, mean_f,
                                  t_star.t if t_star else float("nan")])
+        traj.snapshots.append((st.t, st.curve,
+                               None if st.omega is None else st.omega.copy()))
 
     report, supF, sigma, h4, mean_f = _diagnose(state, derivative(state.curve, 1))
     record(state, report, supF, sigma, h4, mean_f)
-    traj.snapshots.append((state.t, state.curve, None if state.omega is None
-                           else state.omega.copy()))
     prev_ms = (state.t, report.min_slope)
 
     while state.t < t_end - 1e-14:
@@ -242,7 +244,6 @@ def run(state: SimState, t_end: float, dt: float,
         except BlowUpError as exc:
             exc.trajectory = traj
             raise
-        step_index += 1
         d = derivative(state.curve, 1)
         report, supF, sigma, h4, mean_f = _diagnose(state, d)
 
@@ -274,13 +275,7 @@ def run(state: SimState, t_end: float, dt: float,
             seen.add(ARC_CHORD_FAILURE)
 
         record(state, report, supF, sigma, h4, mean_f)
-        if step_index % snapshot_cadence == 0 or state.t >= t_end - 1e-14:
-            traj.snapshots.append((state.t, state.curve,
-                                   None if state.omega is None else state.omega.copy()))
         if seen & set(stop_on):
-            if traj.snapshots[-1][0] != state.t:
-                traj.snapshots.append((state.t, state.curve,
-                                       None if state.omega is None else state.omega.copy()))
             break
 
     return traj, state

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curve import Curve, PERIODIC, periodic_grid
+from .curve import Curve, PERIODIC, arc_chord, periodic_grid
 from .singular import muskat_rhs_periodic
 from .spectral import modes
 
@@ -225,7 +225,6 @@ def ck_solve(z0: StripCurve, T: float, prefactor: float,
     domain-of-validity guard).
     """
     from scipy.integrate import cumulative_simpson
-    from .curve import arc_chord
 
     if panels % 2:
         raise StripError("panels must be even for Simpson")

@@ -7,9 +7,11 @@ import os
 import numpy as np
 import pytest
 
+from turnwave import stepping
 from turnwave.cli import main
 from turnwave.config import (ConfigError, ScenarioConfig, apply_assignment,
                              dump_config, load_config)
+from turnwave.curve import load_csv
 from turnwave.svg import render_curve, render_series
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -62,9 +64,10 @@ def test_comments_and_blank_lines(tmp_path):
 @pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(CONFIG_DIR, "*.cfg"))),
                          ids=os.path.basename)
 def test_bundled_config_loads_and_round_trips(tmp_path, path):
-    """Every bundled config names only known keys, and its resolved dump
-    loads back to the same configuration."""
+    """Every bundled config names only known keys, passes validation, and
+    its resolved dump loads back to the same configuration."""
     cfg = load_config(path)
+    cfg.validate()
     back = load_config(write_cfg(tmp_path, dump_config(cfg)))
     assert back == cfg
 
@@ -90,6 +93,33 @@ def test_cli_removed_keys_exit_2(tmp_path, assignment):
     path = write_cfg(tmp_path, f"scenario = muskat-linear\n{assignment}\n"
                                f"output_dir = {tmp_path}/out\n")
     assert main(["run", path]) == 2
+
+
+@pytest.mark.parametrize("assignment", [
+    "physics.g=-1",
+    "turning.b=-1",
+    "weights.A=0.5",
+    "numerics.dt=0",
+    "numerics.snapshot_cadence=0",
+])
+def test_cli_out_of_range_value_exit_2(tmp_path, capsys, assignment):
+    """An out-of-range value is a config error that names its key, raised
+    before the run starts, whether or not the scenario reads the key."""
+    path = write_cfg(tmp_path, "scenario = muskat-linear\ngrid.n = 64\n"
+                               f"numerics.t_end = 0.01\noutput_dir = {tmp_path}/out\n")
+    assert main(["run", path, "--set", assignment]) == 2
+    assert assignment.split("=")[0] in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("assignment", ["physics.rho1=0.5", "physics.mu=2",
+                                        "physics.kappa=3"])
+def test_cli_waterwave_physics_keys_exit_2(tmp_path, capsys, assignment):
+    """The water-wave problem has vacuum above and only g in its right-hand
+    side, so moving rho1, mu or kappa there is a config error."""
+    path = os.path.join(CONFIG_DIR, "waterwave-linear.cfg")
+    assert main(["run", path, "--out", str(tmp_path / "out"), "--set", assignment]) == 2
+    assert assignment.split("=")[0] in capsys.readouterr().err
 
 
 def test_cli_missing_config_exit_2(tmp_path):
@@ -127,6 +157,72 @@ def test_cli_run_verify_render_and_determinism(tmp_path, capsys):
     assert main(["render", str(out)]) == 0
     rendered = capsys.readouterr().out.splitlines()
     assert any(line.endswith("interface.svg") for line in rendered)
+
+
+def test_render_rewrites_fresh_plots_byte_identical(tmp_path):
+    """The plots a run writes are the ones `render` draws from its files."""
+    path = write_cfg(tmp_path, "\n".join([
+        "scenario = muskat-linear",
+        "grid.n = 64",
+        "numerics.dt = 5e-3",
+        "numerics.t_end = 0.1",
+        "numerics.snapshot_cadence = 3",
+        f"output_dir = {tmp_path}/out",
+    ]) + "\n")
+    assert main(["run", path]) == 0
+    plots = [tmp_path / "out" / f for f in ("interface.svg", "min_slope.svg", "sigma_min.svg")]
+    first = [p.read_bytes() for p in plots]
+    assert main(["render", str(tmp_path / "out")]) == 0
+    assert [p.read_bytes() for p in plots] == first
+
+
+def test_rt_verify_writes_every_cadence_th_step(tmp_path):
+    """rt-verify thins its snapshots like every scenario: snap_i at the
+    default cadence (10) is snap_{10 i} of a run that writes every step."""
+    path = os.path.join(CONFIG_DIR, "rt-verify.cfg")
+    every, thinned = tmp_path / "every", tmp_path / "thinned"
+    assert main(["run", path, "--out", str(every), "--set", "grid.n=128",
+                 "--set", "numerics.snapshot_cadence=1"]) == 0
+    assert main(["run", path, "--out", str(thinned), "--set", "grid.n=128"]) == 0
+    snaps = sorted(p.name for p in thinned.glob("snap_*.csv"))
+    assert len(snaps) == 21 and len(list(every.glob("snap_*.csv"))) == 201
+    for i, name in enumerate(snaps):
+        assert (thinned / name).read_bytes() == (every / f"snap_{10 * i:05d}.csv").read_bytes()
+    assert not (thinned / "rt_report.json").exists()
+
+
+def test_cli_blowup_keeps_partial_trajectory_exit_3(tmp_path, monkeypatch):
+    """A run that fails with BlowUpError exits 3, and its directory keeps the
+    trajectory up to the failure: thinned snapshots, diagnostics.csv and
+    events.json."""
+    real_step = stepping.step_rk4
+    calls = []
+
+    def failing_step(state, dt):
+        calls.append(state.t)
+        if len(calls) == 8:
+            raise stepping.BlowUpError("non-finite values", state=state)
+        return real_step(state, dt)
+
+    monkeypatch.setattr(stepping, "step_rk4", failing_step)
+    path = write_cfg(tmp_path, "\n".join([
+        "scenario = muskat-linear",
+        "grid.n = 64",
+        "numerics.dt = 5e-3",
+        "numerics.t_end = 0.1",
+        "numerics.snapshot_cadence = 3",
+        f"output_dir = {tmp_path}/out",
+    ]) + "\n")
+    assert main(["run", path]) == 3
+    out = tmp_path / "out"
+    report = json.loads((out / "report.json").read_text())
+    assert report["error"].startswith("BlowUpError") and report["pass"] is False
+    t = np.genfromtxt(out / "diagnostics.csv", delimiter=",", names=True)["t"]
+    assert t.size == 8   # the initial state and the 7 accepted steps
+    snaps = sorted(out.glob("snap_*.csv"))
+    assert [load_csv(p)[1] for p in snaps] == list(t[[0, 3, 6, 7]])
+    assert json.loads((out / "events.json").read_text()) == []
+    assert (out / "interface.svg").exists()
 
 
 def test_cli_waterwave_turning_stopped_before_delta_exit_4(tmp_path):

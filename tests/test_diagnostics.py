@@ -11,8 +11,8 @@ from turnwave.diagnostics import (WeightParams, energy_distance, rt_report,
                                   sigma10, sigma10_checklist, sigma_muskat,
                                   verify_weighted_rt, weight_h, weight_h_dt,
                                   weight_hbar, weight_hbar_dt)
-from turnwave.initial_data import (TurningParams, discrete_h4_norm,
-                                   turning_candidate_periodic)
+from turnwave.initial_data import TurningParams, turning_candidate_periodic
+from turnwave.spectral import discrete_h4_norm
 from turnwave.strip import extend_to_strip
 
 from conftest import flat_curve
@@ -133,7 +133,7 @@ def test_verify_weighted_rt_requires_window_coverage():
 def test_sigma10_checklist_on_candidate_trajectory():
     from turnwave.stepping import SimState, run
     c = turning_candidate_periodic(TurningParams(beta1=1.5, b=3.0), n=128)
-    traj, _ = run(SimState(c), 1e-4, 2e-5, snapshot_cadence=1, stop_on=())
+    traj, _ = run(SimState(c), 1e-4, 2e-5)
     out = sigma10_checklist([s[1] for s in traj.snapshots], traj.times)
     assert out["p2"]["pass"] and out["p4"]["pass"] and out["p5"]["pass"]
     assert out["p6"]["value"] < 0.0

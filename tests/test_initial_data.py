@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 from turnwave.closures import PhysicalConstants
 from turnwave.curve import as_graph, derivative, min_slope
 from turnwave.initial_data import (DeltaTooLargeError, PreconditionError,
-                                   TurningParams, discrete_h4_norm,
-                                   dv1_at_zero_full, dv1_at_zero_periodic,
+                                   TurningParams, dv1_at_zero_full,
+                                   dv1_at_zero_periodic,
                                    dv1_at_zero_reduced, perturb_h4,
                                    turning_candidate_open,
                                    turning_candidate_periodic,
                                    turning_certificate, waterwave_datum)
+from turnwave.spectral import discrete_h4_norm
 
 DEFAULT = TurningParams()
 

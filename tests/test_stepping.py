@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from turnwave.closures import PhysicalConstants
-from turnwave.curve import Curve, graph_curve, periodic_grid
+from turnwave.curve import Curve, graph_curve, load_csv, periodic_grid
 from turnwave.initial_data import (TurningParams, turning_candidate_open,
                                    turning_candidate_periodic)
 from turnwave.stepping import BlowUpError, TURNING, SimState, advance, run
@@ -54,7 +54,7 @@ def test_krasny_filter_keeps_solution_clean():
 
 def test_run_records_monotone_diagnostics():
     st = SimState(small_graph())
-    traj, final = run(st, 0.05, 1e-2, snapshot_cadence=2, stop_on=())
+    traj, final = run(st, 0.05, 1e-2)
     t = traj.column("t")
     assert np.all(np.diff(t) > 0)
     assert final.t == pytest.approx(0.05)
@@ -83,7 +83,7 @@ def test_blowup_error_carries_trajectory():
 
 def test_trajectory_write_dir_round_trip(tmp_path):
     st = SimState(small_graph())
-    traj, _ = run(st, 0.03, 1e-2, snapshot_cadence=1, stop_on=())
+    traj, _ = run(st, 0.03, 1e-2)
     traj.write_dir(tmp_path)
     events = json.loads((tmp_path / "events.json").read_text())
     assert events == []
@@ -91,6 +91,19 @@ def test_trajectory_write_dir_round_trip(tmp_path):
     assert header.split(",")[0] == "t"
     snaps = sorted(tmp_path.glob("snap_*.csv"))
     assert len(snaps) == len(traj.snapshots)
+
+
+def test_write_dir_thins_to_cadence_and_keeps_appended_curves(tmp_path):
+    """write_dir keeps every cadence-th step and the last step of the run,
+    then every curve appended after the run; diagnostics keep every step."""
+    traj, final = run(SimState(small_graph()), 0.06, 1e-2)
+    assert len(traj.snapshots) == 7
+    traj.snapshots.append((1.0, final.curve, None))
+    traj.write_dir(tmp_path, cadence=4)
+    snaps = sorted(tmp_path.glob("snap_*.csv"))
+    assert [load_csv(p)[1] for p in snaps] == pytest.approx([0.0, 0.04, 0.06, 1.0])
+    rows = (tmp_path / "diagnostics.csv").read_text().splitlines()
+    assert len(rows) == 1 + 7
 
 
 def test_state_picks_its_problem():
