@@ -18,7 +18,8 @@ from turnwave.stepping import TURNING, SimState, run
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--tilt", type=float, default=0.05)
-    ap.add_argument("--dt", type=float, default=1e-3)
+    ap.add_argument("--dt", type=float, default=1e-3,
+                    help="sampling interval, also the first trial step")
     ap.add_argument("--t-end", type=float, default=0.5)
     ap.add_argument("--sizes", type=int, nargs="+", default=[257, 513, 1025])
     args = ap.parse_args()

@@ -7,6 +7,7 @@ known key has a documented default.  `ScenarioConfig.validate` checks
 the values of an assembled config before a run starts.
 """
 
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 from .closures import PhysicalConstants
@@ -27,6 +28,8 @@ SCENARIOS = (
     "ck-compare",
     "rt-verify",
 )
+# scenarios that start from the periodic turning candidate
+PERIODIC_CANDIDATE = ("muskat-breakdown", "waterwave-turning", "rt-verify")
 
 
 @dataclass
@@ -37,6 +40,9 @@ class GridConfig:
 
 @dataclass
 class NumericsConfig:
+    # sampling interval: diagnostics, snapshots and event checks happen at
+    # t0 + k dt on the dense output; it is also the first trial step (the
+    # step size comes from the error estimate, stepping.STEP_TOL)
     dt: float = 2e-3
     t_end: float = 0.5
     snapshot_cadence: int = 10
@@ -115,8 +121,10 @@ class ScenarioConfig:
     def validate(self) -> None:
         """Range checks on the assembled config, through the checks of the
         objects it builds (their messages begin with the field at fault).
-        Water waves have vacuum above and only g in their right-hand side,
-        so their configs keep rho1, mu and kappa at the defaults."""
+        The turning datum's own ranges hold per scenario: grid.L > beta3 on
+        the open line, beta1 < pi on the period.  Water waves have vacuum
+        above and only g in their right-hand side, so their configs keep
+        rho1, mu and kappa at the defaults."""
         for section, build in (("physics", self.constants),
                                ("turning", self.turning_params),
                                ("weights", self.weight_params)):
@@ -128,6 +136,14 @@ class ScenarioConfig:
             raise ConfigError("numerics.dt must be positive")
         if self.numerics.snapshot_cadence < 1:
             raise ConfigError("numerics.snapshot_cadence must be >= 1")
+        if self.scenario == "muskat-turning" and not self.grid.L > self.turning.beta3:
+            raise ConfigError(
+                f"grid.L = {self.grid.L!r} must exceed turning.beta3 = "
+                f"{self.turning.beta3!r}: the open candidate is flat only beyond beta3")
+        if self.scenario in PERIODIC_CANDIDATE and not self.turning.beta1 < math.pi:
+            raise ConfigError(
+                f"turning.beta1 = {self.turning.beta1!r} must lie in (0, pi) "
+                f"for the periodic candidate")
         if self.scenario.startswith("waterwave-"):
             default = PhysicsConfig()
             for name in ("rho1", "mu", "kappa"):

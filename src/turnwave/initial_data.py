@@ -35,7 +35,7 @@ from .curve import (Curve, CurveProfile, OPEN, PERIODIC, as_graph, derivative,
                     min_slope, open_grid, periodic_grid, resample)
 from .singular import muskat_rhs_periodic
 from .spectral import discrete_h4_norm
-from .stepping import SimState, advance
+from .stepping import SimState, StepStats, advance
 
 
 # relative-only accuracy of the certificate quadratures: dv1(0) falls
@@ -381,19 +381,22 @@ def perturb_h4(curve: Curve, epsilon: float, seed: int, kmax: int = 8) -> Curve:
 # --- water-wave datum --------------------------------------------------------
 
 def waterwave_datum(curve_star: Curve, delta: float,
-                    consts: PhysicalConstants = PhysicalConstants(), dt: float = 1e-3):
+                    consts: PhysicalConstants = PhysicalConstants(), dt: float = 1e-3,
+                    stats: Optional[StepStats] = None):
     """Graph datum for the water-wave turning run.
 
     Takes the amplitude omega* = d_alpha z1* on the turning curve and
     integrates the system backward by delta (time reversal: negate omega,
-    run forward, negate back).  The returned state must be a graph.
+    run forward, negate back), with first trial step dt; the step counts
+    are added to stats when it is given.  The returned state must be a
+    graph.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     d1, _ = derivative(curve_star, 1)
     omega_star = d1.copy()
     state = SimState(curve=curve_star, omega=-omega_star, consts=consts)
-    back = advance(state, delta, dt)
+    back = advance(state, delta, dt, stats)
     datum_curve = back.curve
     datum_omega = -back.omega
     try:

@@ -2,22 +2,22 @@
 
 Every scenario consumes a validated ScenarioConfig, computes its report
 and returns through `_finish`, the one writer of a run directory under
-config.output_dir.  For a scenario that steps a trajectory it writes the
-snapshots (every numerics.snapshot_cadence-th step and the last),
+config.output_dir.  For a scenario that samples a trajectory it writes
+the snapshots (every numerics.snapshot_cadence-th sample and the last),
 diagnostics.csv and events.json, then the scenario's own files,
-config.txt and report.json, and finally the interface, min_slope and
-sigma_min plots through render_trajectory.  The returned ScenarioResult's
-exit_code follows the CLI convention: 0 success, 3 numerical failure
-(the directory keeps the partial trajectory that a BlowUpError carries),
-4 certificate failure.  Config errors (exit 2) are raised before any
-pipeline starts.
+metrics.json (step counts), config.txt and report.json, and finally the
+interface, min_slope and sigma_min plots through render_trajectory.
+The returned ScenarioResult's exit_code follows the CLI convention: 0
+success, 3 numerical failure (the directory keeps the partial
+trajectory that a BlowUpError carries), 4 certificate failure.  Config
+errors (exit 2) are raised before any pipeline starts.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .initial_data import (DeltaTooLargeError, dv1_at_zero_periodic,
                            turning_candidate_open, turning_candidate_periodic,
                            turning_certificate, waterwave_datum)
 from .stepping import (BlowUpError, GRAPH_BLOWUP, RT_RUN_LENGTH, RT_SIGN_CHANGE,
-                       TURNING, SimState, advance, run)
+                       TURNING, SimState, StepStats, advance, run)
 from .strip import (InsufficientAnalyticityError, RegimeExitError, ck_solve,
                     extend_to_strip)
 from .svg import render_curve, render_series
@@ -56,15 +56,23 @@ def _write(path, text):
 
 
 def _finish(cfg: ScenarioConfig, report: dict, message: str, traj=None,
-            files=None) -> ScenarioResult:
+            files=None, advanced: StepStats = None) -> ScenarioResult:
     """Write the run directory: the thinned trajectory, `files` (name ->
-    text), config.txt, report.json and the trajectory's plots.  The exit
-    code is 3 for a report that carries an "error", else 0 or 4 from
-    report["pass"]."""
+    text), metrics.json (the step counts of the trajectory's run and of
+    the scenario's `advance` calls, when it has them), config.txt,
+    report.json and the trajectory's plots.  The exit code is 3 for a
+    report that carries an "error", else 0 or 4 from report["pass"]."""
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
+    metrics = {}
     if traj is not None:
         traj.write_dir(out, cfg.numerics.snapshot_cadence)
+        metrics["run"] = asdict(traj.stats)
+    if advanced is not None:
+        metrics["advance"] = asdict(advanced)
+    if metrics:
+        _write(os.path.join(out, "metrics.json"),
+               json.dumps(metrics, indent=1, sort_keys=True) + "\n")
     for name, text in (files or {}).items():
         _write(os.path.join(out, name), text)
     _write(os.path.join(out, "config.txt"), dump_config(cfg))
@@ -245,18 +253,19 @@ def waterwave_linear(cfg: ScenarioConfig) -> ScenarioResult:
 def waterwave_turning(cfg: ScenarioConfig) -> ScenarioResult:
     """Water-wave turning from a backward-constructed graph datum: the graph
     slope sup |f_alpha| diverges and the interface leaves the graph class at
-    the Turning event.  The round trip compares the forward run's step
+    the Turning event.  The round trip compares the forward run's sample
     round(delta / dt) with the turning curve; a run that stops before that
-    step fails."""
+    sample fails."""
     consts = cfg.constants()
     params = cfg.turning_params()
     star = turning_candidate_periodic(params, n=cfg.grid.n)
+    backward = StepStats()
     datum, omega0 = waterwave_datum(star, cfg.wave.delta, consts=consts,
-                                    dt=cfg.numerics.dt)
+                                    dt=cfg.numerics.dt, stats=backward)
     traj, final = run(SimState(datum, omega0, consts=consts), cfg.numerics.t_end,
                       cfg.numerics.dt, stop_on=(TURNING,))
     # round trip: the datum integrated forward by delta must recover the
-    # turning curve; every step is in memory, so read it at step delta/dt
+    # turning curve; every sample is in memory, so read it at sample delta/dt
     rt_step = round(cfg.wave.delta / cfg.numerics.dt)
     round_trip = None
     if rt_step < len(traj.snapshots):
@@ -287,14 +296,14 @@ def waterwave_turning(cfg: ScenarioConfig) -> ScenarioResult:
     }
     message = f"turning at {ev_turn.t:.6g}" if ev_turn else "no Turning event"
     if round_trip is None:
-        message += f"; the run stopped before step {rt_step} (t = delta): no round trip"
+        message += f"; the run stopped before sample {rt_step} (t = delta): no round trip"
     plot = render_series(times, np.minimum(sup_fa, 1e6), "sup|f_alpha| (capped)")
-    return _finish(cfg, report, message, traj, {"slope_sup.svg": plot})
+    return _finish(cfg, report, message, traj, {"slope_sup.svg": plot}, backward)
 
 
 def ck_compare(cfg: ScenarioConfig) -> ScenarioResult:
     """Cross-validation of the strip Picard solver against the real-space
-    RK4 integrator on stable small periodic data."""
+    integrator, advanced node to node, on stable small periodic data."""
     consts = cfg.constants()
     pref = consts.periodic_prefactor
     alpha = np.linspace(0.0, 2.0 * np.pi, cfg.grid.n, endpoint=False)
@@ -304,11 +313,12 @@ def ck_compare(cfg: ScenarioConfig) -> ScenarioResult:
                    tol=cfg.strip.tol, max_iter=cfg.strip.max_iter)
 
     state = SimState(curve, consts=consts)
+    advanced = StepStats()
     dists = []
     t_prev = 0.0
     for tt, sc_t in zip(res.times, res.curves):
         if tt > t_prev:
-            state = advance(state, tt - t_prev, cfg.numerics.dt)
+            state = advance(state, tt - t_prev, cfg.numerics.dt, advanced)
             t_prev = tt
         rc = sc_t.real_curve()
         dists.append(float(max(np.max(np.abs(rc.z1 - state.curve.z1)),
@@ -328,7 +338,7 @@ def ck_compare(cfg: ScenarioConfig) -> ScenarioResult:
     table = "t,node_distance\n" + "".join(
         f"{tt:.17g},{d:.17g}\n" for tt, d in zip(res.times, dists))
     return _finish(cfg, report, f"max node distance {max(dists):.3g}",
-                   files={"ck_compare.csv": table})
+                   files={"ck_compare.csv": table}, advanced=advanced)
 
 
 def rt_verify(cfg: ScenarioConfig) -> ScenarioResult:

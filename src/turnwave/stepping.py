@@ -1,19 +1,44 @@
-"""Explicit RK4 time stepping, spectral filtering, and event detection.
+"""Error-controlled Dormand-Prince 5(4) time stepping, spectral
+filtering, sampling and event detection.
 
 The driver advances a SimState (curve, optional amplitude).  The state
 names its problem: a state with an amplitude omega is a periodic water
 wave, one without is Muskat on its curve's topology (open line or
-period).  After every accepted step the Krasny filter (FILTER_THRESHOLD)
-is applied to the Fourier coefficients (periodic case) to suppress
-roundoff-seeded instability, and cheap diagnostics are recorded: minimum
-slope, arc-chord supremum, Rayleigh-Taylor minimum, H4 size, and the
-graph mean.  `run` keeps every accepted step in memory; the trajectory
-is thinned to every snapshot_cadence-th step only when it is written
+period).
+
+Stepper.  `step_dp54` takes one Dormand-Prince 5(4) step (Hairer,
+Norsett & Wanner, Solving Ordinary Differential Equations I,
+II.4-II.6): seven right-hand-side evaluations give the fifth-order
+solution, an embedded error estimate and a fourth-order dense output on
+the whole step.  The error is the RMS over all values of
+e / (STEP_TOL (1 + max(|y0|, |y1|))), that is atol = rtol = STEP_TOL,
+with z1 measured minus alpha on periodic curves.
+
+Controller.  `run` and `advance` share one controller.  The first trial
+step is dt.  A trial step with non-finite values or an error above 1 is
+rejected and retried smaller; a step size that falls below
+MIN_STEP_RATIO * dt raises BlowUpError.  The error is estimated before
+filtering: an accepted step is Krasny-filtered (FILTER_THRESHOLD, on the
+Fourier coefficients in the periodic case) to suppress roundoff-seeded
+instability, and the next step size comes from the error estimate alone
+(PI control).  StepStats counts accepted and rejected steps, RHS
+evaluations and samples.
+
+Sampling.  dt is a sampling interval, not a step size.  `run` samples
+the solution at t0 + k dt (and at t_end when that is off the grid) on
+the dense output of the step that covers the sample, Krasny-filters it,
+and records its diagnostics: minimum slope, arc-chord supremum,
+Rayleigh-Taylor minimum, H4 size, and the graph mean.  Events are
+checked at samples.  `run` keeps every sample in memory; the trajectory
+is thinned to every snapshot_cadence-th sample only when it is written
 (`Trajectory.write_dir`).
 
 Events:
-  Turning        first zero crossing of min d_alpha z1 (time located by
-                 linear interpolation between accepted steps, O(dt^2))
+  Turning        first sample with min d_alpha z1 <= 0.  The time is the
+                 root of min d_alpha z1 on the dense output between that
+                 sample and the one before (Brent; event location as in
+                 Shampine & Thompson 2000); the payload records both
+                 sample times.
   RTSignChange   sigma = (rho2-rho1) d_alpha z1 < 0 on >= RT_RUN_LENGTH
                  consecutive nodes
   GraphBlowup    sup |f_alpha| exceeds GRAPH_BLOWUP_THRESHOLD while still
@@ -28,6 +53,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .closures import PhysicalConstants, waterwave_rhs
 from .curve import (Curve, PERIODIC, SelfIntersectionError, arc_chord, derivative,
@@ -46,9 +72,38 @@ FILTER_THRESHOLD = 1e-12        # Krasny filter level, relative to the top mode
 GRAPH_BLOWUP_THRESHOLD = 1e3    # sup |f_alpha| flagged as slope blow-up
 ARC_CHORD_MAX = 1e8             # sup F(z) flagged as arc-chord failure
 
+STEP_TOL = 1e-11                # absolute and relative local error per step
+MIN_STEP_RATIO = 1e-8           # a step below this fraction of dt is a blow-up
+SAFETY, FAC_MIN, FAC_MAX = 0.9, 0.2, 10.0   # step-size change per step
+PI_BETA = 0.04                  # weight of the previous error (PI control)
+PI_ALPHA = 0.2 - 0.75 * PI_BETA
+SAMPLE_SLACK = 1e-9             # rounding allowance on t_end, in units of dt
+TURNING_XTOL = 1e-14            # absolute tolerance of the located Turning time
+
+# Dormand-Prince 5(4): nodes, stage rows (the last row is also the
+# fifth-order weights), fifth- minus fourth-order weights, and the
+# dense-output weights of the fourth-order continuous extension
+_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_A = [np.array(row) for row in (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)]
+_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
+               22 / 525, -1 / 40])
+_D = np.array([-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
+               -10690763975 / 1880347072, 701980252875 / 199316789632,
+               -1453857185 / 822651844, 69997945 / 29380423])
+STAGES = len(_C)
+
 
 class BlowUpError(Exception):
-    """NaN/Inf encountered; carries the last valid state and trajectory."""
+    """NaN/Inf or a vanishing step; carries the last valid state and the
+    trajectory."""
 
     def __init__(self, message, state=None, trajectory=None):
         super().__init__(message)
@@ -64,6 +119,14 @@ class SimState:
     consts: PhysicalConstants = field(default_factory=PhysicalConstants)
 
 
+@dataclass
+class StepStats:
+    accepted_steps: int = 0
+    rejected_steps: int = 0
+    rhs_evaluations: int = 0
+    samples: int = 0
+
+
 def _rhs(consts: PhysicalConstants, curve: Curve, omega):
     """(z_t, omega_t or None) on the given geometry: water waves when an
     amplitude is given, otherwise Muskat for the curve's topology."""
@@ -74,55 +137,131 @@ def _rhs(consts: PhysicalConstants, curve: Curve, omega):
     return muskat_rhs_open(curve, consts.darcy_factor), None
 
 
-def _filtered(curve: Curve, omega):
+def _filtered(state: SimState) -> SimState:
+    curve, omega = state.curve, state.omega
     if curve.topology != PERIODIC:
-        return curve, omega
+        return state
     z1 = apply_krasny(curve.z1 - curve.alpha, FILTER_THRESHOLD) + curve.alpha
     z2 = apply_krasny(curve.z2, FILTER_THRESHOLD)
-    new = Curve(PERIODIC, curve.alpha, z1, z2)
     if omega is not None:
         omega = apply_krasny(omega, FILTER_THRESHOLD)
-    return new, omega
+    return replace(state, curve=Curve(PERIODIC, curve.alpha, z1, z2), omega=omega)
 
 
-def step_rk4(state: SimState, dt: float) -> SimState:
-    """One classical 4-stage explicit step, then spectral filtering."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    c0, w0 = state.curve, state.omega
-
-    def shift(a, k):
-        zt, wt = k
-        curve = c0.with_components(c0.z1 + a * dt * zt[:, 0],
-                                   c0.z2 + a * dt * zt[:, 1])
-        omega = None if w0 is None else w0 + a * dt * wt
-        return curve, omega
-
-    consts = state.consts
-    k1 = _rhs(consts, c0, w0)
-    k2 = _rhs(consts, *shift(0.5, k1))
-    k3 = _rhs(consts, *shift(0.5, k2))
-    k4 = _rhs(consts, *shift(1.0, k3))
-
-    zt = (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]) / 6.0
-    curve = c0.with_components(c0.z1 + dt * zt[:, 0], c0.z2 + dt * zt[:, 1])
-    omega = None
-    if w0 is not None:
-        wt = (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]) / 6.0
-        omega = w0 + dt * wt
-    if (not np.all(np.isfinite(curve.z1)) or not np.all(np.isfinite(curve.z2))
-            or (omega is not None and not np.all(np.isfinite(omega)))):
-        raise BlowUpError(f"non-finite values at t = {state.t + dt:.6g}", state=state)
-    curve, omega = _filtered(curve, omega)
-    return replace(state, curve=curve, omega=omega, t=state.t + dt)
+def _pack(state: SimState) -> np.ndarray:
+    """The state's values as rows (z1, z2[, omega]); z1 minus alpha on a
+    periodic curve."""
+    c = state.curve
+    x1 = c.z1 - c.alpha if c.topology == PERIODIC else c.z1
+    return np.array([x1, c.z2] if state.omega is None else [x1, c.z2, state.omega])
 
 
-def advance(state: SimState, T: float, dt: float) -> SimState:
-    """Advance by T without event bookkeeping."""
-    t_target = state.t + T
-    while state.t < t_target - 1e-14:
-        step = min(dt, t_target - state.t)
-        state = step_rk4(state, step)
+def _unpack(like: SimState, y: np.ndarray, t: float) -> SimState:
+    c = like.curve
+    z1 = y[0] + c.alpha if c.topology == PERIODIC else y[0]
+    return replace(like, curve=c.with_components(z1, y[1]),
+                   omega=None if like.omega is None else y[2], t=t)
+
+
+def _derivative(state: SimState) -> np.ndarray:
+    zt, wt = _rhs(state.consts, state.curve, state.omega)
+    return np.array([zt[:, 0], zt[:, 1]] if wt is None else [zt[:, 0], zt[:, 1], wt])
+
+
+@dataclass
+class Step:
+    """One trial step of size h from `start`: the fifth-order end state
+    (unfiltered; None when a stage was non-finite), the scaled error
+    estimate (inf for non-finite values), the RHS evaluations it made and
+    its dense-output coefficients."""
+    start: SimState
+    h: float
+    end: Optional[SimState]
+    error: float
+    rhs_evaluations: int
+    dense: tuple = ()
+
+    def at(self, t: float) -> SimState:
+        """The dense output at t in [start.t, start.t + h], unfiltered."""
+        theta = (t - self.start.t) / self.h
+        y0, dy, b, c, d = self.dense
+        rest = 1.0 - theta
+        return _unpack(self.start, y0 + theta * (dy + rest * (b + theta * (c + rest * d))), t)
+
+
+def _combine(weights, k) -> np.ndarray:
+    """sum_j weights[j] k[j] in elementwise operations, so the result does
+    not depend on the BLAS thread count."""
+    out = weights[0] * k[0]
+    for w, kj in zip(weights[1:], k[1:]):
+        out += w * kj
+    return out
+
+
+def step_dp54(state: SimState, h: float) -> Step:
+    """One Dormand-Prince 5(4) trial step of size h; see the module
+    docstring for the error norm."""
+    if not h > 0:
+        raise ValueError("step must be positive")
+    y0 = _pack(state)
+    k = np.empty((STAGES,) + y0.shape)
+    k[0] = _derivative(state)
+    for i in range(1, STAGES):
+        y = y0 + h * _combine(_A[i], k)
+        if not np.all(np.isfinite(y)):
+            return Step(state, h, None, np.inf, i)
+        k[i] = _derivative(_unpack(state, y, state.t + _C[i] * h))
+    scale = STEP_TOL * (1.0 + np.maximum(np.abs(y0), np.abs(y)))
+    error = float(np.sqrt(np.mean((h * _combine(_E, k) / scale) ** 2)))
+    if not np.isfinite(error):
+        error = np.inf
+    dy = y - y0
+    b = h * k[0] - dy
+    dense = (y0, dy, b, dy - h * k[-1] - b, h * _combine(_D, k))
+    return Step(state, h, _unpack(state, y, state.t + h), error, STAGES, dense)
+
+
+def _accepted_steps(state: SimState, t_stop: float, dt: float, stats: StepStats):
+    """Yield (step, filtered end state) for each accepted step from state
+    to t_stop; the last step lands on t_stop exactly.  Raises BlowUpError
+    (carrying the last accepted state) when the step size falls below
+    MIN_STEP_RATIO * dt."""
+    h, h_min = dt, MIN_STEP_RATIO * dt
+    previous_error, after_rejection = 1.0, False
+    while state.t < t_stop:
+        landing = state.t + 1.01 * h >= t_stop
+        h_try = t_stop - state.t if landing else h
+        step = step_dp54(state, h_try)
+        stats.rhs_evaluations += step.rhs_evaluations
+        if step.error <= 1.0:
+            stats.accepted_steps += 1
+            end = replace(step.end, t=t_stop) if landing else step.end
+            state = _filtered(end)
+            factor = (SAFETY * max(step.error, 1e-10) ** -PI_ALPHA
+                      * previous_error ** PI_BETA)
+            factor = min(FAC_MAX, max(FAC_MIN, factor))
+            if after_rejection:
+                factor = min(factor, 1.0)
+            h = h_try * factor
+            previous_error, after_rejection = max(step.error, 1e-4), False
+            yield step, state
+        else:
+            stats.rejected_steps += 1
+            h = h_try * max(FAC_MIN, SAFETY * step.error ** -PI_ALPHA)
+            after_rejection = True
+            if h < h_min:
+                raise BlowUpError(
+                    f"step {h:.3g} below {h_min:.3g} at t = {state.t:.6g} "
+                    f"(last trial: error {step.error:.3g})", state=state)
+
+
+def advance(state: SimState, T: float, dt: float,
+            stats: Optional[StepStats] = None) -> SimState:
+    """Advance by T without sampling or events; dt is the first trial step.
+    The step counts are added to stats when it is given."""
+    stats = StepStats() if stats is None else stats
+    for _, state in _accepted_steps(state, state.t + T, dt, stats):
+        pass
     return state
 
 
@@ -165,6 +304,7 @@ class Trajectory:
     snapshots: list = field(default_factory=list)  # (t, curve, omega)
     diagnostics: list = field(default_factory=list)
     events: EventLog = field(default_factory=EventLog)
+    stats: StepStats = field(default_factory=StepStats)
 
     @property
     def times(self):
@@ -175,8 +315,8 @@ class Trajectory:
         return np.array([row[j] for row in self.diagnostics])
 
     def write_dir(self, path, cadence: int = 1):
-        """Write every cadence-th snapshot and the last recorded step, then
-        any snapshot past the recorded steps (a curve appended after the
+        """Write every cadence-th snapshot and the last recorded sample, then
+        any snapshot past the recorded samples (a curve appended after the
         run, such as the continuation curve at the RT sign change),
         diagnostics.csv and events.json."""
         os.makedirs(path, exist_ok=True)
@@ -194,7 +334,7 @@ class Trajectory:
 
 
 def _diagnose(state: SimState, d):
-    """Per-step diagnostics of the state's curve, whose first derivative
+    """Per-sample diagnostics of the state's curve, whose first derivative
     (d1, d2) is d."""
     curve = state.curve
     report = min_slope(curve, d=d)
@@ -213,17 +353,44 @@ def _diagnose(state: SimState, d):
     return report, supF, sigma, float(h4), mean_f
 
 
-def run(state: SimState, t_end: float, dt: float, stop_on=()):
-    """Advance to t_end or the step at which an event kind in stop_on
-    first fires.  Returns (Trajectory, final SimState); the trajectory
-    holds every accepted step, the initial state included, and its
-    `events`.
+def _sample_times(t0: float, t_end: float, dt: float) -> list:
+    """t0 + k dt up to t_end, then t_end itself when it is off that grid by
+    more than a rounding error."""
+    count = max(0, int(np.floor((t_end - t0) / dt + SAMPLE_SLACK)))
+    times = [t0 + k * dt for k in range(count + 1)]
+    if t_end - times[-1] > SAMPLE_SLACK * dt:
+        times.append(t_end)
+    return times
 
-    Raises BlowUpError (carrying the partial trajectory) on NaN/Inf.
+
+def _locate_turning(covering, t_a, m_a, t_b, m_b) -> float:
+    """Root of min d_alpha z1 on the filtered dense output between the
+    samples (t_a, m_a) and (t_b, m_b), m_a > 0 >= m_b.  covering holds
+    (end time, step) for the accepted steps that span [t_a, t_b]."""
+    def slope(t):
+        if t == t_a:
+            return m_a
+        if t == t_b:
+            return m_b
+        step = next(s for t1, s in covering if t <= t1)
+        return min_slope(_filtered(step.at(t)).curve).min_slope
+
+    return brentq(slope, t_a, t_b, xtol=TURNING_XTOL)
+
+
+def run(state: SimState, t_end: float, dt: float, stop_on=()):
+    """Sample the solution at state.t + k dt up to t_end, or up to the
+    sample at which an event kind in stop_on first fires.  Returns
+    (Trajectory, last sample); the trajectory holds every sample, the
+    initial state included, its `events` and its step `stats`.
+
+    Raises BlowUpError (carrying the partial trajectory) when the step
+    size falls below its floor.
     """
     traj = Trajectory()
     log = traj.events
     seen = set()
+    times = _sample_times(state.t, t_end, dt)
 
     def record(st, report, supF, sigma, h4, mean_f):
         t_star = log.first(TURNING)
@@ -232,51 +399,52 @@ def run(state: SimState, t_end: float, dt: float, stop_on=()):
                                  t_star.t if t_star else float("nan")])
         traj.snapshots.append((st.t, st.curve,
                                None if st.omega is None else st.omega.copy()))
+        traj.stats.samples += 1
 
     report, supF, sigma, h4, mean_f = _diagnose(state, derivative(state.curve, 1))
     record(state, report, supF, sigma, h4, mean_f)
     prev_ms = (state.t, report.min_slope)
+    sample, covering, k = state, [], 1
+    try:
+        for step, end in _accepted_steps(state, times[-1], dt, traj.stats):
+            covering.append((end.t, step))
+            while k < len(times) and times[k] <= end.t:
+                sample = end if times[k] == end.t else _filtered(step.at(times[k]))
+                d = derivative(sample.curve, 1)
+                report, supF, sigma, h4, mean_f = _diagnose(sample, d)
 
-    while state.t < t_end - 1e-14:
-        h_step = min(dt, t_end - state.t)
-        try:
-            state = step_rk4(state, h_step)
-        except BlowUpError as exc:
-            exc.trajectory = traj
-            raise
-        d = derivative(state.curve, 1)
-        report, supF, sigma, h4, mean_f = _diagnose(state, d)
+                if TURNING not in seen and prev_ms[1] > 0.0 >= report.min_slope:
+                    t_star = _locate_turning(covering, *prev_ms, sample.t,
+                                             report.min_slope)
+                    log.add(t_star, TURNING, min_slope=report.min_slope,
+                            alpha=report.argmin_alpha, bracket=[prev_ms[0], sample.t])
+                    seen.add(TURNING)
+                prev_ms = (sample.t, report.min_slope)
 
-        if TURNING not in seen and prev_ms[1] > 0.0 >= report.min_slope:
-            t0, m0 = prev_ms
-            frac = m0 / (m0 - report.min_slope) if m0 != report.min_slope else 0.0
-            t_star = t0 + frac * (state.t - t0)
-            log.add(t_star, TURNING, min_slope=report.min_slope,
-                    alpha=report.argmin_alpha)
-            seen.add(TURNING)
-        prev_ms = (state.t, report.min_slope)
+                if RT_SIGN_CHANGE not in seen:
+                    rt = rt_report(sample.curve.alpha, sigma,
+                                   sample.curve.topology == PERIODIC)
+                    if rt.longest_negative_run >= RT_RUN_LENGTH:
+                        log.add(sample.t, RT_SIGN_CHANGE, nodes=rt.longest_negative_run,
+                                sigma_min=rt.min_sigma)
+                        seen.add(RT_SIGN_CHANGE)
 
-        if RT_SIGN_CHANGE not in seen:
-            rt = rt_report(state.curve.alpha, sigma,
-                           state.curve.topology == PERIODIC)
-            if rt.longest_negative_run >= RT_RUN_LENGTH:
-                log.add(state.t, RT_SIGN_CHANGE, nodes=rt.longest_negative_run,
-                        sigma_min=rt.min_sigma)
-                seen.add(RT_SIGN_CHANGE)
+                if GRAPH_BLOWUP not in seen:
+                    sup_fa = graph_slope_sup(sample.curve, d)
+                    if sup_fa > GRAPH_BLOWUP_THRESHOLD:
+                        log.add(sample.t, GRAPH_BLOWUP, sup_f_alpha=float(sup_fa))
+                        seen.add(GRAPH_BLOWUP)
 
-        if GRAPH_BLOWUP not in seen:
-            sup_fa = graph_slope_sup(state.curve, d)
-            if sup_fa > GRAPH_BLOWUP_THRESHOLD:
-                log.add(state.t, GRAPH_BLOWUP, sup_f_alpha=float(sup_fa))
-                seen.add(GRAPH_BLOWUP)
+                if ARC_CHORD_FAILURE not in seen and not supF < ARC_CHORD_MAX:
+                    log.add(sample.t, ARC_CHORD_FAILURE, sup_F=float(supF))
+                    seen.add(ARC_CHORD_FAILURE)
 
-        if ARC_CHORD_FAILURE not in seen and not supF < ARC_CHORD_MAX:
-            log.add(state.t, ARC_CHORD_FAILURE, sup_F=float(supF))
-            seen.add(ARC_CHORD_FAILURE)
-
-        record(state, report, supF, sigma, h4, mean_f)
-        if seen & set(stop_on):
-            break
-
-    return traj, state
-
+                record(sample, report, supF, sigma, h4, mean_f)
+                if seen & set(stop_on):
+                    return traj, sample
+                k += 1
+                covering = [(end.t, step)]
+    except BlowUpError as exc:
+        exc.trajectory = traj
+        raise
+    return traj, sample

@@ -233,7 +233,7 @@ def test_criterion_07_waterwave_turning(tmp_path):
 
 def test_criterion_08_ck_cross_validation(tmp_path):
     """The analytic-strip successive-approximation solver matches the
-    real-space RK4 integrator to 1e-6 up to T = 0.05, with contraction
+    real-space integrator to 1e-6 up to T = 0.05, with contraction
     ratio < 0.9 after iteration 3."""
     t0 = time.process_time()
     cfg = _cfg(tmp_path, "ck-compare", "ck",
@@ -244,7 +244,7 @@ def test_criterion_08_ck_cross_validation(tmp_path):
     r = res.report
     ok = (res.exit_code == 0 and r["max_node_distance"] < 1e-6
           and r["max_late_ratio"] < 0.9 and elapsed < 120.0)
-    record("criterion 8: strip solver vs RK4 cross-validation", ok,
+    record("criterion 8: strip solver vs real-space integrator", ok,
            f"max node distance {r['max_node_distance']:.2e}, "
            f"late contraction ratio {r['max_late_ratio']:.3g}, {elapsed:.0f}s")
     assert res.exit_code == 0, res.message

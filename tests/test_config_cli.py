@@ -144,7 +144,7 @@ def test_cli_run_verify_render_and_determinism(tmp_path, capsys):
     ]) + "\n")
     assert main(["run", path]) == 0
     out = tmp_path / "out"
-    for artifact in ("events.json", "diagnostics.csv", "report.json",
+    for artifact in ("events.json", "diagnostics.csv", "metrics.json", "report.json",
                      "config.txt", "interface.svg", "min_slope.svg"):
         assert (out / artifact).exists(), artifact
     first = {f: (out / f).read_bytes()
@@ -193,23 +193,23 @@ def test_rt_verify_writes_every_cadence_th_step(tmp_path):
 
 def test_cli_blowup_keeps_partial_trajectory_exit_3(tmp_path, monkeypatch):
     """A run that fails with BlowUpError exits 3, and its directory keeps the
-    trajectory up to the failure: thinned snapshots, diagnostics.csv and
-    events.json."""
-    real_step = stepping.step_rk4
-    calls = []
+    trajectory up to the failure: thinned snapshots, diagnostics.csv,
+    events.json and metrics.json."""
+    real_step = stepping.step_dp54
+    starts = []
 
-    def failing_step(state, dt):
-        calls.append(state.t)
-        if len(calls) == 8:
+    def failing_step(state, h):
+        starts.append(state.t)
+        if len(starts) == 3:
             raise stepping.BlowUpError("non-finite values", state=state)
-        return real_step(state, dt)
+        return real_step(state, h)
 
-    monkeypatch.setattr(stepping, "step_rk4", failing_step)
+    monkeypatch.setattr(stepping, "step_dp54", failing_step)
     path = write_cfg(tmp_path, "\n".join([
         "scenario = muskat-linear",
         "grid.n = 64",
         "numerics.dt = 5e-3",
-        "numerics.t_end = 0.1",
+        "numerics.t_end = 0.5",
         "numerics.snapshot_cadence = 3",
         f"output_dir = {tmp_path}/out",
     ]) + "\n")
@@ -218,11 +218,102 @@ def test_cli_blowup_keeps_partial_trajectory_exit_3(tmp_path, monkeypatch):
     report = json.loads((out / "report.json").read_text())
     assert report["error"].startswith("BlowUpError") and report["pass"] is False
     t = np.genfromtxt(out / "diagnostics.csv", delimiter=",", names=True)["t"]
-    assert t.size == 8   # the initial state and the 7 accepted steps
+    # the initial state and every sample up to the last accepted step
+    assert t.size == int(starts[-1] / 5e-3 + 1e-9) + 1 and t.size > 7
+    assert t == pytest.approx(5e-3 * np.arange(t.size), abs=1e-15)
+    kept = sorted(set(range(0, t.size, 3)) | {t.size - 1})
     snaps = sorted(out.glob("snap_*.csv"))
-    assert [load_csv(p)[1] for p in snaps] == list(t[[0, 3, 6, 7]])
+    assert [load_csv(p)[1] for p in snaps] == list(t[kept])
     assert json.loads((out / "events.json").read_text()) == []
+    metrics = json.loads((out / "metrics.json").read_text())["run"]
+    assert metrics["accepted_steps"] + metrics["rejected_steps"] == 2
+    assert metrics["samples"] == t.size
     assert (out / "interface.svg").exists()
+
+
+def test_cli_nan_rhs_exits_3_below_step_floor(tmp_path, monkeypatch):
+    """An RHS that turns NaN drives the step below its floor: exit 3 with a
+    BlowUpError report and the samples taken before, in bounded time."""
+    real = stepping._rhs
+    calls = []
+
+    def nan_after_two_steps(*args):
+        calls.append(1)
+        assert len(calls) < 200, "the controller does not give up"
+        zt, wt = real(*args)
+        return (zt * np.nan if len(calls) > 2 * stepping.STAGES else zt), wt
+
+    monkeypatch.setattr(stepping, "_rhs", nan_after_two_steps)
+    path = write_cfg(tmp_path, "\n".join([
+        "scenario = muskat-linear",
+        "grid.n = 64",
+        "numerics.dt = 5e-3",
+        "numerics.t_end = 0.5",
+        f"output_dir = {tmp_path}/out",
+    ]) + "\n")
+    assert main(["run", path]) == 3
+    out = tmp_path / "out"
+    report = json.loads((out / "report.json").read_text())
+    assert report["error"].startswith("BlowUpError: step") and report["pass"] is False
+    metrics = json.loads((out / "metrics.json").read_text())["run"]
+    assert metrics["accepted_steps"] == 2 and metrics["rejected_steps"] > 0
+    t = np.genfromtxt(out / "diagnostics.csv", delimiter=",", names=True)["t"]
+    assert t.size == metrics["samples"] > 1
+
+
+def test_metrics_repeat_and_count_seven_stage_steps(tmp_path, monkeypatch):
+    """metrics.json holds the step counts of the forward run and of the
+    backward `advance` of the water-wave datum.  It is byte-identical
+    between runs, holds no timings, and its RHS counts are seven per trial
+    step and add up to the RHS calls made."""
+    real = stepping._rhs
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(stepping, "_rhs", counted)
+    path = write_cfg(tmp_path, "\n".join([
+        "scenario = waterwave-turning",
+        "grid.n = 128",
+        "turning.beta1 = 1.5",
+        "wave.delta = 1e-3",
+        "numerics.dt = 1e-5",
+        f"output_dir = {tmp_path}/out",
+    ]) + "\n")
+    assert main(["run", path]) == 0
+    first = (tmp_path / "out" / "metrics.json").read_bytes()
+    total = len(calls)
+    assert main(["run", path]) == 0
+    assert (tmp_path / "out" / "metrics.json").read_bytes() == first
+    metrics = json.loads(first)
+    assert sorted(metrics) == ["advance", "run"]
+    for counts in metrics.values():
+        assert sorted(counts) == ["accepted_steps", "rejected_steps",
+                                  "rhs_evaluations", "samples"]
+        assert counts["rhs_evaluations"] == stepping.STAGES * (
+            counts["accepted_steps"] + counts["rejected_steps"])
+    assert metrics["advance"]["samples"] == 0
+    assert metrics["run"]["samples"] == len(list(np.genfromtxt(
+        tmp_path / "out" / "diagnostics.csv", delimiter=",", names=True)["t"]))
+    assert total == sum(c["rhs_evaluations"] for c in metrics.values())
+
+
+@pytest.mark.parametrize("config,assignments", [
+    ("muskat-turning.cfg", ["grid.L=4"]),
+    ("rt-verify.cfg", ["turning.beta1=3.2", "turning.beta2=4", "turning.beta3=5"]),
+])
+def test_cli_turning_datum_out_of_range_exit_2(tmp_path, capsys, config, assignments):
+    """Datum parameters the candidate constructors reject are config errors:
+    L must exceed beta3 on the open line, and beta1 must lie in (0, pi) on
+    the period."""
+    sets = [arg for a in assignments for arg in ("--set", a)]
+    out = tmp_path / "out"
+    assert main(["run", os.path.join(CONFIG_DIR, config), "--out", str(out)] + sets) == 2
+    err = capsys.readouterr().err
+    assert assignments[0].split("=")[0] in err
+    assert not out.exists()
 
 
 def test_cli_waterwave_turning_stopped_before_delta_exit_4(tmp_path):

@@ -1,4 +1,5 @@
-"""Time stepping: RK4 order, Krasny filtering, event detection, trajectory
+"""Time stepping: Dormand-Prince order and dense output, sampling and step
+counts, the step floor, Krasny filtering, event detection, trajectory
 persistence."""
 
 import json
@@ -10,30 +11,94 @@ from turnwave.closures import PhysicalConstants
 from turnwave.curve import Curve, graph_curve, load_csv, periodic_grid
 from turnwave.initial_data import (TurningParams, turning_candidate_open,
                                    turning_candidate_periodic)
-from turnwave.stepping import BlowUpError, TURNING, SimState, advance, run
+from turnwave.stepping import (BlowUpError, STAGES, STEP_TOL, TURNING, SimState,
+                               advance, run, step_dp54)
 
 
 def small_graph(n=64, eps=1e-3, k=2):
     return graph_curve(eps * np.cos(k * periodic_grid(n)))
 
 
-def test_rk4_fourth_order_self_convergence():
-    """Halving dt cuts the time-discretization error by ~16x (measured
-    against a fine-dt reference of the same spatial problem)."""
-    k = 2
+def test_dp54_fifth_order_local_error():
+    """Halving h on one step cuts the local error by ~2^6 = 64 (a
+    fifth-order method), measured against the same step taken as 64
+    substeps."""
+    st = SimState(small_graph(64, 1e-1, 2))
 
-    def amplitude(dt):
-        st = SimState(small_graph(64, 1e-2, k))
-        st = advance(st, 0.5, dt)
-        return 2 * abs(np.fft.fft(st.curve.z2)[k]) / 64
+    def local_error(h):
+        ref = st
+        for _ in range(64):
+            ref = step_dp54(ref, h / 64).end
+        end = step_dp54(st, h).end
+        return np.max(np.abs(end.curve.z2 - ref.curve.z2))
 
-    ref = amplitude(0.4 / 64)
-    e1 = abs(amplitude(0.1) - ref)
-    e2 = abs(amplitude(0.05) - ref)
-    assert e1 / e2 > 10.0  # fourth order would be ~16
+    ratio = local_error(0.2) / local_error(0.1)
+    assert 40.0 < ratio < 100.0
 
-    # and the rate itself is the linear one to leading order
-    assert amplitude(0.05) == pytest.approx(1e-2 * np.exp(-k * 0.25), rel=1e-3)
+
+def test_dp54_dense_output_matches_fine_reference():
+    """At theta = 1/2 the dense output of an accepted step (error estimate
+    <= 1) agrees with the midpoint of a fine reference to about STEP_TOL,
+    and at theta = 1 it is the step's end state."""
+    st = SimState(small_graph(64, 1e-1, 2))
+    step = step_dp54(st, 0.04)
+    assert 0.1 < step.error <= 1.0
+    mid = step.at(0.02)
+    ref = st
+    for _ in range(32):
+        ref = step_dp54(ref, 0.02 / 32).end
+    assert mid.t == 0.02
+    assert np.max(np.abs(mid.curve.z2 - ref.curve.z2)) < 3 * STEP_TOL
+    end = step.at(0.04)
+    assert np.max(np.abs(end.curve.z2 - step.end.curve.z2)) < 1e-17
+
+
+def test_turning_time_independent_of_sampling_interval():
+    """t* is root-found on the dense output, so on a small open candidate
+    it agrees to 1e-9 across sampling intervals 1e-3 and 4e-3."""
+    cand = turning_candidate_open(TurningParams(beta1=1.0, b=3.0), n=257,
+                                  L=15.0, tilt=0.05)
+    t_star = []
+    for dt in (1e-3, 4e-3):
+        traj, final = run(SimState(cand), 0.5, dt, stop_on=(TURNING,))
+        ev = traj.events.first(TURNING)
+        lo, hi = ev.payload["bracket"]
+        assert hi == final.t and hi - lo == pytest.approx(dt) and lo < ev.t <= hi
+        t_star.append(ev.t)
+    assert abs(t_star[0] - t_star[1]) < 1e-9
+
+
+def test_run_samples_at_t0_plus_k_dt_then_t_end():
+    """Samples sit at t0 + k dt, then at an off-grid t_end; the run ends
+    there exactly, whatever steps the controller took."""
+    st = SimState(small_graph(), t=0.5)
+    traj, final = run(st, 0.5 + 0.123, 0.02)
+    assert traj.times == pytest.approx(0.5 + np.r_[0.02 * np.arange(7), 0.123], abs=1e-15)
+    assert final.t == 0.5 + 0.123
+    assert traj.stats.samples == 8 and 1 <= traj.stats.accepted_steps < 7
+
+
+def test_nan_rhs_drives_step_below_floor(monkeypatch):
+    """An RHS that turns NaN makes every trial step fail; the step shrinks
+    below MIN_STEP_RATIO * dt and run raises BlowUpError with the samples
+    taken so far, after a bounded number of trials."""
+    from turnwave import stepping
+    calls = []
+    real = stepping._rhs
+
+    def nan_after_two_steps(*args):
+        calls.append(1)
+        assert len(calls) < 200, "the controller does not give up"
+        zt, wt = real(*args)
+        return (zt * np.nan if len(calls) > 2 * STAGES else zt), wt
+
+    monkeypatch.setattr(stepping, "_rhs", nan_after_two_steps)
+    with pytest.raises(BlowUpError, match="below") as err:
+        run(SimState(small_graph()), 10.0, 1e-2)
+    traj = err.value.trajectory
+    assert traj.stats.accepted_steps == 2 and traj.stats.rejected_steps > 0
+    assert len(traj.snapshots) == traj.stats.samples > 1
+    assert traj.times[-1] <= err.value.state.t
 
 
 def test_advance_reaches_target_time():
