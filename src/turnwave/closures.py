@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import Curve, tangent
+from .curve import Curve, derivative
 from .singular import br_block, br_rate, br_velocity
 from .spectral import antiderivative, fourier_derivative
 
@@ -75,7 +75,7 @@ def waterwave_rhs(curve: Curve, omega, consts: PhysicalConstants):
     """
     omega = np.asarray(omega, dtype=float)
     cot = br_block(curve)
-    tp = tangent(curve)
+    tp = np.column_stack(derivative(curve, 1))
     speed2 = (tp ** 2).sum(axis=1)
     br = br_velocity(cot, omega)
     dbr_tangential = (tp * np.column_stack([fourier_derivative(br[:, 0]),

@@ -11,6 +11,7 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 
 from .closures import PhysicalConstants
+from .curve import MIN_NODES
 from .diagnostics import WeightParams
 from .initial_data import TurningParams
 
@@ -120,11 +121,14 @@ class ScenarioConfig:
 
     def validate(self) -> None:
         """Range checks on the assembled config, through the checks of the
-        objects it builds (their messages begin with the field at fault).
-        The turning datum's own ranges hold per scenario: grid.L > beta3 on
-        the open line, beta1 < pi on the period.  Water waves have vacuum
-        above and only g in their right-hand side, so their configs keep
-        rho1, mu and kappa at the defaults."""
+        objects it builds (their messages begin with the field at fault)
+        and on the values the pipelines need: positive finite times, at
+        least MIN_NODES nodes (even on the period, odd on the open line),
+        a resolved wavenumber, an even Simpson panel count and a strip of
+        positive width.  The turning datum's own ranges hold per scenario:
+        grid.L > beta3 on the open line, beta1 < pi on the period.  Water
+        waves have vacuum above and only g in their right-hand side, so
+        their configs keep rho1, mu and kappa at the defaults."""
         for section, build in (("physics", self.constants),
                                ("turning", self.turning_params),
                                ("weights", self.weight_params)):
@@ -132,10 +136,25 @@ class ScenarioConfig:
                 build()
             except ValueError as exc:
                 raise ConfigError(f"{section}.{exc}") from exc
-        if not self.numerics.dt > 0:
-            raise ConfigError("numerics.dt must be positive")
-        if self.numerics.snapshot_cadence < 1:
-            raise ConfigError("numerics.snapshot_cadence must be >= 1")
+        n, open_line = self.grid.n, self.scenario == "muskat-turning"
+        for key, ok, rule in (
+                ("numerics.dt", 0 < self.numerics.dt < math.inf, "must be positive and finite"),
+                ("numerics.t_end", 0 < self.numerics.t_end < math.inf,
+                 "must be positive and finite"),
+                ("numerics.snapshot_cadence", self.numerics.snapshot_cadence >= 1,
+                 "must be >= 1"),
+                ("grid.n", n >= MIN_NODES, f"must be >= {MIN_NODES}"),
+                ("grid.n", n % 2 == open_line,
+                 "must be odd on the open line (a node at alpha = 0)" if open_line
+                 else "must be even on the period (alternating-point quadrature)"),
+                ("wave.k", 1 <= self.wave.k < n / 2, "must lie in 1 .. grid.n/2 - 1"),
+                ("strip.panels", self.strip.panels >= 2 and self.strip.panels % 2 == 0,
+                 "must be even and >= 2 (Simpson's rule)"),
+                ("strip.T", 0 < self.strip.T < math.inf, "must be positive and finite"),
+                ("strip.r0", 0 < self.strip.r0 < math.inf, "must be positive and finite")):
+            if not ok:
+                section, _, name = key.partition(".")
+                raise ConfigError(f"{key} = {getattr(getattr(self, section), name)!r} {rule}")
         if self.scenario == "muskat-turning" and not self.grid.L > self.turning.beta3:
             raise ConfigError(
                 f"grid.L = {self.grid.L!r} must exceed turning.beta3 = "

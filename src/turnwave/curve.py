@@ -23,9 +23,11 @@ OPEN = "open"
 
 MAX_DERIVATIVE_ORDER = 5
 MIN_NODES = 16
-# Rows per block of the O(N^2) pair sweeps in arc_chord and singular.  Of
-# 32..256, 64 was fastest for the periodic Muskat kernel at N=512 and 2048.
+# Rows per block of the O(N^2) pair sweep (pair_blocks).  Of 32..256, 64
+# was fastest for the periodic Muskat kernel at N=512 and 2048.
 BLOCK_ROWS = 64
+# pairs j <= i in a block's leading square: the diagonal and pairs seen as (j, i)
+_LOWER = np.tri(BLOCK_ROWS, dtype=bool)
 
 
 class CurveError(Exception):
@@ -167,10 +169,20 @@ def derivatives(curve: Curve, *orders):
     return [tuple(spline.derivative(order)(curve.alpha).T) for order in orders]
 
 
-def tangent(curve: Curve):
-    """First derivative as an (N, 2) array."""
-    d1, d2 = derivative(curve, 1)
-    return np.column_stack([d1, d2])
+def pair_blocks(*xs):
+    """The upper triangle of node pairs, BLOCK_ROWS rows at a time: yields
+    (i0, i1, diffs), diffs[c] = xs[c][i0:i1, None] - xs[c][None, i0:], so
+    the diagonal pairs sit at [k, k] and the leading (i1 - i0) square also
+    holds pairs j < i.  The diffs live in buffers that the next block
+    overwrites: a consumer may change them in place but must not keep them."""
+    n = xs[0].size
+    bufs = [np.empty(min(BLOCK_ROWS, n) * n) for _ in xs]
+    for i0 in range(0, n, BLOCK_ROWS):
+        i1 = min(i0 + BLOCK_ROWS, n)
+        shape = (i1 - i0, n - i0)
+        yield i0, i1, [np.subtract(x[i0:i1, None], x[None, i0:],
+                                   out=buf[:shape[0] * shape[1]].reshape(shape))
+                       for x, buf in zip(xs, bufs)]
 
 
 def arc_chord(curve: Curve, d=None) -> float:
@@ -178,45 +190,49 @@ def arc_chord(curve: Curve, d=None) -> float:
 
     The diagonal is the removable limit 1 / |d_alpha z|^2, from the first
     derivative d = (d1, d2) when the caller has it.  A zero chord between
-    distinct nodes raises SelfIntersectionError.
-
-    Periodic: beta is the wrapped parameter difference in [-pi, pi) and
-    the z1 difference is unwrapped consistently (z1 - alpha is periodic).
-    F is not symmetric there (antipodal pairs wrap the same way in both
-    orders), so the sweep runs over full rows, BLOCK_ROWS rows at a time.
+    distinct nodes raises SelfIntersectionError.  F is symmetric, so the
+    sweep takes each pair (i, j), i < j, once (pair_blocks).  Periodic:
+    beta = a_i - a_j wraps to beta + 2 pi below -pi, and the z1 difference
+    is unwrapped with it (z1 - alpha is periodic).  The antipodal pairs of
+    an even grid (beta = -pi) count with both wraps; one O(N) pass adds
+    the one the sweep did not take.
     """
     a, n = curve.alpha, curve.n
     periodic = curve.topology == PERIODIC
     x1 = curve.z1 - a if periodic else curve.z1
-    block_max = []
-    coincident = None
-    for i0 in range(0, n, BLOCK_ROWS):
-        i1 = min(i0 + BLOCK_ROWS, n)
-        beta = a[i0:i1, None] - a[None, :]
-        dz1 = x1[i0:i1, None] - x1[None, :]
+
+    def sup(beta, dz1, dz2, nodes):
+        """max F, in place; a zero chord raises, naming nodes(*its index)."""
         if periodic:
-            beta = (beta + np.pi) % (2.0 * np.pi) - np.pi
             dz1 += beta
-        dz2 = curve.z2[i0:i1, None] - curve.z2[None, :]
-        denom = dz1 ** 2 + dz2 ** 2
-        rows = np.arange(i1 - i0)
-        denom[rows, rows + i0] = 1.0   # beta = 0 there: F = 0 until the limit
+        denom = np.add(np.square(dz1, out=dz1), np.square(dz2, out=dz2), out=dz1)
         with np.errstate(divide="ignore"):
-            F = beta ** 2 / denom
-        block_max.append(F.max())
-        if coincident is None and np.isinf(block_max[-1]):
-            i, j = np.argwhere(np.isinf(F))[0]
-            coincident = i0 + i, j
-    sup_off = np.max(block_max)
-    if np.isinf(sup_off):
-        i, j = coincident
-        raise SelfIntersectionError(
-            f"nodes {i} and {j} coincide: alpha={curve.alpha[i]:.6g}, {curve.alpha[j]:.6g}")
+            F = np.divide(np.square(beta, out=beta), denom, out=beta)
+        top = F.max()
+        if np.isinf(top):
+            i, j = nodes(*np.argwhere(np.isinf(F))[0])
+            raise SelfIntersectionError(
+                f"nodes {i} and {j} coincide: alpha={a[i]:.6g}, {a[j]:.6g}")
+        return top
+
+    sups = []
+    for i0, i1, (beta, dz1, dz2) in pair_blocks(a, x1, curve.z2):
+        if periodic:
+            np.add(beta, 2.0 * np.pi, out=beta, where=beta < -np.pi)
+        m = i1 - i0
+        dz2[:, :m][_LOWER[:m, :m]] = np.inf   # F = 0 on the pairs j <= i
+        sups.append(sup(beta, dz1, dz2, lambda i, j: (i0 + i, i0 + j)))
+    if periodic and n % 2 == 0:
+        h = n // 2
+        beta = a[:h] - a[h:]
+        sups.append(sup(np.where(beta < -np.pi, beta, beta + 2.0 * np.pi),
+                        x1[:h] - x1[h:], curve.z2[:h] - curve.z2[h:],
+                        lambda i: (i, i + h)))
     d1, d2 = derivative(curve, 1) if d is None else d
     speed2 = d1 ** 2 + d2 ** 2
     if np.any(speed2 == 0.0):
         raise SelfIntersectionError("parameterization degenerate: |d_alpha z| = 0")
-    return float(max(sup_off, (1.0 / speed2).max()))
+    return float(max(np.max(sups), (1.0 / speed2).max()))
 
 
 @dataclass

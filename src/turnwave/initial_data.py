@@ -115,15 +115,12 @@ def _hermite_quintic(x0, x1, v0, d0, s0, v1, d1, s1):
     """Coefficients (ascending) of the quintic matching value and two
     derivatives at x0 and x1."""
     rows = []
-    rhs = [v0, d0, s0, v1, d1, s1]
     for x in (x0, x1):
         rows.append([x ** j for j in range(6)])
         rows.append([j * x ** (j - 1) if j >= 1 else 0.0 for j in range(6)])
         rows.append([j * (j - 1) * x ** (j - 2) if j >= 2 else 0.0 for j in range(6)])
-    order = [0, 1, 2, 3, 4, 5]
-    A = np.array([rows[i] for i in order], dtype=float)
-    b = np.array([rhs[i] for i in order], dtype=float)
-    return np.linalg.solve(A, b)
+    return np.linalg.solve(np.array(rows, dtype=float),
+                           np.array([v0, d0, s0, v1, d1, s1], dtype=float))
 
 
 class _VerticalProfile:
@@ -250,6 +247,15 @@ def _check_reduced_hypotheses(curve: Curve):
         raise PreconditionError("curve is not odd-symmetric")
 
 
+def _half_line_integral(g, ts: float) -> float:
+    """int_0^inf g, split at the tail start ts of the profile: the body
+    [0, ts] (with breakpoints at 1 and ts/2) and the flat tail [ts, inf)."""
+    body, _ = quad(g, 0.0, ts, limit=200, epsabs=0.0, epsrel=QUAD_EPSREL,
+                   points=[p for p in (1.0, ts / 2) if p < ts])
+    tail, _ = quad(g, ts, np.inf, limit=200, epsabs=0.0, epsrel=QUAD_EPSREL)
+    return body + tail
+
+
 def dv1_at_zero_reduced(curve: Curve) -> float:
     """d_alpha v1(0) by the reduced formula
     4 z2'(0) int_0^inf z1 z2 z1' / (z1^2 + z2^2)^2 dbeta."""
@@ -260,12 +266,7 @@ def dv1_at_zero_reduced(curve: Curve) -> float:
         zz1 = prof.z1(beta)
         zz2 = prof.z2(beta)
         return zz1 * zz2 * prof.dz1(beta) / (zz1 ** 2 + zz2 ** 2) ** 2
-    dz2_0 = float(prof.dz2(0.0))
-    ts = prof.tail_start
-    body, _ = quad(g, 0.0, ts, limit=200, epsabs=0.0, epsrel=QUAD_EPSREL,
-                   points=[p for p in (1.0, ts / 2) if p < ts])
-    tail, _ = quad(g, ts, np.inf, limit=200, epsabs=0.0, epsrel=QUAD_EPSREL)
-    return 4.0 * dz2_0 * (body + tail)
+    return 4.0 * float(prof.dz2(0.0)) * _half_line_integral(g, prof.tail_start)
 
 
 def dv1_at_zero_full(curve: Curve) -> float:
@@ -284,11 +285,7 @@ def dv1_at_zero_full(curve: Curve) -> float:
         i1 = (dd1 ** 2 + zz1 * prof.d2z1(beta)) / r2
         i2 = -2.0 * zz1 * dd1 * (zz1 * dd1 - zz2 * (dz2_0 - dd2)) / r2 ** 2
         return i1 + i2
-    ts = prof.tail_start
-    body, _ = quad(g, 0.0, ts, limit=200, epsabs=0.0, epsrel=QUAD_EPSREL,
-                   points=[p for p in (1.0, ts / 2) if p < ts])
-    tail, _ = quad(g, ts, np.inf, limit=200, epsabs=0.0, epsrel=QUAD_EPSREL)
-    return 2.0 * (body + tail)
+    return 2.0 * _half_line_integral(g, prof.tail_start)
 
 
 def dv1_at_zero_periodic(curve: Curve, prefactor: float,

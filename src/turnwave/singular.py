@@ -18,11 +18,12 @@ Two kinds of kernels appear:
   evaluated as z'_i (K w)_i - (K (w z'))_i, one matrix product.  Both
   Muskat kernels are exactly antisymmetric in floating point (IEEE
   subtraction is, and numpy's sin is odd, cos and cosh even), so K is
-  assembled from row blocks of BLOCK_ROWS rows of its upper triangle:
-  rows i0:i1 are evaluated on columns i0:N only, and the part of that
-  block below the diagonal square is stored, negated and transposed, in
-  columns i0:i1.  K equals a dense N x N evaluation bit for bit, at half
-  the transcendental work and with only block-sized temporaries.
+  assembled from the upper-triangle row blocks of curve.pair_blocks
+  (rows i0:i1 against columns i0:N, the sweep arc_chord also uses); the
+  part of each block below its diagonal square is stored, negated and
+  transposed, in columns i0:i1.  K equals a dense N x N evaluation bit
+  for bit, at half the transcendental work and with only block-sized
+  temporaries.
 
 Complex shorthand: a point (x, y) is w = x + i*y; a velocity (v1, v2) is
 recovered from q = v1 - i*v2.  The perp convention is (x, y)^perp =
@@ -32,7 +33,7 @@ recovered from q = v1 - i*v2.  The perp convention is (x, y)^perp =
 
 import numpy as np
 
-from .curve import BLOCK_ROWS, Curve, OPEN, PERIODIC, derivative, derivatives
+from .curve import Curve, OPEN, PERIODIC, derivative, derivatives, pair_blocks
 
 
 class QuadratureError(Exception):
@@ -50,11 +51,9 @@ def _antisymmetric_kernel(x1, x2, pair) -> np.ndarray:
 
     pair receives difference blocks whose entries [k, k] are the diagonal
     pairs (zero differences) and must return 0 there."""
-    n = x1.size
-    kern = np.empty((n, n))
-    for i0 in range(0, n, BLOCK_ROWS):
-        i1 = min(i0 + BLOCK_ROWS, n)
-        blk = pair(x1[i0:i1, None] - x1[None, i0:], x2[i0:i1, None] - x2[None, i0:])
+    kern = np.empty((x1.size, x1.size))
+    for i0, i1, (dz1, dz2) in pair_blocks(x1, x2):
+        blk = pair(dz1, dz2)
         kern[i0:i1, i0:] = blk
         kern[i1:, i0:i1] = -blk[:, i1 - i0:].T
     return kern

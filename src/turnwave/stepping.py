@@ -29,9 +29,9 @@ the solution at t0 + k dt (and at t_end when that is off the grid) on
 the dense output of the step that covers the sample, Krasny-filters it,
 and records its diagnostics: minimum slope, arc-chord supremum,
 Rayleigh-Taylor minimum, H4 size, and the graph mean.  Events are
-checked at samples.  `run` keeps every sample in memory; the trajectory
-is thinned to every snapshot_cadence-th sample only when it is written
-(`Trajectory.write_dir`).
+checked at every sample, the initial state included.  `run` keeps every
+sample in memory; the trajectory is thinned to every
+snapshot_cadence-th sample only when it is written (`Trajectory.write_dir`).
 
 Events:
   Turning        first sample with min d_alpha z1 <= 0.  The time is the
@@ -49,7 +49,7 @@ Events:
 
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -271,9 +271,6 @@ class Event:
     kind: str
     payload: dict
 
-    def as_dict(self):
-        return {"t": self.t, "kind": self.kind, "payload": self.payload}
-
 
 @dataclass
 class EventLog:
@@ -286,14 +283,7 @@ class EventLog:
         return [e.kind for e in self.events]
 
     def first(self, kind) -> Optional[Event]:
-        for e in self.events:
-            if e.kind == kind:
-                return e
-        return None
-
-    def to_json(self):
-        return json.dumps([e.as_dict() for e in self.events], indent=1,
-                          sort_keys=False)
+        return next((e for e in self.events if e.kind == kind), None)
 
 
 DIAG_COLUMNS = ["t", "min_slope", "sup_F", "sigma_min", "h4_norm", "mean_f", "t_star"]
@@ -330,7 +320,7 @@ class Trajectory:
                 fh.write(",".join("" if (isinstance(x, float) and np.isnan(x))
                                   else f"{x:.17g}" for x in row) + "\n")
         with open(os.path.join(path, "events.json"), "w") as fh:
-            fh.write(self.events.to_json() + "\n")
+            fh.write(json.dumps([asdict(e) for e in self.events.events], indent=1) + "\n")
 
 
 def _diagnose(state: SimState, d):
@@ -381,66 +371,59 @@ def _locate_turning(covering, t_a, m_a, t_b, m_b) -> float:
 def run(state: SimState, t_end: float, dt: float, stop_on=()):
     """Sample the solution at state.t + k dt up to t_end, or up to the
     sample at which an event kind in stop_on first fires.  Returns
-    (Trajectory, last sample); the trajectory holds every sample, the
-    initial state included, its `events` and its step `stats`.
+    (Trajectory, last sample); the trajectory holds every sample, its
+    `events` and its step `stats`.  Every sample, the initial state too,
+    goes through the same checks; Turning needs an earlier positive slope.
 
     Raises BlowUpError (carrying the partial trajectory) when the step
     size falls below its floor.
     """
     traj = Trajectory()
     log = traj.events
-    seen = set()
     times = _sample_times(state.t, t_end, dt)
+    prev_ms = None          # (t, min slope) of the previous sample
+    covering = []           # (end time, step) of the steps since that sample
 
-    def record(st, report, supF, sigma, h4, mean_f):
+    def take(sample) -> bool:
+        """Diagnose, check and record one sample; True once stop_on fired."""
+        nonlocal prev_ms
+        d = derivative(sample.curve, 1)
+        report, supF, sigma, h4, mean_f = _diagnose(sample, d)
+        if (log.first(TURNING) is None and prev_ms is not None
+                and prev_ms[1] > 0.0 >= report.min_slope):
+            log.add(_locate_turning(covering, *prev_ms, sample.t, report.min_slope),
+                    TURNING, min_slope=report.min_slope, alpha=report.argmin_alpha,
+                    bracket=[prev_ms[0], sample.t])
+        prev_ms = (sample.t, report.min_slope)
+        rt = rt_report(sample.curve.alpha, sigma, sample.curve.topology == PERIODIC)
+        sup_fa = graph_slope_sup(sample.curve, d)
+        for kind, fires, payload in (
+                (RT_SIGN_CHANGE, rt.longest_negative_run >= RT_RUN_LENGTH,
+                 {"nodes": rt.longest_negative_run, "sigma_min": rt.min_sigma}),
+                (GRAPH_BLOWUP, sup_fa > GRAPH_BLOWUP_THRESHOLD,
+                 {"sup_f_alpha": float(sup_fa)}),
+                (ARC_CHORD_FAILURE, not supF < ARC_CHORD_MAX, {"sup_F": float(supF)})):
+            if fires and log.first(kind) is None:
+                log.add(sample.t, kind, **payload)
+
         t_star = log.first(TURNING)
-        traj.diagnostics.append([st.t, report.min_slope, supF,
+        traj.diagnostics.append([sample.t, report.min_slope, supF,
                                  float(sigma.min()), h4, mean_f,
                                  t_star.t if t_star else float("nan")])
-        traj.snapshots.append((st.t, st.curve,
-                               None if st.omega is None else st.omega.copy()))
+        traj.snapshots.append((sample.t, sample.curve,
+                               None if sample.omega is None else sample.omega.copy()))
         traj.stats.samples += 1
+        return any(log.first(kind) for kind in stop_on)
 
-    report, supF, sigma, h4, mean_f = _diagnose(state, derivative(state.curve, 1))
-    record(state, report, supF, sigma, h4, mean_f)
-    prev_ms = (state.t, report.min_slope)
-    sample, covering, k = state, [], 1
+    sample, k = state, 1
     try:
+        if take(sample):
+            return traj, sample
         for step, end in _accepted_steps(state, times[-1], dt, traj.stats):
             covering.append((end.t, step))
             while k < len(times) and times[k] <= end.t:
                 sample = end if times[k] == end.t else _filtered(step.at(times[k]))
-                d = derivative(sample.curve, 1)
-                report, supF, sigma, h4, mean_f = _diagnose(sample, d)
-
-                if TURNING not in seen and prev_ms[1] > 0.0 >= report.min_slope:
-                    t_star = _locate_turning(covering, *prev_ms, sample.t,
-                                             report.min_slope)
-                    log.add(t_star, TURNING, min_slope=report.min_slope,
-                            alpha=report.argmin_alpha, bracket=[prev_ms[0], sample.t])
-                    seen.add(TURNING)
-                prev_ms = (sample.t, report.min_slope)
-
-                if RT_SIGN_CHANGE not in seen:
-                    rt = rt_report(sample.curve.alpha, sigma,
-                                   sample.curve.topology == PERIODIC)
-                    if rt.longest_negative_run >= RT_RUN_LENGTH:
-                        log.add(sample.t, RT_SIGN_CHANGE, nodes=rt.longest_negative_run,
-                                sigma_min=rt.min_sigma)
-                        seen.add(RT_SIGN_CHANGE)
-
-                if GRAPH_BLOWUP not in seen:
-                    sup_fa = graph_slope_sup(sample.curve, d)
-                    if sup_fa > GRAPH_BLOWUP_THRESHOLD:
-                        log.add(sample.t, GRAPH_BLOWUP, sup_f_alpha=float(sup_fa))
-                        seen.add(GRAPH_BLOWUP)
-
-                if ARC_CHORD_FAILURE not in seen and not supF < ARC_CHORD_MAX:
-                    log.add(sample.t, ARC_CHORD_FAILURE, sup_F=float(supF))
-                    seen.add(ARC_CHORD_FAILURE)
-
-                record(sample, report, supF, sigma, h4, mean_f)
-                if seen & set(stop_on):
+                if take(sample):
                     return traj, sample
                 k += 1
                 covering = [(end.t, step)]

@@ -101,6 +101,11 @@ def test_cli_removed_keys_exit_2(tmp_path, assignment):
     "weights.A=0.5",
     "numerics.dt=0",
     "numerics.snapshot_cadence=0",
+    "numerics.t_end=nan",
+    "numerics.t_end=-1",
+    "grid.n=10",                      # below MIN_NODES
+    "grid.n=255",                     # odd N on the period
+    "wave.k=0",
 ])
 def test_cli_out_of_range_value_exit_2(tmp_path, capsys, assignment):
     """An out-of-range value is a config error that names its key, raised
@@ -303,11 +308,17 @@ def test_metrics_repeat_and_count_seven_stage_steps(tmp_path, monkeypatch):
 @pytest.mark.parametrize("config,assignments", [
     ("muskat-turning.cfg", ["grid.L=4"]),
     ("rt-verify.cfg", ["turning.beta1=3.2", "turning.beta2=4", "turning.beta3=5"]),
+    ("ck-compare.cfg", ["strip.panels=33"]),
+    ("ck-compare.cfg", ["strip.T=0"]),
+    ("ck-compare.cfg", ["strip.r0=-1"]),
+    ("muskat-turning.cfg", ["grid.n=512"]),
 ])
 def test_cli_turning_datum_out_of_range_exit_2(tmp_path, capsys, config, assignments):
-    """Datum parameters the candidate constructors reject are config errors:
-    L must exceed beta3 on the open line, and beta1 must lie in (0, pi) on
-    the period."""
+    """Values a bundled config's pipeline would reject or crash on are
+    config errors: L must exceed beta3 on the open line, beta1 must lie in
+    (0, pi) on the period, the strip needs an even panel count, a positive
+    horizon and a positive width, and the open candidate needs a node at
+    alpha = 0 (odd N)."""
     sets = [arg for a in assignments for arg in ("--set", a)]
     out = tmp_path / "out"
     assert main(["run", os.path.join(CONFIG_DIR, config), "--out", str(out)] + sets) == 2

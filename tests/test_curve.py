@@ -74,28 +74,44 @@ def dense_arc_chord_ratio(curve):
     return beta ** 2 / denom
 
 
-def test_arc_chord_matches_dense_reference():
-    """The row-blocked sup equals the dense one exactly.  On the periodic
-    curve the sup sits at an antipodal pair (i, j), i > j, whose mirror
-    (j, i) wraps the other way and is small, so a sweep over one triangle
-    would miss it."""
-    n = 4 * BLOCK_ROWS
+def far_pair_curve(n, s=1.0):
+    """A periodic curve that comes close to its own translate half a period
+    away.  s = -1 gives the same curve started from the antipode, which
+    moves a sup at an antipodal pair (i, j) into the other index order."""
     a = periodic_grid(n)
-    per = Curve(PERIODIC, a, a - 1.2 * np.sin(a) + 1.05 * np.sin(2 * a),
-                1.5 * np.cos(a) + 0.6 * np.sin(2 * a))
-    F = dense_arc_chord_ratio(per)
-    i, j = np.unravel_index(np.argmax(F), F.shape)
-    assert i > j and abs(a[i] - a[j]) == np.pi and F[j, i] < 0.1 * F[i, j]
-    d1, d2 = derivative(per, 1)
-    assert F.max() > (1.0 / (d1 ** 2 + d2 ** 2)).max()
-    assert arc_chord(per) == F.max()
+    return Curve(PERIODIC, a, a - s * 1.2 * np.sin(a) + 1.05 * np.sin(2 * a),
+                 s * 1.5 * np.cos(a) + 0.6 * np.sin(2 * a))
 
+
+def open_bump_curve():
     b = open_grid(2 * BLOCK_ROWS + 1, 10.0)
     g = np.exp(-0.5 * b ** 2)
-    op = Curve(OPEN, b, b - 1.2 * b * g, 0.8 * b * g, L=10.0)
-    d1, d2 = derivative(op, 1)
-    assert arc_chord(op) == max(dense_arc_chord_ratio(op).max(),
-                                (1.0 / (d1 ** 2 + d2 ** 2)).max())
+    return Curve(OPEN, b, b - 1.2 * b * g, 0.8 * b * g, L=10.0)
+
+
+@pytest.mark.parametrize("curve,antipodal_order", [
+    (far_pair_curve(4 * BLOCK_ROWS), 1),
+    (far_pair_curve(4 * BLOCK_ROWS, -1.0), -1),
+    (far_pair_curve(3 * BLOCK_ROWS + 8), 1),     # even, not a multiple of BLOCK_ROWS
+    (far_pair_curve(3 * BLOCK_ROWS + 9), 0),     # odd: no antipodal pair
+    (open_bump_curve(), 0),
+], ids=["periodic", "periodic-from-antipode", "periodic-even-off-block",
+        "periodic-odd", "open"])
+def test_arc_chord_matches_dense_reference(curve, antipodal_order):
+    """The sup over one triangle of pairs plus the mirror wraps equals the
+    dense sup over all N x N pairs exactly.  On the even periodic grids the
+    sup sits at an antipodal pair (i, j), with i > j (antipodal_order 1)
+    or i < j (-1), whose mirror (j, i) wraps the other way and is small:
+    the sweep takes only one of the two wraps, the mirror pass the other."""
+    F = dense_arc_chord_ratio(curve)
+    d1, d2 = derivative(curve, 1)
+    assert F.max() > (1.0 / (d1 ** 2 + d2 ** 2)).max()
+    if antipodal_order:
+        a = curve.alpha
+        i, j = np.unravel_index(np.argmax(F), F.shape)
+        assert np.sign(i - j) == antipodal_order and abs(a[i] - a[j]) == np.pi
+        assert F[j, i] < 0.1 * F[i, j]
+    assert arc_chord(curve) == F.max()
 
 
 def test_arc_chord_names_coincident_nodes_past_first_block():

@@ -11,8 +11,9 @@ from turnwave.closures import PhysicalConstants
 from turnwave.curve import Curve, graph_curve, load_csv, periodic_grid
 from turnwave.initial_data import (TurningParams, turning_candidate_open,
                                    turning_candidate_periodic)
-from turnwave.stepping import (BlowUpError, STAGES, STEP_TOL, TURNING, SimState,
-                               advance, run, step_dp54)
+from turnwave import stepping
+from turnwave.stepping import (BlowUpError, GRAPH_BLOWUP, STAGES, STEP_TOL, TURNING,
+                               SimState, advance, run, step_dp54)
 
 
 def small_graph(n=64, eps=1e-3, k=2):
@@ -136,6 +137,18 @@ def test_run_emits_turning_event():
     # interpolated crossing: min_slope positive before, negative at stop
     ms = traj.column("min_slope")
     assert ms[0] > 0 and ms[-1] <= 0
+
+
+def test_initial_state_events_fire_at_t0(monkeypatch):
+    """The initial state goes through the same event checks as every later
+    sample: a datum whose graph slope (2e-3) already exceeds the threshold
+    logs GraphBlowup at t0, although the decaying flow never exceeds it
+    again, and a run that stops on that event ends at the datum."""
+    monkeypatch.setattr(stepping, "GRAPH_BLOWUP_THRESHOLD", 1.5e-3)
+    traj, _ = run(SimState(small_graph()), 0.05, 1e-2)
+    assert [(e.t, e.kind) for e in traj.events.events] == [(0.0, GRAPH_BLOWUP)]
+    traj, final = run(SimState(small_graph()), 0.05, 1e-2, stop_on=(GRAPH_BLOWUP,))
+    assert final.t == 0.0 and traj.stats.samples == 1 and traj.stats.accepted_steps == 0
 
 
 def test_blowup_error_carries_trajectory():
