@@ -393,7 +393,7 @@ def waterwave_datum(curve_star: Curve, delta: float,
     d1, _ = derivative(curve_star, 1)
     omega_star = d1.copy()
     state = SimState(curve=curve_star, omega=-omega_star, consts=consts)
-    back = advance(state, delta, dt, stats)
+    back, _ = advance(state, delta, dt, stats)
     datum_curve = back.curve
     datum_omega = -back.omega
     try:

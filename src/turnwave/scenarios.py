@@ -5,7 +5,8 @@ and returns through `_finish`, the one writer of a run directory under
 config.output_dir.  For a scenario that samples a trajectory it writes
 the snapshots (every numerics.snapshot_cadence-th sample and the last),
 diagnostics.csv and events.json, then the scenario's own files,
-metrics.json (step counts), config.txt and report.json, and finally the
+metrics.json (step counts and, for muskat-breakdown, the Picard sweeps
+of both ck_solve calls), config.txt and report.json, and finally the
 interface, min_slope and sigma_min plots through render_trajectory.
 The returned ScenarioResult's exit_code follows the CLI convention: 0
 success, 3 numerical failure (the directory keeps the partial
@@ -31,8 +32,8 @@ from .initial_data import (DeltaTooLargeError, dv1_at_zero_periodic,
                            turning_certificate, waterwave_datum)
 from .stepping import (BlowUpError, GRAPH_BLOWUP, RT_RUN_LENGTH, RT_SIGN_CHANGE,
                        TURNING, SimState, StepStats, advance, run)
-from .strip import (InsufficientAnalyticityError, RegimeExitError, ck_solve,
-                    extend_to_strip)
+from .strip import (CKResult, InsufficientAnalyticityError, RegimeExitError,
+                    ck_solve, extend_to_strip)
 from .svg import render_curve, render_series
 
 # fixed stage parameters of the breakdown pipeline (the backward
@@ -56,20 +57,19 @@ def _write(path, text):
 
 
 def _finish(cfg: ScenarioConfig, report: dict, message: str, traj=None,
-            files=None, advanced: StepStats = None) -> ScenarioResult:
+            files=None, metrics=None) -> ScenarioResult:
     """Write the run directory: the thinned trajectory, `files` (name ->
-    text), metrics.json (the step counts of the trajectory's run and of
-    the scenario's `advance` calls, when it has them), config.txt,
-    report.json and the trajectory's plots.  The exit code is 3 for a
-    report that carries an "error", else 0 or 4 from report["pass"]."""
+    text), metrics.json, config.txt, report.json and the trajectory's
+    plots.  metrics.json holds the step counts of the trajectory's run
+    under "run" and the scenario's own sections in `metrics` (name ->
+    JSON value), when there are any.  The exit code is 3 for a report
+    that carries an "error", else 0 or 4 from report["pass"]."""
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
-    metrics = {}
+    metrics = dict(metrics or {})
     if traj is not None:
         traj.write_dir(out, cfg.numerics.snapshot_cadence)
         metrics["run"] = asdict(traj.stats)
-    if advanced is not None:
-        metrics["advance"] = asdict(advanced)
     if metrics:
         _write(os.path.join(out, "metrics.json"),
                json.dumps(metrics, indent=1, sort_keys=True) + "\n")
@@ -81,6 +81,15 @@ def _finish(cfg: ScenarioConfig, report: dict, message: str, traj=None,
         render_trajectory(out, cfg.constants())
     code = 3 if "error" in report else (0 if report["pass"] else 4)
     return ScenarioResult(cfg.scenario, code, report, message)
+
+
+def _picard_metrics(res: CKResult) -> dict:
+    """How a ck_solve call converged: its collocation nodes (Fourier
+    modes), time panels, Picard sweeps, whether the last sweep met the
+    tolerance, and the strip distance between successive iterates."""
+    return {"n": res.curves[0].n, "panels": len(res.times) - 1,
+            "sweeps": res.iterations, "converged": res.converged,
+            "contraction_history": list(map(float, res.contraction_history))}
 
 
 def _fit_decay_rate(times, amplitudes):
@@ -176,6 +185,8 @@ def muskat_breakdown(cfg: ScenarioConfig) -> ScenarioResult:
     back = ck_solve(sc0, cfg.wave.delta, -pref, panels=BACKWARD_PANELS,
                     tol=cfg.strip.tol, max_iter=cfg.strip.max_iter,
                     norm_bound=CONTINUATION_NORM_BOUND)
+    picard = {"backward": _picard_metrics(back)}
+    metrics = {"ck_solve": picard}
     datum = back.curves[-1].real_curve()
     report["datum_min_slope"] = min_slope(datum).min_slope
 
@@ -184,7 +195,8 @@ def muskat_breakdown(cfg: ScenarioConfig) -> ScenarioResult:
     ev = traj.events.first(TURNING)
     if ev is None:
         report["pass"] = False
-        return _finish(cfg, report, "forward run reached no Turning event", traj)
+        return _finish(cfg, report, "forward run reached no Turning event", traj,
+                       metrics=metrics)
     report["turning_time"] = ev.t
 
     # handoff: resample so the truncated Fourier tail is exactly zero,
@@ -195,6 +207,7 @@ def muskat_breakdown(cfg: ScenarioConfig) -> ScenarioResult:
                    panels=cfg.strip.panels, tol=cfg.strip.tol,
                    max_iter=cfg.strip.max_iter,
                    norm_bound=CONTINUATION_NORM_BOUND)
+    picard["continuation"] = _picard_metrics(res)
 
     cont_rows = []
     rt_event = None
@@ -214,7 +227,7 @@ def muskat_breakdown(cfg: ScenarioConfig) -> ScenarioResult:
     if rt_event is None:
         report["pass"] = False
         return _finish(cfg, report, "no RT sign change within continuation horizon",
-                       traj, files)
+                       traj, files, metrics)
 
     t_rt, run_len, sig = rt_event
     traj.events.add(t_rt, RT_SIGN_CHANGE, nodes=int(run_len),
@@ -225,7 +238,7 @@ def muskat_breakdown(cfg: ScenarioConfig) -> ScenarioResult:
     report["event_order"] = traj.events.kinds()
     report["pass"] = True
     return _finish(cfg, report, f"Turning at {ev.t:.6g}, RT sign change at {t_rt:.6g}",
-                   traj, files)
+                   traj, files, metrics)
 
 
 def waterwave_linear(cfg: ScenarioConfig) -> ScenarioResult:
@@ -298,7 +311,8 @@ def waterwave_turning(cfg: ScenarioConfig) -> ScenarioResult:
     if round_trip is None:
         message += f"; the run stopped before sample {rt_step} (t = delta): no round trip"
     plot = render_series(times, np.minimum(sup_fa, 1e6), "sup|f_alpha| (capped)")
-    return _finish(cfg, report, message, traj, {"slope_sup.svg": plot}, backward)
+    return _finish(cfg, report, message, traj, {"slope_sup.svg": plot},
+                   {"advance": asdict(backward)})
 
 
 def ck_compare(cfg: ScenarioConfig) -> ScenarioResult:
@@ -312,13 +326,14 @@ def ck_compare(cfg: ScenarioConfig) -> ScenarioResult:
     res = ck_solve(sc, cfg.strip.T, pref, panels=cfg.strip.panels,
                    tol=cfg.strip.tol, max_iter=cfg.strip.max_iter)
 
-    state = SimState(curve, consts=consts)
+    # one step-size controller from node to node, starting at numerics.dt
+    state, h = SimState(curve, consts=consts), cfg.numerics.dt
     advanced = StepStats()
     dists = []
     t_prev = 0.0
     for tt, sc_t in zip(res.times, res.curves):
         if tt > t_prev:
-            state = advance(state, tt - t_prev, cfg.numerics.dt, advanced)
+            state, h = advance(state, tt - t_prev, h, advanced)
             t_prev = tt
         rc = sc_t.real_curve()
         dists.append(float(max(np.max(np.abs(rc.z1 - state.curve.z1)),
@@ -338,7 +353,8 @@ def ck_compare(cfg: ScenarioConfig) -> ScenarioResult:
     table = "t,node_distance\n" + "".join(
         f"{tt:.17g},{d:.17g}\n" for tt, d in zip(res.times, dists))
     return _finish(cfg, report, f"max node distance {max(dists):.3g}",
-                   files={"ck_compare.csv": table}, advanced=advanced)
+                   files={"ck_compare.csv": table},
+                   metrics={"advance": asdict(advanced)})
 
 
 def rt_verify(cfg: ScenarioConfig) -> ScenarioResult:

@@ -1,5 +1,19 @@
 """Principal-value quadrature for interface velocities.
 
+Both periodic kernels are evaluated in the conformal coordinates of the
+map w = z1 + i z2 -> E = e^{iw} = a + i b, (a, b) = e^{-z2} (cos z1,
+sin z1) (_conformal).  Two exact identities turn them into products,
+differences and one division per pair, so a call needs O(N)
+transcendentals instead of O(N^2):
+
+    sin(dz1) / (cosh(dz2) - cos(dz1)) = 2 (b_i a_j - a_i b_j) / |E_i - E_j|^2
+    cot((w_i - w_j) / 2) = [2 (b_i a_j - a_i b_j) + i (|E_i|^2 - |E_j|^2)]
+                           / |E_i - E_j|^2
+
+with |E_i - E_j|^2 = (a_i - a_j)^2 + (b_i - b_j)^2.  The denominator does
+not cancel the way cosh(dz2) - cos(dz1) does near the diagonal; each
+kernel value is as accurate as E itself, which is rounded once per node.
+
 Two kinds of kernels appear:
 
 * genuinely singular (Hilbert-type) kernels: the Birkhoff-Rott integral
@@ -16,14 +30,15 @@ Two kinds of kernels appear:
   sides.  Plain trapezoid with the diagonal replaced by its analytic
   limit.  The tangent-difference sum sum_j w_j K_ij (z'_i - z'_j) is
   evaluated as z'_i (K w)_i - (K (w z'))_i, one matrix product.  Both
-  Muskat kernels are exactly antisymmetric in floating point (IEEE
-  subtraction is, and numpy's sin is odd, cos and cosh even), so K is
-  assembled from the upper-triangle row blocks of curve.pair_blocks
-  (rows i0:i1 against columns i0:N, the sweep arc_chord also uses); the
-  part of each block below its diagonal square is stored, negated and
-  transposed, in columns i0:i1.  K equals a dense N x N evaluation bit
-  for bit, at half the transcendental work and with only block-sized
-  temporaries.
+  Muskat kernels are exactly antisymmetric in floating point: IEEE
+  subtraction is odd, and IEEE products commute, so the periodic
+  numerator b_i a_j - a_i b_j changes sign exactly under i <-> j.  K is
+  therefore assembled from the upper-triangle row blocks of
+  curve.pair_blocks (rows i0:i1 against columns i0:N, the sweep
+  arc_chord also uses); the part of each block below its diagonal square
+  is stored, negated and transposed, in columns i0:i1.  K equals a dense
+  N x N evaluation of the same formula bit for bit, with half the pair
+  work and only block-sized temporaries.
 
 Complex shorthand: a point (x, y) is w = x + i*y; a velocity (v1, v2) is
 recovered from q = v1 - i*v2.  The perp convention is (x, y)^perp =
@@ -46,17 +61,30 @@ def _require_even(curve: Curve):
 
 
 def _antisymmetric_kernel(x1, x2, pair) -> np.ndarray:
-    """N x N matrix K_ij = pair(x1_i - x1_j, x2_i - x2_j) with a zero
-    diagonal, for a pair kernel that is odd under (dz1, dz2) -> -(dz1, dz2).
+    """N x N matrix K with a zero diagonal, for a pair kernel that is
+    exactly odd in floating point (K_ji = -K_ij), from the upper-triangle
+    row blocks of curve.pair_blocks: pair(x1, x2, i0, i1, dx1, dx2)
+    returns rows i0:i1, columns i0:N of K, where
+    dx_c = x_c[i0:i1, None] - x_c[None, i0:].
 
-    pair receives difference blocks whose entries [k, k] are the diagonal
-    pairs (zero differences) and must return 0 there."""
+    pair may overwrite the difference blocks; their entries [k, k] are the
+    diagonal pairs, where it must return 0."""
     kern = np.empty((x1.size, x1.size))
-    for i0, i1, (dz1, dz2) in pair_blocks(x1, x2):
-        blk = pair(dz1, dz2)
+    for i0, i1, (d1, d2) in pair_blocks(x1, x2):
+        blk = pair(x1, x2, i0, i1, d1, d2)
         kern[i0:i1, i0:] = blk
         kern[i1:, i0:i1] = -blk[:, i1 - i0:].T
     return kern
+
+
+def _conformal(curve: Curve):
+    """(a, b) = e^{c - z2} (cos z1, sin z1): the point E = e^{i(w - ic)} =
+    a + i b of w = z1 + i z2 under the conformal map of the period onto the
+    punctured plane.  The shift c, the mean of z2, cancels from every
+    kernel (they are homogeneous of degree 0 in E) and keeps E away from
+    overflow and underflow."""
+    r = np.exp(np.mean(curve.z2) - curve.z2)
+    return r * np.cos(curve.z1), r * np.sin(curve.z1)
 
 
 def _tangent_difference(kern, weights, d, dd, diag_scale) -> np.ndarray:
@@ -74,12 +102,19 @@ def _tangent_difference(kern, weights, d, dd, diag_scale) -> np.ndarray:
 def br_block(curve: Curve) -> np.ndarray:
     """cot((w_i - w_j) / 2) for even i and odd j: the N/2 x N/2 block from
     which every water-wave Birkhoff-Rott quantity is formed.  Periodic
-    curves with even N only."""
+    curves with even N only.  Evaluated in the conformal coordinates as
+    [2 (b_i a_j - a_i b_j) + i (|E_i|^2 - |E_j|^2)] / |E_i - E_j|^2."""
     _require_even(curve)
     if curve.topology != PERIODIC:
         raise QuadratureError("Birkhoff-Rott quadrature implemented for periodic curves")
-    w = curve.z1 + 1j * curve.z2
-    return 1.0 / np.tan(0.5 * (w[::2, None] - w[None, 1::2]))
+    a, b = _conformal(curve)
+    q = a * a + b * b
+    ae, be, ao, bo = a[::2, None], b[::2, None], a[None, 1::2], b[None, 1::2]
+    denom = np.square(ae - ao) + np.square(be - bo)
+    cot = np.empty(denom.shape, dtype=complex)
+    np.divide(2.0 * (be * ao - ae * bo), denom, out=cot.real)
+    np.divide(q[::2, None] - q[None, 1::2], denom, out=cot.imag)
+    return cot
 
 
 def _alternating(block: np.ndarray, x, sign: float) -> np.ndarray:
@@ -129,26 +164,30 @@ def birkhoff_rott(curve: Curve, omega) -> np.ndarray:
 def muskat_rhs_periodic(curve: Curve, prefactor: float) -> np.ndarray:
     """Periodic Muskat contour velocity.
 
-    Kernel sin(dz1) / (cosh(dz2) - cos(dz1)) against the tangent
-    difference; the beta -> alpha limit is 2 z1' z'' / (z1'^2 + z2'^2).
-    The prefactor is exposed because the periodic equation absorbs its
-    constants; (rho2 - rho1) / (4 pi) reproduces the open-line linear
-    decay rate.
+    Kernel sin(dz1) / (cosh(dz2) - cos(dz1)), evaluated as
+    2 (b_i a_j - a_i b_j) / |E_i - E_j|^2 in the conformal coordinates,
+    against the tangent difference; the beta -> alpha limit is
+    2 z1' z'' / (z1'^2 + z2'^2).  The prefactor is exposed because the
+    periodic equation absorbs its constants; (rho2 - rho1) / (4 pi)
+    reproduces the open-line linear decay rate.
     """
     _require_even(curve)
     if curve.topology != PERIODIC:
         raise QuadratureError("use muskat_rhs_open for open curves")
     n = curve.n
-    kern = _antisymmetric_kernel(curve.z1, curve.z2, _periodic_pair)
+    kern = _antisymmetric_kernel(*_conformal(curve), _conformal_pair)
     v = _tangent_difference(kern, np.full(n, 2.0 * np.pi / n),
                             derivative(curve, 1), derivative(curve, 2), 2.0)
     return prefactor * v.T
 
 
-def _periodic_pair(dz1, dz2):
-    denom = np.cosh(dz2) - np.cos(dz1)
+def _conformal_pair(a, b, i0, i1, da, db):
+    """2 (b_i a_j - a_i b_j) / ((a_i - a_j)^2 + (b_i - b_j)^2)."""
+    denom = np.add(np.square(da, out=da), np.square(db, out=db), out=da)
     np.fill_diagonal(denom, 1.0)
-    return np.sin(dz1) / denom
+    num = np.multiply.outer(2.0 * b[i0:i1], a[i0:])
+    num -= np.multiply.outer(2.0 * a[i0:i1], b[i0:], out=db)
+    return np.divide(num, denom, out=num)
 
 
 def _open_tail_levels(curve: Curve):
@@ -191,7 +230,7 @@ def muskat_rhs_open(curve: Curve, rho_jump: float = 1.0) -> np.ndarray:
     return (rho_jump / (2.0 * np.pi)) * v.T
 
 
-def _open_pair(dz1, dz2):
+def _open_pair(z1, z2, i0, i1, dz1, dz2):
     denom = dz1 ** 2 + dz2 ** 2
     np.fill_diagonal(denom, 1.0)
     return dz1 / denom

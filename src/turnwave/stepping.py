@@ -42,7 +42,8 @@ Events:
   RTSignChange   sigma = (rho2-rho1) d_alpha z1 < 0 on >= RT_RUN_LENGTH
                  consecutive nodes
   GraphBlowup    sup |f_alpha| exceeds GRAPH_BLOWUP_THRESHOLD while still
-                 a graph
+                 a graph: a curve with d_alpha z1 <= 0 somewhere, whose
+                 graph_slope_sup is +inf, does not fire it
   ArcChordFailure  sup F(z) reaches ARC_CHORD_MAX or the curve
                  self-intersects at grid resolution
 """
@@ -222,10 +223,10 @@ def step_dp54(state: SimState, h: float) -> Step:
 
 
 def _accepted_steps(state: SimState, t_stop: float, dt: float, stats: StepStats):
-    """Yield (step, filtered end state) for each accepted step from state
-    to t_stop; the last step lands on t_stop exactly.  Raises BlowUpError
-    (carrying the last accepted state) when the step size falls below
-    MIN_STEP_RATIO * dt."""
+    """Yield (step, filtered end state, next trial step) for each accepted
+    step from state to t_stop, the first trial step being dt; the last
+    step lands on t_stop exactly.  Raises BlowUpError (carrying the last
+    accepted state) when the step size falls below MIN_STEP_RATIO * dt."""
     h, h_min = dt, MIN_STEP_RATIO * dt
     previous_error, after_rejection = 1.0, False
     while state.t < t_stop:
@@ -244,7 +245,7 @@ def _accepted_steps(state: SimState, t_stop: float, dt: float, stats: StepStats)
                 factor = min(factor, 1.0)
             h = h_try * factor
             previous_error, after_rejection = max(step.error, 1e-4), False
-            yield step, state
+            yield step, state, h
         else:
             stats.rejected_steps += 1
             h = h_try * max(FAC_MIN, SAFETY * step.error ** -PI_ALPHA)
@@ -256,13 +257,16 @@ def _accepted_steps(state: SimState, t_stop: float, dt: float, stats: StepStats)
 
 
 def advance(state: SimState, T: float, dt: float,
-            stats: Optional[StepStats] = None) -> SimState:
+            stats: Optional[StepStats] = None) -> tuple[SimState, float]:
     """Advance by T without sampling or events; dt is the first trial step.
-    The step counts are added to stats when it is given."""
+    Returns the end state and the controller's next trial step, which a
+    caller that advances on from there passes back as dt.  The step
+    counts are added to stats when it is given."""
     stats = StepStats() if stats is None else stats
-    for _, state in _accepted_steps(state, state.t + T, dt, stats):
+    h = dt
+    for _, state, h in _accepted_steps(state, state.t + T, dt, stats):
         pass
-    return state
+    return state, h
 
 
 @dataclass
@@ -400,7 +404,7 @@ def run(state: SimState, t_end: float, dt: float, stop_on=()):
         for kind, fires, payload in (
                 (RT_SIGN_CHANGE, rt.longest_negative_run >= RT_RUN_LENGTH,
                  {"nodes": rt.longest_negative_run, "sigma_min": rt.min_sigma}),
-                (GRAPH_BLOWUP, sup_fa > GRAPH_BLOWUP_THRESHOLD,
+                (GRAPH_BLOWUP, GRAPH_BLOWUP_THRESHOLD < sup_fa < np.inf,
                  {"sup_f_alpha": float(sup_fa)}),
                 (ARC_CHORD_FAILURE, not supF < ARC_CHORD_MAX, {"sup_F": float(supF)})):
             if fires and log.first(kind) is None:
@@ -419,7 +423,7 @@ def run(state: SimState, t_end: float, dt: float, stop_on=()):
     try:
         if take(sample):
             return traj, sample
-        for step, end in _accepted_steps(state, times[-1], dt, traj.stats):
+        for step, end, _ in _accepted_steps(state, times[-1], dt, traj.stats):
             covering.append((end.t, step))
             while k < len(times) and times[k] <= end.t:
                 sample = end if times[k] == end.t else _filtered(step.at(times[k]))

@@ -305,6 +305,49 @@ def test_metrics_repeat_and_count_seven_stage_steps(tmp_path, monkeypatch):
     assert total == sum(c["rhs_evaluations"] for c in metrics.values())
 
 
+def test_breakdown_metrics_record_both_picard_solves(tmp_path):
+    """muskat-breakdown's metrics.json records the backward and the
+    continuation ck_solve: nodes (N, then M), panels, sweeps, convergence
+    and the contraction history; it is byte-identical between runs."""
+    out = tmp_path / "out"
+    argv = ["run", os.path.join(CONFIG_DIR, "muskat-breakdown.cfg"), "--out", str(out),
+            "--set", "grid.n=128", "--set", "strip.M=256"]
+    assert main(argv) == 0
+    first = (out / "metrics.json").read_bytes()
+    assert main(argv) == 0
+    assert (out / "metrics.json").read_bytes() == first
+    metrics = json.loads(first)
+    assert sorted(metrics) == ["ck_solve", "run"]
+    picard = metrics["ck_solve"]
+    assert sorted(picard) == ["backward", "continuation"]
+    assert (picard["backward"]["n"], picard["backward"]["panels"]) == (128, 16)
+    assert (picard["continuation"]["n"], picard["continuation"]["panels"]) == (256, 32)
+    for solve in picard.values():
+        assert sorted(solve) == ["contraction_history", "converged", "n", "panels",
+                                 "sweeps"]
+        assert solve["converged"] is True
+        assert len(solve["contraction_history"]) == solve["sweeps"] > 1
+        assert solve["contraction_history"][-1] < 1e-10
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize("config", ["muskat-linear.cfg", "waterwave-linear.cfg",
+                                    "ck-compare.cfg", "rt-verify.cfg"])
+def test_small_bundled_runs_write_strict_json(tmp_path, config):
+    """Every events.json, report.json and metrics.json that the small
+    bundled scenarios write parses as strict JSON: no NaN or Infinity."""
+    out = tmp_path / "out"
+    assert main(["run", os.path.join(CONFIG_DIR, config), "--out", str(out)]) == 0
+    names = ["events.json", "report.json", "metrics.json"]
+    written = [name for name in names if (out / name).exists()]
+    assert "report.json" in written and "metrics.json" in written
+    for name in written:
+        json.loads((out / name).read_text(), parse_constant=_reject_constant)
+
+
 @pytest.mark.parametrize("config,assignments", [
     ("muskat-turning.cfg", ["grid.L=4"]),
     ("rt-verify.cfg", ["turning.beta1=3.2", "turning.beta2=4", "turning.beta3=5"]),

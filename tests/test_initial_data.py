@@ -124,7 +124,7 @@ def test_waterwave_datum_is_graph_and_round_trips():
     datum, omega0 = waterwave_datum(star, 1e-3, dt=1e-4)
     assert min_slope(datum).min_slope > 0
     from turnwave.stepping import SimState, advance
-    back = advance(SimState(datum, omega0), 1e-3, 1e-4)
+    back, _ = advance(SimState(datum, omega0), 1e-3, 1e-4)
     assert np.max(np.abs(back.curve.z2 - star.z2)) < 1e-6
 
 

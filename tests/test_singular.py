@@ -8,9 +8,10 @@ from turnwave import singular
 from turnwave.curve import (BLOCK_ROWS, Curve, arc_chord, derivative, graph_curve,
                             min_slope, open_grid, periodic_grid)
 from turnwave.closures import ClosureIterationError, _amplitude_solve
-from turnwave.singular import (QuadratureError, _antisymmetric_kernel, _open_pair,
-                               _periodic_pair, birkhoff_rott, br_block, br_rate,
-                               br_velocity, muskat_rhs_open, muskat_rhs_periodic)
+from turnwave.singular import (QuadratureError, _antisymmetric_kernel, _conformal,
+                               _conformal_pair, _open_pair, birkhoff_rott, br_block,
+                               br_rate, br_velocity, muskat_rhs_open,
+                               muskat_rhs_periodic)
 from turnwave.spectral import hilbert_transform
 
 from conftest import flat_curve
@@ -121,6 +122,10 @@ def test_muskat_periodic_translation_equivariance():
     shifted = Curve(PERIODIC, a, c.z1, c.z2 + 0.7)  # vertical translation
     v2 = muskat_rhs_periodic(shifted, 1.0)
     assert np.max(np.abs(v - v2)) < 1e-12
+    # far from z2 = 0, where e^{-z2} alone underflows; the shifted heights
+    # are rounded to ulp(800) = 1.1e-13
+    far = Curve(PERIODIC, a, c.z1, c.z2 + 800.0)
+    assert np.max(np.abs(v - muskat_rhs_periodic(far, 1.0))) < 1e-10
 
 
 def test_muskat_periodic_roll_equivariance():
@@ -233,14 +238,25 @@ def test_muskat_open_matches_dense_sum_on_turned_curve():
 
 # --- block assembly against the dense N x N evaluation, bit for bit ----------
 
+def conformal_kernel(a, b):
+    """2 (b_i a_j - a_i b_j) / ((a_i - a_j)^2 + (b_i - b_j)^2) on every
+    pair, in the operation order of the blocked kernel; zero diagonal."""
+    da = a[:, None] - a[None, :]
+    db = b[:, None] - b[None, :]
+    denom = da * da + db * db
+    np.fill_diagonal(denom, 1.0)
+    return (2.0 * b[:, None] * a[None, :] - 2.0 * a[:, None] * b[None, :]) / denom
+
+
 @pytest.mark.parametrize("n", sorted({16, 64, 65, BLOCK_ROWS, 513, 2048}))
 def test_blocked_kernels_equal_dense_evaluation(n):
     """Row blocks of the upper triangle plus the negated transpose give the
     same matrix as evaluating every pair, for sizes below, at and off a
     multiple of BLOCK_ROWS."""
     c = turned_periodic(n)
-    assert np.array_equal(_antisymmetric_kernel(c.z1, c.z2, _periodic_pair),
-                          periodic_kernel(c.z1, c.z2))
+    a, b = _conformal(c)
+    assert np.array_equal(_antisymmetric_kernel(a, b, _conformal_pair),
+                          conformal_kernel(a, b))
     c = turned_open(n)
     assert np.array_equal(_antisymmetric_kernel(c.z1, c.z2, _open_pair),
                           open_kernel(c.z1, c.z2))
@@ -251,11 +267,65 @@ def test_muskat_rhs_equal_dense_kernel_product(monkeypatch):
     bit-identical: the single N x 3 product is unchanged."""
     cp, co = turned_periodic(512), turned_open(513)
     blocked = muskat_rhs_periodic(cp, 0.3), muskat_rhs_open(co, 1.7)
-    dense = {_periodic_pair: periodic_kernel, _open_pair: open_kernel}
+    dense = {_conformal_pair: conformal_kernel, _open_pair: open_kernel}
     monkeypatch.setattr(singular, "_antisymmetric_kernel",
                         lambda x1, x2, pair: dense[pair](x1, x2))
     assert np.array_equal(blocked[0], muskat_rhs_periodic(cp, 0.3))
     assert np.array_equal(blocked[1], muskat_rhs_open(co, 1.7))
+
+
+# --- the conformal kernels against a 40-digit reference near turnover --------
+
+def near_turnover(n=128):
+    """Just past turnover: d_alpha z1 = -0.02 at alpha = 0, where z2 is
+    flat enough that neighbouring nodes are 0.005 apart and the Muskat
+    kernel reaches |K| = 228.  There cosh(dz2) - cos(dz1) cancels to
+    1.3e-5, about five of sixteen digits lost."""
+    a = periodic_grid(n)
+    return Curve(PERIODIC, a, a - 1.02 * np.sin(a), 0.1 * np.sin(a))
+
+
+@pytest.fixture(scope="module")
+def reference_near_turnover():
+    """(sin dz1, -sinh dz2) / (cosh dz2 - cos dz1) on every pair of
+    near_turnover(), evaluated to 40 digits from the double-precision
+    nodes and rounded once: the Muskat kernel and the real and imaginary
+    parts of cot((w_i - w_j) / 2).  Zero on the diagonal."""
+    mpmath = pytest.importorskip("mpmath")
+    c = near_turnover()
+    kern, cot_imag = np.zeros((c.n, c.n)), np.zeros((c.n, c.n))
+    with mpmath.workdps(40):
+        z1, z2 = [mpmath.mpf(x) for x in c.z1], [mpmath.mpf(x) for x in c.z2]
+        for i in range(c.n):
+            for j in range(i + 1, c.n):
+                d1, d2 = z1[i] - z1[j], z2[i] - z2[j]
+                denom = mpmath.cosh(d2) - mpmath.cos(d1)
+                kern[i, j] = float(mpmath.sin(d1) / denom)
+                cot_imag[i, j] = float(-mpmath.sinh(d2) / denom)
+    return c, kern - kern.T, cot_imag - cot_imag.T
+
+
+def test_muskat_periodic_kernel_matches_40_digit_reference(reference_near_turnover,
+                                                          monkeypatch):
+    """The kernel matrix that muskat_rhs_periodic forms is off by at most
+    1e-10 where |K| = 228; the direct sin(dz1) / (cosh(dz2) - cos(dz1))
+    is off by 1.4e-9 on this curve."""
+    c, kern, _ = reference_near_turnover
+    assert np.abs(kern).max() > 200.0
+    formed = []
+    monkeypatch.setattr(singular, "_tangent_difference",
+                        lambda k, *rest: formed.append(k) or np.zeros((2, c.n)))
+    muskat_rhs_periodic(c, 1.0)
+    assert np.max(np.abs(formed[0] - kern)) <= 1e-10
+
+
+def test_br_block_matches_40_digit_reference(reference_near_turnover):
+    """Relative error (to the block's largest entry) at most 1e-13; the
+    real form (sin dz1 - i sinh dz2) / (cosh dz2 - cos dz1) is off by
+    1.5e-11 relative on this curve."""
+    c, kern, cot_imag = reference_near_turnover
+    ref = (kern + 1j * cot_imag)[::2, 1::2]
+    assert relative_gap(br_block(c), ref) <= 1e-13
 
 
 # --- water-wave block path against the dense N x N alternating-point rule ----

@@ -13,7 +13,7 @@ from turnwave.initial_data import (TurningParams, turning_candidate_open,
                                    turning_candidate_periodic)
 from turnwave import stepping
 from turnwave.stepping import (BlowUpError, GRAPH_BLOWUP, STAGES, STEP_TOL, TURNING,
-                               SimState, advance, run, step_dp54)
+                               SimState, StepStats, advance, run, step_dp54)
 
 
 def small_graph(n=64, eps=1e-3, k=2):
@@ -104,13 +104,32 @@ def test_nan_rhs_drives_step_below_floor(monkeypatch):
 
 def test_advance_reaches_target_time():
     st = SimState(small_graph())
-    out = advance(st, 0.123, 0.02)  # not divisible by dt
+    out, _ = advance(st, 0.123, 0.02)  # not divisible by dt
     assert abs(out.t - 0.123) < 1e-12
+
+
+def test_advance_continues_its_controller_from_the_returned_step():
+    """Passing the returned trial step back as dt continues one controller
+    from interval to interval.  After the first interval, which grows the
+    step from dt, each interval takes one step, where restarting at dt
+    takes as many as the first; the end states agree to within the step
+    tolerance."""
+    start = SimState(small_graph(64, 1e-1, 2))
+    first = StepStats()
+    a, h = advance(start, 0.01, 1e-4, first)
+    assert first.accepted_steps > 1 and h > 0.01
+    b, restarted, continued = a, StepStats(), StepStats()
+    for _ in range(7):
+        a, _ = advance(a, 0.01, 1e-4, restarted)
+        b, h = advance(b, 0.01, h, continued)
+    assert restarted.accepted_steps == 7 * first.accepted_steps
+    assert continued.accepted_steps == 7 and continued.rejected_steps == 0
+    assert np.max(np.abs(a.curve.z2 - b.curve.z2)) < 10 * STEP_TOL
 
 
 def test_krasny_filter_keeps_solution_clean():
     st = SimState(small_graph())
-    out = advance(st, 0.2, 1e-2)
+    out, _ = advance(st, 0.2, 1e-2)
     coeffs = np.abs(np.fft.fft(out.curve.z2)) / 64
     peak = coeffs.max()
     # no partially-contaminated band: every mode is either resolved or at
@@ -149,6 +168,17 @@ def test_initial_state_events_fire_at_t0(monkeypatch):
     assert [(e.t, e.kind) for e in traj.events.events] == [(0.0, GRAPH_BLOWUP)]
     traj, final = run(SimState(small_graph()), 0.05, 1e-2, stop_on=(GRAPH_BLOWUP,))
     assert final.t == 0.0 and traj.stats.samples == 1 and traj.stats.accepted_steps == 0
+
+
+def test_graph_blowup_needs_a_graph():
+    """A curve with d_alpha z1 < 0 somewhere has graph_slope_sup = inf; it
+    is not a graph, so GraphBlowup does not fire and events.json stays
+    strict JSON."""
+    a = periodic_grid(64)
+    turned = Curve("periodic", a, a - 1.2 * np.sin(a), 0.8 * np.sin(a))
+    traj, _ = run(SimState(turned), 0.0, 1e-3)
+    assert traj.stats.samples == 1
+    assert GRAPH_BLOWUP not in traj.events.kinds()
 
 
 def test_blowup_error_carries_trajectory():
@@ -209,5 +239,5 @@ def test_waterwave_energy_bounded_small_amplitude():
     stratification)."""
     n, k, eps = 64, 2, 1e-4
     st = SimState(graph_curve(eps * np.cos(k * periodic_grid(n))), np.zeros(n))
-    out = advance(st, 3.0, 5e-3)
+    out, _ = advance(st, 3.0, 5e-3)
     assert np.max(np.abs(out.curve.z2)) < 3 * eps

@@ -111,7 +111,7 @@ def test_ck_solve_matches_rk4_small_data():
     sc = extend_to_strip(c, 0.2)
     res = ck_solve(sc, 0.02, PREF, panels=8)
     assert res.converged
-    st = advance(SimState(c), 0.02, 1e-4)
+    st, _ = advance(SimState(c), 0.02, 1e-4)
     rc = res.curves[-1].real_curve()
     assert np.max(np.abs(rc.z2 - st.curve.z2)) < 1e-8
 
