@@ -6,14 +6,13 @@ turnover on shrinking strips of analyticity.
 """
 
 from .closures import PhysicalConstants
-from .curve import Curve, SlopeReport, arc_chord, as_graph, derivative, min_slope
+from .curve import Curve, SlopeReport, arc_chord, derivative, min_slope
 
 __all__ = [
     "Curve",
     "SlopeReport",
     "PhysicalConstants",
     "arc_chord",
-    "as_graph",
     "derivative",
     "min_slope",
 ]

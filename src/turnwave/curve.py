@@ -7,27 +7,29 @@ Two topologies are supported:
   z2 are 2*pi-periodic.  Calculus is spectral.
 * open: uniform symmetric grid on [-L, L]; the curve is flat-at-infinity,
   |z(alpha) - (alpha, z2(+-L))| small at the truncation.  Calculus uses
-  quintic splines.
+  the quintic interpolating spline, through its fixed nodal derivative
+  operators.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator, make_interp_spline
 
 from .spectral import fourier_derivative
 
 PERIODIC = "periodic"
 OPEN = "open"
 
-MAX_DERIVATIVE_ORDER = 5
 MIN_NODES = 16
 # Rows per block of the O(N^2) pair sweep (pair_blocks).  Of 32..256, 64
 # was fastest for the periodic Muskat kernel at N=512 and 2048.
 BLOCK_ROWS = 64
 # pairs j <= i in a block's leading square: the diagonal and pairs seen as (j, i)
 _LOWER = np.tri(BLOCK_ROWS, dtype=bool)
+# half-bandwidth and block height of the open-curve derivative products
+SPLINE_BAND = 64
 
 
 class CurveError(Exception):
@@ -38,17 +40,14 @@ class SelfIntersectionError(CurveError):
     pass
 
 
-class NotAGraphError(CurveError):
-    pass
-
-
 @dataclass
 class CurveProfile:
     """Closed-form description of a curve, when one is available.
 
     Used by quadratures that need accuracy beyond the sampled grid
-    (semi-infinite tail integrals).  z2 is constant, equal to tail_level,
-    for |alpha| >= tail_start (odd extension on the left).
+    (semi-infinite tail integrals).  z2 is smooth on |alpha| <= blend_start,
+    a polynomial blend up to tail_start and constant for |alpha| >=
+    tail_start (odd extension on the left).
     """
 
     z1: Callable[[np.ndarray], np.ndarray]
@@ -56,8 +55,8 @@ class CurveProfile:
     d2z1: Callable[[np.ndarray], np.ndarray]
     z2: Callable[[np.ndarray], np.ndarray]
     dz2: Callable[[np.ndarray], np.ndarray]
+    blend_start: float
     tail_start: float
-    tail_level: float
 
 
 @dataclass
@@ -141,32 +140,102 @@ def graph_curve(f, n: Optional[int] = None, topology: str = PERIODIC,
 
 
 def derivative(curve: Curve, order: int = 1):
-    """Per-component d^order/d alpha^order, sampled at the nodes.
+    """Per-component d^order/d alpha^order, order 1 or 2, sampled at the
+    nodes.
 
     Periodic: spectral (exact for band-limited data); the linear part of
-    z1 is handled separately.  Open: quintic-spline differentiation.
+    z1 is handled separately.  Open: the quintic interpolating spline's
+    derivative at the nodes, a banded matrix product (_spline_operators).
     """
-    return derivatives(curve, order)[0]
-
-
-def derivatives(curve: Curve, *orders):
-    """[derivative(curve, k) for k in orders], from one spline fit on open
-    curves."""
-    for order in orders:
-        if not (1 <= order <= MAX_DERIVATIVE_ORDER):
-            raise ValueError(f"order must be in 1..{MAX_DERIVATIVE_ORDER}")
-    if curve.n < MIN_NODES:
-        raise ValueError("curve too coarse to differentiate")
+    if order not in (1, 2):
+        raise ValueError("order must be 1 or 2")
     if curve.topology == PERIODIC:
-        out = []
-        for order in orders:
-            d1 = fourier_derivative(curve.z1 - curve.alpha, order)
-            if order == 1:
-                d1 = d1 + 1.0
-            out.append((d1, fourier_derivative(curve.z2, order)))
-        return out
-    spline = make_interp_spline(curve.alpha, curve.points(), k=5)
-    return [tuple(spline.derivative(order)(curve.alpha).T) for order in orders]
+        d1 = fourier_derivative(curve.z1 - curve.alpha, order)
+        if order == 1:
+            d1 = d1 + 1.0
+        return d1, fourier_derivative(curve.z2, order)
+    blocks = _spline_operators(curve.alpha.tobytes())[order - 1]
+    points = curve.points()
+    return tuple(np.concatenate([op @ points[j0:j1] for j0, j1, op in blocks]).T)
+
+
+def _bsplines(t, x, mu, k, r):
+    """r-th derivatives at x of the k + 1 B-splines of degree k on the knots
+    t that can be nonzero there, those with indices mu - k ... mu
+    (t[mu] <= x < t[mu + 1]): the Cox-de Boor recursion up to degree
+    k - r, then r steps of the derivative recursion (de Boor, A Practical
+    Guide to Splines, ch. IX-X).  A ratio whose knot span is empty
+    multiplies a zero B-spline and counts as 0."""
+    values = np.ones((x.size, 1))
+    for d in range(1, k + 1):
+        i = mu[:, None] + np.arange(-d, 1)
+        padded = np.pad(values, ((0, 0), (1, 1)))
+        spans = t[i + d] - t[i], t[i + d + 1] - t[i + 1]
+        left, right = (v / np.where(s > 0.0, s, 1.0)
+                       for v, s in zip((padded[:, :-1], padded[:, 1:]), spans))
+        if d <= k - r:
+            values = (x[:, None] - t[i]) * left + (t[i + d + 1] - x[:, None]) * right
+        else:
+            values = d * (left - right)
+    return values
+
+
+def _banded_inverse(A, w):
+    """A^-1 for a matrix whose nonzeros lie within w of the diagonal, by
+    Gaussian elimination without pivoting, which is stable for the
+    totally positive B-spline collocation matrices (de Boor & Pinkus,
+    Numer. Math. 27, 1977).  Row operations only, in O(w n^2): no BLAS
+    or LAPACK call, so the bits do not depend on the thread count."""
+    n = A.shape[0]
+    U, X = A.copy(), np.eye(n)
+    for k in range(n - 1):
+        below = slice(k + 1, min(n, k + w + 1))
+        f = U[below, k] / U[k, k]
+        U[below, k:k + w + 1] -= f[:, None] * U[k, k:k + w + 1]
+        X[below, :k + 1] -= f[:, None] * X[k, :k + 1]
+    for k in range(n - 1, -1, -1):
+        above = slice(k + 1, min(n, k + w + 1))
+        X[k] = (X[k] - (U[k, above, None] * X[above]).sum(axis=0)) / U[k, k]
+    return X
+
+
+@lru_cache(maxsize=4)
+def _spline_operators(nodes: bytes):
+    """The first- and second-derivative matrices D_1, D_2 that map values
+    at the n nodes (float64 bytes; an open run's grid never changes, so
+    they are built once) to the derivatives of their quintic
+    interpolating spline at the nodes.  Not-a-knot end conditions: the
+    knots are the nodes with each end repeated six times and the two
+    nodes next to each end left out.  D_r = B_r A^-1 (_banded_inverse),
+    with A and B_r the collocation matrices of the B-splines and of their
+    r-th derivatives, whose rows hold the six B-splines nonzero at their
+    node.
+
+    On the uniform open grids D_r falls by a factor of about 0.43 per node
+    away from the diagonal, so it is kept as read-only row blocks (j0, j1,
+    D_r[i0:i0 + SPLINE_BAND, j0:j1]), j0 = i0 - SPLINE_BAND and
+    j1 = i0 + 2 SPLINE_BAND clipped to [0, n]: the entries left out are
+    below 1e-22 of the largest, and a product costs O(n SPLINE_BAND)."""
+    x = np.frombuffer(nodes)
+    n = x.size
+    t = np.concatenate([np.full(6, x[0]), x[3:-3], np.full(6, x[-1])])
+    mu = np.minimum(np.searchsorted(t, x, side="right") - 1, n - 1)
+    rows, cols = np.arange(n)[:, None], mu[:, None] + np.arange(-5, 1)
+    A = np.zeros((n, n))
+    A[rows, cols] = _bsplines(t, x, mu, 5, 0)
+    inverse = _banded_inverse(A, 5)
+    operators = []
+    for r in (1, 2):
+        values, blocks = _bsplines(t, x, mu, 5, r), []
+        for i0 in range(0, n, SPLINE_BAND):
+            i1 = i0 + SPLINE_BAND
+            j0, j1 = max(0, i0 - SPLINE_BAND), min(n, i1 + SPLINE_BAND)
+            block = sum(values[i0:i1, k, None] * inverse[cols[i0:i1, k], j0:j1]
+                        for k in range(6))
+            block.flags.writeable = False
+            blocks.append((j0, j1, block))
+        operators.append(tuple(blocks))
+    return tuple(operators)
 
 
 def pair_blocks(*xs):
@@ -274,28 +343,6 @@ def min_slope(curve: Curve, d=None) -> SlopeReport:
     if curve.topology == PERIODIC:
         amin = amin % (2.0 * np.pi)
     return SlopeReport(min_slope=float(val), argmin_alpha=float(amin))
-
-
-def as_graph(curve: Curve) -> np.ndarray:
-    """Reparameterize as a graph: samples f on the curve's own alpha grid.
-
-    Requires d_alpha z1 > 0 everywhere; otherwise NotAGraphError.  Uses
-    monotone (PCHIP) interpolation of z2 against z1.
-    """
-    report = min_slope(curve)
-    if report.min_slope <= 0.0:
-        raise NotAGraphError(
-            f"min d_alpha z1 = {report.min_slope:.3e} at alpha = {report.argmin_alpha:.4f}")
-    if curve.topology == PERIODIC:
-        # extend one period on each side so the target grid is interior
-        x = np.concatenate([curve.z1 - 2.0 * np.pi, curve.z1, curve.z1 + 2.0 * np.pi])
-        y = np.tile(curve.z2, 3)
-        target = curve.alpha
-    else:
-        x, y = curve.z1, curve.z2
-        target = np.clip(curve.alpha, x[0], x[-1])
-    interp = PchipInterpolator(x, y)
-    return interp(target)
 
 
 def graph_slope_sup(curve: Curve, d=None) -> float:

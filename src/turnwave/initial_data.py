@@ -28,20 +28,23 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .closures import PhysicalConstants
-from .curve import (Curve, CurveProfile, OPEN, PERIODIC, as_graph, derivative,
+from .curve import (Curve, CurveProfile, OPEN, PERIODIC, derivative,
                     min_slope, open_grid, periodic_grid, resample)
-from .singular import muskat_rhs_periodic
+from .singular import QuadratureError, muskat_rhs_periodic
 from .spectral import discrete_h4_norm
 from .stepping import SimState, StepStats, advance
 
 
-# relative-only accuracy of the certificate quadratures: dv1(0) falls
-# to ~5e-4 on some candidates and the two-integral form cancels heavily,
-# so quad's default absolute tolerance (1.5e-8) would govern the result
+# relative-only agreement of successive panel doublings in the certificate
+# quadratures: dv1(0) falls to ~5e-4 on some candidates and the
+# two-integral form cancels heavily, so an absolute tolerance would
+# govern the result there
 QUAD_EPSREL = 1e-10
+MAX_QUAD_PANELS = 4096          # panels per piece before the doubling gives up
+# the 16-point Gauss-Legendre rule on [-1, 1], applied panel by panel
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
 class PreconditionError(Exception):
@@ -196,7 +199,7 @@ def turning_candidate_open(params: TurningParams, n: int = 1025,
     profile = CurveProfile(
         z1=horiz[0], dz1=horiz[1], d2z1=horiz[2],
         z2=vert.value, dz2=vert.deriv,
-        tail_start=params.beta3, tail_level=params.cbar)
+        blend_start=params.beta2, tail_start=params.beta3)
     return Curve(OPEN, alpha, z1, z2, L=L, profile=profile)
 
 
@@ -247,13 +250,36 @@ def _check_reduced_hypotheses(curve: Curve):
         raise PreconditionError("curve is not odd-symmetric")
 
 
-def _half_line_integral(g, ts: float) -> float:
-    """int_0^inf g, split at the tail start ts of the profile: the body
-    [0, ts] (with breakpoints at 1 and ts/2) and the flat tail [ts, inf)."""
-    body, _ = quad(g, 0.0, ts, limit=200, epsabs=0.0, epsrel=QUAD_EPSREL,
-                   points=[p for p in (1.0, ts / 2) if p < ts])
-    tail, _ = quad(g, ts, np.inf, limit=200, epsabs=0.0, epsrel=QUAD_EPSREL)
-    return body + tail
+def _panel_sum(g, a: float, b: float, panels: int) -> float:
+    """Composite 16-point Gauss-Legendre sum of g over `panels` equal
+    panels of [a, b]."""
+    half = 0.5 * (b - a) / panels
+    centers = a + half * (2 * np.arange(panels) + 1)
+    return half * float(np.sum(g(centers[:, None] + half * _GL_NODES) * _GL_WEIGHTS))
+
+
+def _half_line_integral(g, bs: float, ts: float) -> float:
+    """int_0^inf g for a profile that is smooth on [0, bs], a polynomial
+    blend on [bs, ts] and flat beyond ts: composite 16-point
+    Gauss-Legendre on [0, bs], on [bs, ts] and on the tail [ts, inf),
+    mapped by beta = ts / s onto s in (0, 1].  The panels per piece double
+    until two successive sums agree to QUAD_EPSREL.  Panels of fixed
+    order rather than one rule of high order (Trefethen, SIAM Review 50,
+    2008): z1^2 + z2^2 has complex zeros near the real axis, at about
+    0.17 from beta1 on the default candidate, which a single rule on
+    [0, bs] resolves only at order ~512."""
+    def total(panels):
+        return (_panel_sum(g, 0.0, bs, panels) + _panel_sum(g, bs, ts, panels)
+                + _panel_sum(lambda s: g(ts / s) * ts / s ** 2, 0.0, 1.0, panels))
+
+    panels, last = 2, total(1)
+    while panels <= MAX_QUAD_PANELS:
+        now = total(panels)
+        if abs(now - last) <= QUAD_EPSREL * abs(now):
+            return now
+        panels, last = 2 * panels, now
+    raise QuadratureError(f"panel sums still differ by {abs(now - last):.3e} "
+                          f"at {MAX_QUAD_PANELS} panels per piece")
 
 
 def dv1_at_zero_reduced(curve: Curve) -> float:
@@ -266,7 +292,8 @@ def dv1_at_zero_reduced(curve: Curve) -> float:
         zz1 = prof.z1(beta)
         zz2 = prof.z2(beta)
         return zz1 * zz2 * prof.dz1(beta) / (zz1 ** 2 + zz2 ** 2) ** 2
-    return 4.0 * float(prof.dz2(0.0)) * _half_line_integral(g, prof.tail_start)
+    return 4.0 * float(prof.dz2(0.0)) * _half_line_integral(
+        g, prof.blend_start, prof.tail_start)
 
 
 def dv1_at_zero_full(curve: Curve) -> float:
@@ -285,7 +312,7 @@ def dv1_at_zero_full(curve: Curve) -> float:
         i1 = (dd1 ** 2 + zz1 * prof.d2z1(beta)) / r2
         i2 = -2.0 * zz1 * dd1 * (zz1 * dd1 - zz2 * (dz2_0 - dd2)) / r2 ** 2
         return i1 + i2
-    return 2.0 * _half_line_integral(g, prof.tail_start)
+    return 2.0 * _half_line_integral(g, prof.blend_start, prof.tail_start)
 
 
 def dv1_at_zero_periodic(curve: Curve, prefactor: float,
@@ -386,7 +413,7 @@ def waterwave_datum(curve_star: Curve, delta: float,
     integrates the system backward by delta (time reversal: negate omega,
     run forward, negate back), with first trial step dt; the step counts
     are added to stats when it is given.  The returned state must be a
-    graph.
+    graph, min d_alpha z1 > 0 (min_slope); DeltaTooLargeError otherwise.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -396,9 +423,9 @@ def waterwave_datum(curve_star: Curve, delta: float,
     back, _ = advance(state, delta, dt, stats)
     datum_curve = back.curve
     datum_omega = -back.omega
-    try:
-        as_graph(datum_curve)
-    except Exception as exc:
+    report = min_slope(datum_curve)
+    if report.min_slope <= 0.0:
         raise DeltaTooLargeError(
-            f"backward run by delta={delta} did not reach a graph: {exc}") from exc
+            f"backward run by delta={delta} did not reach a graph: min d_alpha z1 "
+            f"= {report.min_slope:.3e} at alpha = {report.argmin_alpha:.4f}")
     return datum_curve, datum_omega

@@ -24,7 +24,7 @@ import numpy as np
 
 from .closures import ClosureIterationError, PhysicalConstants
 from .config import ScenarioConfig, dump_config
-from .curve import as_graph, graph_curve, graph_slope_sup, load_csv, min_slope, resample
+from .curve import graph_curve, graph_slope_sup, load_csv, min_slope, resample
 from .diagnostics import (sigma10, sigma10_checklist, sigma_muskat,
                           verify_weighted_rt, weight_h, weight_hbar)
 from .initial_data import (DeltaTooLargeError, dv1_at_zero_periodic,
@@ -100,15 +100,14 @@ def _fit_decay_rate(times, amplitudes):
     return float(-slope)
 
 
-def _fit_frequency(times, series, omega0):
-    """Angular frequency of a standing oscillation started at an amplitude
-    extremum: least-squares fit of A cos(omega t), seeded at omega0."""
-    from scipy.optimize import curve_fit
-    t = np.asarray(times, dtype=float)
-    v = np.asarray(series, dtype=float)
-    (amp, omega), _ = curve_fit(
-        lambda tt, a, w: a * np.cos(w * tt), t, v, p0=(v[0], omega0))
-    return float(abs(omega))
+def _fit_frequency(series, dt):
+    """Angular frequency of a standing oscillation sampled every dt: a
+    single cosine mode satisfies x_{n+1} + x_{n-1} = 2 cos(omega dt) x_n,
+    and c = 2 cos(omega dt) is the linear least-squares solution of that
+    relation over all samples (Prony's method for one mode)."""
+    x = np.asarray(series, dtype=float)
+    c = np.dot(x[1:-1], x[2:] + x[:-2]) / np.dot(x[1:-1], x[1:-1])
+    return float(np.arccos(c / 2.0) / dt)
 
 
 def _mode_amplitude(samples, k):
@@ -255,7 +254,10 @@ def waterwave_linear(cfg: ScenarioConfig) -> ScenarioResult:
     series = [np.real(np.fft.fft(c.z2)[k]) * 2.0 / c.n
               for _, c, _ in traj.snapshots]
     theory = float(np.sqrt(consts.g * abs(k)))
-    measured = _fit_frequency(times, series, theory)
+    # run samples at 0 + k dt (so this test is exact) and appends t_end
+    # when t_end is off that grid
+    on_grid = times[-1] == (len(times) - 1) * cfg.numerics.dt
+    measured = _fit_frequency(series if on_grid else series[:-1], cfg.numerics.dt)
     rel = abs(measured - theory) / theory
     report = {"k": k, "measured_frequency": measured, "theory_frequency": theory,
               "relative_error": rel, "pass": bool(rel < 1e-2)}
@@ -268,7 +270,11 @@ def waterwave_turning(cfg: ScenarioConfig) -> ScenarioResult:
     slope sup |f_alpha| diverges and the interface leaves the graph class at
     the Turning event.  The round trip compares the forward run's sample
     round(delta / dt) with the turning curve; a run that stops before that
-    sample fails."""
+    sample fails.  as_graph_fails_at_turning (min d_alpha z1 <= 0 on the
+    last sample) restates the stop rule: the run stops at the first
+    sample where Turning fires, which is that same test, so the key is
+    true whenever Turning fires.  It stays until a growth fit of
+    sup |f_alpha| can replace it as criterion 7's check."""
     consts = cfg.constants()
     params = cfg.turning_params()
     star = turning_candidate_periodic(params, n=cfg.grid.n)
@@ -287,12 +293,7 @@ def waterwave_turning(cfg: ScenarioConfig) -> ScenarioResult:
                                np.max(np.abs(rt_curve.z2 - star.z2))))
     ev_turn = traj.events.first(TURNING)
     ev_blow = traj.events.first(GRAPH_BLOWUP)
-    graph_fails = False
-    if ev_turn is not None:
-        try:
-            as_graph(final.curve)
-        except Exception:
-            graph_fails = True
+    graph_fails = ev_turn is not None and min_slope(final.curve).min_slope <= 0.0
     times = traj.times
     sup_fa = [graph_slope_sup(c) for _, c, _ in traj.snapshots]
     finite = [v for v in sup_fa if np.isfinite(v)]

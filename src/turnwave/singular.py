@@ -48,7 +48,7 @@ recovered from q = v1 - i*v2.  The perp convention is (x, y)^perp =
 
 import numpy as np
 
-from .curve import Curve, OPEN, PERIODIC, derivative, derivatives, pair_blocks
+from .curve import Curve, OPEN, PERIODIC, derivative, pair_blocks
 
 
 class QuadratureError(Exception):
@@ -215,7 +215,7 @@ def muskat_rhs_open(curve: Curve, rho_jump: float = 1.0) -> np.ndarray:
     kern = _antisymmetric_kernel(curve.z1, curve.z2, _open_pair)
     weights = np.full(n, h)
     weights[0] = weights[-1] = 0.5 * h
-    (d1, d2), dd = derivatives(curve, 1, 2)
+    (d1, d2), dd = derivative(curve, 1), derivative(curve, 2)
     v = _tangent_difference(kern, weights, (d1, d2), dd, 1.0)
 
     L = float(curve.alpha[-1])

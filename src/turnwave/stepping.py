@@ -54,7 +54,6 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .closures import PhysicalConstants, waterwave_rhs
 from .curve import (Curve, PERIODIC, SelfIntersectionError, arc_chord, derivative,
@@ -80,6 +79,8 @@ PI_BETA = 0.04                  # weight of the previous error (PI control)
 PI_ALPHA = 0.2 - 0.75 * PI_BETA
 SAMPLE_SLACK = 1e-9             # rounding allowance on t_end, in units of dt
 TURNING_XTOL = 1e-14            # absolute tolerance of the located Turning time
+TURNING_RTOL = 4.0 * np.finfo(float).eps    # and its relative tolerance
+TURNING_MAX_ITER = 100          # root-finder iterations before giving up
 
 # Dormand-Prince 5(4): nodes, stage rows (the last row is also the
 # fifth-order weights), fifth- minus fourth-order weights, and the
@@ -357,19 +358,54 @@ def _sample_times(t0: float, t_end: float, dt: float) -> list:
     return times
 
 
+def _brent(f, a: float, b: float, fa: float, fb: float) -> float:
+    """Root of f between a and b, given fa = f(a) != 0 and fb = f(b) of the
+    other sign or 0, to within (TURNING_XTOL + TURNING_RTOL |x|) / 2:
+    Brent's method (Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 4).  x is the best estimate, x_pre the one
+    before, x_blk the far end of the bracket.  A step interpolates (secant,
+    or inverse quadratic through three points) when that lands well inside
+    the bracket and shrinks faster than bisection would; else it bisects."""
+    x_pre, f_pre, x, fx = a, fa, b, fb
+    x_blk = f_blk = s_pre = s_cur = 0.0
+    for _ in range(TURNING_MAX_ITER):
+        if (f_pre < 0.0) != (fx < 0.0):
+            x_blk, f_blk = x_pre, f_pre
+            s_pre = s_cur = x - x_pre
+        if abs(f_blk) < abs(fx):
+            x_pre, x, x_blk = x, x_blk, x
+            f_pre, fx, f_blk = fx, f_blk, fx
+        delta = (TURNING_XTOL + TURNING_RTOL * abs(x)) / 2.0
+        s_bis = (x_blk - x) / 2.0
+        if fx == 0.0 or abs(s_bis) < delta:
+            return float(x)
+        s_try = None
+        if abs(s_pre) > delta and abs(fx) < abs(f_pre):
+            if x_pre == x_blk:
+                s_try = -fx * (x - x_pre) / (fx - f_pre)
+            else:
+                d_pre = (f_pre - fx) / (x_pre - x)
+                d_blk = (f_blk - fx) / (x_blk - x)
+                s_try = (-fx * (f_blk * d_blk - f_pre * d_pre)
+                         / (d_blk * d_pre * (f_blk - f_pre)))
+            if not 2.0 * abs(s_try) < min(abs(s_pre), 3.0 * abs(s_bis) - delta):
+                s_try = None
+        s_pre, s_cur = (s_bis, s_bis) if s_try is None else (s_cur, s_try)
+        x_pre, f_pre = x, fx
+        x += s_cur if abs(s_cur) > delta else (delta if s_bis > 0.0 else -delta)
+        fx = f(x)
+    raise RuntimeError(f"root not located in {TURNING_MAX_ITER} iterations")
+
+
 def _locate_turning(covering, t_a, m_a, t_b, m_b) -> float:
     """Root of min d_alpha z1 on the filtered dense output between the
     samples (t_a, m_a) and (t_b, m_b), m_a > 0 >= m_b.  covering holds
     (end time, step) for the accepted steps that span [t_a, t_b]."""
     def slope(t):
-        if t == t_a:
-            return m_a
-        if t == t_b:
-            return m_b
         step = next(s for t1, s in covering if t <= t1)
         return min_slope(_filtered(step.at(t)).curve).min_slope
 
-    return brentq(slope, t_a, t_b, xtol=TURNING_XTOL)
+    return _brent(slope, t_a, t_b, m_a, m_b)
 
 
 def run(state: SimState, t_end: float, dt: float, stop_on=()):

@@ -63,14 +63,10 @@ class StripCurve:
         if self.r < 0.0:
             raise StripError("strip half-width must be >= 0")
         scale = max(np.abs(self.coeffs).max(), 1e-30)
-        sym = self.coeffs - np.conj(self.coeffs[:, self._reverse_index()])
+        sym = self.coeffs - np.conj(self.coeffs[:, -np.arange(self.n) % self.n])
         if np.abs(sym).max() > 1e-9 * scale:
             raise StripError("coefficients violate conjugate symmetry "
                              "(curve not real on the real axis)")
-
-    def _reverse_index(self):
-        n = self.n
-        return (-np.arange(n)) % n
 
     @property
     def n(self) -> int:
@@ -92,16 +88,15 @@ class StripCurve:
         return np.stack([z1, vals[1]])
 
     def real_curve(self) -> Curve:
-        tr = self.trace(0.0)
-        return Curve(topology=PERIODIC, alpha=self.alpha,
-                     z1=tr[0].real.copy(), z2=tr[1].real.copy())
+        return _real_curve(self.coeffs)
 
 
-def _coeffs_from_samples(z1, z2, alpha) -> np.ndarray:
-    n = alpha.size
-    p1 = np.fft.fft(np.asarray(z1) - alpha) / n
-    p2 = np.fft.fft(np.asarray(z2)) / n
-    return np.stack([p1, p2])
+def _real_curve(coeffs: np.ndarray) -> Curve:
+    """The curve on the real axis, from its coefficients (2, n)."""
+    n = coeffs.shape[1]
+    vals = np.fft.ifft(coeffs, axis=1).real * n
+    alpha = periodic_grid(n)
+    return Curve(topology=PERIODIC, alpha=alpha, z1=alpha + vals[0], z2=vals[1])
 
 
 def _floored_magnitudes(coeffs: np.ndarray):
@@ -148,7 +143,8 @@ def extend_to_strip(curve: Curve, r: float, t: float = 0.0) -> StripCurve:
     """
     if curve.topology != PERIODIC:
         raise StripError("only periodic curves extend to a strip")
-    coeffs = _coeffs_from_samples(curve.z1, curve.z2, curve.alpha)
+    coeffs = np.stack([np.fft.fft(curve.z1 - curve.alpha),
+                       np.fft.fft(curve.z2)]) / curve.n
     tail = amplified_tail(coeffs, r)
     if tail > TAIL_TOLERANCE:
         raise InsufficientAnalyticityError(
@@ -164,39 +160,57 @@ def extend_to_strip(curve: Curve, r: float, t: float = 0.0) -> StripCurve:
 
 # --- scale-of-spaces norm ------------------------------------------------------
 
-def _weighted_norm(coeffs: np.ndarray, r: float, j: int) -> float:
+def strip_norm(coeffs: np.ndarray, r: float, j: int = 4) -> float:
+    """||f||_r = (sum_+- int |f(a +- ir)|^2 + |d^j f(a +- ir)|^2 da)^(1/2)
+    of the flat-subtracted components with coefficients (2, n), by the
+    coefficient (Parseval) formula."""
     k = modes(coeffs.shape[1]).astype(float)
     weight = 2.0 * np.cosh(2.0 * k * r) * (1.0 + k ** (2 * j))
     return float(np.sqrt(2.0 * np.pi * np.sum(weight[None, :] * np.abs(coeffs) ** 2)))
 
 
-def strip_norm(strip: StripCurve, r: float = None, j: int = 4) -> float:
-    """||f||_r = (sum_+- int |f(a +- ir)|^2 + |d^j f(a +- ir)|^2 da)^(1/2)
-    of the flat-subtracted components, by the coefficient (Parseval) formula."""
-    return _weighted_norm(strip.coeffs, strip.r if r is None else r, j)
-
-
-def strip_distance(a: StripCurve, b: StripCurve, r: float, j: int = 4) -> float:
-    """||a - b||_r with difference coefficients below the double-precision
-    floor (relative to the iterate scale) treated as zero: the strip
-    weights amplify sub-roundoff noise beyond observability otherwise."""
-    if a.n != b.n:
+def strip_distance(a: np.ndarray, b: np.ndarray, r: float, j: int = 4) -> float:
+    """||a - b||_r of two coefficient arrays, with difference coefficients
+    below the double-precision floor (relative to the iterate scale)
+    treated as zero: the strip weights amplify sub-roundoff noise beyond
+    observability otherwise."""
+    if a.shape != b.shape:
         raise StripError("mode counts differ")
-    scale = max(np.abs(a.coeffs).max(), np.abs(b.coeffs).max(), 1e-300)
-    d = a.coeffs - b.coeffs
+    scale = max(np.abs(a).max(), np.abs(b).max(), 1e-300)
+    d = a - b
     d = np.where(np.abs(d) > 10.0 * COEFF_FLOOR * scale, d, 0.0)
-    return _weighted_norm(d, r, j)
+    return strip_norm(d, r, j)
 
 
 # --- contour operator --------------------------------------------------------
 
-def _g_coeffs(strip: StripCurve, prefactor: float) -> np.ndarray:
+def _g_coeffs(coeffs: np.ndarray, prefactor: float) -> np.ndarray:
     """Fourier coefficients (FFT layout / n) of the real-axis contour
-    velocity (v1, v2) of the strip curve."""
-    curve = strip.real_curve()
-    v = muskat_rhs_periodic(curve, prefactor)
-    n = strip.n
+    velocity (v1, v2) of the curve with coefficients (2, n)."""
+    v = muskat_rhs_periodic(_real_curve(coeffs), prefactor)
+    n = coeffs.shape[1]
     return np.stack([np.fft.fft(v[:, 0]) / n, np.fft.fft(v[:, 1]) / n])
+
+
+def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """int_{x_0}^{x_j} y at every node j, y sampled at the increasing nodes x
+    along axis 0.  Interval i integrates the quadratic through nodes
+    (i, i+1, i+2) when i is even, and the one through (i-1, i, i+1) when
+    i is odd or the last interval."""
+    def first_gap(f1, f2, f3, h1, h2):
+        """Integral over the gap h1 between the first two of three points
+        of the quadratic through them; h2 is the gap to the third."""
+        r = h1 / (h1 + h2)
+        q = r * (h1 / h2)
+        return h1 / 6 * ((3 - r) * f1 + (3 + q + r) * f2 - q * f3)
+
+    h = np.diff(x).reshape((-1,) + (1,) * (y.ndim - 1))
+    forward = first_gap(y[:-2], y[1:-1], y[2:], h[:-1], h[1:])     # interval i
+    backward = first_gap(y[2:], y[1:-1], y[:-2], h[1:], h[:-1])    # interval i + 1
+    pieces = np.empty_like(y[1:])
+    pieces[:-1:2], pieces[1::2] = forward[::2], backward[::2]
+    pieces[-1] = backward[-1]
+    return np.concatenate([np.zeros_like(y[:1]), np.cumsum(pieces, axis=0)])
 
 
 # --- successive approximations -------------------------------------------------
@@ -215,17 +229,16 @@ def ck_solve(z0: StripCurve, T: float, prefactor: float,
              max_iter: int = 50, norm_bound: float = 1e8) -> CKResult:
     """Successive approximations z^{n+1}(t) = z0 + int_0^t G(z^n(s)) ds.
 
-    The time integral is cumulative composite Simpson on a fixed grid of
-    `panels` panels over [0, T]; G is evaluated by real-axis collocation
-    and continued in Fourier space.  The strip half-width shrinks
-    linearly, r(t) = r0 (1 - t / 2T), from z0.r to z0.r / 2.  Iterates
-    must stay in the admissible open set: strip norm below norm_bound,
-    real-axis arc-chord ratio below CHORD_BOUND, and Fourier tail
-    compatible with the current strip half-width r(t) (the
-    domain-of-validity guard).
+    The time integral is cumulative composite Simpson (_cumulative_simpson)
+    on a fixed grid of `panels` panels over [0, T]; G is evaluated by
+    real-axis collocation and continued in Fourier space.  The strip
+    half-width shrinks linearly, r(t) = r0 (1 - t / 2T), from z0.r to
+    z0.r / 2.  Iterates must stay in the admissible open set: strip norm
+    below norm_bound, real-axis arc-chord ratio below CHORD_BOUND, and
+    Fourier tail compatible with the current strip half-width r(t) (the
+    domain-of-validity guard).  The sweeps work on coefficient arrays;
+    only the returned curves are StripCurves.
     """
-    from scipy.integrate import cumulative_simpson
-
     if panels % 2:
         raise StripError("panels must be even for Simpson")
     n_nodes = panels + 1
@@ -233,54 +246,41 @@ def ck_solve(z0: StripCurve, T: float, prefactor: float,
     rs = z0.r * (1.0 - times / (2.0 * T))
 
     def check_admissible(coeffs, r):
-        sc = StripCurve(coeffs=coeffs, r=r)
-        if strip_norm(sc, r=r) > norm_bound:
+        if strip_norm(coeffs, r) > norm_bound:
             raise RegimeExitError(f"iterate norm exceeds {norm_bound:g}")
-        if arc_chord(sc.real_curve()) > CHORD_BOUND:
+        if arc_chord(_real_curve(coeffs)) > CHORD_BOUND:
             raise RegimeExitError("real-trace arc-chord bound exceeded")
 
     # z^n(0) = z0 in every sweep: check it and evaluate G(z0) once
     if decay_violation(z0.coeffs, rs[0]) > 1.0:
         raise RegimeExitError(
             f"iterate 1 leaves the strip of half-width {rs[0]:g} at t=0")
-    g0 = _g_coeffs(z0, prefactor)
+    g0 = _g_coeffs(z0.coeffs, prefactor)
     check_admissible(z0.coeffs, rs[0])
 
-    iters = [np.array([z0.coeffs.copy() for _ in range(n_nodes)])]
+    new = np.repeat(z0.coeffs[None], n_nodes, axis=0)
     history = []
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        prev = iters[-1]
+        prev = new
         g = np.empty_like(prev)
         g[0] = g0
         for j in range(1, n_nodes):
-            sc = StripCurve(coeffs=prev[j], r=rs[j], t=z0.t + times[j])
-            if decay_violation(sc.coeffs, rs[j]) > 1.0:
+            if decay_violation(prev[j], rs[j]) > 1.0:
                 raise RegimeExitError(
                     f"iterate {it} leaves the strip of half-width {rs[j]:g} "
                     f"at t={times[j]:g}")
-            g[j] = _g_coeffs(sc, prefactor)
-        integral = (cumulative_simpson(g.real, x=times, axis=0, initial=0.0)
-                    + 1j * cumulative_simpson(g.imag, x=times, axis=0, initial=0.0))
-        new = z0.coeffs[None, :, :] + integral
-        diffs = [
-            strip_distance(StripCurve(coeffs=new[j], r=rs[j]),
-                           StripCurve(coeffs=prev[j], r=rs[j]), r=rs[j])
-            for j in range(n_nodes)
-        ]
-        step = float(max(diffs))
+            g[j] = _g_coeffs(prev[j], prefactor)
+        new = z0.coeffs[None, :, :] + _cumulative_simpson(g, times)
+        step = max(strip_distance(new[j], prev[j], rs[j]) for j in range(n_nodes))
         history.append(step)
         for j in (n_nodes // 2, n_nodes - 1):
             check_admissible(new[j], rs[j])
-        iters.append(new)
-        if len(iters) > 2:
-            iters.pop(0)
         if step < tol:
             converged = True
             break
-    final = iters[-1]
-    curves = [StripCurve(coeffs=final[j], r=rs[j], t=z0.t + times[j])
+    curves = [StripCurve(coeffs=new[j], r=rs[j], t=z0.t + times[j])
               for j in range(n_nodes)]
     return CKResult(times=z0.t + times, curves=curves,
                     contraction_history=history, iterations=it,

@@ -1,12 +1,12 @@
-"""Curve geometry: derivatives, arc-chord, slope reports, graph round trips."""
+"""Curve geometry: derivatives, arc-chord, slope reports, the graph test."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from turnwave.curve import (BLOCK_ROWS, Curve, NotAGraphError, SelfIntersectionError,
-                            arc_chord, as_graph, derivative,
+from turnwave.curve import (BLOCK_ROWS, Curve, SelfIntersectionError,
+                            arc_chord, derivative,
                             graph_curve, graph_slope_sup, load_csv, min_slope,
                             open_grid, periodic_grid, resample, save_csv)
 
@@ -43,6 +43,18 @@ def test_open_derivative_polynomial():
     c = Curve(OPEN, a, a + 0.01 * a ** 3, np.exp(-a ** 2))
     d1, _ = derivative(c, 1)
     assert np.max(np.abs(d1 - (1 + 0.03 * a ** 2))) < 1e-9
+    # the quintic spline reproduces polynomials of degree <= 5 exactly, so
+    # on a quintic both derivative operators are exact to roundoff, which
+    # the r-th derivative amplifies by 1 / h^r
+    h = a[1] - a[0]
+    x = a / 5.0
+    c = Curve(OPEN, a, a + 0.2 * x ** 5 - x ** 3, 0.5 * x ** 4 - x ** 5)
+    exact = {1: (1 + (x ** 4 - 3 * x ** 2) / 5.0, (2 * x ** 3 - 5 * x ** 4) / 5.0),
+             2: ((4 * x ** 3 - 6 * x) / 25.0, (6 * x ** 2 - 20 * x ** 3) / 25.0)}
+    for order, (e1, e2) in exact.items():
+        d1, d2 = derivative(c, order)
+        roundoff = 1e3 * np.finfo(float).eps * 5.0 / h ** order
+        assert max(np.max(np.abs(d1 - e1)), np.max(np.abs(d2 - e2))) < roundoff
 
 
 def test_arc_chord_flat_is_one():
@@ -132,27 +144,14 @@ def test_min_slope_subgrid_refinement():
     assert abs(rep.argmin_alpha - 0.3) < 1e-2
 
 
-def test_as_graph_identity_on_graph():
-    f = 0.3 * np.cos(periodic_grid(128))
-    c = graph_curve(f)
-    assert np.max(np.abs(as_graph(c) - f)) < 1e-12
-
-
-def test_as_graph_rejects_overhang():
+def test_min_slope_flags_overhang():
+    """The graph test of the water-wave pipelines, min d_alpha z1 <= 0, on
+    a curve that folds over near alpha = 0 (d_alpha z1 = 1 - 1.5 cos a)."""
     a = periodic_grid(128)
-    c = Curve(PERIODIC, a, a - 1.5 * np.sin(a), np.cos(a))  # d z1 < 0 near 0
-    with pytest.raises(NotAGraphError):
-        as_graph(c)
-
-
-def test_as_graph_round_trip_reparameterized():
-    # same geometric graph, non-trivial parameterization
-    a = periodic_grid(256)
-    z1 = a + 0.3 * np.sin(a)
-    f = lambda x: 0.1 * np.cos(2 * x)
-    c = Curve(PERIODIC, a, z1, f(z1))
-    # PCHIP reparameterization is locally cubic: ~1e-5 at this resolution
-    assert np.max(np.abs(as_graph(c) - f(a))) < 1e-4
+    c = Curve(PERIODIC, a, a - 1.5 * np.sin(a), np.cos(a))
+    rep = min_slope(c)
+    assert rep.min_slope == pytest.approx(-0.5, abs=1e-12)
+    assert min(rep.argmin_alpha, 2 * np.pi - rep.argmin_alpha) < 1e-12
 
 
 def test_graph_slope_sup():

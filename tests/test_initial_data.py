@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from turnwave.closures import PhysicalConstants
-from turnwave.curve import as_graph, derivative, min_slope
+from turnwave.curve import derivative, min_slope
 from turnwave.initial_data import (DeltaTooLargeError, PreconditionError,
                                    TurningParams, dv1_at_zero_full,
                                    dv1_at_zero_periodic,
@@ -45,8 +45,7 @@ def test_open_candidate_geometry():
 def test_open_candidate_tilt_unfolds():
     c = turning_candidate_open(DEFAULT, n=513, L=15.0, tilt=0.05)
     rep = min_slope(c)
-    assert rep.min_slope == pytest.approx(0.05, rel=1e-6)
-    as_graph(c)  # strict graph
+    assert rep.min_slope == pytest.approx(0.05, rel=1e-6)  # strict graph
 
 
 def test_periodic_candidate_geometry():
@@ -142,3 +141,58 @@ def test_open_candidate_certificate_quadratures_agree(b, cbar):
     c = turning_candidate_open(TurningParams(b=b, cbar=cbar), n=257, L=15.0)
     red, full = dv1_at_zero_reduced(c), dv1_at_zero_full(c)
     assert abs(red - full) <= 1e-6 * max(abs(red), abs(full), 1e-12)
+
+
+def dv1_reference(params, dps=40):
+    """Both certificate integrals of the open candidate to `dps` digits
+    (mpmath), on the profile as built: the blend polynomial keeps its
+    double-precision coefficients, so only the quadrature is compared."""
+    mpmath = pytest.importorskip("mpmath")
+    from turnwave.initial_data import _VerticalProfile
+    blend = [float(c) for c in _VerticalProfile(params).poly.coef[::-1]]
+    with mpmath.workdps(dps):
+        b1, b2, b3, b, cbar = map(mpmath.mpf, (params.beta1, params.beta2,
+                                              params.beta3, params.b, params.cbar))
+        blend = [mpmath.mpf(c) for c in blend]
+        dblend = [c * (len(blend) - 1 - i) for i, c in enumerate(blend[:-1])]
+
+        def z2(x):
+            if x <= b2:
+                return b * x * (b1 ** 2 - x ** 2) / (1 + x ** 4)
+            return mpmath.polyval(blend, x) if x < b3 else cbar
+
+        def dz2(x):
+            if x <= b2:
+                return b * ((b1 ** 2 - 3 * x ** 2) * (1 + x ** 4)
+                            - 4 * x ** 4 * (b1 ** 2 - x ** 2)) / (1 + x ** 4) ** 2
+            return mpmath.polyval(dblend, x) if x < b3 else 0
+
+        def z1(x):
+            """z1 and its first two derivatives."""
+            return (x ** 3 / (1 + x ** 2), x ** 2 * (x ** 2 + 3) / (1 + x ** 2) ** 2,
+                    2 * x * (3 - x ** 2) / (1 + x ** 2) ** 3)
+
+        def reduced(x):
+            (p, dp, _), q = z1(x), z2(x)
+            return p * q * dp / (p ** 2 + q ** 2) ** 2
+
+        def full(x):
+            (p, dp, ddp), q = z1(x), z2(x)
+            r2 = p ** 2 + q ** 2
+            return ((dp ** 2 + p * ddp) / r2
+                    - 2 * p * dp * (p * dp - q * (dz2(0) - dz2(x))) / r2 ** 2)
+
+        pieces = [0, b1, b2, b3, mpmath.inf]
+        return (float(4 * dz2(0) * mpmath.quad(reduced, pieces)),
+                float(2 * mpmath.quad(full, pieces)))
+
+
+@pytest.mark.parametrize("params", [DEFAULT, TurningParams(b=2.0, cbar=-0.63671875)],
+                         ids=["default", "cancelling"])
+def test_certificate_quadratures_match_40_digit_reference(params):
+    """The Gauss-Legendre panel sums against mpmath at 40 digits, within
+    1e-11 relative.  In the cancelling case dv1(0) is only 5.2e-4."""
+    c = turning_candidate_open(params, n=257, L=15.0)
+    red_ref, full_ref = dv1_reference(params)
+    assert abs(dv1_at_zero_reduced(c) - red_ref) <= 1e-11 * abs(red_ref)
+    assert abs(dv1_at_zero_full(c) - full_ref) <= 1e-11 * abs(full_ref)

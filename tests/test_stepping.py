@@ -69,6 +69,22 @@ def test_turning_time_independent_of_sampling_interval():
     assert abs(t_star[0] - t_star[1]) < 1e-9
 
 
+def test_brent_root_to_tolerance_with_few_evaluations():
+    """The Turning root finder on a smooth bracket: within TURNING_XTOL of
+    the root in 7 evaluations inside it (bisection alone would take 47),
+    and a zero at the bracket end returned as is."""
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return 2.0 - t ** 3
+
+    root = stepping._brent(f, 1.0, 2.0, f(1.0), f(2.0))
+    assert abs(root - 2.0 ** (1.0 / 3.0)) <= stepping.TURNING_XTOL
+    assert len(calls) - 2 <= 8
+    assert stepping._brent(f, 0.0, 1.5, 1.0, 0.0) == 1.5
+
+
 def test_run_samples_at_t0_plus_k_dt_then_t_end():
     """Samples sit at t0 + k dt, then at an off-grid t_end; the run ends
     there exactly, whatever steps the controller took."""

@@ -76,20 +76,33 @@ def strip_norm_quadrature(strip, j=4):
 
 def test_strip_norm_parseval_vs_quadrature():
     sc = extend_to_strip(eps_cos_curve(eps=0.02, k=2), 0.15)
-    a = strip_norm(sc)
+    a = strip_norm(sc.coeffs, sc.r)
     b = strip_norm_quadrature(sc)
     assert abs(a - b) < 1e-10 * max(a, b)
 
 
 def test_strip_distance_identity_and_floor():
     sc = extend_to_strip(eps_cos_curve(), 0.2)
-    assert strip_distance(sc, sc, r=sc.r) == 0.0
+    assert strip_distance(sc.coeffs, sc.coeffs, r=sc.r) == 0.0
 
 
 def test_amplified_tail_and_decay_violation_flat():
     sc = extend_to_strip(flat_curve(64), 0.5)
     assert amplified_tail(sc.coeffs, sc.r) == 0.0
     assert decay_violation(sc.coeffs, sc.r) == 0.0
+
+
+@pytest.mark.parametrize("intervals", [8, 7])
+def test_cumulative_simpson_exact_on_quadratics(intervals):
+    """Every cumulative integral of a quadratic is exact on uneven nodes,
+    for an even and an odd number of intervals; complex values integrate
+    componentwise."""
+    from turnwave.strip import _cumulative_simpson
+    x = np.sort(np.random.default_rng(1).uniform(0.0, 2.0, intervals + 1))
+    y = (3 * x ** 2 - 2 * x + 1) + 1j * (x - x ** 2)
+    antiderivative = (x ** 3 - x ** 2 + x) + 1j * (x ** 2 / 2 - x ** 3 / 3)
+    integral = _cumulative_simpson(y[:, None, None], x)[:, 0, 0]
+    assert np.max(np.abs(integral - (antiderivative - antiderivative[0]))) < 1e-13
 
 
 def test_shrink_schedules():
