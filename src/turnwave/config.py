@@ -54,9 +54,6 @@ class StripConfig:
     r0: float = 0.04
     M: int = 512            # mode/grid count used by the strip solver
     T: float = 0.02         # continuation horizon
-    panels: int = 64
-    tol: float = 1e-10
-    max_iter: int = 50
 
 
 @dataclass
@@ -124,11 +121,11 @@ class ScenarioConfig:
         objects it builds (their messages begin with the field at fault)
         and on the values the pipelines need: positive finite times, at
         least MIN_NODES nodes (even on the period, odd on the open line),
-        a resolved wavenumber, an even Simpson panel count and a strip of
-        positive width.  The turning datum's own ranges hold per scenario:
-        grid.L > beta3 on the open line, beta1 < pi on the period.  Water
-        waves have vacuum above and only g in their right-hand side, so
-        their configs keep rho1, mu and kappa at the defaults."""
+        a resolved wavenumber and a strip of positive width.  The turning
+        datum's own ranges hold per scenario: grid.L > beta3 on the open
+        line, beta1 < pi on the period.  Water waves have vacuum above and
+        only g in their right-hand side, so their configs keep rho1, mu and
+        kappa at the defaults."""
         for section, build in (("physics", self.constants),
                                ("turning", self.turning_params),
                                ("weights", self.weight_params)):
@@ -148,8 +145,6 @@ class ScenarioConfig:
                  "must be odd on the open line (a node at alpha = 0)" if open_line
                  else "must be even on the period (alternating-point quadrature)"),
                 ("wave.k", 1 <= self.wave.k < n / 2, "must lie in 1 .. grid.n/2 - 1"),
-                ("strip.panels", self.strip.panels >= 2 and self.strip.panels % 2 == 0,
-                 "must be even and >= 2 (Simpson's rule)"),
                 ("strip.T", 0 < self.strip.T < math.inf, "must be positive and finite"),
                 ("strip.r0", 0 < self.strip.r0 < math.inf, "must be positive and finite")):
             if not ok:
@@ -186,16 +181,12 @@ _SECTIONS = {
 
 def _parse_value(text: str, target_type):
     text = text.strip()
-    if target_type is int:
+    if target_type in (int, float):
         try:
-            return int(text)
+            return target_type(text)
         except ValueError as exc:
-            raise ConfigError(f"expected an integer, got {text!r}") from exc
-    if target_type is float:
-        try:
-            return float(text)
-        except ValueError as exc:
-            raise ConfigError(f"expected a number, got {text!r}") from exc
+            kind = "an integer" if target_type is int else "a number"
+            raise ConfigError(f"expected {kind}, got {text!r}") from exc
     return text.strip("\"'")
 
 

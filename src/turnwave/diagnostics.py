@@ -26,7 +26,7 @@ import numpy as np
 
 from .closures import PhysicalConstants
 from .curve import Curve, PERIODIC, derivative
-from .spectral import fourier_derivative
+from .spectral import fourier_derivative, modes
 
 
 @dataclass(frozen=True)
@@ -211,7 +211,7 @@ def energy_distance(strip, reference, k: int = 4) -> float:
     acceptance criterion 10 bounds."""
     if abs(strip.r - reference.r) > 1e-14 or strip.n != reference.n:
         raise ValueError("strip curves must share strip geometry")
-    kmodes = strip.mode_numbers()
+    kmodes = modes(strip.n)
     diff = strip.coeffs - reference.coeffs  # (2, n_modes)
     mult = (1j * kmodes) ** k * np.exp(-kmodes * strip.r)
     vals = diff * mult

@@ -5,8 +5,8 @@ and returns through `_finish`, the one writer of a run directory under
 config.output_dir.  For a scenario that samples a trajectory it writes
 the snapshots (every numerics.snapshot_cadence-th sample and the last),
 diagnostics.csv and events.json, then the scenario's own files,
-metrics.json (step counts and, for muskat-breakdown, the Picard sweeps
-of both ck_solve calls), config.txt and report.json, and finally the
+metrics.json (step counts and, per ck_solve call, its time grid and
+Picard sweeps), config.txt and report.json, and finally the
 interface, min_slope and sigma_min plots through render_trajectory.
 The returned ScenarioResult's exit_code follows the CLI convention: 0
 success, 3 numerical failure (the directory keeps the partial
@@ -31,7 +31,7 @@ from .initial_data import (DeltaTooLargeError, dv1_at_zero_periodic,
                            turning_candidate_open, turning_candidate_periodic,
                            turning_certificate, waterwave_datum)
 from .stepping import (BlowUpError, GRAPH_BLOWUP, RT_RUN_LENGTH, RT_SIGN_CHANGE,
-                       TURNING, SimState, StepStats, advance, run)
+                       TURNING, SimState, StepStats, _brent, advance, run)
 from .strip import (CKResult, InsufficientAnalyticityError, RegimeExitError,
                     ck_solve, extend_to_strip)
 from .svg import render_curve, render_series
@@ -39,8 +39,8 @@ from .svg import render_curve, render_series
 # fixed stage parameters of the breakdown pipeline (the backward
 # analyticity radius is generous because the candidate is band-limited)
 BACKWARD_STRIP_R0 = 0.1
-BACKWARD_PANELS = 16
 CONTINUATION_NORM_BOUND = 1e12
+CK_COMPARE_INTERVALS = 32   # ck-compare compares at k T / 32, k = 0 .. 32
 
 
 @dataclass
@@ -85,11 +85,32 @@ def _finish(cfg: ScenarioConfig, report: dict, message: str, traj=None,
 
 def _picard_metrics(res: CKResult) -> dict:
     """How a ck_solve call converged: its collocation nodes (Fourier
-    modes), time panels, Picard sweeps, whether the last sweep met the
-    tolerance, and the strip distance between successive iterates."""
+    modes), the time panels it chose and their time-error estimate, its G
+    evaluations, Picard sweeps, whether the last sweep met the tolerance,
+    and the strip distance between successive iterates."""
     return {"n": res.curves[0].n, "panels": len(res.times) - 1,
+            "time_error": res.time_error, "g_evaluations": res.g_evaluations,
             "sweeps": res.iterations, "converged": res.converged,
             "contraction_history": list(map(float, res.contraction_history))}
+
+
+def _locate_rt_sign_change(res: CKResult, nodes: list, j: int, consts):
+    """(time, real curve, RT report) where the continuation's longest
+    negative sigma run first reaches RT_RUN_LENGTH, between the nodes j-1
+    and j; nodes holds (real curve, RT report) at every node.  Brent's
+    method finds the jump of RT_RUN_LENGTH - 1/2 - run(res.at(t)); the
+    earliest time evaluated past it is returned, within about 1e-14."""
+    hits = [(res.times[j],) + nodes[j]]
+
+    def excess(t):
+        rc = res.at(t).real_curve()
+        hits.append((t, rc, sigma_muskat(rc, consts)))
+        return RT_RUN_LENGTH - 0.5 - hits[-1][2].longest_negative_run
+
+    _brent(excess, res.times[j - 1], res.times[j], *(
+        RT_RUN_LENGTH - 0.5 - sig.longest_negative_run for _, sig in nodes[j - 1:j + 1]))
+    return min((hit for hit in hits if hit[2].longest_negative_run >= RT_RUN_LENGTH),
+               key=lambda hit: hit[0])
 
 
 def _fit_decay_rate(times, amplitudes):
@@ -164,9 +185,9 @@ def muskat_turning(cfg: ScenarioConfig) -> ScenarioResult:
 def muskat_breakdown(cfg: ScenarioConfig) -> ScenarioResult:
     """Periodic breakdown: certificate -> backward analytic construction of
     a graph datum -> forward run to Turning -> strip continuation past
-    turnover until the RT function goes negative on >= 3 nodes.  The
-    continuation curve at the sign change is written as the last
-    snapshot."""
+    turnover to strip.T, on whose dense output the RT sign change (sigma
+    < 0 on >= 3 nodes) is located.  The continuation curve at the sign
+    change is written as the last snapshot."""
     consts = cfg.constants()
     params = cfg.turning_params()
     pref = consts.periodic_prefactor
@@ -181,9 +202,7 @@ def muskat_breakdown(cfg: ScenarioConfig) -> ScenarioResult:
 
     # backward-in-time analytic continuation produces a strict graph datum
     sc0 = extend_to_strip(candidate, BACKWARD_STRIP_R0, t=0.0)
-    back = ck_solve(sc0, cfg.wave.delta, -pref, panels=BACKWARD_PANELS,
-                    tol=cfg.strip.tol, max_iter=cfg.strip.max_iter,
-                    norm_bound=CONTINUATION_NORM_BOUND)
+    back = ck_solve(sc0, cfg.wave.delta, -pref, norm_bound=CONTINUATION_NORM_BOUND)
     picard = {"backward": _picard_metrics(back)}
     metrics = {"ck_solve": picard}
     datum = back.curves[-1].real_curve()
@@ -202,38 +221,32 @@ def muskat_breakdown(cfg: ScenarioConfig) -> ScenarioResult:
     # then continue on a linearly shrinking strip of analyticity
     handoff = resample(final.curve, cfg.strip.M)
     sc = extend_to_strip(handoff, cfg.strip.r0, t=final.t)
-    res = ck_solve(sc, cfg.strip.T, pref,
-                   panels=cfg.strip.panels, tol=cfg.strip.tol,
-                   max_iter=cfg.strip.max_iter,
-                   norm_bound=CONTINUATION_NORM_BOUND)
+    res = ck_solve(sc, cfg.strip.T, pref, norm_bound=CONTINUATION_NORM_BOUND)
     picard["continuation"] = _picard_metrics(res)
 
-    cont_rows = []
-    rt_event = None
-    for tt, sc_t in zip(res.times, res.curves):
-        rc = sc_t.real_curve()
-        sig = sigma_muskat(rc, consts)
-        run_len = sig.longest_negative_run
-        cont_rows.append((final.t + tt, min_slope(rc).min_slope,
-                          sig.min_sigma, run_len))
-        if rt_event is None and run_len >= RT_RUN_LENGTH:
-            rt_event = (final.t + tt, run_len, sig)
-            traj.snapshots.append((final.t + tt, rc, None))
-            break
+    # every node to T.  res.times already include the handoff time, so
+    # final.t + tt counts it twice, as the seed-0 benchmark reference does
+    nodes = [(rc, sigma_muskat(rc, consts)) for rc in (c.real_curve() for c in res.curves)]
     files = {"continuation.csv": "t,min_slope,sigma_min,negative_run\n" + "".join(
-        ",".join(f"{x:.17g}" for x in row) + "\n" for row in cont_rows)}
-
-    if rt_event is None:
+        f"{final.t + tt:.17g},{min_slope(rc).min_slope:.17g},{sig.min_sigma:.17g},"
+        f"{sig.longest_negative_run}\n" for tt, (rc, sig) in zip(res.times, nodes))}
+    j = next((j for j, (_, sig) in enumerate(nodes)
+              if sig.longest_negative_run >= RT_RUN_LENGTH), None)
+    if j is None:
         report["pass"] = False
         return _finish(cfg, report, "no RT sign change within continuation horizon",
                        traj, files, metrics)
 
-    t_rt, run_len, sig = rt_event
-    traj.events.add(t_rt, RT_SIGN_CHANGE, nodes=int(run_len),
+    tt, rc, sig = _locate_rt_sign_change(res, nodes, j, consts) if j else (
+        (res.times[0],) + nodes[0])
+    t_rt = final.t + tt
+    traj.snapshots.append((t_rt, rc, None))
+    traj.events.add(t_rt, RT_SIGN_CHANGE, nodes=sig.longest_negative_run,
                     sigma_min=float(sig.min_sigma),
-                    intervals=[list(map(float, iv)) for iv in sig.negative_intervals])
+                    intervals=[list(map(float, iv)) for iv in sig.negative_intervals],
+                    bracket=[final.t + res.times[max(j - 1, 0)], final.t + res.times[j]])
     report["rt_sign_change_time"] = t_rt
-    report["rt_negative_nodes"] = int(run_len)
+    report["rt_negative_nodes"] = sig.longest_negative_run
     report["event_order"] = traj.events.kinds()
     report["pass"] = True
     return _finish(cfg, report, f"Turning at {ev.t:.6g}, RT sign change at {t_rt:.6g}",
@@ -317,26 +330,25 @@ def waterwave_turning(cfg: ScenarioConfig) -> ScenarioResult:
 
 
 def ck_compare(cfg: ScenarioConfig) -> ScenarioResult:
-    """Cross-validation of the strip Picard solver against the real-space
-    integrator, advanced node to node, on stable small periodic data."""
+    """Cross-validation of the strip Picard solver, on its dense output,
+    against the real-space integrator at fixed times, on stable small
+    periodic data.  The solve's Picard record goes to metrics.json."""
     consts = cfg.constants()
     pref = consts.periodic_prefactor
     alpha = np.linspace(0.0, 2.0 * np.pi, cfg.grid.n, endpoint=False)
     curve = graph_curve(0.01 * np.cos(alpha) + 0.005 * np.sin(2 * alpha))
     sc = extend_to_strip(curve, cfg.strip.r0, t=0.0)
-    res = ck_solve(sc, cfg.strip.T, pref, panels=cfg.strip.panels,
-                   tol=cfg.strip.tol, max_iter=cfg.strip.max_iter)
+    res = ck_solve(sc, cfg.strip.T, pref)
 
-    # one step-size controller from node to node, starting at numerics.dt
+    # one step-size controller through the fixed comparison times, starting
+    # at numerics.dt; the strip solution there is its dense output
+    times = np.linspace(0.0, cfg.strip.T, CK_COMPARE_INTERVALS + 1)
     state, h = SimState(curve, consts=consts), cfg.numerics.dt
     advanced = StepStats()
     dists = []
-    t_prev = 0.0
-    for tt, sc_t in zip(res.times, res.curves):
-        if tt > t_prev:
-            state, h = advance(state, tt - t_prev, h, advanced)
-            t_prev = tt
-        rc = sc_t.real_curve()
+    for tt, span in zip(times, np.diff(times, prepend=0.0)):
+        state, h = advance(state, span, h, advanced)
+        rc = res.at(tt).real_curve()
         dists.append(float(max(np.max(np.abs(rc.z1 - state.curve.z1)),
                                np.max(np.abs(rc.z2 - state.curve.z2)))))
     hist = list(map(float, res.contraction_history))
@@ -344,18 +356,15 @@ def ck_compare(cfg: ScenarioConfig) -> ScenarioResult:
     late = ratios[2:] if len(ratios) > 2 else ratios
     report = {
         "max_node_distance": max(dists),
-        "iterations": res.iterations,
-        "converged": res.converged,
-        "contraction_history": hist,
         "max_late_ratio": max(late) if late else None,
         "pass": bool(res.converged and max(dists) < 1e-6
                      and late and max(late) < 0.9),
     }
     table = "t,node_distance\n" + "".join(
-        f"{tt:.17g},{d:.17g}\n" for tt, d in zip(res.times, dists))
+        f"{tt:.17g},{d:.17g}\n" for tt, d in zip(times, dists))
     return _finish(cfg, report, f"max node distance {max(dists):.3g}",
                    files={"ck_compare.csv": table},
-                   metrics={"advance": asdict(advanced)})
+                   metrics={"advance": asdict(advanced), "ck_solve": _picard_metrics(res)})
 
 
 def rt_verify(cfg: ScenarioConfig) -> ScenarioResult:

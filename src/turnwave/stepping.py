@@ -305,10 +305,6 @@ class Trajectory:
     def times(self):
         return np.array([t for t, _, _ in self.snapshots])
 
-    def column(self, name):
-        j = DIAG_COLUMNS.index(name)
-        return np.array([row[j] for row in self.diagnostics])
-
     def write_dir(self, path, cadence: int = 1):
         """Write every cadence-th snapshot and the last recorded sample, then
         any snapshot past the recorded samples (a curve appended after the

@@ -48,7 +48,7 @@ class StripCurve:
     """Fourier-side representation of (z1 - a, z2) with strip half-width r.
 
     coeffs has shape (2, n) in FFT layout (mode order given by
-    mode_numbers()); reality of the curve on the real axis forces
+    spectral.modes); reality of the curve on the real axis forces
     conjugate symmetry, which is validated at construction.
     """
 
@@ -72,21 +72,6 @@ class StripCurve:
     def n(self) -> int:
         return self.coeffs.shape[1]
 
-    def mode_numbers(self) -> np.ndarray:
-        return modes(self.n)
-
-    @property
-    def alpha(self) -> np.ndarray:
-        return periodic_grid(self.n)
-
-    def trace(self, zeta: float) -> np.ndarray:
-        """Complex samples of (z1, z2) on the line a + i*zeta, a on the grid."""
-        k = self.mode_numbers()
-        mult = np.exp(-k * zeta)
-        vals = np.fft.ifft(self.coeffs * mult, axis=1) * self.n
-        z1 = self.alpha + 1j * zeta + vals[0]
-        return np.stack([z1, vals[1]])
-
     def real_curve(self) -> Curve:
         return _real_curve(self.coeffs)
 
@@ -99,39 +84,32 @@ def _real_curve(coeffs: np.ndarray) -> Curve:
     return Curve(topology=PERIODIC, alpha=alpha, z1=alpha + vals[0], z2=vals[1])
 
 
-def _floored_magnitudes(coeffs: np.ndarray):
-    """Coefficient magnitudes with the double-precision roundoff floor
-    zeroed out, plus the peak magnitude."""
+def _amplified(coeffs: np.ndarray, r: float, margin: int = 0):
+    """|c_k| e^{r max(|k| - margin, 0)} relative to the peak magnitude, per
+    component and mode, with coefficients at the double-precision roundoff
+    floor counted as zero; and |k| per mode."""
+    k = np.abs(modes(coeffs.shape[1]))
     mag = np.abs(coeffs)
     peak = max(mag.max(), 1e-300)
-    return np.where(mag > COEFF_FLOOR * peak, mag, 0.0), peak
+    with np.errstate(over="ignore"):
+        amp = np.where(mag > COEFF_FLOOR * peak,
+                       mag * np.exp(r * np.maximum(k - margin, 0))[None, :], 0.0)
+    return amp / peak, k
 
 
 def amplified_tail(coeffs: np.ndarray, r: float) -> float:
     """Max over the top TAIL_FRACTION of modes of |c_k| e^{r|k|},
     relative to the overall peak magnitude; coefficients at the roundoff
     floor count as zero."""
-    n = coeffs.shape[1]
-    k = np.abs(modes(n))
-    tail = k >= (1.0 - TAIL_FRACTION) * k.max()
-    mag, peak = _floored_magnitudes(coeffs)
-    with np.errstate(over="ignore"):
-        amp = np.where(mag > 0.0, mag * np.exp(r * k)[None, :], 0.0)
-    return float(amp[:, tail].max() / peak)
+    amp, k = _amplified(coeffs, r)
+    return float(amp[:, k >= (1.0 - TAIL_FRACTION) * k.max()].max())
 
 
 def decay_violation(coeffs: np.ndarray, r: float) -> float:
     """Max over resolved modes of |c_k| e^{r(|k| - margin)} / peak; a value
     > 1 means the coefficient decay is inconsistent with analyticity on a
     strip of half-width r (the decay-fit invariant)."""
-    n = coeffs.shape[1]
-    k = np.abs(modes(n))
-    mag, peak = _floored_magnitudes(coeffs)
-    with np.errstate(over="ignore"):
-        amp = np.where(mag > 0.0,
-                       mag * np.exp(r * np.maximum(k - DECAY_MARGIN_MODES, 0))[None, :],
-                       0.0)
-    return float(amp.max() / peak)
+    return float(_amplified(coeffs, r, DECAY_MARGIN_MODES)[0].max())
 
 
 def extend_to_strip(curve: Curve, r: float, t: float = 0.0) -> StripCurve:
@@ -188,100 +166,126 @@ def _g_coeffs(coeffs: np.ndarray, prefactor: float) -> np.ndarray:
     """Fourier coefficients (FFT layout / n) of the real-axis contour
     velocity (v1, v2) of the curve with coefficients (2, n)."""
     v = muskat_rhs_periodic(_real_curve(coeffs), prefactor)
-    n = coeffs.shape[1]
-    return np.stack([np.fft.fft(v[:, 0]) / n, np.fft.fft(v[:, 1]) / n])
+    return np.fft.fft(v, axis=0).T / coeffs.shape[1]
 
 
-def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """int_{x_0}^{x_j} y at every node j, y sampled at the increasing nodes x
-    along axis 0.  Interval i integrates the quadratic through nodes
-    (i, i+1, i+2) when i is even, and the one through (i-1, i, i+1) when
-    i is odd or the last interval."""
-    def first_gap(f1, f2, f3, h1, h2):
-        """Integral over the gap h1 between the first two of three points
-        of the quadratic through them; h2 is the gap to the third."""
-        r = h1 / (h1 + h2)
-        q = r * (h1 / h2)
-        return h1 / 6 * ((3 - r) * f1 + (3 + q + r) * f2 - q * f3)
+def _quadratic_integral(f0, f1, f2, h: float, s: float):
+    """int_0^{s h} of the quadratic through (0, f0), (h, f1), (2h, f2):
+    the Simpson panel quadratic integrated from the panel start.  s = 1
+    gives h/12 (5 f0 + 8 f1 - f2) and s = 2 Simpson's h/3 (f0 + 4 f1 + f2)."""
+    return h * ((s - 0.75 * s ** 2 + s ** 3 / 6.0) * f0 + (s ** 2 - s ** 3 / 3.0) * f1
+                + (s ** 3 / 6.0 - 0.25 * s ** 2) * f2)
 
-    h = np.diff(x).reshape((-1,) + (1,) * (y.ndim - 1))
-    forward = first_gap(y[:-2], y[1:-1], y[2:], h[:-1], h[1:])     # interval i
-    backward = first_gap(y[2:], y[1:-1], y[:-2], h[1:], h[:-1])    # interval i + 1
-    pieces = np.empty_like(y[1:])
-    pieces[:-1:2], pieces[1::2] = forward[::2], backward[::2]
-    pieces[-1] = backward[-1]
-    return np.concatenate([np.zeros_like(y[:1]), np.cumsum(pieces, axis=0)])
+
+def _simpson_nodes(z0: np.ndarray, g: np.ndarray, h: float) -> np.ndarray:
+    """z0 + int_0^{t_j} Q at every node t_j = j h, where Q is the piecewise
+    quadratic through the samples g (axis 0, an odd count) on each panel
+    [t_2m, t_2m+2]: CKResult.at at the nodes."""
+    z = np.empty_like(g)
+    z[0] = z0
+    for m in range(0, len(g) - 1, 2):
+        z[m + 1] = z[m] + _quadratic_integral(*g[m:m + 3], h, 1.0)
+        z[m + 2] = z[m] + _quadratic_integral(*g[m:m + 3], h, 2.0)
+    return z
 
 
 # --- successive approximations -------------------------------------------------
 
+PICARD_TOL = 1e-10      # bound on the sweep-to-sweep strip distance and the time error
+PICARD_MAX_ITER = 50    # sweeps before a solve is returned unconverged
+START_PANELS = 4        # Simpson intervals of the first time grid (a multiple of 4)
+MAX_DOUBLINGS = 6       # the interval count doubles at most this often (to 256)
+
+
 @dataclass
 class CKResult:
+    """A ck_solve solution: the node times and curves, the last sweep's G
+    at the nodes (g), the Picard record, the time-error estimate of the
+    chosen grid and the G evaluations the solve took."""
     times: np.ndarray
     curves: list
+    g: np.ndarray
     contraction_history: list = field(default_factory=list)
     iterations: int = 0
     converged: bool = False
+    time_error: float = 0.0
+    g_evaluations: int = 0
+
+    def at(self, t: float) -> StripCurve:
+        """Dense output at time t in [times[0], times[-1]]: the node value at
+        the start of t's Simpson panel plus the integral of that panel's
+        quadratic through G up to t.  It needs no new G evaluations."""
+        m = 2 * int(np.searchsorted(self.times[2:-1:2], t, side="right"))
+        h = self.times[m + 1] - self.times[m]
+        coeffs = self.curves[m].coeffs + _quadratic_integral(*self.g[m:m + 3], h,
+                                                             (t - self.times[m]) / h)
+        r = np.interp(t, self.times, [c.r for c in self.curves])
+        return StripCurve(coeffs=coeffs, r=r, t=t)
 
 
 def ck_solve(z0: StripCurve, T: float, prefactor: float,
-             panels: int = 64, tol: float = 1e-10,
-             max_iter: int = 50, norm_bound: float = 1e8) -> CKResult:
+             norm_bound: float = 1e8) -> CKResult:
     """Successive approximations z^{n+1}(t) = z0 + int_0^t G(z^n(s)) ds.
 
-    The time integral is cumulative composite Simpson (_cumulative_simpson)
-    on a fixed grid of `panels` panels over [0, T]; G is evaluated by
-    real-axis collocation and continued in Fourier space.  The strip
-    half-width shrinks linearly, r(t) = r0 (1 - t / 2T), from z0.r to
-    z0.r / 2.  Iterates must stay in the admissible open set: strip norm
-    below norm_bound, real-axis arc-chord ratio below CHORD_BOUND, and
-    Fourier tail compatible with the current strip half-width r(t) (the
-    domain-of-validity guard).  The sweeps work on coefficient arrays;
-    only the returned curves are StripCurves.
+    G is evaluated by real-axis collocation and continued in Fourier
+    space; the time integral is composite Simpson (_simpson_nodes) on
+    START_PANELS intervals over [0, T] at first.  Once the sweeps
+    converge, E = max |S_p - S_p/2| / 15 over nodes and coefficients
+    (Richardson, with S_p/2 Simpson on every other node) estimates the
+    time error from the last sweep's G; while E > PICARD_TOL the interval
+    count doubles, at most MAX_DOUBLINGS times.  The strip half-width shrinks
+    linearly, r(t) = r0 (1 - t / 2T), from z0.r to z0.r / 2.  Iterates
+    must stay in the admissible open set: strip norm below norm_bound,
+    real-axis arc-chord ratio below CHORD_BOUND, and Fourier tail
+    compatible with r(t) wherever G is evaluated (the domain-of-validity
+    guard).  The sweeps work on coefficient arrays; only the returned
+    curves are StripCurves.
     """
-    if panels % 2:
-        raise StripError("panels must be even for Simpson")
-    n_nodes = panels + 1
-    times = np.linspace(0.0, T, n_nodes)
-    rs = z0.r * (1.0 - times / (2.0 * T))
-
     def check_admissible(coeffs, r):
         if strip_norm(coeffs, r) > norm_bound:
             raise RegimeExitError(f"iterate norm exceeds {norm_bound:g}")
         if arc_chord(_real_curve(coeffs)) > CHORD_BOUND:
             raise RegimeExitError("real-trace arc-chord bound exceeded")
 
-    # z^n(0) = z0 in every sweep: check it and evaluate G(z0) once
-    if decay_violation(z0.coeffs, rs[0]) > 1.0:
-        raise RegimeExitError(
-            f"iterate 1 leaves the strip of half-width {rs[0]:g} at t=0")
-    g0 = _g_coeffs(z0.coeffs, prefactor)
-    check_admissible(z0.coeffs, rs[0])
+    def g_at(coeffs, r, t, it):
+        if decay_violation(coeffs, r) > 1.0:
+            raise RegimeExitError(
+                f"iterate {it} leaves the strip of half-width {r:g} at t={t:g}")
+        return _g_coeffs(coeffs, prefactor)
 
-    new = np.repeat(z0.coeffs[None], n_nodes, axis=0)
-    history = []
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        prev = new
-        g = np.empty_like(prev)
-        g[0] = g0
-        for j in range(1, n_nodes):
-            if decay_violation(prev[j], rs[j]) > 1.0:
-                raise RegimeExitError(
-                    f"iterate {it} leaves the strip of half-width {rs[j]:g} "
-                    f"at t={times[j]:g}")
-            g[j] = _g_coeffs(prev[j], prefactor)
-        new = z0.coeffs[None, :, :] + _cumulative_simpson(g, times)
-        step = max(strip_distance(new[j], prev[j], rs[j]) for j in range(n_nodes))
-        history.append(step)
-        for j in (n_nodes // 2, n_nodes - 1):
-            check_admissible(new[j], rs[j])
-        if step < tol:
-            converged = True
+    # z^n(0) = z0 in every sweep: check it and evaluate G(z0) once
+    g0 = g_at(z0.coeffs, z0.r, 0.0, 1)
+    check_admissible(z0.coeffs, z0.r)
+
+    evaluations = 1
+    for panels in (START_PANELS << k for k in range(MAX_DOUBLINGS + 1)):
+        times = np.linspace(0.0, T, panels + 1)
+        rs = z0.r * (1.0 - times / (2.0 * T))
+        new = np.repeat(z0.coeffs[None], panels + 1, axis=0)
+        history = []
+        for it in range(1, PICARD_MAX_ITER + 1):
+            prev = new
+            g = np.stack([g0] + [g_at(prev[j], rs[j], times[j], it)
+                                 for j in range(1, panels + 1)])
+            evaluations += panels
+            new = _simpson_nodes(z0.coeffs, g, T / panels)
+            step = max(strip_distance(new[j], prev[j], rs[j]) for j in range(panels + 1))
+            history.append(step)
+            for j in (panels // 2, panels):
+                check_admissible(new[j], rs[j])
+            if step < PICARD_TOL:
+                break
+        converged = step < PICARD_TOL
+        coarse = _simpson_nodes(z0.coeffs, g[::2], 2.0 * T / panels)
+        error = float(np.abs(new[::2] - coarse).max() / 15.0)
+        if not converged or error <= PICARD_TOL:
             break
+    else:
+        raise RegimeExitError(f"time error estimate {error:.3e} exceeds "
+                              f"{PICARD_TOL:g} at {panels} panels")
     curves = [StripCurve(coeffs=new[j], r=rs[j], t=z0.t + times[j])
-              for j in range(n_nodes)]
-    return CKResult(times=z0.t + times, curves=curves,
+              for j in range(panels + 1)]
+    return CKResult(times=z0.t + times, curves=curves, g=g,
                     contraction_history=history, iterations=it,
-                    converged=converged)
+                    converged=converged, time_error=error,
+                    g_evaluations=evaluations)

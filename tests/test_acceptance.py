@@ -169,7 +169,7 @@ def test_criterion_06_rt_breakdown_order(tmp_path):
                grid__n=512, turning__beta1=1.5, turning__b=3.0,
                wave__delta=0.01, numerics__dt=2e-4, numerics__t_end=0.05,
                numerics__snapshot_cadence=25,
-               strip__r0=0.04, strip__M=512, strip__T=0.02, strip__panels=32)
+               strip__r0=0.04, strip__M=512, strip__T=0.02)
     res = muskat_breakdown(cfg)
     elapsed = time.process_time() - t0
     report = res.report
@@ -237,8 +237,7 @@ def test_criterion_08_ck_cross_validation(tmp_path):
     ratio < 0.9 after iteration 3."""
     t0 = time.process_time()
     cfg = _cfg(tmp_path, "ck-compare", "ck",
-               grid__n=128, strip__r0=0.2, strip__T=0.05, strip__panels=32,
-               numerics__dt=1e-4)
+               grid__n=128, strip__r0=0.2, strip__T=0.05, numerics__dt=1e-4)
     res = ck_compare(cfg)
     elapsed = time.process_time() - t0
     r = res.report

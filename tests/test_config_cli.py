@@ -14,6 +14,7 @@ from turnwave.cli import main
 from turnwave.config import (ConfigError, ScenarioConfig, apply_assignment,
                              dump_config, load_config)
 from turnwave.curve import load_csv
+from turnwave.strip import PICARD_TOL
 from turnwave.svg import render_curve, render_series
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -82,6 +83,9 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("assignment", [
     "grid.periodic = false",          # each scenario fixes its own topology
+    "strip.panels = 32",              # ck_solve chooses its time grid
+    "strip.tol = 1e-10",              # strip.PICARD_TOL
+    "strip.max_iter = 50",            # strip.PICARD_MAX_ITER
     "strip.shrink = exponential",     # the strip always shrinks linearly
     "strip.gamma = 2.0",
     "seed = 3",                       # nothing drew random numbers from it
@@ -89,12 +93,13 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
     "weights.literal_hbar = true",    # hbar uses sin^2(x/2), see diagnostics
     "numerics.filter_threshold = 0",  # the Krasny filter level is fixed
 ])
-def test_cli_removed_keys_exit_2(tmp_path, assignment):
+def test_cli_removed_keys_exit_2(tmp_path, capsys, assignment):
     """Keys that no longer choose anything are unknown, not silently
-    ignored."""
+    ignored, and the message names the key."""
     path = write_cfg(tmp_path, f"scenario = muskat-linear\n{assignment}\n"
                                f"output_dir = {tmp_path}/out\n")
     assert main(["run", path]) == 2
+    assert assignment.split(" =")[0] in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("assignment", [
@@ -320,8 +325,10 @@ def test_metrics_repeat_and_count_seven_stage_steps(tmp_path, monkeypatch):
 
 def test_breakdown_metrics_record_both_picard_solves(tmp_path):
     """muskat-breakdown's metrics.json records the backward and the
-    continuation ck_solve: nodes (N, then M), panels, sweeps, convergence
-    and the contraction history; it is byte-identical between runs."""
+    continuation ck_solve: nodes (N, then M), the panels each chose and
+    their time-error estimate (within the tolerance), G evaluations,
+    sweeps, convergence and the contraction history; it is byte-identical
+    between runs."""
     out = tmp_path / "out"
     argv = ["run", os.path.join(CONFIG_DIR, "muskat-breakdown.cfg"), "--out", str(out),
             "--set", "grid.n=128", "--set", "strip.M=256"]
@@ -333,14 +340,45 @@ def test_breakdown_metrics_record_both_picard_solves(tmp_path):
     assert sorted(metrics) == ["ck_solve", "run"]
     picard = metrics["ck_solve"]
     assert sorted(picard) == ["backward", "continuation"]
-    assert (picard["backward"]["n"], picard["backward"]["panels"]) == (128, 16)
-    assert (picard["continuation"]["n"], picard["continuation"]["panels"]) == (256, 32)
+    assert (picard["backward"]["n"], picard["backward"]["panels"]) == (128, 4)
+    assert (picard["continuation"]["n"], picard["continuation"]["panels"]) == (256, 4)
     for solve in picard.values():
-        assert sorted(solve) == ["contraction_history", "converged", "n", "panels",
-                                 "sweeps"]
+        assert sorted(solve) == ["contraction_history", "converged", "g_evaluations", "n",
+                                 "panels", "sweeps", "time_error"]
         assert solve["converged"] is True
+        assert 0.0 < solve["time_error"] <= PICARD_TOL
+        assert solve["g_evaluations"] == 1 + solve["panels"] * solve["sweeps"]
         assert len(solve["contraction_history"]) == solve["sweeps"] > 1
         assert solve["contraction_history"][-1] < 1e-10
+
+
+def test_breakdown_locates_rt_sign_change_between_nodes(tmp_path, monkeypatch):
+    """The RT sign change is located on the continuation's dense output,
+    strictly inside the pair of nodes that events.json names as its
+    bracket, at the same time to 1e-11 whether the time grid starts at 4
+    or at 16 intervals (a node-snapped time moves by a whole interval).
+    continuation.csv lists every node to the horizon, and the curve at the
+    located time is the last snapshot."""
+    import turnwave.strip as strip_mod
+    located = []
+    for start in (4, 16):
+        monkeypatch.setattr(strip_mod, "START_PANELS", start)
+        out = tmp_path / f"start{start}"
+        assert main(["run", os.path.join(CONFIG_DIR, "muskat-breakdown.cfg"),
+                     "--out", str(out)]) == 0
+        t_rt = json.loads((out / "report.json").read_text())["rt_sign_change_time"]
+        (event,) = [e for e in json.loads((out / "events.json").read_text())
+                    if e["kind"] == "RTSignChange"]
+        t_a, t_b = event["payload"]["bracket"]
+        rows = np.genfromtxt(out / "continuation.csv", delimiter=",", names=True)
+        assert event["t"] == t_rt and t_a < t_rt < t_b
+        assert list(rows["t"]).index(t_b) == list(rows["t"]).index(t_a) + 1
+        assert rows.size == start + 1
+        assert rows["t"][-1] - rows["t"][0] == pytest.approx(0.02, rel=1e-12)
+        snaps = sorted(glob.glob(str(out / "snap_*.csv")))
+        assert load_csv(snaps[-1])[1] == t_rt
+        located.append(t_rt)
+    assert abs(located[0] - located[1]) < 1e-11
 
 
 def _reject_constant(name):
@@ -364,7 +402,7 @@ def test_small_bundled_runs_write_strict_json(tmp_path, config):
 @pytest.mark.parametrize("config,assignments", [
     ("muskat-turning.cfg", ["grid.L=4"]),
     ("rt-verify.cfg", ["turning.beta1=3.2", "turning.beta2=4", "turning.beta3=5"]),
-    ("ck-compare.cfg", ["strip.panels=33"]),
+    ("ck-compare.cfg", ["strip.panels=32"]),
     ("ck-compare.cfg", ["strip.T=0"]),
     ("ck-compare.cfg", ["strip.r0=-1"]),
     ("muskat-turning.cfg", ["grid.n=512"]),
@@ -372,9 +410,10 @@ def test_small_bundled_runs_write_strict_json(tmp_path, config):
 def test_cli_turning_datum_out_of_range_exit_2(tmp_path, capsys, config, assignments):
     """Values a bundled config's pipeline would reject or crash on are
     config errors: L must exceed beta3 on the open line, beta1 must lie in
-    (0, pi) on the period, the strip needs an even panel count, a positive
-    horizon and a positive width, and the open candidate needs a node at
-    alpha = 0 (odd N)."""
+    (0, pi) on the period, the strip needs a positive horizon and a
+    positive width and chooses its own time grid (strip.panels is no
+    longer a key), and the open candidate needs a node at alpha = 0 (odd
+    N)."""
     sets = [arg for a in assignments for arg in ("--set", a)]
     out = tmp_path / "out"
     assert main(["run", os.path.join(CONFIG_DIR, config), "--out", str(out)] + sets) == 2
@@ -449,9 +488,9 @@ def test_render_series_deterministic():
 # small runs exit 3 or 4 (muskat-breakdown's handoff curve is not
 # resolved on 64 nodes); the check is that SciPy changes no exit code.
 SMALL_RUNS = {
-    "ck-compare.cfg": ["grid.n=32", "strip.panels=8"],
-    "muskat-breakdown.cfg": ["grid.n=64", "strip.M=64", "strip.panels=8",
-                             "numerics.t_end=0.02", "numerics.dt=1e-3"],
+    "ck-compare.cfg": ["grid.n=32"],
+    "muskat-breakdown.cfg": ["grid.n=64", "strip.M=64", "numerics.t_end=0.02",
+                             "numerics.dt=1e-3"],
     "muskat-linear.cfg": ["grid.n=32", "numerics.t_end=0.05", "numerics.dt=1e-2"],
     "muskat-turning.cfg": ["grid.n=129", "turning.tilt=0.01", "numerics.t_end=0.1",
                            "numerics.dt=1e-2"],

@@ -12,8 +12,8 @@ from turnwave.curve import Curve, graph_curve, load_csv, periodic_grid
 from turnwave.initial_data import (TurningParams, turning_candidate_open,
                                    turning_candidate_periodic)
 from turnwave import stepping
-from turnwave.stepping import (BlowUpError, GRAPH_BLOWUP, STAGES, STEP_TOL, TURNING,
-                               SimState, StepStats, advance, run, step_dp54)
+from turnwave.stepping import (BlowUpError, DIAG_COLUMNS, GRAPH_BLOWUP, STAGES, STEP_TOL,
+                               TURNING, SimState, StepStats, advance, run, step_dp54)
 
 
 def small_graph(n=64, eps=1e-3, k=2):
@@ -156,8 +156,8 @@ def test_krasny_filter_keeps_solution_clean():
 def test_run_records_monotone_diagnostics():
     st = SimState(small_graph())
     traj, final = run(st, 0.05, 1e-2)
-    t = traj.column("t")
-    assert np.all(np.diff(t) > 0)
+    assert np.all(np.diff(traj.times) > 0)
+    assert [row[0] for row in traj.diagnostics] == list(traj.times)
     assert final.t == pytest.approx(0.05)
     assert traj.events.kinds() == []
 
@@ -170,7 +170,7 @@ def test_run_emits_turning_event():
     ev = traj.events.first(TURNING)
     assert ev is not None and 0.0 < ev.t <= final.t + 1e-12
     # interpolated crossing: min_slope positive before, negative at stop
-    ms = traj.column("min_slope")
+    ms = [row[DIAG_COLUMNS.index("min_slope")] for row in traj.diagnostics]
     assert ms[0] > 0 and ms[-1] <= 0
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from turnwave.closures import PhysicalConstants
 from turnwave.curve import Curve, periodic_grid
+from turnwave.spectral import modes
 from turnwave.strip import (InsufficientAnalyticityError, RegimeExitError,
                             amplified_tail, ck_solve, decay_violation,
                             extend_to_strip, strip_distance, strip_norm)
@@ -41,17 +42,6 @@ def test_extend_rejects_radius_beyond_analyticity():
         extend_to_strip(c, 2 * rho0)
 
 
-def test_trace_closed_form():
-    """z2 = eps cos(a) traced at height zeta: eps cos(a + i zeta)."""
-    eps, r = 0.01, 0.2
-    sc = extend_to_strip(eps_cos_curve(eps=eps), r)
-    for zeta in (r, -r, 0.13j.imag):
-        tr = sc.trace(zeta)
-        target = eps * np.cos(sc.alpha + 1j * zeta)
-        assert np.max(np.abs(tr[1] - target)) < 1e-9
-        assert np.max(np.abs(tr[0] - (sc.alpha + 1j * zeta))) < 1e-9
-
-
 def test_trace_at_zero_is_real_curve():
     c = eps_cos_curve(eps=0.05, k=3)
     sc = extend_to_strip(c, 0.1)
@@ -63,7 +53,7 @@ def test_trace_at_zero_is_real_curve():
 def strip_norm_quadrature(strip, j=4):
     """strip_norm by direct trapezoid quadrature of the traces on both
     boundaries a +- i r (reference for the coefficient formula)."""
-    k = strip.mode_numbers()
+    k = modes(strip.n)
     h = 2.0 * np.pi / strip.n
     total = 0.0
     for sign in (+1.0, -1.0):
@@ -92,17 +82,52 @@ def test_amplified_tail_and_decay_violation_flat():
     assert decay_violation(sc.coeffs, sc.r) == 0.0
 
 
-@pytest.mark.parametrize("intervals", [8, 7])
-def test_cumulative_simpson_exact_on_quadratics(intervals):
-    """Every cumulative integral of a quadratic is exact on uneven nodes,
-    for an even and an odd number of intervals; complex values integrate
-    componentwise."""
-    from turnwave.strip import _cumulative_simpson
-    x = np.sort(np.random.default_rng(1).uniform(0.0, 2.0, intervals + 1))
-    y = (3 * x ** 2 - 2 * x + 1) + 1j * (x - x ** 2)
-    antiderivative = (x ** 3 - x ** 2 + x) + 1j * (x ** 2 / 2 - x ** 3 / 3)
-    integral = _cumulative_simpson(y[:, None, None], x)[:, 0, 0]
-    assert np.max(np.abs(integral - (antiderivative - antiderivative[0]))) < 1e-13
+def test_dense_output_exact_on_quadratics():
+    """With G quadratic in t, the Simpson node values and the dense output
+    at off-node times are the exact integral z0 + int_t0^t G; the dense
+    output at a node reproduces that node's value."""
+    from turnwave.strip import CKResult, StripCurve, _simpson_nodes
+    t0, T, panels = 0.3, 0.8, 8
+    local = np.linspace(0.0, T, panels + 1)
+    z0 = extend_to_strip(eps_cos_curve(n=16, eps=0.1, k=2), 0.2).coeffs
+    shape = np.abs(z0) + 1.0 + 0j     # conjugate-symmetric (real)
+    g = (3 * local ** 2 - 2 * local + 1)[:, None, None] * shape
+    nodes = _simpson_nodes(z0, g, T / panels)
+    res = CKResult(times=t0 + local, g=g, curves=[
+        StripCurve(coeffs=c, r=0.2, t=t0 + tt) for c, tt in zip(nodes, local)])
+
+    def exact(s):
+        return z0 + (s ** 3 - s ** 2 + s) * shape
+
+    assert np.max(np.abs(nodes - exact(local[:, None, None]))) < 1e-14
+    for tt, c in zip(res.times, res.curves):
+        assert np.max(np.abs(res.at(tt).coeffs - c.coeffs)) < 1e-14
+    for s in (0.01, 0.137, 0.45, 0.61, 0.799):
+        assert np.max(np.abs(res.at(t0 + s).coeffs - exact(s))) < 1e-14
+        assert res.at(t0 + s).t == t0 + s
+
+
+def test_dense_output_of_a_solve_reproduces_its_nodes():
+    sc = extend_to_strip(eps_cos_curve(n=64, eps=0.01), 0.2, t=0.1)
+    res = ck_solve(sc, 0.02, PREF)
+    for tt, c in zip(res.times, res.curves):
+        assert np.max(np.abs(res.at(tt).coeffs - c.coeffs)) < 1e-15
+        assert res.at(tt).r == pytest.approx(c.r, rel=1e-15)
+
+
+def test_ck_solve_doubles_panels_until_time_error_meets_tolerance(monkeypatch):
+    """A long horizon whose 4-interval time-error estimate exceeds the
+    tolerance: capped at 4 intervals the solve fails; uncapped it doubles
+    to a grid whose estimate meets the tolerance."""
+    import turnwave.strip as strip_mod
+    sc = extend_to_strip(eps_cos_curve(n=64, eps=0.05), 0.4)
+    res = ck_solve(sc, 0.25, PREF)
+    assert res.converged
+    assert len(res.times) - 1 > strip_mod.START_PANELS
+    assert res.time_error <= strip_mod.PICARD_TOL
+    monkeypatch.setattr(strip_mod, "MAX_DOUBLINGS", 0)
+    with pytest.raises(RegimeExitError, match="time error estimate"):
+        ck_solve(sc, 0.25, PREF)
 
 
 def test_shrink_schedules():
@@ -110,7 +135,7 @@ def test_shrink_schedules():
     t = T, for forward and backward solves alike."""
     sc = extend_to_strip(eps_cos_curve(n=64, eps=0.01), 0.2, t=0.3)
     for prefactor in (PREF, -PREF):
-        res = ck_solve(sc, 0.02, prefactor, panels=8)
+        res = ck_solve(sc, 0.02, prefactor)
         rs = np.array([c.r for c in res.curves])
         assert rs[0] == 0.2
         assert rs[-1] == pytest.approx(0.1, rel=1e-15)
@@ -122,7 +147,7 @@ def test_ck_solve_matches_rk4_small_data():
     from turnwave.stepping import SimState, advance
     c = eps_cos_curve(n=64, eps=0.01)
     sc = extend_to_strip(c, 0.2)
-    res = ck_solve(sc, 0.02, PREF, panels=8)
+    res = ck_solve(sc, 0.02, PREF)
     assert res.converged
     st, _ = advance(SimState(c), 0.02, 1e-4)
     rc = res.curves[-1].real_curve()
@@ -131,7 +156,7 @@ def test_ck_solve_matches_rk4_small_data():
 
 def test_ck_solve_evaluates_initial_node_once(monkeypatch):
     """z^n(0) = z0 in every sweep, so G runs once there and once per sweep
-    at each of the other panels nodes."""
+    at each of the other nodes; the solve records that count."""
     import turnwave.strip as strip_mod
     calls = []
     rhs = strip_mod.muskat_rhs_periodic
@@ -141,15 +166,14 @@ def test_ck_solve_evaluates_initial_node_once(monkeypatch):
         return rhs(curve, prefactor)
 
     monkeypatch.setattr(strip_mod, "muskat_rhs_periodic", counted)
-    res = ck_solve(extend_to_strip(eps_cos_curve(n=64, eps=0.01), 0.2), 0.02, PREF,
-                   panels=8)
+    res = ck_solve(extend_to_strip(eps_cos_curve(n=64, eps=0.01), 0.2), 0.02, PREF)
     assert res.iterations > 1
-    assert len(calls) == 1 + 8 * res.iterations
+    assert len(calls) == res.g_evaluations == 1 + (len(res.times) - 1) * res.iterations
 
 
 def test_ck_contraction_geometric():
     sc = extend_to_strip(eps_cos_curve(n=64, eps=0.01), 0.2)
-    res = ck_solve(sc, 0.02, PREF, panels=8)
+    res = ck_solve(sc, 0.02, PREF)
     hist = res.contraction_history
     ratios = [hist[i + 1] / hist[i] for i in range(len(hist) - 1) if hist[i] > 0]
     assert all(r < 0.9 for r in ratios[2:])
@@ -158,7 +182,7 @@ def test_ck_contraction_geometric():
 def test_ck_solve_respects_norm_guard():
     sc = extend_to_strip(eps_cos_curve(n=64, eps=0.01), 0.2)
     with pytest.raises(RegimeExitError):
-        ck_solve(sc, 0.02, PREF, panels=8, norm_bound=1e-6)
+        ck_solve(sc, 0.02, PREF, norm_bound=1e-6)
 
 
 def test_ck_backward_forward_round_trip():
@@ -166,7 +190,7 @@ def test_ck_backward_forward_round_trip():
     ways in the analytic class)."""
     c = eps_cos_curve(n=64, eps=0.01)
     sc = extend_to_strip(c, 0.2)
-    back = ck_solve(sc, 0.01, -PREF, panels=8)
-    fwd = ck_solve(back.curves[-1], 0.01, PREF, panels=8)
+    back = ck_solve(sc, 0.01, -PREF)
+    fwd = ck_solve(back.curves[-1], 0.01, PREF)
     rc = fwd.curves[-1].real_curve()
     assert np.max(np.abs(rc.z2 - c.z2)) < 1e-9
