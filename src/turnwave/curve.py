@@ -26,8 +26,10 @@ MIN_NODES = 16
 # Rows per block of the O(N^2) pair sweep (pair_blocks).  Of 32..256, 64
 # was fastest for the periodic Muskat kernel at N=512 and 2048.
 BLOCK_ROWS = 64
-# pairs j <= i in a block's leading square: the diagonal and pairs seen as (j, i)
-_LOWER = np.tri(BLOCK_ROWS, dtype=bool)
+# nodes per chunk of the pruned arc-chord sup (_chunk_layout)
+CHUNK = 16
+# relative slack of its pruning test, far above the rounding it covers
+PRUNE_MARGIN = 1e-12
 # half-bandwidth and block height of the open-curve derivative products
 SPLINE_BAND = 64
 
@@ -243,7 +245,9 @@ def pair_blocks(*xs):
     (i0, i1, diffs), diffs[c] = xs[c][i0:i1, None] - xs[c][None, i0:], so
     the diagonal pairs sit at [k, k] and the leading (i1 - i0) square also
     holds pairs j < i.  The diffs live in buffers that the next block
-    overwrites: a consumer may change them in place but must not keep them."""
+    overwrites: a consumer may change them in place but must not keep them.
+    It serves the Muskat kernels, which need every pair; arc_chord needs
+    only the sup and skips most pairs."""
     n = xs[0].size
     bufs = [np.empty(min(BLOCK_ROWS, n) * n) for _ in xs]
     for i0 in range(0, n, BLOCK_ROWS):
@@ -254,24 +258,61 @@ def pair_blocks(*xs):
                        for x, buf in zip(xs, bufs)]
 
 
+@lru_cache(maxsize=4)
+def _chunk_layout(n: int, periodic: bool):
+    """The chunks of arc_chord, read-only.  nodes[c] holds the CHUNK node
+    indices of chunk c < m = ceil(n / CHUNK); the last chunk ends at node
+    n - 1 and overlaps its neighbour when CHUNK does not divide n, so that
+    every chunk is full.  The near chunk pairs c <= c' are the equal and
+    adjacent ones, plus the wrap neighbours (0, m - 1) on a periodic grid;
+    lower marks their node pairs j <= i.  The far chunk pairs, c' > c + 1,
+    hold only pairs i < j."""
+    m = -(-n // CHUNK)
+    nodes = np.minimum(np.arange(m) * CHUNK, n - CHUNK)[:, None] + np.arange(CHUNK)
+    ci, cj = np.triu_indices(m)
+    near = (cj - ci <= 1) | (periodic & (ci == 0) & (cj == m - 1))
+    lower = nodes[ci[near], :, None] >= nodes[cj[near], None, :]
+    near_pairs, far_pairs = (ci[near], cj[near]), (ci[~near], cj[~near])
+    for x in (nodes, lower, *near_pairs, *far_pairs):
+        x.flags.writeable = False
+    return nodes, near_pairs, lower, far_pairs
+
+
 def arc_chord(curve: Curve, d=None) -> float:
     """sup over node pairs of F(z) = |beta|^2 / |z(a) - z(a-beta)|^2.
 
     The diagonal is the removable limit 1 / |d_alpha z|^2, from the first
     derivative d = (d1, d2) when the caller has it.  A zero chord between
-    distinct nodes raises SelfIntersectionError.  F is symmetric, so the
-    sweep takes each pair (i, j), i < j, once (pair_blocks).  Periodic:
-    beta = a_i - a_j wraps to beta + 2 pi below -pi, and the z1 difference
-    is unwrapped with it (z1 - alpha is periodic).  The antipodal pairs of
-    an even grid (beta = -pi) count with both wraps; one O(N) pass adds
-    the one the sweep did not take.
+    distinct nodes raises SelfIntersectionError; a non-finite node makes
+    the sup nan.  F is symmetric, so each pair (i, j), i < j, counts once.
+    Periodic: beta = a_i - a_j wraps to beta + 2 pi below -pi, and the z1
+    difference is unwrapped with it (z1 - alpha is periodic).  The
+    antipodal pairs of an even grid (beta = -pi) count with both wraps;
+    one O(N) pass adds the second.
+
+    The sup is exact, but most far pairs are never evaluated.  The nodes
+    fall into chunks of CHUNK (_chunk_layout).  The near chunk pairs, the
+    antipodal pass and the diagonal limit give a lower bound s.  On a far
+    chunk pair F <= (max |beta|)^2 / dist^2, where dist is the distance
+    between the chunks' bounding boxes in (z1, z2).  On a periodic grid
+    beta is wrapped, and the second box is taken shifted by 0 or -2 pi in
+    z1, whichever is nearer.  Only the far chunk pairs whose bound exceeds
+    s (1 - PRUNE_MARGIN) are evaluated, at most BLOCK_ROWS * N pairs at a
+    time.  Every evaluated pair goes through the same IEEE operations as
+    a full sweep, so the sup is the same float.  The bound holds for the
+    rounded F too: on an open curve each of its operations is one of F's
+    applied to box ends, and rounding is monotone.  On a periodic curve
+    the rounded dz1 = (x1_i - x1_j) + beta may stray from z1_i - z1_j by a
+    few roundings of |x1| + 2 pi, which each z1 gap gives up as slack;
+    the margin covers the rest.
     """
     a, n = curve.alpha, curve.n
     periodic = curve.topology == PERIODIC
     x1 = curve.z1 - a if periodic else curve.z1
+    nodes, near, lower, (fi, fj) = _chunk_layout(n, periodic)
 
-    def sup(beta, dz1, dz2, nodes):
-        """max F, in place; a zero chord raises, naming nodes(*its index)."""
+    def sup(beta, dz1, dz2, names):
+        """max F, in place; a zero chord raises, naming names(*its index)."""
         if periodic:
             dz1 += beta
         denom = np.add(np.square(dz1, out=dz1), np.square(dz2, out=dz2), out=dz1)
@@ -279,18 +320,22 @@ def arc_chord(curve: Curve, d=None) -> float:
             F = np.divide(np.square(beta, out=beta), denom, out=beta)
         top = F.max()
         if np.isinf(top):
-            i, j = nodes(*np.argwhere(np.isinf(F))[0])
+            i, j = names(*np.argwhere(np.isinf(F))[0])
             raise SelfIntersectionError(
                 f"nodes {i} and {j} coincide: alpha={a[i]:.6g}, {a[j]:.6g}")
         return top
 
-    sups = []
-    for i0, i1, (beta, dz1, dz2) in pair_blocks(a, x1, curve.z2):
+    def chunk_sup(I, J, lower=None):
+        """sup F over the node pairs (I[p, r], J[p, c]) of chunk pairs p."""
+        beta, dz1, dz2 = (x[I][:, :, None] - x[J][:, None, :]
+                          for x in (a, x1, curve.z2))
         if periodic:
             np.add(beta, 2.0 * np.pi, out=beta, where=beta < -np.pi)
-        m = i1 - i0
-        dz2[:, :m][_LOWER[:m, :m]] = np.inf   # F = 0 on the pairs j <= i
-        sups.append(sup(beta, dz1, dz2, lambda i, j: (i0 + i, i0 + j)))
+        if lower is not None:
+            dz2[lower] = np.inf   # F = 0 on the pairs j <= i
+        return sup(beta, dz1, dz2, lambda p, r, c: (I[p, r], J[p, c]))
+
+    sups = [chunk_sup(nodes[near[0]], nodes[near[1]], lower)]
     if periodic and n % 2 == 0:
         h = n // 2
         beta = a[:h] - a[h:]
@@ -301,7 +346,32 @@ def arc_chord(curve: Curve, d=None) -> float:
     speed2 = d1 ** 2 + d2 ** 2
     if np.any(speed2 == 0.0):
         raise SelfIntersectionError("parameterization degenerate: |d_alpha z| = 0")
-    return float(max(np.max(sups), (1.0 / speed2).max()))
+    sups.append((1.0 / speed2).max())
+
+    def sides(x):
+        """lo_c - hi_c' and lo_c' - hi_c over the far chunk pairs (c, c'),
+        lo and hi the ends of a chunk's range of x: their larger one is the
+        gap between the ranges, where it is positive."""
+        lo, hi = x[nodes].min(axis=1), x[nodes].max(axis=1)
+        return lo[fi] - hi[fj], lo[fj] - hi[fi]
+
+    below, above = sides(curve.z1)
+    g1, g2 = np.maximum(below, above), np.maximum(*sides(curve.z2))
+    first, last = a[nodes[:, 0]], a[nodes[:, -1]]
+    beta = last[fj] - first[fi]   # the widest |a_i - a_j|
+    if periodic:
+        # wrapped pairs have dz1 = z1_i - z1_j + 2 pi, and |beta| <= pi
+        slack = 16.0 * np.finfo(float).eps * (np.abs(x1).max() + 2.0 * np.pi)
+        g1 = np.minimum(g1, np.maximum(below + 2.0 * np.pi, above - 2.0 * np.pi)) - slack
+        beta = np.minimum(np.minimum(beta, 2.0 * np.pi - (first[fj] - last[fi])), np.pi)
+    with np.errstate(divide="ignore"):
+        bound = np.square(beta) / (np.square(np.maximum(g1, 0.0))
+                                   + np.square(np.maximum(g2, 0.0)))
+    p = np.flatnonzero(bound > np.max(sups) * (1.0 - PRUNE_MARGIN))
+    step = max(1, BLOCK_ROWS * n // CHUNK ** 2)
+    for k in range(0, p.size, step):
+        sups.append(chunk_sup(nodes[fi[p[k:k + step]]], nodes[fj[p[k:k + step]]]))
+    return float(np.max(sups))
 
 
 @dataclass

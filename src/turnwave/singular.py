@@ -34,8 +34,8 @@ Two kinds of kernels appear:
   subtraction is odd, and IEEE products commute, so the periodic
   numerator b_i a_j - a_i b_j changes sign exactly under i <-> j.  K is
   therefore assembled from the upper-triangle row blocks of
-  curve.pair_blocks (rows i0:i1 against columns i0:N, the sweep
-  arc_chord also uses); the part of each block below its diagonal square
+  curve.pair_blocks (rows i0:i1 against columns i0:N; these kernels are
+  its only users); the part of each block below its diagonal square
   is stored, negated and transposed, in columns i0:i1.  K equals a dense
   N x N evaluation of the same formula bit for bit, with half the pair
   work and only block-sized temporaries.

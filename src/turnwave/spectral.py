@@ -5,12 +5,17 @@ alpha_i = period * i / N, and use numpy's FFT conventions (mode k lives
 at index k for 0 <= k < N/2 and at N+k for k < 0).
 """
 
+from functools import lru_cache
+
 import numpy as np
 
 
+@lru_cache(maxsize=8)
 def modes(n: int) -> np.ndarray:
-    """Integer wavenumbers in FFT order."""
-    return np.fft.fftfreq(n, d=1.0 / n)
+    """Integer wavenumbers in FFT order, read-only (one array per n)."""
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    k.flags.writeable = False
+    return k
 
 
 def fourier_derivative(f, order=1, period=2.0 * np.pi):

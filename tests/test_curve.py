@@ -1,11 +1,13 @@
 """Curve geometry: derivatives, arc-chord, slope reports, the graph test."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from turnwave.curve import (BLOCK_ROWS, Curve, SelfIntersectionError,
+from turnwave.curve import (BLOCK_ROWS, CHUNK, Curve, SelfIntersectionError,
                             arc_chord, derivative,
                             graph_curve, graph_slope_sup, load_csv, min_slope,
                             open_grid, periodic_grid, resample, save_csv)
@@ -71,19 +73,32 @@ def test_arc_chord_detects_self_intersection():
 
 def dense_arc_chord_ratio(curve):
     """F on all N x N node pairs at once, diagonal 0 (the off-diagonal sup
-    that arc_chord takes before the removable limit)."""
-    a = curve.alpha
+    that arc_chord takes before the removable limit), each pair through
+    the IEEE operations of arc_chord, so (i, j) and (j, i) give the same
+    float.  Periodic: beta = a_i - a_j moves by -+2 pi into [-pi, pi]; an
+    antipodal pair of an even grid (|i - j| = N/2) counts with both wraps,
+    (i, j) taking the one (j, i) does not."""
+    a, n = curve.alpha, curve.n
+    beta = a[:, None] - a[None, :]
     if curve.topology == PERIODIC:
-        beta = (a[:, None] - a[None, :] + np.pi) % (2.0 * np.pi) - np.pi
+        i, j = np.indices((n, n))
+        wrap = (np.abs(beta) > np.pi) ^ (2 * (i - j) == n)
+        beta = np.where(wrap, beta - np.copysign(2.0 * np.pi, beta), beta)
         p = curve.z1 - a
         dz1 = p[:, None] - p[None, :] + beta
     else:
-        beta = a[:, None] - a[None, :]
         dz1 = curve.z1[:, None] - curve.z1[None, :]
     dz2 = curve.z2[:, None] - curve.z2[None, :]
     denom = dz1 ** 2 + dz2 ** 2
     np.fill_diagonal(denom, 1.0)
     return beta ** 2 / denom
+
+
+def dense_sup(curve):
+    """The sup arc_chord must return: the dense pair sup or the diagonal
+    limit 1 / |d_alpha z|^2."""
+    d1, d2 = derivative(curve, 1)
+    return max(dense_arc_chord_ratio(curve).max(), (1.0 / (d1 ** 2 + d2 ** 2)).max())
 
 
 def far_pair_curve(n, s=1.0):
@@ -96,16 +111,37 @@ def far_pair_curve(n, s=1.0):
 
 
 def open_bump_curve():
-    b = open_grid(2 * BLOCK_ROWS + 1, 10.0)
+    b = open_grid(8 * CHUNK + 1, 10.0)
     g = np.exp(-0.5 * b ** 2)
     return Curve(OPEN, b, b - 1.2 * b * g, 0.8 * b * g, L=10.0)
 
 
+def open_hairpin_curve():
+    """An open curve at unit speed that rises along a wall, turns back over
+    a half circle and comes down a parallel wall 3.7 away.  Its sup pairs
+    the feet of the walls, two chunks apart, with boxes apart by the wall
+    gap: the bound of that chunk pair needs the widest beta."""
+    a = open_grid(8 * CHUNK + 1, 4 * CHUNK)
+    turn = lambda x: 0.5 * (1.0 + np.tanh(0.5 * x))
+    theta = 0.5 * np.pi * (turn(a + 16.0) + turn(a - 24.0)) - np.pi * turn(a - 4.0)
+    t = np.exp(1j * theta)
+    z = np.concatenate([[0.0], np.cumsum(0.5 * (t[1:] + t[:-1]))])
+    return Curve(OPEN, a, z.real, z.imag, L=a[-1])
+
+
+def wrap_neighbour_curve(n):
+    """A periodic curve whose slowest point lies halfway between nodes
+    N - 1 and 0, so that its sup is the pair (0, N - 1) across the wrap."""
+    a = periodic_grid(n)
+    return Curve(PERIODIC, a, a - 0.95 * np.sin(a + np.pi / n),
+                 0.5 * np.cos(a + np.pi / n))
+
+
 @pytest.mark.parametrize("curve,antipodal_order", [
-    (far_pair_curve(4 * BLOCK_ROWS), 1),
-    (far_pair_curve(4 * BLOCK_ROWS, -1.0), -1),
-    (far_pair_curve(3 * BLOCK_ROWS + 8), 1),     # even, not a multiple of BLOCK_ROWS
-    (far_pair_curve(3 * BLOCK_ROWS + 9), 0),     # odd: no antipodal pair
+    (far_pair_curve(16 * CHUNK), 1),
+    (far_pair_curve(16 * CHUNK, -1.0), -1),
+    (far_pair_curve(12 * CHUNK + 8), 1),     # even, not a multiple of CHUNK
+    (far_pair_curve(12 * CHUNK + 9), 0),     # odd: no antipodal pair
     (open_bump_curve(), 0),
 ], ids=["periodic", "periodic-from-antipode", "periodic-even-off-block",
         "periodic-odd", "open"])
@@ -126,9 +162,83 @@ def test_arc_chord_matches_dense_reference(curve, antipodal_order):
     assert arc_chord(curve) == F.max()
 
 
+@pytest.mark.parametrize("curve,placed", [
+    (far_pair_curve(12 * CHUNK + 9),
+     lambda i, j, n, beta: abs(i - j) > 2 * CHUNK and abs(beta) > np.pi),
+    (far_pair_curve(12 * CHUNK + 9, -1.0),
+     lambda i, j, n, beta: abs(i - j) > 2 * CHUNK and abs(beta) < np.pi),
+    (wrap_neighbour_curve(131), lambda i, j, n, beta: {i, j} == {0, n - 1}),
+    (open_hairpin_curve(), lambda i, j, n, beta: abs(i // CHUNK - j // CHUNK) == 2),
+], ids=["far-just-across-the-wrap", "far-just-inside-the-wrap",
+        "wrap-neighbours", "open-hairpin"])
+def test_arc_chord_exact_where_the_sup_is_placed(curve, placed):
+    """Curves whose sup sits at a pair only the far-pair pass or the wrap
+    neighbours reach; each is above every other pair and the diagonal."""
+    F = dense_arc_chord_ratio(curve)
+    i, j = np.unravel_index(np.argmax(F), F.shape)
+    assert placed(i, j, curve.n, curve.alpha[i] - curve.alpha[j])
+    F[i, j] = F[j, i] = 0.0
+    assert F.max() < dense_sup(curve)
+    assert arc_chord(curve) == dense_sup(curve)
+
+
+def smooth_perturbation(n, topology, c):
+    """A curve near the flat line, six smooth modes with amplitudes c;
+    amplitudes near 0.5 fold it over."""
+    if topology == PERIODIC:
+        a = periodic_grid(n)
+        return Curve(PERIODIC, a, a + c[0] * np.sin(a) + c[1] * np.sin(2 * a + 1.0)
+                     + c[2] * np.cos(3 * a), c[3] * np.cos(a) + c[4] * np.sin(2 * a)
+                     + c[5] * np.cos(5 * a))
+    a = open_grid(n, 10.0)
+    g = np.exp(-0.125 * a ** 2)
+    return Curve(OPEN, a, a + (3 * c[0] * a + c[1] * a ** 2 + c[2]) * g,
+                 (c[3] + c[4] * a + c[5] * a ** 2) * g, L=10.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([16, 17, 47, 64, 131, 512, 513]),
+       st.sampled_from([PERIODIC, OPEN]),
+       st.lists(st.floats(min_value=-0.6, max_value=0.6), min_size=6, max_size=6))
+def test_arc_chord_equals_dense_sup(n, topology, c):
+    """The pruned sup is the dense sup to the last bit: one chunk (16),
+    sizes that CHUNK does not divide, odd periodic grids."""
+    curve = smooth_perturbation(n, topology, c)
+    assert arc_chord(curve) == dense_sup(curve)
+
+
+@pytest.mark.parametrize("topology", [PERIODIC, OPEN])
+@pytest.mark.parametrize("given_d", [False, True], ids=["own-d", "finite-d"])
+def test_arc_chord_nan_node_gives_nan(topology, given_d):
+    """One non-finite node makes the sup nan, so ArcChordFailure fires, also
+    when the caller's derivative is finite."""
+    curve = smooth_perturbation(131, topology, [0.1, 0.0, 0.05, 0.2, 0.1, 0.0])
+    d = derivative(curve, 1) if given_d else None
+    curve.z2[70] = np.nan
+    assert np.isnan(arc_chord(curve, d))
+
+
+def test_arc_chord_temporaries_stay_bounded():
+    """On a flat line F = 1 on every pair and every far chunk pair's bound
+    exceeds 1, so nothing prunes.  The pairs still go through in batches
+    of at most BLOCK_ROWS * N, three float arrays each, not N^2 / 2 at once
+    (50 MB at N = 2048)."""
+    n = 2048
+    curve = flat_curve(n)
+    d = derivative(curve, 1)
+    arc_chord(curve, d)   # builds the cached chunk layout
+    tracemalloc.start()
+    try:
+        assert arc_chord(curve, d) == 1.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 3 * BLOCK_ROWS * n * 8
+
+
 def test_arc_chord_names_coincident_nodes_past_first_block():
-    i, j = BLOCK_ROWS + BLOCK_ROWS // 2, 2 * BLOCK_ROWS + 1
-    a = open_grid(3 * BLOCK_ROWS + 5, 12.0)
+    i, j = 6 * CHUNK, 8 * CHUNK + 1
+    a = open_grid(12 * CHUNK + 5, 12.0)
     z1, z2 = a.copy(), np.zeros_like(a)
     z1[j], z2[j] = z1[i], z2[i]
     with pytest.raises(SelfIntersectionError, match=f"nodes {i} and {j} coincide"):

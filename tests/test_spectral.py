@@ -13,7 +13,10 @@ GRID = 2.0 * np.pi * np.arange(128) / 128
 
 
 def test_modes_layout():
-    assert list(modes(8)) == [0, 1, 2, 3, -4, -3, -2, -1]
+    k = modes(8)
+    assert list(k) == [0, 1, 2, 3, -4, -3, -2, -1]
+    # one cached array per n, shared by every caller, so it is read-only
+    assert modes(8) is k and not k.flags.writeable
 
 
 def test_fourier_derivative_trig_polynomial():
