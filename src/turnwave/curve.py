@@ -23,8 +23,8 @@ PERIODIC = "periodic"
 OPEN = "open"
 
 MIN_NODES = 16
-# Rows per block of the O(N^2) pair sweep (pair_blocks).  Of 32..256, 64
-# was fastest for the periodic Muskat kernel at N=512 and 2048.
+# Rows per block of the O(N^2) pair sweep (pair_blocks).  Of 32..256, 64 was
+# fastest for both Muskat products at N = 512 and 513 (32, by 7%, at N = 2048).
 BLOCK_ROWS = 64
 # nodes per chunk of the pruned arc-chord sup (_chunk_layout)
 CHUNK = 16
@@ -240,18 +240,19 @@ def _spline_operators(nodes: bytes):
     return tuple(operators)
 
 
-def pair_blocks(*xs):
-    """The upper triangle of node pairs, BLOCK_ROWS rows at a time: yields
-    (i0, i1, diffs), diffs[c] = xs[c][i0:i1, None] - xs[c][None, i0:], so
-    the diagonal pairs sit at [k, k] and the leading (i1 - i0) square also
-    holds pairs j < i.  The diffs live in buffers that the next block
-    overwrites: a consumer may change them in place but must not keep them.
-    It serves the Muskat kernels, which need every pair; arc_chord needs
-    only the sup and skips most pairs."""
+def pair_blocks(*xs, rows=None):
+    """The upper triangle of node pairs of the first `rows` nodes (all by
+    default), BLOCK_ROWS rows at a time: yields (i0, i1, diffs), diffs[c] =
+    xs[c][i0:i1, None] - xs[c][None, i0:], so the diagonal pairs sit at
+    [k, k] and the leading (i1 - i0) square also holds pairs j < i.  The
+    diffs live in buffers that the next block overwrites: a consumer may
+    change them in place but must not keep them.  It serves the Muskat
+    kernels; arc_chord needs only the sup and skips most pairs."""
     n = xs[0].size
-    bufs = [np.empty(min(BLOCK_ROWS, n) * n) for _ in xs]
-    for i0 in range(0, n, BLOCK_ROWS):
-        i1 = min(i0 + BLOCK_ROWS, n)
+    rows = n if rows is None else rows
+    bufs = [np.empty(min(BLOCK_ROWS, rows) * n) for _ in xs]
+    for i0 in range(0, rows, BLOCK_ROWS):
+        i1 = min(i0 + BLOCK_ROWS, rows)
         shape = (i1 - i0, n - i0)
         yield i0, i1, [np.subtract(x[i0:i1, None], x[None, i0:],
                                    out=buf[:shape[0] * shape[1]].reshape(shape))

@@ -32,7 +32,7 @@ import numpy as np
 from .closures import PhysicalConstants
 from .curve import (Curve, CurveProfile, OPEN, PERIODIC, derivative,
                     min_slope, open_grid, periodic_grid, resample)
-from .singular import QuadratureError, muskat_rhs_periodic
+from .singular import QuadratureError, _muskat_periodic
 from .spectral import discrete_h4_norm
 from .stepping import SimState, StepStats, advance
 
@@ -327,9 +327,9 @@ def dv1_at_zero_periodic(curve: Curve, prefactor: float,
     differentiation at the original resolution aliases badly here.
     """
     c = resample(curve, n_eval) if curve.n < n_eval else curve
-    v = muskat_rhs_periodic(c, prefactor)
+    v = _muskat_periodic(c, prefactor, lead=2, rows=5)   # nodes -2..2
     h = 2.0 * np.pi / c.n
-    return float((-v[2, 0] + 8.0 * v[1, 0] - 8.0 * v[-1, 0] + v[-2, 0])
+    return float((-v[4, 0] + 8.0 * v[3, 0] - 8.0 * v[1, 0] + v[0, 0])
                  / (12.0 * h))
 
 

@@ -29,16 +29,18 @@ Two kinds of kernels appear:
 * kernels with a removable singularity: the Muskat contour right-hand
   sides.  Plain trapezoid with the diagonal replaced by its analytic
   limit.  The tangent-difference sum sum_j w_j K_ij (z'_i - z'_j) is
-  evaluated as z'_i (K w)_i - (K (w z'))_i, one matrix product.  Both
-  Muskat kernels are exactly antisymmetric in floating point: IEEE
-  subtraction is odd, and IEEE products commute, so the periodic
-  numerator b_i a_j - a_i b_j changes sign exactly under i <-> j.  K is
-  therefore assembled from the upper-triangle row blocks of
-  curve.pair_blocks (rows i0:i1 against columns i0:N; these kernels are
-  its only users); the part of each block below its diagonal square
-  is stored, negated and transposed, in columns i0:i1.  K equals a dense
-  N x N evaluation of the same formula bit for bit, with half the pair
-  work and only block-sized temporaries.
+  evaluated as z'_i (K w)_i - (K (w z'))_i.  Both Muskat kernels are
+  exactly antisymmetric in floating point: IEEE subtraction is odd, and
+  IEEE products commute, so the periodic numerator b_i a_j - a_i b_j
+  changes sign exactly under i <-> j.  The products with K are therefore
+  summed from the upper-triangle row blocks of curve.pair_blocks alone
+  (rows i0:i1 against columns i0:N; these kernels are its only users),
+  each block also standing, negated and transposed, for its pairs below
+  the diagonal (_tangent_difference).  Each pair is evaluated once, bit
+  for bit as a dense evaluation would; no N x N matrix is formed, and
+  the temporaries are a few BLOCK_ROWS x N blocks.  The sweep can stop
+  after the first rows: d_alpha v1(0) of the turning certificate needs
+  the velocity at five nodes (_muskat_periodic).
 
 Complex shorthand: a point (x, y) is w = x + i*y; a velocity (v1, v2) is
 recovered from q = v1 - i*v2.  The perp convention is (x, y)^perp =
@@ -60,23 +62,6 @@ def _require_even(curve: Curve):
         raise QuadratureError("alternating-point quadrature requires even N")
 
 
-def _antisymmetric_kernel(x1, x2, pair) -> np.ndarray:
-    """N x N matrix K with a zero diagonal, for a pair kernel that is
-    exactly odd in floating point (K_ji = -K_ij), from the upper-triangle
-    row blocks of curve.pair_blocks: pair(x1, x2, i0, i1, dx1, dx2)
-    returns rows i0:i1, columns i0:N of K, where
-    dx_c = x_c[i0:i1, None] - x_c[None, i0:].
-
-    pair may overwrite the difference blocks; their entries [k, k] are the
-    diagonal pairs, where it must return 0."""
-    kern = np.empty((x1.size, x1.size))
-    for i0, i1, (d1, d2) in pair_blocks(x1, x2):
-        blk = pair(x1, x2, i0, i1, d1, d2)
-        kern[i0:i1, i0:] = blk
-        kern[i1:, i0:i1] = -blk[:, i1 - i0:].T
-    return kern
-
-
 def _conformal(curve: Curve):
     """(a, b) = e^{c - z2} (cos z1, sin z1): the point E = e^{i(w - ic)} =
     a + i b of w = z1 + i z2 under the conformal map of the period onto the
@@ -87,16 +72,30 @@ def _conformal(curve: Curve):
     return r * np.cos(curve.z1), r * np.sin(curve.z1)
 
 
-def _tangent_difference(kern, weights, d, dd, diag_scale) -> np.ndarray:
+def _tangent_difference(x1, x2, pair, weights, d, dd, diag_scale,
+                        rows=None) -> np.ndarray:
     """Per component c, sum_j w_j K_ij (d_c[i] - d_c[j]) plus w_i times the
-    diagonal limit diag_scale * d_1 dd_c / (d_1^2 + d_2^2); shape (2, N).
+    diagonal limit diag_scale * d_1 dd_c / (d_1^2 + d_2^2), for the first
+    `rows` nodes (all by default); shape (2, rows).
 
-    kern must vanish on its diagonal."""
+    K has a zero diagonal and is exactly odd in floating point (K_ji =
+    -K_ij): pair(x1, x2, i0, i1, dx1, dx2) returns its rows i0:i1, columns
+    i0:N from the difference blocks of curve.pair_blocks, which it may
+    overwrite.  A block adds blk @ X[i0:] to rows i0:i1 of S = K X, X =
+    [w, w d_1, w d_2], and subtracts blk[:, i1 - i0:].T @ X[i0:i1] from
+    rows i1:."""
     d1, d2 = d
-    s = kern @ np.column_stack([weights, weights * d1, weights * d2])
-    limit = diag_scale * weights * d1 / (d1 ** 2 + d2 ** 2)
-    return np.stack([d1 * s[:, 0] - s[:, 1] + limit * dd[0],
-                     d2 * s[:, 0] - s[:, 2] + limit * dd[1]])
+    rows = d1.size if rows is None else rows
+    xs = np.column_stack([weights, weights * d1, weights * d2])
+    s = np.zeros_like(xs)
+    for i0, i1, (u1, u2) in pair_blocks(x1, x2, rows=rows):
+        blk = pair(x1, x2, i0, i1, u1, u2)
+        s[i0:i1] += blk @ xs[i0:]
+        s[i1:] -= blk[:, i1 - i0:].T @ xs[i0:i1]
+    d1, d2, s = d1[:rows], d2[:rows], s[:rows]
+    limit = diag_scale * weights[:rows] * d1 / (d1 ** 2 + d2 ** 2)
+    return np.stack([d1 * s[:, 0] - s[:, 1] + limit * dd[0][:rows],
+                     d2 * s[:, 0] - s[:, 2] + limit * dd[1][:rows]])
 
 
 def br_block(curve: Curve) -> np.ndarray:
@@ -171,13 +170,21 @@ def muskat_rhs_periodic(curve: Curve, prefactor: float) -> np.ndarray:
     periodic equation absorbs its constants; (rho2 - rho1) / (4 pi)
     reproduces the open-line linear decay rate.
     """
+    return _muskat_periodic(curve, prefactor)
+
+
+def _muskat_periodic(curve: Curve, prefactor: float, lead: int = 0,
+                     rows=None) -> np.ndarray:
+    """muskat_rhs_periodic at the first `rows` nodes -lead, 1 - lead, ...
+    (mod N) only, in that order; the pair sweep stops after them."""
     _require_even(curve)
     if curve.topology != PERIODIC:
         raise QuadratureError("use muskat_rhs_open for open curves")
     n = curve.n
-    kern = _antisymmetric_kernel(*_conformal(curve), _conformal_pair)
-    v = _tangent_difference(kern, np.full(n, 2.0 * np.pi / n),
-                            derivative(curve, 1), derivative(curve, 2), 2.0)
+    a, b, *d = np.roll([*_conformal(curve), *derivative(curve, 1),
+                        *derivative(curve, 2)], lead, axis=1)
+    v = _tangent_difference(a, b, _conformal_pair, np.full(n, 2.0 * np.pi / n),
+                            d[:2], d[2:], 2.0, rows)
     return prefactor * v.T
 
 
@@ -185,8 +192,8 @@ def _conformal_pair(a, b, i0, i1, da, db):
     """2 (b_i a_j - a_i b_j) / ((a_i - a_j)^2 + (b_i - b_j)^2)."""
     denom = np.add(np.square(da, out=da), np.square(db, out=db), out=da)
     np.fill_diagonal(denom, 1.0)
-    num = np.multiply.outer(2.0 * b[i0:i1], a[i0:])
-    num -= np.multiply.outer(2.0 * a[i0:i1], b[i0:], out=db)
+    num = np.multiply.outer(2.0 * b[i0:i1], a[i0:], out=db)
+    num -= np.multiply.outer(2.0 * a[i0:i1], b[i0:])
     return np.divide(num, denom, out=num)
 
 
@@ -212,11 +219,10 @@ def muskat_rhs_open(curve: Curve, rho_jump: float = 1.0) -> np.ndarray:
         raise QuadratureError("use muskat_rhs_periodic for periodic curves")
     n = curve.n
     h = curve.alpha[1] - curve.alpha[0]
-    kern = _antisymmetric_kernel(curve.z1, curve.z2, _open_pair)
     weights = np.full(n, h)
     weights[0] = weights[-1] = 0.5 * h
     (d1, d2), dd = derivative(curve, 1), derivative(curve, 2)
-    v = _tangent_difference(kern, weights, (d1, d2), dd, 1.0)
+    v = _tangent_difference(curve.z1, curve.z2, _open_pair, weights, (d1, d2), dd, 1.0)
 
     L = float(curve.alpha[-1])
     c_right, c_left = _open_tail_levels(curve)
@@ -231,6 +237,7 @@ def muskat_rhs_open(curve: Curve, rho_jump: float = 1.0) -> np.ndarray:
 
 
 def _open_pair(z1, z2, i0, i1, dz1, dz2):
-    denom = dz1 ** 2 + dz2 ** 2
+    denom = np.square(dz2, out=dz2)
+    denom += dz1 ** 2
     np.fill_diagonal(denom, 1.0)
-    return dz1 / denom
+    return np.divide(dz1, denom, out=dz1)

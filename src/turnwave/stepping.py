@@ -8,11 +8,15 @@ period).
 
 Stepper.  `step_dp54` takes one Dormand-Prince 5(4) step (Hairer,
 Norsett & Wanner, Solving Ordinary Differential Equations I,
-II.4-II.6): seven right-hand-side evaluations give the fifth-order
-solution, an embedded error estimate and a fourth-order dense output on
-the whole step.  The error is the RMS over all values of
-e / (STEP_TOL (1 + max(|y0|, |y1|))), that is atol = rtol = STEP_TOL,
-with z1 measured minus alpha on periodic curves.
+II.4-II.6): seven stages give the fifth-order solution, an embedded
+error estimate and a fourth-order dense output on the whole step.  The
+error is the RMS over all values of e / (STEP_TOL (1 + max(|y0|,
+|y1|))), that is atol = rtol = STEP_TOL, with z1 measured minus alpha on
+periodic curves.  The last stage is the RHS at the fifth-order solution
+(first same as last; Dormand & Prince 1980), and the RHS does not depend
+on t.  So a trial step takes six RHS evaluations when it retries a
+rejected one, or follows an accepted step whose end state the filter
+left as it was (always on open curves); otherwise seven.
 
 Controller.  `run` and `advance` share one controller.  The first trial
 step is dt.  A trial step with non-finite values or an error above 1 is
@@ -174,14 +178,16 @@ def _derivative(state: SimState) -> np.ndarray:
 class Step:
     """One trial step of size h from `start`: the fifth-order end state
     (unfiltered; None when a stage was non-finite), the scaled error
-    estimate (inf for non-finite values), the RHS evaluations it made and
-    its dense-output coefficients."""
+    estimate (inf for non-finite values), the RHS evaluations it made, its
+    dense-output coefficients and its first and last stages, the RHS at
+    `start` and at `end` (the second unset when `end` is None)."""
     start: SimState
     h: float
     end: Optional[SimState]
     error: float
     rhs_evaluations: int
     dense: tuple = ()
+    stages: Optional[np.ndarray] = None
 
     def at(self, t: float) -> SimState:
         """The dense output at t in [start.t, start.t + h], unfiltered."""
@@ -200,18 +206,20 @@ def _combine(weights, k) -> np.ndarray:
     return out
 
 
-def step_dp54(state: SimState, h: float) -> Step:
+def step_dp54(state: SimState, h: float, k0: Optional[np.ndarray] = None) -> Step:
     """One Dormand-Prince 5(4) trial step of size h; see the module
-    docstring for the error norm."""
+    docstring for the error norm.  k0, when given, is the first stage, the
+    RHS at `state`, and is not evaluated again."""
     if not h > 0:
         raise ValueError("step must be positive")
     y0 = _pack(state)
     k = np.empty((STAGES,) + y0.shape)
-    k[0] = _derivative(state)
+    k[0] = _derivative(state) if k0 is None else k0
+    reused = k0 is not None
     for i in range(1, STAGES):
         y = y0 + h * _combine(_A[i], k)
         if not np.all(np.isfinite(y)):
-            return Step(state, h, None, np.inf, i)
+            return Step(state, h, None, np.inf, i - reused, stages=k[[0, -1]])
         k[i] = _derivative(_unpack(state, y, state.t + _C[i] * h))
     scale = STEP_TOL * (1.0 + np.maximum(np.abs(y0), np.abs(y)))
     error = float(np.sqrt(np.mean((h * _combine(_E, k) / scale) ** 2)))
@@ -220,7 +228,8 @@ def step_dp54(state: SimState, h: float) -> Step:
     dy = y - y0
     b = h * k[0] - dy
     dense = (y0, dy, b, dy - h * k[-1] - b, h * _combine(_D, k))
-    return Step(state, h, _unpack(state, y, state.t + h), error, STAGES, dense)
+    return Step(state, h, _unpack(state, y, state.t + h), error, STAGES - reused, dense,
+                k[[0, -1]])
 
 
 def _accepted_steps(state: SimState, t_stop: float, dt: float, stats: StepStats):
@@ -230,15 +239,17 @@ def _accepted_steps(state: SimState, t_stop: float, dt: float, stats: StepStats)
     accepted state) when the step size falls below MIN_STEP_RATIO * dt."""
     h, h_min = dt, MIN_STEP_RATIO * dt
     previous_error, after_rejection = 1.0, False
+    k0 = None
     while state.t < t_stop:
         landing = state.t + 1.01 * h >= t_stop
         h_try = t_stop - state.t if landing else h
-        step = step_dp54(state, h_try)
+        step = step_dp54(state, h_try, k0)
         stats.rhs_evaluations += step.rhs_evaluations
         if step.error <= 1.0:
             stats.accepted_steps += 1
             end = replace(step.end, t=t_stop) if landing else step.end
             state = _filtered(end)
+            k0 = step.stages[1] if state is end else None
             factor = (SAFETY * max(step.error, 1e-10) ** -PI_ALPHA
                       * previous_error ** PI_BETA)
             factor = min(FAC_MAX, max(FAC_MIN, factor))
@@ -249,6 +260,7 @@ def _accepted_steps(state: SimState, t_stop: float, dt: float, stats: StepStats)
             yield step, state, h
         else:
             stats.rejected_steps += 1
+            k0 = step.stages[0]
             h = h_try * max(FAC_MIN, SAFETY * step.error ** -PI_ALPHA)
             after_rejection = True
             if h < h_min:

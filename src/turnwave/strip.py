@@ -247,14 +247,14 @@ def ck_solve(z0: StripCurve, T: float, prefactor: float,
         if arc_chord(_real_curve(coeffs)) > CHORD_BOUND:
             raise RegimeExitError("real-trace arc-chord bound exceeded")
 
-    def g_at(coeffs, r, t, it):
+    def check_strip(coeffs, r, t, it):
         if decay_violation(coeffs, r) > 1.0:
             raise RegimeExitError(
                 f"iterate {it} leaves the strip of half-width {r:g} at t={t:g}")
-        return _g_coeffs(coeffs, prefactor)
 
     # z^n(0) = z0 in every sweep: check it and evaluate G(z0) once
-    g0 = g_at(z0.coeffs, z0.r, 0.0, 1)
+    check_strip(z0.coeffs, z0.r, 0.0, 1)
+    g0 = _g_coeffs(z0.coeffs, prefactor)
     check_admissible(z0.coeffs, z0.r)
 
     evaluations = 1
@@ -265,9 +265,13 @@ def ck_solve(z0: StripCurve, T: float, prefactor: float,
         history = []
         for it in range(1, PICARD_MAX_ITER + 1):
             prev = new
-            g = np.stack([g0] + [g_at(prev[j], rs[j], times[j], it)
-                                 for j in range(1, panels + 1)])
-            evaluations += panels
+            g = [g0]
+            for j in range(1, panels + 1):
+                check_strip(prev[j], rs[j], times[j], it)
+                # the first sweep of a grid iterates on z0 at every node
+                g.append(g0 if it == 1 else _g_coeffs(prev[j], prefactor))
+            g = np.stack(g)
+            evaluations += panels if it > 1 else 0
             new = _simpson_nodes(z0.coeffs, g, T / panels)
             step = max(strip_distance(new[j], prev[j], rs[j]) for j in range(panels + 1))
             history.append(step)

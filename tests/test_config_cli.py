@@ -221,11 +221,11 @@ def test_cli_blowup_keeps_partial_trajectory_exit_3(tmp_path, monkeypatch):
     real_step = stepping.step_dp54
     starts = []
 
-    def failing_step(state, h):
+    def failing_step(state, h, k0=None):
         starts.append(state.t)
         if len(starts) == 3:
             raise stepping.BlowUpError("non-finite values", state=state)
-        return real_step(state, h)
+        return real_step(state, h, k0)
 
     monkeypatch.setattr(stepping, "step_dp54", failing_step)
     path = write_cfg(tmp_path, "\n".join([
@@ -288,7 +288,8 @@ def test_metrics_repeat_and_count_seven_stage_steps(tmp_path, monkeypatch):
     """metrics.json holds the step counts of the forward run and of the
     backward `advance` of the water-wave datum.  It is byte-identical
     between runs, holds no timings, and its RHS counts are seven per trial
-    step and add up to the RHS calls made."""
+    step, less one for each retry of a rejected step, and add up to the
+    RHS calls made."""
     real = stepping._rhs
     calls = []
 
@@ -316,11 +317,28 @@ def test_metrics_repeat_and_count_seven_stage_steps(tmp_path, monkeypatch):
         assert sorted(counts) == ["accepted_steps", "rejected_steps",
                                   "rhs_evaluations", "samples"]
         assert counts["rhs_evaluations"] == stepping.STAGES * (
-            counts["accepted_steps"] + counts["rejected_steps"])
+            counts["accepted_steps"] + counts["rejected_steps"]) - counts["rejected_steps"]
     assert metrics["advance"]["samples"] == 0
     assert metrics["run"]["samples"] == len(list(np.genfromtxt(
         tmp_path / "out" / "diagnostics.csv", delimiter=",", names=True)["t"]))
     assert total == sum(c["rhs_evaluations"] for c in metrics.values())
+
+
+def test_open_run_metrics_count_reused_stages(tmp_path, monkeypatch):
+    """On an open curve each trial step after the first reuses a stage of
+    the one before, so metrics.json counts seven RHS evaluations for the
+    first and six for each later one: the _rhs calls made."""
+    real = stepping._rhs
+    calls = []
+    monkeypatch.setattr(stepping, "_rhs", lambda *args: calls.append(1) or real(*args))
+    out = tmp_path / "out"
+    assert main(["run", os.path.join(CONFIG_DIR, "muskat-turning.cfg"), "--out", str(out),
+                 "--set", "grid.n=257"]) == 0
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert sorted(metrics) == ["run"]
+    trials = metrics["run"]["accepted_steps"] + metrics["run"]["rejected_steps"]
+    assert trials > 1
+    assert len(calls) == metrics["run"]["rhs_evaluations"] == 1 + (stepping.STAGES - 1) * trials
 
 
 def test_breakdown_metrics_record_both_picard_solves(tmp_path):
@@ -347,7 +365,8 @@ def test_breakdown_metrics_record_both_picard_solves(tmp_path):
                                  "panels", "sweeps", "time_error"]
         assert solve["converged"] is True
         assert 0.0 < solve["time_error"] <= PICARD_TOL
-        assert solve["g_evaluations"] == 1 + solve["panels"] * solve["sweeps"]
+        # the first sweep reuses G(z0) at every node
+        assert solve["g_evaluations"] == 1 + solve["panels"] * (solve["sweeps"] - 1)
         assert len(solve["contraction_history"]) == solve["sweeps"] > 1
         assert solve["contraction_history"][-1] < 1e-10
 

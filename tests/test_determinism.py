@@ -1,5 +1,5 @@
-"""Byte-for-byte determinism of the O(N^2) right-hand sides across BLAS
-thread counts."""
+"""Byte-for-byte determinism of the O(N^2) right-hand sides, and of the
+turning certificate's d_alpha v1(0), across BLAS thread counts."""
 
 import os
 import subprocess
@@ -10,16 +10,20 @@ import pytest
 
 import turnwave
 
-SIZES = {"muskat_rhs_periodic": 512, "muskat_rhs_open": 513, "waterwave_rhs": 256}
-# float64 values each right-hand side writes per node: (z_t, omega_t) for
-# the water waves
-VALUES_PER_NODE = {"muskat_rhs_periodic": 2, "muskat_rhs_open": 2, "waterwave_rhs": 3}
+SIZES = {"muskat_rhs_periodic": 512, "muskat_rhs_open": 513, "waterwave_rhs": 256,
+         "dv1_at_zero_periodic": 2048}
+# float64 values each case writes: per node for a right-hand side, (z_t,
+# omega_t) for the water waves; dv1 is one number at n_eval nodes
+VALUES = {"muskat_rhs_periodic": 2 * 512, "muskat_rhs_open": 2 * 513,
+          "waterwave_rhs": 3 * 256, "dv1_at_zero_periodic": 1}
 
 SCRIPT = f"""
 import sys
 import numpy as np
 from turnwave.closures import PhysicalConstants, waterwave_rhs
 from turnwave.curve import Curve, open_grid, periodic_grid
+from turnwave.initial_data import (TurningParams, dv1_at_zero_periodic,
+                                   turning_candidate_periodic)
 from turnwave.singular import muskat_rhs_open, muskat_rhs_periodic
 
 SIZES = {SIZES!r}
@@ -36,7 +40,10 @@ omega = np.sin(wave.alpha) + 0.3 * np.cos(2 * wave.alpha)
 u, omega_t = waterwave_rhs(wave, omega, PhysicalConstants(rho1=0.0))
 out = [muskat_rhs_periodic(turned_periodic(SIZES["muskat_rhs_periodic"]), 0.3),
        muskat_rhs_open(open_curve, 1.7),
-       np.concatenate([u.ravel(), omega_t])]
+       np.concatenate([u.ravel(), omega_t]),
+       np.array([dv1_at_zero_periodic(
+           turning_candidate_periodic(TurningParams(beta1=1.5, b=3.0), n=512), 0.3,
+           n_eval=SIZES["dv1_at_zero_periodic"])])]
 sys.stdout.buffer.write(b"".join(np.ascontiguousarray(x).tobytes() for x in out))
 """
 
@@ -49,7 +56,7 @@ def rhs_bytes(threads: int) -> dict:
                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     raw = subprocess.run([sys.executable, "-c", SCRIPT], env=env, check=True,
                          capture_output=True, timeout=300).stdout
-    lengths = [8 * VALUES_PER_NODE[name] * n for name, n in SIZES.items()]
+    lengths = [8 * VALUES[name] for name in SIZES]
     assert len(raw) == sum(lengths)
     cuts = np.cumsum([0] + lengths)
     return {name: raw[cuts[k]:cuts[k + 1]] for k, name in enumerate(SIZES)}
@@ -67,6 +74,7 @@ def one_and_two_threads():
         reason="the LU solve of the N/2 = 128 Schur complement takes "
                "OpenBLAS's threaded path and its last bits depend on the "
                "thread count (see README)")),
+    "dv1_at_zero_periodic",
 ])
 def test_rhs_bytes_independent_of_blas_threads(one_and_two_threads, name):
     one, two = one_and_two_threads

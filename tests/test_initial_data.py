@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from turnwave.closures import PhysicalConstants
-from turnwave.curve import derivative, min_slope
+from turnwave.curve import derivative, min_slope, resample
 from turnwave.initial_data import (DeltaTooLargeError, PreconditionError,
                                    TurningParams, dv1_at_zero_full,
                                    dv1_at_zero_periodic,
@@ -16,7 +16,11 @@ from turnwave.initial_data import (DeltaTooLargeError, PreconditionError,
                                    turning_candidate_open,
                                    turning_candidate_periodic,
                                    turning_certificate, waterwave_datum)
+from turnwave import singular
+from turnwave.singular import _conformal
 from turnwave.spectral import discrete_h4_norm
+
+from test_singular import conformal_kernel, dense_product
 
 DEFAULT = TurningParams()
 
@@ -106,6 +110,25 @@ def test_dv1_periodic_resolution_stable():
     v1 = dv1_at_zero_periodic(c, pref, n_eval=2048)
     v2 = dv1_at_zero_periodic(c, pref, n_eval=4096)
     assert abs(v1 - v2) < 5e-3 * abs(v2)
+
+
+def test_dv1_periodic_matches_stencil_of_dense_velocity(monkeypatch):
+    """dv1_at_zero_periodic evaluates the kernel on the rows of nodes -2..2
+    only, one 5 x N block; it is within 1e-12 relative of the same stencil
+    applied to v1 from the dense N x N kernel on the resampled curve."""
+    pref = PhysicalConstants().periodic_prefactor
+    cand = turning_candidate_periodic(TurningParams(beta1=1.5, b=3.0), n=512)
+    c = resample(cand, 2048)
+    h = 2.0 * np.pi / c.n
+    ref, _ = dense_product(conformal_kernel(*_conformal(c)), np.full(c.n, h),
+                           derivative(c, 1), derivative(c, 2), 2.0)
+    v1 = pref * ref[0]
+    dv1 = (-v1[2] + 8.0 * v1[1] - 8.0 * v1[-1] + v1[-2]) / (12.0 * h)
+    blocks, pair = [], singular._conformal_pair
+    monkeypatch.setattr(singular, "_conformal_pair",
+                        lambda *args: blocks.append(args[-1].shape) or pair(*args))
+    assert abs(dv1_at_zero_periodic(cand, pref, n_eval=2048) - dv1) <= 1e-12 * abs(dv1)
+    assert blocks == [(5, 2048)]
 
 
 def test_perturb_h4_exact_size_and_reproducible():

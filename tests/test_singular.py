@@ -1,17 +1,19 @@
 """Singular quadrature oracles: flat-contour closed forms, spectral accuracy,
 Muskat kernel limits."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from turnwave import singular
 from turnwave.curve import (BLOCK_ROWS, Curve, arc_chord, derivative, graph_curve,
-                            min_slope, open_grid, periodic_grid)
+                            min_slope, open_grid, pair_blocks, periodic_grid)
 from turnwave.closures import ClosureIterationError, _amplitude_solve
-from turnwave.singular import (QuadratureError, _antisymmetric_kernel, _conformal,
-                               _conformal_pair, _open_pair, birkhoff_rott, br_block,
-                               br_rate, br_velocity, muskat_rhs_open,
-                               muskat_rhs_periodic)
+from turnwave.initial_data import dv1_at_zero_periodic
+from turnwave.singular import (QuadratureError, _conformal, _conformal_pair, _open_pair,
+                               _tangent_difference, birkhoff_rott, br_block, br_rate,
+                               br_velocity, muskat_rhs_open, muskat_rhs_periodic)
 from turnwave.spectral import hilbert_transform
 
 from conftest import flat_curve
@@ -201,6 +203,14 @@ def turned_open(n=257, L=10.0):
     return Curve(OPEN, a, a - 1.2 * a * g, 0.8 * a * g, L=L)
 
 
+def open_weights(c):
+    """Trapezoid weights of an open curve, halved at both ends."""
+    h = c.alpha[1] - c.alpha[0]
+    weights = np.full(c.n, h)
+    weights[0] = weights[-1] = 0.5 * h
+    return weights
+
+
 def test_turned_curves_are_not_graphs():
     for c in (turned_periodic(), turned_open()):
         assert min_slope(c).min_slope < -0.1
@@ -218,11 +228,8 @@ def test_muskat_periodic_matches_dense_sum_on_turned_curve():
 
 def test_muskat_open_matches_dense_sum_on_turned_curve():
     c = turned_open()
-    h = c.alpha[1] - c.alpha[0]
-    weights = np.full(c.n, h)
-    weights[0] = weights[-1] = 0.5 * h
     d = derivative(c, 1)
-    ref = dense_tangent_difference(open_kernel(c.z1, c.z2), weights, d,
+    ref = dense_tangent_difference(open_kernel(c.z1, c.z2), open_weights(c), d,
                                    derivative(c, 2), 1.0)
     # flat tails beyond +-L at heights z2(+-L)
     num = (c.z1 - c.L) ** 2 + (c.z2 - c.z2[-1]) ** 2
@@ -236,7 +243,7 @@ def test_muskat_open_matches_dense_sum_on_turned_curve():
     assert np.max(np.abs(v - (1.7 / (2.0 * np.pi)) * ref.T)) < 1e-13
 
 
-# --- block assembly against the dense N x N evaluation, bit for bit ----------
+# --- the block product against the dense N x N evaluation -------------------
 
 def conformal_kernel(a, b):
     """2 (b_i a_j - a_i b_j) / ((a_i - a_j)^2 + (b_i - b_j)^2) on every
@@ -248,30 +255,90 @@ def conformal_kernel(a, b):
     return (2.0 * b[:, None] * a[None, :] - 2.0 * a[:, None] * b[None, :]) / denom
 
 
+def dense_product(kern, weights, d, dd, diag_scale):
+    """_tangent_difference with S = K @ X, X = [w, w d_1, w d_2], formed from
+    the dense kernel, and the rounding bound of the gap between the two:
+    2 (N + 3) eps times |d_c| (|K| |X_0|) + |K| |X_c| + |limit dd_c|.  Any
+    summation order of a length-N dot product is within N eps (to first
+    order) of its |K| |X| times the exact value, and the formula applied
+    to S rounds three times more on each side."""
+    d1, d2 = d
+    xs = np.column_stack([weights, weights * d1, weights * d2])
+    s, mag = kern @ xs, np.abs(kern) @ np.abs(xs)
+    limit = diag_scale * weights * d1 / (d1 ** 2 + d2 ** 2)
+    ref = np.stack([d1 * s[:, 0] - s[:, 1] + limit * dd[0],
+                    d2 * s[:, 0] - s[:, 2] + limit * dd[1]])
+    scale = np.stack([np.abs(d1) * mag[:, 0] + mag[:, 1] + np.abs(limit * dd[0]),
+                      np.abs(d2) * mag[:, 0] + mag[:, 2] + np.abs(limit * dd[1])])
+    return ref, 2 * (d1.size + 3) * np.finfo(float).eps * scale
+
+
 @pytest.mark.parametrize("n", sorted({16, 64, 65, BLOCK_ROWS, 513, 2048}))
 def test_blocked_kernels_equal_dense_evaluation(n):
-    """Row blocks of the upper triangle plus the negated transpose give the
-    same matrix as evaluating every pair, for sizes below, at and off a
-    multiple of BLOCK_ROWS."""
-    c = turned_periodic(n)
-    a, b = _conformal(c)
-    assert np.array_equal(_antisymmetric_kernel(a, b, _conformal_pair),
-                          conformal_kernel(a, b))
-    c = turned_open(n)
-    assert np.array_equal(_antisymmetric_kernel(c.z1, c.z2, _open_pair),
-                          open_kernel(c.z1, c.z2))
+    """Every row block of the upper triangle equals the same rows of a
+    dense evaluation of every pair, bit for bit, for sizes below, at and
+    off a multiple of BLOCK_ROWS; the dense kernel is exactly odd, so the
+    lower triangle is the negated transpose.  The block product
+    K [w, w d_1, w d_2] is within the rounding bound of dense_product."""
+    cp, co = turned_periodic(n), turned_open(n)
+    cases = [(*_conformal(cp), _conformal_pair, conformal_kernel,
+              np.full(n, 2.0 * np.pi / n), cp, 2.0),
+             (co.z1, co.z2, _open_pair, open_kernel, open_weights(co), co, 1.0)]
+    for x1, x2, pair, dense_kernel, weights, c, diag_scale in cases:
+        kern = dense_kernel(x1, x2)
+        assert np.array_equal(kern, -kern.T)
+        rows = []
+        for i0, i1, (u1, u2) in pair_blocks(x1, x2):
+            assert np.array_equal(pair(x1, x2, i0, i1, u1, u2), kern[i0:i1, i0:])
+            rows += range(i0, i1)
+        assert rows == list(range(n))
+        d, dd = derivative(c, 1), derivative(c, 2)
+        ref, bound = dense_product(kern, weights, d, dd, diag_scale)
+        gap = np.abs(_tangent_difference(x1, x2, pair, weights, d, dd, diag_scale) - ref)
+        assert np.all(gap <= bound)
 
 
-def test_muskat_rhs_equal_dense_kernel_product(monkeypatch):
-    """With the dense kernels swapped in, both right-hand sides come out
-    bit-identical: the single N x 3 product is unchanged."""
+def test_muskat_rhs_match_dense_kernel_product(monkeypatch):
+    """Both right-hand sides, with the dense product swapped in for the
+    block product, move by less than its rounding bound (dense_product)
+    times the prefactor, plus one rounding of the result."""
     cp, co = turned_periodic(512), turned_open(513)
     blocked = muskat_rhs_periodic(cp, 0.3), muskat_rhs_open(co, 1.7)
     dense = {_conformal_pair: conformal_kernel, _open_pair: open_kernel}
-    monkeypatch.setattr(singular, "_antisymmetric_kernel",
-                        lambda x1, x2, pair: dense[pair](x1, x2))
-    assert np.array_equal(blocked[0], muskat_rhs_periodic(cp, 0.3))
-    assert np.array_equal(blocked[1], muskat_rhs_open(co, 1.7))
+    bounds = []
+
+    def dense_swap(x1, x2, pair, weights, d, dd, diag_scale, rows=None):
+        assert rows in (None, x1.size)
+        ref, bound = dense_product(dense[pair](x1, x2), weights, d, dd, diag_scale)
+        bounds.append(bound.T)
+        return ref
+
+    monkeypatch.setattr(singular, "_tangent_difference", dense_swap)
+    refs = muskat_rhs_periodic(cp, 0.3), muskat_rhs_open(co, 1.7)
+    eps = np.finfo(float).eps
+    for v, ref, bound, factor in zip(blocked, refs, bounds, (0.3, 1.7 / (2.0 * np.pi))):
+        assert not np.array_equal(v, ref)
+        assert np.all(np.abs(v - ref) <= factor * bound + 2.0 * eps * np.abs(ref))
+
+
+def test_muskat_velocities_form_no_n_by_n_array():
+    """At N = 2048 the periodic and open right-hand sides and
+    dv1_at_zero_periodic allocate at most 4 blocks of BLOCK_ROWS x N
+    floats at once (4 MB), where the N x N kernel took 33.5 MB.  Each runs
+    once first, to build the cached open-spline operators."""
+    n = 2048
+    cp, co, coarse = turned_periodic(n), turned_open(n + 1, L=60.0), turned_periodic(512)
+    cases = [lambda: muskat_rhs_periodic(cp, 0.3), lambda: muskat_rhs_open(co, 1.7),
+             lambda: dv1_at_zero_periodic(coarse, 0.3, n_eval=n)]
+    for case in cases:
+        case()
+        tracemalloc.start()
+        try:
+            case()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * BLOCK_ROWS * (n + 1) * 8
 
 
 # --- the conformal kernels against a 40-digit reference near turnover --------
@@ -307,16 +374,24 @@ def reference_near_turnover():
 
 def test_muskat_periodic_kernel_matches_40_digit_reference(reference_near_turnover,
                                                           monkeypatch):
-    """The kernel matrix that muskat_rhs_periodic forms is off by at most
-    1e-10 where |K| = 228; the direct sin(dz1) / (cosh(dz2) - cos(dz1))
-    is off by 1.4e-9 on this curve."""
+    """The kernel entries that muskat_rhs_periodic evaluates, rows i0:i1
+    against columns i0:N block by block, are off by at most 1e-10 where
+    |K| = 228; the direct sin(dz1) / (cosh(dz2) - cos(dz1)) is off by
+    1.4e-9 on this curve."""
     c, kern, _ = reference_near_turnover
     assert np.abs(kern).max() > 200.0
-    formed = []
-    monkeypatch.setattr(singular, "_tangent_difference",
-                        lambda k, *rest: formed.append(k) or np.zeros((2, c.n)))
+    gaps, rows = [], []
+
+    def recorded(a, b, i0, i1, da, db):
+        blk = _conformal_pair(a, b, i0, i1, da, db)
+        gaps.append(np.max(np.abs(blk - kern[i0:i1, i0:])))
+        rows.extend(range(i0, i1))
+        return blk
+
+    monkeypatch.setattr(singular, "_conformal_pair", recorded)
     muskat_rhs_periodic(c, 1.0)
-    assert np.max(np.abs(formed[0] - kern)) <= 1e-10
+    assert rows == list(range(c.n))
+    assert max(gaps) <= 1e-10
 
 
 def test_br_block_matches_40_digit_reference(reference_near_turnover):

@@ -69,6 +69,44 @@ def test_turning_time_independent_of_sampling_interval():
     assert abs(t_star[0] - t_star[1]) < 1e-9
 
 
+@pytest.mark.parametrize("topology", ["open", "periodic"])
+def test_reused_stages_give_the_bits_of_recomputed_ones(monkeypatch, topology):
+    """A trial step reuses the first stage of the rejected trial it
+    retries, and on an open curve, whose end states the filter leaves as
+    they are, the last stage of the accepted step before it.  The run is
+    bit for bit the one that evaluates every first stage again, and its
+    RHS count is the number of _rhs calls made: seven per trial less one
+    per reused stage."""
+    if topology == "open":
+        state = SimState(turning_candidate_open(TurningParams(beta1=1.0, b=3.0), n=129,
+                                                L=15.0, tilt=0.05))
+    else:
+        state = SimState(small_graph(64, 1e-1, 2))
+    calls = []
+    real_rhs, real_step = stepping._rhs, stepping.step_dp54
+    monkeypatch.setattr(stepping, "_rhs", lambda *args: calls.append(1) or real_rhs(*args))
+    traj, final = run(state, 0.3, 0.1, stop_on=(TURNING,))
+    stats = traj.stats
+    trials = stats.accepted_steps + stats.rejected_steps
+    reused = trials - 1 if topology == "open" else stats.rejected_steps
+    assert stats.rejected_steps > 0
+    assert len(calls) == stats.rhs_evaluations == STAGES * trials - reused
+
+    monkeypatch.setattr(stepping, "step_dp54", lambda st, h, k0=None: real_step(st, h))
+    ref, ref_final = run(state, 0.3, 0.1, stop_on=(TURNING,))
+    assert ref.stats.rhs_evaluations == STAGES * trials
+    assert (ref.stats.accepted_steps, ref.stats.rejected_steps) == (
+        stats.accepted_steps, stats.rejected_steps)
+    assert final.t == ref_final.t and np.array_equal(final.curve.z1, ref_final.curve.z1)
+    assert len(traj.snapshots) == len(ref.snapshots)
+    for (t, c, _), (t_ref, c_ref, _) in zip(traj.snapshots, ref.snapshots):
+        assert t == t_ref
+        assert np.array_equal(c.z1, c_ref.z1) and np.array_equal(c.z2, c_ref.z2)
+    assert np.array_equal(traj.diagnostics, ref.diagnostics, equal_nan=True)
+    assert [(e.t, e.kind) for e in traj.events.events] == [
+        (e.t, e.kind) for e in ref.events.events]
+
+
 def test_brent_root_to_tolerance_with_few_evaluations():
     """The Turning root finder on a smooth bracket: within TURNING_XTOL of
     the root in 7 evaluations inside it (bisection alone would take 47),

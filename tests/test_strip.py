@@ -155,20 +155,27 @@ def test_ck_solve_matches_rk4_small_data():
 
 
 def test_ck_solve_evaluates_initial_node_once(monkeypatch):
-    """z^n(0) = z0 in every sweep, so G runs once there and once per sweep
-    at each of the other nodes; the solve records that count."""
+    """z^n(0) = z0 in every sweep, and the first sweep iterates on z0 at
+    every node, so G runs once there and once per later sweep at each of
+    the other nodes; the solve records that count.  The strip guard still
+    checks every node of every sweep."""
     import turnwave.strip as strip_mod
-    calls = []
-    rhs = strip_mod.muskat_rhs_periodic
+    calls, guards = [], []
+    rhs, violation = strip_mod.muskat_rhs_periodic, strip_mod.decay_violation
 
     def counted(curve, prefactor):
         calls.append(curve.n)
         return rhs(curve, prefactor)
 
+    sc = extend_to_strip(eps_cos_curve(n=64, eps=0.01), 0.2)
     monkeypatch.setattr(strip_mod, "muskat_rhs_periodic", counted)
-    res = ck_solve(extend_to_strip(eps_cos_curve(n=64, eps=0.01), 0.2), 0.02, PREF)
+    monkeypatch.setattr(strip_mod, "decay_violation",
+                        lambda coeffs, r: guards.append(r) or violation(coeffs, r))
+    res = ck_solve(sc, 0.02, PREF)
+    panels = len(res.times) - 1
     assert res.iterations > 1
-    assert len(calls) == res.g_evaluations == 1 + (len(res.times) - 1) * res.iterations
+    assert len(calls) == res.g_evaluations == 1 + panels * (res.iterations - 1)
+    assert len(guards) == 1 + panels * res.iterations
 
 
 def test_ck_contraction_geometric():
