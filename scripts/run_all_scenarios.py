@@ -2,9 +2,14 @@
 """Run every bundled scenario config and summarize exit codes.
 
 Usage: python scripts/run_all_scenarios.py [--out DIR]
+
+Each summary line ends with the sha256 of the run directory, over every
+file name and its bytes as turnbench/child.py hashes them: two checkouts
+wrote the same artifacts when their lines carry the same hashes.
 """
 
 import argparse
+import hashlib
 import os
 import sys
 import time
@@ -13,6 +18,16 @@ from turnwave.config import load_config
 from turnwave.scenarios import run_scenario
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+
+
+def hash_dir(path):
+    """sha256 over the sorted file names of path, each followed by a NUL
+    byte and the file's bytes."""
+    digest = hashlib.sha256()
+    for name in sorted(os.listdir(path)):
+        with open(os.path.join(path, name), "rb") as fh:
+            digest.update(name.encode() + b"\0" + fh.read())
+    return digest.hexdigest()
 
 
 def main():
@@ -29,7 +44,8 @@ def main():
         t0 = time.time()
         result = run_scenario(cfg)
         print(f"{name:28s} exit={result.exit_code} "
-              f"({time.time() - t0:5.1f}s)  {result.message}")
+              f"({time.time() - t0:5.1f}s)  {result.message}  "
+              f"sha256={hash_dir(cfg.output_dir)}")
         worst = max(worst, result.exit_code)
     return worst
 

@@ -9,6 +9,12 @@ Two topologies are supported:
   |z(alpha) - (alpha, z2(+-L))| small at the truncation.  Calculus uses
   the quintic interpolating spline, through its fixed nodal derivative
   operators.
+
+A Curve may also hold a stack of curves on one grid: z1 and z2 of shape
+(k, N), one row per member (a group of samples of a run).  derivative,
+arc_chord, min_slope and graph_slope_sup act on each member; a member
+of a stack goes through the same operations as when it is given alone,
+so its results are the same floats.
 """
 
 from dataclasses import dataclass, field
@@ -76,8 +82,8 @@ class Curve:
         self.z2 = np.asarray(self.z2, dtype=float)
         if self.topology not in (PERIODIC, OPEN):
             raise ValueError(f"unknown topology {self.topology!r}")
-        if not (self.alpha.shape == self.z1.shape == self.z2.shape):
-            raise ValueError("alpha, z1, z2 must have identical shapes")
+        if self.z1.shape != self.z2.shape or self.z1.shape[-1:] != self.alpha.shape:
+            raise ValueError("z1 and z2 must have identical shapes, ending in alpha's")
         if self.alpha.size < MIN_NODES:
             raise ValueError(f"need at least {MIN_NODES} nodes")
         if np.any(np.diff(self.alpha) <= 0):
@@ -90,8 +96,8 @@ class Curve:
         return self.alpha.size
 
     def points(self) -> np.ndarray:
-        """Node coordinates as an (N, 2) array."""
-        return np.column_stack([self.z1, self.z2])
+        """Node coordinates as an (N, 2) array, (k, N, 2) for a stack."""
+        return np.stack([self.z1, self.z2], axis=-1)
 
     def with_components(self, z1, z2) -> "Curve":
         return Curve(self.topology, self.alpha, np.asarray(z1, float),
@@ -143,11 +149,14 @@ def graph_curve(f, n: Optional[int] = None, topology: str = PERIODIC,
 
 def derivative(curve: Curve, order: int = 1):
     """Per-component d^order/d alpha^order, order 1 or 2, sampled at the
-    nodes.
+    nodes: (d1, d2), each of z1's shape, (N,) or (k, N) for a stack.
 
-    Periodic: spectral (exact for band-limited data); the linear part of
-    z1 is handled separately.  Open: the quintic interpolating spline's
-    derivative at the nodes, a banded matrix product (_spline_operators).
+    Periodic: spectral (exact for band-limited data), one batched FFT
+    over the stack; the linear part of z1 is handled separately.  Open:
+    the quintic interpolating spline's derivative at the nodes, a banded
+    matrix product (_spline_operators) applied to each member's (N, 2)
+    points as a (k, N, 2) matmul stack, which gives each member the bits
+    it gets alone.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
@@ -158,7 +167,8 @@ def derivative(curve: Curve, order: int = 1):
         return d1, fourier_derivative(curve.z2, order)
     blocks = _spline_operators(curve.alpha.tobytes())[order - 1]
     points = curve.points()
-    return tuple(np.concatenate([op @ points[j0:j1] for j0, j1, op in blocks]).T)
+    d = np.concatenate([op @ points[..., j0:j1, :] for j0, j1, op in blocks], axis=-2)
+    return d[..., 0], d[..., 1]
 
 
 def _bsplines(t, x, mu, k, r):
@@ -279,17 +289,20 @@ def _chunk_layout(n: int, periodic: bool):
     return nodes, near_pairs, lower, far_pairs
 
 
-def arc_chord(curve: Curve, d=None) -> float:
-    """sup over node pairs of F(z) = |beta|^2 / |z(a) - z(a-beta)|^2.
+def arc_chord(curve: Curve, d=None):
+    """sup over node pairs of F(z) = |beta|^2 / |z(a) - z(a-beta)|^2: a
+    float, or one per member of a stack, shape (k,).
 
     The diagonal is the removable limit 1 / |d_alpha z|^2, from the first
-    derivative d = (d1, d2) when the caller has it.  A zero chord between
-    distinct nodes raises SelfIntersectionError; a non-finite node makes
-    the sup nan.  F is symmetric, so each pair (i, j), i < j, counts once.
-    Periodic: beta = a_i - a_j wraps to beta + 2 pi below -pi, and the z1
-    difference is unwrapped with it (z1 - alpha is periodic).  The
-    antipodal pairs of an even grid (beta = -pi) count with both wraps;
-    one O(N) pass adds the second.
+    derivative d = (d1, d2), of z1's shape, when the caller has it.  A
+    zero chord between distinct nodes, or a zero |d_alpha z|, raises
+    SelfIntersectionError on a single curve; in a stack that member's sup
+    is inf and the other members keep theirs.  A non-finite node makes
+    its curve's sup nan.  F is symmetric, so each pair (i, j), i < j,
+    counts once.  Periodic: beta = a_i - a_j wraps to beta + 2 pi below
+    -pi, and the z1 difference is unwrapped with it (z1 - alpha is
+    periodic).  The antipodal pairs of an even grid (beta = -pi) count
+    with both wraps; one O(N) pass adds the second.
 
     The sup is exact, but most far pairs are never evaluated.  The nodes
     fall into chunks of CHUNK (_chunk_layout).  The near chunk pairs, the
@@ -298,138 +311,198 @@ def arc_chord(curve: Curve, d=None) -> float:
     between the chunks' bounding boxes in (z1, z2).  On a periodic grid
     beta is wrapped, and the second box is taken shifted by 0 or -2 pi in
     z1, whichever is nearer.  Only the far chunk pairs whose bound exceeds
-    s (1 - PRUNE_MARGIN) are evaluated, at most BLOCK_ROWS * N pairs at a
-    time.  Every evaluated pair goes through the same IEEE operations as
-    a full sweep, so the sup is the same float.  The bound holds for the
-    rounded F too: on an open curve each of its operations is one of F's
-    applied to box ends, and rounding is monotone.  On a periodic curve
-    the rounded dz1 = (x1_i - x1_j) + beta may stray from z1_i - z1_j by a
-    few roundings of |x1| + 2 pi, which each z1 gap gives up as slack;
-    the margin covers the rest.
+    s (1 - PRUNE_MARGIN) are evaluated.  On a stack, the near chunk pairs
+    go member by member with the beta that all members share, the bounds
+    and the O(N) passes take the whole stack at once, and the far chunk
+    pairs left to evaluate are gathered across members.  Those go at most
+    BLOCK_ROWS * N node pairs at a time, so a stack of the SAMPLE_GROUP
+    samples that stepping.run diagnoses at once stays within the memory
+    bound of one curve.  Every evaluated pair goes through the same IEEE
+    operations as a full sweep, so the sup is the same float.  The bound
+    holds for the rounded F too: on an open curve each of its operations
+    is one of F's applied to box ends, and rounding is monotone.  On a
+    periodic curve the rounded dz1 = (x1_i - x1_j) + beta may stray from
+    z1_i - z1_j by a few roundings of |x1| + 2 pi, which each z1 gap gives
+    up as slack; the margin covers the rest.
     """
     a, n = curve.alpha, curve.n
     periodic = curve.topology == PERIODIC
-    x1 = curve.z1 - a if periodic else curve.z1
+    single = curve.z1.ndim == 1
+    z1, z2 = curve.z1.reshape(-1, n), curve.z2.reshape(-1, n)
+    x1 = z1 - a if periodic else z1
     nodes, near, lower, (fi, fj) = _chunk_layout(n, periodic)
+    batch = max(1, BLOCK_ROWS * n // CHUNK ** 2)   # chunk pairs per evaluation
 
-    def sup(beta, dz1, dz2, names):
-        """max F, in place; a zero chord raises, naming names(*its index)."""
+    def sup(beta, dz1, dz2, names, beta2=None):
+        """max F over all but the first axis, dz1 and dz2 in place; beta2
+        is beta squared, None to square beta in place.  On a single curve
+        a zero chord raises, naming names(*its index)."""
         if periodic:
             dz1 += beta
         denom = np.add(np.square(dz1, out=dz1), np.square(dz2, out=dz2), out=dz1)
         with np.errstate(divide="ignore"):
-            F = np.divide(np.square(beta, out=beta), denom, out=beta)
-        top = F.max()
-        if np.isinf(top):
+            F = np.divide(np.square(beta, out=beta) if beta2 is None else beta2, denom,
+                          out=denom)
+        top = F.max(axis=tuple(range(1, F.ndim)))
+        if single and np.isinf(top).any():
             i, j = names(*np.argwhere(np.isinf(F))[0])
             raise SelfIntersectionError(
                 f"nodes {i} and {j} coincide: alpha={a[i]:.6g}, {a[j]:.6g}")
         return top
 
-    def chunk_sup(I, J, lower=None):
-        """sup F over the node pairs (I[p, r], J[p, c]) of chunk pairs p."""
-        beta, dz1, dz2 = (x[I][:, :, None] - x[J][:, None, :]
-                          for x in (a, x1, curve.z2))
+    def wrapped(I, J):
+        """beta over the node pairs (I[p, r], J[p, c]) of chunk pairs p."""
+        beta = a[I][:, :, None] - a[J][:, None, :]
         if periodic:
             np.add(beta, 2.0 * np.pi, out=beta, where=beta < -np.pi)
-        if lower is not None:
-            dz2[lower] = np.inf   # F = 0 on the pairs j <= i
-        return sup(beta, dz1, dz2, lambda p, r, c: (I[p, r], J[p, c]))
+        return beta
 
-    sups = [chunk_sup(nodes[near[0]], nodes[near[1]], lower)]
+    # chunks of x1 and z2 as (members, chunks, CHUNK).  np.take keeps
+    # the result C-contiguous: indexing with a slice and an array
+    # transposes it, which slows every pass over the pairs
+    count = len(z1)
+    X1, Z2 = (np.take(x, nodes, axis=1) for x in (x1, z2))
+
+    def near_sups():
+        """sup F over the near chunk pairs of each member, one member at a
+        time, with the beta that they all share."""
+        I, J = nodes[near[0]], nodes[near[1]]
+        beta = wrapped(I, J)
+        beta2 = np.square(beta)
+        out = np.empty(count)
+        for i in range(count):
+            dz1, dz2 = ((X[i, near[0]][:, :, None] - X[i, near[1]][:, None, :])[None]
+                        for X in (X1, Z2))
+            np.copyto(dz2, np.inf, where=lower)   # F = 0 on the pairs j <= i
+            out[i] = sup(beta, dz1, dz2, lambda m, p, r, c: (I[p, r], J[p, c]), beta2)[0]
+        return out
+
+    sups = near_sups()
     if periodic and n % 2 == 0:
         h = n // 2
         beta = a[:h] - a[h:]
-        sups.append(sup(np.where(beta < -np.pi, beta, beta + 2.0 * np.pi),
-                        x1[:h] - x1[h:], curve.z2[:h] - curve.z2[h:],
-                        lambda i: (i, i + h)))
+        beta = np.where(beta < -np.pi, beta, beta + 2.0 * np.pi)
+        sups = np.maximum(sups, sup(beta, x1[:, :h] - x1[:, h:], z2[:, :h] - z2[:, h:],
+                                    lambda s, i: (i, i + h)))
     d1, d2 = derivative(curve, 1) if d is None else d
-    speed2 = d1 ** 2 + d2 ** 2
-    if np.any(speed2 == 0.0):
+    speed2 = np.reshape(d1 ** 2 + d2 ** 2, (-1, n))
+    degenerate = np.any(speed2 == 0.0, axis=-1)
+    if single and degenerate[0]:
         raise SelfIntersectionError("parameterization degenerate: |d_alpha z| = 0")
-    sups.append((1.0 / speed2).max())
-
-    def sides(x):
-        """lo_c - hi_c' and lo_c' - hi_c over the far chunk pairs (c, c'),
-        lo and hi the ends of a chunk's range of x: their larger one is the
-        gap between the ranges, where it is positive."""
-        lo, hi = x[nodes].min(axis=1), x[nodes].max(axis=1)
-        return lo[fi] - hi[fj], lo[fj] - hi[fi]
-
-    below, above = sides(curve.z1)
-    g1, g2 = np.maximum(below, above), np.maximum(*sides(curve.z2))
-    first, last = a[nodes[:, 0]], a[nodes[:, -1]]
-    beta = last[fj] - first[fi]   # the widest |a_i - a_j|
-    if periodic:
-        # wrapped pairs have dz1 = z1_i - z1_j + 2 pi, and |beta| <= pi
-        slack = 16.0 * np.finfo(float).eps * (np.abs(x1).max() + 2.0 * np.pi)
-        g1 = np.minimum(g1, np.maximum(below + 2.0 * np.pi, above - 2.0 * np.pi)) - slack
-        beta = np.minimum(np.minimum(beta, 2.0 * np.pi - (first[fj] - last[fi])), np.pi)
     with np.errstate(divide="ignore"):
-        bound = np.square(beta) / (np.square(np.maximum(g1, 0.0))
-                                   + np.square(np.maximum(g2, 0.0)))
-    p = np.flatnonzero(bound > np.max(sups) * (1.0 - PRUNE_MARGIN))
-    step = max(1, BLOCK_ROWS * n // CHUNK ** 2)
-    for k in range(0, p.size, step):
-        sups.append(chunk_sup(nodes[fi[p[k:k + step]]], nodes[fj[p[k:k + step]]]))
-    return float(np.max(sups))
+        sups = np.maximum(sups, np.where(degenerate, np.inf, (1.0 / speed2).max(axis=-1)))
+
+    def far_pairs():
+        """member * (far chunk pairs) + pair for each far chunk pair whose
+        bound exceeds s (1 - PRUNE_MARGIN), s that member's sup so far.
+        The bound's arrays, one row per member, are updated in place."""
+
+        def gaps(chunks):
+            """lo_c - hi_c' and lo_c' - hi_c over the far chunk pairs
+            (c, c'), lo and hi the ends of a chunk's range of values: their
+            larger one is the gap between the ranges, where it is
+            positive."""
+            lo, hi = chunks.min(axis=-1), chunks.max(axis=-1)
+            return lo[:, fi] - hi[:, fj], lo[:, fj] - hi[:, fi]
+
+        below, above = gaps(np.take(z1, nodes, axis=1) if periodic else X1)
+        g1 = np.maximum(below, above)
+        first, last = a[nodes[:, 0]], a[nodes[:, -1]]
+        beta = last[fj] - first[fi]   # the widest |a_i - a_j|
+        if periodic:
+            # wrapped pairs have dz1 = z1_i - z1_j + 2 pi, and |beta| <= pi
+            slack = 16.0 * np.finfo(float).eps * (np.abs(x1).max(axis=-1, keepdims=True)
+                                                  + 2.0 * np.pi)
+            below += 2.0 * np.pi
+            above -= 2.0 * np.pi
+            np.minimum(g1, np.maximum(below, above, out=below), out=g1)
+            g1 -= slack
+            beta = np.minimum(np.minimum(beta, 2.0 * np.pi - (first[fj] - last[fi])), np.pi)
+        del below, above
+        g2 = np.maximum(*gaps(Z2))
+        denom = np.square(np.maximum(g1, 0.0, out=g1), out=g1)
+        denom += np.square(np.maximum(g2, 0.0, out=g2), out=g2)
+        with np.errstate(divide="ignore"):
+            bound = np.divide(np.square(beta), denom, out=denom)
+        return np.flatnonzero(bound > sups[:, None] * (1.0 - PRUNE_MARGIN))
+
+    # the far chunk pairs that are not pruned, gathered across members
+    hits = far_pairs()
+    for k in range(0, hits.size, batch):
+        s, p = np.divmod(hits[k:k + batch], fi.size)
+        I, J = nodes[fi[p]], nodes[fj[p]]
+        dz1, dz2 = (X[s, fi[p]][:, :, None] - X[s, fj[p]][:, None, :] for X in (X1, Z2))
+        top = sup(wrapped(I, J), dz1, dz2, lambda q, r, c: (I[q, r], J[q, c]))
+        with np.errstate(invalid="ignore"):   # a nan member stays nan
+            np.maximum.at(sups, s, top)
+    return float(sups[0]) if single else sups
 
 
 @dataclass
 class SlopeReport:
-    min_slope: float
+    min_slope: float              # one per member for a stack
     argmin_alpha: float
 
 
+def _floats(x: np.ndarray):
+    """A 0-d result as a float; a stack's results as they are."""
+    return float(x) if x.ndim == 0 else x
+
+
 def min_slope(curve: Curve, d=None) -> SlopeReport:
-    """Minimum of d_alpha z1 with 3-point quadratic subgrid refinement.
+    """Minimum of d_alpha z1 with 3-point quadratic subgrid refinement,
+    for each member of a stack.
 
     Uses the curve's closed-form profile when one is attached (exact node
     derivatives); otherwise the grid derivative d = (d1, d2), computed
     here unless the caller passes it.
     """
     if curve.profile is not None:
-        d1 = np.asarray(curve.profile.dz1(curve.alpha), dtype=float)
+        d1 = np.broadcast_to(np.asarray(curve.profile.dz1(curve.alpha), dtype=float),
+                             curve.z1.shape)
     else:
         d1, _ = derivative(curve, 1) if d is None else d
-    i = int(np.argmin(d1))
-    a, v = curve.alpha, d1
-    n = curve.n
+    a, n = curve.alpha, curve.n
+    rows = np.reshape(d1, (-1, n))
+    i = np.argmin(rows, axis=-1)
     if curve.topology == PERIODIC:
         im, ip = (i - 1) % n, (i + 1) % n
         h = 2.0 * np.pi / n
     else:
-        i = min(max(i, 1), n - 2)
+        i = np.clip(i, 1, n - 2)
         im, ip = i - 1, i + 1
         h = a[1] - a[0]
-    ym, y0, yp = v[im], v[i], v[ip]
+    ym, y0, yp = (rows[np.arange(len(rows)), j] for j in (im, i, ip))
     denom = ym - 2.0 * y0 + yp
-    if denom > 0:
-        s = 0.5 * (ym - yp) / denom
-        s = float(np.clip(s, -1.0, 1.0))
-        val = y0 - 0.25 * (ym - yp) * s
-        amin = a[i] + s * h
-    else:
-        val, amin = y0, a[i]
+    refine = denom > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.clip(0.5 * (ym - yp) / denom, -1.0, 1.0)
+    val = np.where(refine, y0 - 0.25 * (ym - yp) * s, y0)
+    amin = np.where(refine, a[i] + s * h, a[i])
     if curve.topology == PERIODIC:
         amin = amin % (2.0 * np.pi)
-    return SlopeReport(min_slope=float(val), argmin_alpha=float(amin))
+    shape = np.shape(d1)[:-1]
+    return SlopeReport(min_slope=_floats(val.reshape(shape)),
+                       argmin_alpha=_floats(amin.reshape(shape)))
 
 
-def graph_slope_sup(curve: Curve, d=None) -> float:
+def graph_slope_sup(curve: Curve, d=None):
     """sup |f_alpha| = sup |d_alpha z2 / d_alpha z1| over nodes where the
-    curve is locally a graph; +inf if d_alpha z1 <= 0 somewhere.  d is the
-    first derivative (d1, d2) when the caller has it."""
+    curve is locally a graph; +inf if d_alpha z1 <= 0 somewhere.  One
+    per member of a stack.  d is the first derivative (d1, d2) when the
+    caller has it."""
     d1, d2 = derivative(curve, 1) if d is None else d
-    if np.any(d1 <= 0.0):
-        return np.inf
-    return float(np.max(np.abs(d2 / d1)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sup = np.max(np.abs(d2 / d1), axis=-1)
+    return _floats(np.where(np.any(d1 <= 0.0, axis=-1), np.inf, sup))
 
 
 # --- snapshot file format -------------------------------------------------
 
 def save_csv(curve: Curve, path, t: float = 0.0, omega=None):
-    """Curve snapshot: '#' comment header, then alpha,z1,z2[,omega] rows."""
+    """Curve snapshot: '#' comment header, then alpha,z1,z2[,omega] rows,
+    every value as '%.17g' (exact on reading back), formatted in one
+    call."""
     cols = [curve.alpha, curve.z1, curve.z2]
     header_cols = "alpha,z1,z2"
     if omega is not None:
@@ -439,11 +512,10 @@ def save_csv(curve: Curve, path, t: float = 0.0, omega=None):
     if curve.topology == OPEN:
         meta += f" L={curve.L!r}"
     data = np.column_stack(cols)
+    row = ",".join(["%.17g"] * data.shape[1]) + "\n"
     with open(path, "w") as fh:
-        fh.write(meta + "\n")
-        fh.write(header_cols + "\n")
-        for row in data:
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+        fh.write(f"{meta}\n{header_cols}\n")
+        fh.write(row * len(data) % tuple(data.ravel().tolist()))
 
 
 def load_csv(path):

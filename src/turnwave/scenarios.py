@@ -24,7 +24,8 @@ import numpy as np
 
 from .closures import ClosureIterationError, PhysicalConstants
 from .config import ScenarioConfig, dump_config
-from .curve import graph_curve, graph_slope_sup, load_csv, min_slope, resample
+from .curve import (SelfIntersectionError, arc_chord, graph_curve, graph_slope_sup,
+                    load_csv, min_slope, resample)
 from .diagnostics import (sigma10, sigma10_checklist, sigma_muskat,
                           verify_weighted_rt, weight_h, weight_hbar)
 from .initial_data import (DeltaTooLargeError, dv1_at_zero_periodic,
@@ -432,10 +433,34 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
 
 # --- post-hoc verification and rendering of a trajectory directory -----------
 
+def _sup_F_recomputed(path, t, sup_F) -> bool:
+    """arc_chord of every snapshot whose time is a diagnostics row equals
+    that row's sup_F as the same float (inf for a zero chord; nan as nan).
+    The 17-digit round trip of both files is exact, so any difference is
+    a diagnostics fault.  A snapshot without a row (a curve appended
+    after the run) is skipped."""
+    rows = dict(zip(t.tolist(), sup_F.tolist()))
+    for name in sorted(os.listdir(path)):
+        if not (name.startswith("snap_") and name.endswith(".csv")):
+            continue
+        curve, ts, _ = load_csv(os.path.join(path, name))
+        if ts not in rows:
+            continue
+        try:
+            value = arc_chord(curve)
+        except SelfIntersectionError:
+            value = np.inf
+        if not (value == rows[ts] or np.isnan(value) and np.isnan(rows[ts])):
+            return False
+    return True
+
+
 def verify_trajectory(path) -> ScenarioResult:
     """Consistency checks on an artifact directory: events well-ordered
     (Turning precedes RTSignChange when both occur), diagnostics time
-    strictly increasing, finite arc-chord constants."""
+    strictly increasing, finite arc-chord constants, and each
+    snapshot's arc-chord constant recomputed equal to its diagnostics
+    row (_sup_F_recomputed)."""
     events_path = os.path.join(path, "events.json")
     diag_path = os.path.join(path, "diagnostics.csv")
     if not os.path.exists(events_path) or not os.path.exists(diag_path):
@@ -443,10 +468,11 @@ def verify_trajectory(path) -> ScenarioResult:
     with open(events_path) as fh:
         events = json.load(fh)
     rows = np.genfromtxt(diag_path, delimiter=",", names=True)
-    t = np.atleast_1d(rows["t"])
+    t, sup_F = np.atleast_1d(rows["t"]), np.atleast_1d(rows["sup_F"])
     checks = {
         "time_monotone": bool(np.all(np.diff(t) > 0)) if t.size > 1 else True,
-        "sup_F_finite": bool(np.all(np.isfinite(np.atleast_1d(rows["sup_F"])))),
+        "sup_F_finite": bool(np.all(np.isfinite(sup_F))),
+        "sup_F_recomputed": _sup_F_recomputed(path, t, sup_F),
     }
     kinds = [e["kind"] for e in events]
     if TURNING in kinds and RT_SIGN_CHANGE in kinds:

@@ -2,7 +2,10 @@
 
 All routines assume a uniform grid of N points covering one period,
 alpha_i = period * i / N, and use numpy's FFT conventions (mode k lives
-at index k for 0 <= k < N/2 and at N+k for k < 0).
+at index k for 0 <= k < N/2 and at N+k for k < 0).  The samples lie
+along the last axis; fourier_derivative, apply_krasny and
+discrete_h4_norm treat any leading axes as a stack of rows, each row
+through the same operations as when it is given alone.
 """
 
 from functools import lru_cache
@@ -25,7 +28,7 @@ def fourier_derivative(f, order=1, period=2.0 * np.pi):
     representable on the grid).
     """
     f = np.asarray(f, dtype=float)
-    n = f.size
+    n = f.shape[-1]
     k = modes(n) * (2.0 * np.pi / period)
     fk = np.fft.fft(f)
     mult = (1j * k) ** order
@@ -45,7 +48,8 @@ def hilbert_transform(f):
 
 
 def krasny_filter(coeffs, threshold):
-    """Zero Fourier coefficients below threshold * max(|coeffs|).
+    """Zero Fourier coefficients below threshold * max(|coeffs|), the max
+    taken over each row (last axis).
 
     threshold = 0 is the identity.  Operates on (a copy of) a complex
     coefficient array in any mode ordering.
@@ -54,7 +58,7 @@ def krasny_filter(coeffs, threshold):
         raise ValueError("filter threshold must be >= 0")
     coeffs = np.array(coeffs, dtype=complex)
     mags = np.abs(coeffs)
-    coeffs[mags < threshold * mags.max()] = 0.0
+    coeffs[mags < threshold * mags.max(axis=-1, keepdims=True)] = 0.0
     return coeffs
 
 
@@ -64,14 +68,16 @@ def apply_krasny(f, threshold):
     return np.fft.ifft(fk).real
 
 
-def discrete_h4_norm(field, period=2.0 * np.pi) -> float:
-    """Discrete H^4 norm (L^2 + 4th derivative L^2) of periodic samples."""
+def discrete_h4_norm(field, period=2.0 * np.pi):
+    """Discrete H^4 norm (L^2 + 4th derivative L^2) of periodic samples: a
+    float, or one per row of a stack."""
     field = np.asarray(field, dtype=float)
-    n = field.size
+    n = field.shape[-1]
     k = modes(n) * (2.0 * np.pi / period)
     fk = np.fft.fft(field) / n
     weights = 1.0 + k ** 8
-    return float(np.sqrt(period * np.sum(weights * np.abs(fk) ** 2)))
+    norm = np.sqrt(period * np.sum(weights * np.abs(fk) ** 2, axis=-1))
+    return float(norm) if norm.ndim == 0 else norm
 
 
 def antiderivative(f, period=2.0 * np.pi):

@@ -32,10 +32,18 @@ Sampling.  dt is a sampling interval, not a step size.  `run` samples
 the solution at t0 + k dt (and at t_end when that is off the grid) on
 the dense output of the step that covers the sample, Krasny-filters it,
 and records its diagnostics: minimum slope, arc-chord supremum,
-Rayleigh-Taylor minimum, H4 size, and the graph mean.  Events are
-checked at every sample, the initial state included.  `run` keeps every
-sample in memory; the trajectory is thinned to every
-snapshot_cadence-th sample only when it is written (`Trajectory.write_dir`).
+Rayleigh-Taylor minimum, H4 size, and the graph mean.  The samples that
+one accepted step covers are evaluated, filtered and diagnosed as
+stacks (k, rows, N) of at most SAMPLE_GROUP samples; a sample at the
+step's end is its filtered end state, and the initial state is a stack
+of one.  Each member of a stack goes through the operations it would go
+through alone, so every diagnostic is the same float.  After a stack is
+diagnosed, its samples are checked for events and recorded one by one,
+in order, the initial state included; when a sample fires an event in
+stop_on, the run ends there, and the later samples of its stack are
+neither recorded nor counted.  `run` keeps every sample in memory; the
+trajectory is thinned to every snapshot_cadence-th sample only when it
+is written (`Trajectory.write_dir`).
 
 Events:
   Turning        first sample with min d_alpha z1 <= 0.  The time is the
@@ -52,6 +60,7 @@ Events:
                  self-intersects at grid resolution
 """
 
+import bisect
 import json
 import os
 from dataclasses import asdict, dataclass, field, replace
@@ -60,8 +69,8 @@ from typing import Optional
 import numpy as np
 
 from .closures import PhysicalConstants, waterwave_rhs
-from .curve import (Curve, PERIODIC, SelfIntersectionError, arc_chord, derivative,
-                    graph_slope_sup, min_slope, save_csv)
+from .curve import (Curve, PERIODIC, arc_chord, derivative, graph_slope_sup, min_slope,
+                    save_csv)
 from .diagnostics import rt_report
 from .singular import muskat_rhs_open, muskat_rhs_periodic
 from .spectral import apply_krasny, discrete_h4_norm
@@ -85,6 +94,11 @@ SAMPLE_SLACK = 1e-9             # rounding allowance on t_end, in units of dt
 TURNING_XTOL = 1e-14            # absolute tolerance of the located Turning time
 TURNING_RTOL = 4.0 * np.finfo(float).eps    # and its relative tolerance
 TURNING_MAX_ITER = 100          # root-finder iterations before giving up
+# samples diagnosed as one stack: enough to amortise the per-call cost of
+# the diagnostics, few enough that the stacked arrays (k x rows x N, and
+# arc_chord's k x ~N^2/512 far-chunk bounds) keep arc_chord within the
+# memory it takes on one curve, 2 x 3 x BLOCK_ROWS x N floats, at N = 2048
+SAMPLE_GROUP = 8
 
 # Dormand-Prince 5(4): nodes, stage rows (the last row is also the
 # fifth-order weights), fifth- minus fourth-order weights, and the
@@ -162,11 +176,40 @@ def _pack(state: SimState) -> np.ndarray:
     return np.array([x1, c.z2] if state.omega is None else [x1, c.z2, state.omega])
 
 
-def _unpack(like: SimState, y: np.ndarray, t: float) -> SimState:
+def _unpack(like: SimState, y: np.ndarray, t) -> SimState:
+    """The state of like's problem with the values y, rows (z1, z2[,
+    omega]) as _pack gives them; y of shape (k, rows, N) with k times t
+    gives a stack."""
     c = like.curve
-    z1 = y[0] + c.alpha if c.topology == PERIODIC else y[0]
-    return replace(like, curve=c.with_components(z1, y[1]),
-                   omega=None if like.omega is None else y[2], t=t)
+    x1, z2 = y[..., 0, :], y[..., 1, :]
+    z1 = x1 + c.alpha if c.topology == PERIODIC else x1
+    return replace(like, curve=c.with_components(z1, z2),
+                   omega=None if like.omega is None else y[..., 2, :], t=t)
+
+
+def _stack(states) -> SimState:
+    """One stack of the given states, single or stacked, in order; its t
+    is the array of their times.  A lone state keeps its profile."""
+    first, c = states[0], states[0].curve
+
+    def rows(xs):
+        return np.concatenate([np.reshape(x, (-1, c.n)) for x in xs])
+
+    curve = Curve(c.topology, c.alpha, rows([st.curve.z1 for st in states]),
+                  rows([st.curve.z2 for st in states]), L=c.L,
+                  profile=c.profile if len(states) == 1 else None)
+    omega = None if first.omega is None else rows([st.omega for st in states])
+    return replace(first, curve=curve, omega=omega,
+                   t=np.concatenate([np.atleast_1d(st.t) for st in states]))
+
+
+def _member(group: SimState, i: int) -> SimState:
+    """Member i of a stack, as a single state."""
+    c = group.curve
+    return replace(group, curve=Curve(c.topology, c.alpha, c.z1[i], c.z2[i], L=c.L,
+                                      profile=c.profile),
+                   omega=None if group.omega is None else group.omega[i],
+                   t=float(group.t[i]))
 
 
 def _derivative(state: SimState) -> np.ndarray:
@@ -189,12 +232,15 @@ class Step:
     dense: tuple = ()
     stages: Optional[np.ndarray] = None
 
-    def at(self, t: float) -> SimState:
-        """The dense output at t in [start.t, start.t + h], unfiltered."""
-        theta = (t - self.start.t) / self.h
+    def at(self, t) -> SimState:
+        """The dense output at t in [start.t, start.t + h], unfiltered; a
+        stack when t is an array of times."""
+        t = np.asarray(t, dtype=float)
+        theta = ((t - self.start.t) / self.h)[..., None, None]
         y0, dy, b, c, d = self.dense
         rest = 1.0 - theta
-        return _unpack(self.start, y0 + theta * (dy + rest * (b + theta * (c + rest * d))), t)
+        return _unpack(self.start, y0 + theta * (dy + rest * (b + theta * (c + rest * d))),
+                       float(t) if t.ndim == 0 else t)
 
 
 def _combine(weights, k) -> np.ndarray:
@@ -336,24 +382,21 @@ class Trajectory:
             fh.write(json.dumps([asdict(e) for e in self.events.events], indent=1) + "\n")
 
 
-def _diagnose(state: SimState, d):
-    """Per-sample diagnostics of the state's curve, whose first derivative
-    (d1, d2) is d."""
-    curve = state.curve
-    report = min_slope(curve, d=d)
-    try:
-        supF = arc_chord(curve, d)
-    except SelfIntersectionError:
-        supF = np.inf
+def _diagnose(group: SimState, d):
+    """The diagnostics of a stack of samples, one per member: the slope
+    report, arc-chord sup (inf for a zero chord), sigma rows, H4 size,
+    graph mean and graph slope sup.  d = (d1, d2) is the stack's first
+    derivative."""
+    curve = group.curve
     d1 = d[0]
-    sigma = state.consts.rho_jump * d1
     periodic = curve.topology == PERIODIC
     period = 2.0 * np.pi if periodic else 2.0 * curve.L
     h4 = np.sqrt(discrete_h4_norm(curve.z1 - curve.alpha, period) ** 2
                  + discrete_h4_norm(curve.z2, period) ** 2)
-    mean_f = float(np.mean(curve.z2 * d1) if periodic
-                   else np.trapezoid(curve.z2 * d1, curve.alpha))
-    return report, supF, sigma, float(h4), mean_f
+    mean_f = (np.mean(curve.z2 * d1, axis=-1) if periodic
+              else np.trapezoid(curve.z2 * d1, curve.alpha, axis=-1))
+    return (min_slope(curve, d=d), arc_chord(curve, d), group.consts.rho_jump * d1,
+            h4, mean_f, graph_slope_sup(curve, d))
 
 
 def _sample_times(t0: float, t_end: float, dt: float) -> list:
@@ -432,50 +475,63 @@ def run(state: SimState, t_end: float, dt: float, stop_on=()):
     prev_ms = None          # (t, min slope) of the previous sample
     covering = []           # (end time, step) of the steps since that sample
 
-    def take(sample) -> bool:
-        """Diagnose, check and record one sample; True once stop_on fired."""
+    def take(group):
+        """Diagnose a stack of samples at once, then check and record them
+        one by one; returns the sample at which stop_on fired (the later
+        ones are dropped), else None."""
         nonlocal prev_ms
-        d = derivative(sample.curve, 1)
-        report, supF, sigma, h4, mean_f = _diagnose(sample, d)
-        if (log.first(TURNING) is None and prev_ms is not None
-                and prev_ms[1] > 0.0 >= report.min_slope):
-            log.add(_locate_turning(covering, *prev_ms, sample.t, report.min_slope),
-                    TURNING, min_slope=report.min_slope, alpha=report.argmin_alpha,
-                    bracket=[prev_ms[0], sample.t])
-        prev_ms = (sample.t, report.min_slope)
-        rt = rt_report(sample.curve.alpha, sigma, sample.curve.topology == PERIODIC)
-        sup_fa = graph_slope_sup(sample.curve, d)
-        for kind, fires, payload in (
-                (RT_SIGN_CHANGE, rt.longest_negative_run >= RT_RUN_LENGTH,
-                 {"nodes": rt.longest_negative_run, "sigma_min": rt.min_sigma}),
-                (GRAPH_BLOWUP, GRAPH_BLOWUP_THRESHOLD < sup_fa < np.inf,
-                 {"sup_f_alpha": float(sup_fa)}),
-                (ARC_CHORD_FAILURE, not supF < ARC_CHORD_MAX, {"sup_F": float(supF)})):
-            if fires and log.first(kind) is None:
-                log.add(sample.t, kind, **payload)
+        report, supF, sigma, h4, mean_f, sup_fa = _diagnose(group, derivative(group.curve, 1))
+        alpha, periodic = group.curve.alpha, group.curve.topology == PERIODIC
+        for i, t in enumerate(group.t.tolist()):
+            m = float(report.min_slope[i])
+            if (log.first(TURNING) is None and prev_ms is not None
+                    and prev_ms[1] > 0.0 >= m):
+                log.add(_locate_turning(covering, *prev_ms, t, m), TURNING, min_slope=m,
+                        alpha=float(report.argmin_alpha[i]), bracket=[prev_ms[0], t])
+            prev_ms = (t, m)
+            del covering[:-1]
+            rt = rt_report(alpha, sigma[i], periodic)
+            for kind, fires, payload in (
+                    (RT_SIGN_CHANGE, rt.longest_negative_run >= RT_RUN_LENGTH,
+                     {"nodes": rt.longest_negative_run, "sigma_min": rt.min_sigma}),
+                    (GRAPH_BLOWUP, GRAPH_BLOWUP_THRESHOLD < sup_fa[i] < np.inf,
+                     {"sup_f_alpha": float(sup_fa[i])}),
+                    (ARC_CHORD_FAILURE, not supF[i] < ARC_CHORD_MAX,
+                     {"sup_F": float(supF[i])})):
+                if fires and log.first(kind) is None:
+                    log.add(t, kind, **payload)
 
-        t_star = log.first(TURNING)
-        traj.diagnostics.append([sample.t, report.min_slope, supF,
-                                 float(sigma.min()), h4, mean_f,
-                                 t_star.t if t_star else float("nan")])
-        traj.snapshots.append((sample.t, sample.curve,
-                               None if sample.omega is None else sample.omega.copy()))
-        traj.stats.samples += 1
-        return any(log.first(kind) for kind in stop_on)
+            t_star = log.first(TURNING)
+            traj.diagnostics.append([t, m, float(supF[i]), float(sigma[i].min()),
+                                     float(h4[i]), float(mean_f[i]),
+                                     t_star.t if t_star else float("nan")])
+            sample = _member(group, i)
+            traj.snapshots.append((t, sample.curve, sample.omega))
+            traj.stats.samples += 1
+            if any(log.first(kind) for kind in stop_on):
+                return sample
+        return None
 
-    sample, k = state, 1
+    group, k = _stack([state]), 1
     try:
-        if take(sample):
-            return traj, sample
+        stopped = take(group)
+        if stopped is not None:
+            return traj, stopped
         for step, end, _ in _accepted_steps(state, times[-1], dt, traj.stats):
             covering.append((end.t, step))
-            while k < len(times) and times[k] <= end.t:
-                sample = end if times[k] == end.t else _filtered(step.at(times[k]))
-                if take(sample):
-                    return traj, sample
-                k += 1
-                covering = [(end.t, step)]
+            covered = bisect.bisect_right(times, end.t, k)
+            for g in range(k, covered, SAMPLE_GROUP):
+                ts = times[g:min(g + SAMPLE_GROUP, covered)]
+                inner = ts[:-1] if ts[-1] == end.t else ts
+                parts = [_filtered(step.at(inner))] if inner else []
+                if len(inner) < len(ts):
+                    parts.append(end)   # a sample at the step's end is its end state
+                group = _stack(parts)
+                stopped = take(group)
+                if stopped is not None:
+                    return traj, stopped
+            k = covered
     except BlowUpError as exc:
         exc.trajectory = traj
         raise
-    return traj, sample
+    return traj, _member(group, -1)

@@ -558,3 +558,23 @@ def test_bundled_configs_run_without_scipy(tmp_path):
         results[mode] = json.loads(proc.stdout.splitlines()[-1])
         assert not results[mode]["scipy_imported"], mode
     assert results["block"]["codes"] == results["allow"]["codes"]
+
+
+def test_verify_recomputes_sup_F_from_the_snapshots(tmp_path):
+    """verify recomputes the arc-chord sup of every snapshot that has a
+    diagnostics row; one sup_F moved by one ulp fails sup_F_recomputed,
+    exit 4."""
+    from turnwave.scenarios import verify_trajectory
+    out = tmp_path / "out"
+    assert main(["run", os.path.join(CONFIG_DIR, "muskat-linear.cfg"), "--set", "grid.n=64",
+                 "--set", "numerics.t_end=0.1", "--out", str(out)]) == 0
+    assert verify_trajectory(out).report["checks"]["sup_F_recomputed"] is True
+    diag = out / "diagnostics.csv"
+    lines = diag.read_text().splitlines()
+    fields = lines[1].split(",")
+    column = lines[0].split(",").index("sup_F")
+    fields[column] = f"{np.nextafter(float(fields[column]), np.inf):.17g}"
+    diag.write_text("\n".join([lines[0], ",".join(fields), *lines[2:]]) + "\n")
+    result = verify_trajectory(out)
+    assert result.report["checks"]["sup_F_recomputed"] is False
+    assert result.exit_code == 4 and main(["verify", str(out)]) == 4

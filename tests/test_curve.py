@@ -12,6 +12,8 @@ from turnwave.curve import (BLOCK_ROWS, CHUNK, Curve, SelfIntersectionError,
                             graph_curve, graph_slope_sup, load_csv, min_slope,
                             open_grid, periodic_grid, resample, save_csv)
 
+from turnwave.stepping import SAMPLE_GROUP
+
 from conftest import flat_curve
 
 PERIODIC, OPEN = "periodic", "open"
@@ -222,18 +224,66 @@ def test_arc_chord_temporaries_stay_bounded():
     """On a flat line F = 1 on every pair and every far chunk pair's bound
     exceeds 1, so nothing prunes.  The pairs still go through in batches
     of at most BLOCK_ROWS * N, three float arrays each, not N^2 / 2 at once
-    (50 MB at N = 2048)."""
+    (50 MB at N = 2048), and a stack of the SAMPLE_GROUP samples that run
+    diagnoses at once stays within the same bound."""
     n = 2048
-    curve = flat_curve(n)
-    d = derivative(curve, 1)
-    arc_chord(curve, d)   # builds the cached chunk layout
-    tracemalloc.start()
-    try:
-        assert arc_chord(curve, d) == 1.0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 * 3 * BLOCK_ROWS * n * 8
+    line = flat_curve(n)
+    stack = Curve(PERIODIC, line.alpha, np.tile(line.z1, (SAMPLE_GROUP, 1)),
+                  np.tile(line.z2, (SAMPLE_GROUP, 1)))
+    for curve in (line, stack):
+        d = derivative(curve, 1)
+        arc_chord(curve, d)   # builds the cached chunk layout
+        tracemalloc.start()
+        try:
+            assert np.all(arc_chord(curve, d) == 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 3 * BLOCK_ROWS * n * 8
+
+
+@pytest.mark.parametrize("topology", [PERIODIC, OPEN])
+def test_stack_members_get_their_single_curve_floats(topology):
+    """derivative, min_slope, graph_slope_sup and arc_chord on a stack give
+    each member the floats it gets alone.  A member with a nan node has
+    sup nan, and on the open line one with a zero chord has sup inf where
+    alone it raises (a periodic chord between copied nodes is only near
+    zero: z1 - alpha is unwrapped in rounded arithmetic); the other
+    members keep their values."""
+    curves = [smooth_perturbation(131, topology, c) for c in (
+        [0.1, 0.0, 0.05, 0.2, 0.1, 0.0], [0.3, 0.2, -0.1, 0.0, 0.4, 0.1],
+        [-0.2, 0.1, 0.0, 0.3, -0.1, 0.2], [0.0, 0.3, 0.1, -0.2, 0.0, 0.3])]
+    if topology == OPEN:
+        curves[1].z1[90], curves[1].z2[90] = curves[1].z1[20], curves[1].z2[20]
+    curves[2].z2[70] = np.nan
+    c0 = curves[0]
+    stack = Curve(topology, c0.alpha, np.array([c.z1 for c in curves]),
+                  np.array([c.z2 for c in curves]), L=c0.L)
+    def bits(x):   # the bytes, any nan as the same nan
+        x = np.array(x, dtype=float)
+        x[np.isnan(x)] = np.nan
+        return x.tobytes()
+
+    for order in (1, 2):
+        for got, alone in zip(derivative(stack, order),
+                              zip(*(derivative(c, order) for c in curves))):
+            assert bits(got) == bits(alone)
+    d = derivative(stack, 1)
+    report, slope = min_slope(stack, d), graph_slope_sup(stack, d)
+    sup = arc_chord(stack, d)
+    for i, c in enumerate(curves):
+        alone = min_slope(c)
+        assert (report.min_slope[i], report.argmin_alpha[i]) == (
+            alone.min_slope, alone.argmin_alpha) or np.isnan(alone.min_slope)
+        assert slope[i] == graph_slope_sup(c) or np.isnan(slope[i])
+    assert sup[0] == arc_chord(curves[0]) and sup[3] == arc_chord(curves[3])
+    assert np.isnan(sup[2]) and np.isnan(arc_chord(curves[2]))
+    if topology == PERIODIC:
+        assert sup[1] == arc_chord(curves[1])
+        return
+    with pytest.raises(SelfIntersectionError, match="nodes 20 and 90 coincide"):
+        arc_chord(curves[1])
+    assert sup[1] == np.inf
 
 
 def test_arc_chord_names_coincident_nodes_past_first_block():
@@ -282,13 +332,23 @@ def test_resample_exact_on_band_limited():
 
 
 def test_save_load_round_trip(tmp_path):
+    """Every value is written as '%.17g', the text that per-element
+    f"{x:.17g}" formatting gives, nan, infinities, -0.0 and subnormals
+    included, and reads back as the same float."""
     c = wavy(32)
+    special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, -2.5e-310, 1e308, 0.1]
+    c.z2[:len(special)] = special
+    omega = np.sin(c.alpha)
+    omega[-len(special):] = special[::-1]
     path = tmp_path / "snap.csv"
-    save_csv(c, path, t=0.25, omega=np.sin(c.alpha))
-    back, t, omega = load_csv(path)
+    save_csv(c, path, t=0.25, omega=omega)
+    lines = path.read_text().splitlines()
+    assert lines[2:] == [",".join(f"{x:.17g}" for x in row)
+                         for row in np.column_stack([c.alpha, c.z1, c.z2, omega])]
+    back, t, omega_back = load_csv(path)
     assert t == 0.25
-    assert np.max(np.abs(back.z1 - c.z1)) < 1e-15
-    assert np.max(np.abs(omega - np.sin(c.alpha))) < 1e-15
+    for x, y in ((back.z1, c.z1), (back.z2, c.z2), (omega_back, omega)):
+        assert x.tobytes() == y.tobytes()
     assert back.topology == PERIODIC
 
 

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 from turnwave.closures import PhysicalConstants
-from turnwave.curve import Curve, graph_curve, load_csv, periodic_grid
+from turnwave.curve import (Curve, SelfIntersectionError, arc_chord, derivative,
+                            graph_curve, load_csv, min_slope, periodic_grid)
 from turnwave.initial_data import (TurningParams, turning_candidate_open,
                                    turning_candidate_periodic)
 from turnwave import stepping
+from turnwave.spectral import discrete_h4_norm
 from turnwave.stepping import (BlowUpError, DIAG_COLUMNS, GRAPH_BLOWUP, STAGES, STEP_TOL,
                                TURNING, SimState, StepStats, advance, run, step_dp54)
 
@@ -295,3 +297,137 @@ def test_waterwave_energy_bounded_small_amplitude():
     st = SimState(graph_curve(eps * np.cos(k * periodic_grid(n))), np.zeros(n))
     out, _ = advance(st, 3.0, 5e-3)
     assert np.max(np.abs(out.curve.z2)) < 3 * eps
+
+
+def per_sample_reference(state, t_end, dt):
+    """The samples of run(state, t_end, dt) without stop_on, taken one at a
+    time through step.at(t), _filtered and the functions on single curves:
+    (diagnostics rows, snapshots, samples per accepted step)."""
+    times = stepping._sample_times(state.t, t_end, dt)
+    rows, snaps, per_step = [], [], []
+    prev, covering, t_star = None, [], float("nan")
+
+    def take(sample):
+        nonlocal prev, covering, t_star
+        curve, periodic = sample.curve, sample.curve.topology == "periodic"
+        d = derivative(curve, 1)
+        report = min_slope(curve, d=d)
+        try:
+            sup_F = arc_chord(curve, d)
+        except SelfIntersectionError:
+            sup_F = np.inf
+        sigma = sample.consts.rho_jump * d[0]
+        period = 2.0 * np.pi if periodic else 2.0 * curve.L
+        h4 = float(np.sqrt(discrete_h4_norm(curve.z1 - curve.alpha, period) ** 2
+                           + discrete_h4_norm(curve.z2, period) ** 2))
+        mean_f = float(np.mean(curve.z2 * d[0]) if periodic
+                       else np.trapezoid(curve.z2 * d[0], curve.alpha))
+        if np.isnan(t_star) and prev is not None and prev[1] > 0.0 >= report.min_slope:
+            t_star = stepping._locate_turning(covering, *prev, sample.t, report.min_slope)
+        prev = (sample.t, report.min_slope)
+        rows.append([sample.t, report.min_slope, sup_F, float(sigma.min()), h4, mean_f,
+                     t_star])
+        snaps.append((sample.t, sample.curve, sample.omega))
+
+    take(state)
+    k = 1
+    for step, end, _ in stepping._accepted_steps(state, times[-1], dt, StepStats()):
+        covering.append((end.t, step))
+        per_step.append(0)
+        while k < len(times) and times[k] <= end.t:
+            take(end if times[k] == end.t else stepping._filtered(step.at(times[k])))
+            per_step[-1] += 1
+            k += 1
+            covering = [(end.t, step)]
+    return rows, snaps, per_step
+
+
+def same_bits(x, y):
+    return np.asarray(x, float).tobytes() == np.asarray(y, float).tobytes()
+
+
+@pytest.mark.parametrize("case", ["open", "open-zero-chord", "periodic", "water"])
+def test_stacked_samples_equal_per_sample_reference(monkeypatch, case):
+    """run diagnoses the samples of a step as stacks of at most SAMPLE_GROUP;
+    every diagnostics column and snapshot is bit for bit the one-sample-
+    at-a-time reference, the initial sample, steps that cover more samples
+    than one group and groups that end on a step's end state included.  In
+    the zero-chord case one dense-output sample inside a group gets two
+    coincident nodes: its sup_F is inf, and every other sample keeps its
+    value."""
+    if case.startswith("open"):
+        state = SimState(turning_candidate_open(TurningParams(beta1=1.0, b=3.0), n=129,
+                                                L=15.0, tilt=0.05))
+        t_end, dt = 0.06, 1e-3
+    elif case == "periodic":
+        state, t_end, dt = SimState(small_graph(64, 1e-1, 2)), 0.3, 2e-3
+    else:
+        state = SimState(small_graph(64, 5e-2, 2), np.zeros(64))
+        t_end, dt = 0.2, 2e-3
+    if case == "open-zero-chord":
+        t_bad = 0.04
+        real_filtered = stepping._filtered
+
+        def coincide(st):
+            st = real_filtered(st)
+            hit = np.atleast_1d(st.t) == t_bad
+            if hit.any():
+                z1, z2 = np.atleast_2d(st.curve.z1), np.atleast_2d(st.curve.z2)
+                z1[hit, 90], z2[hit, 90] = z1[hit, 30], z2[hit, 30]
+            return st
+
+        monkeypatch.setattr(stepping, "_filtered", coincide)
+    rows, snaps, per_step = per_sample_reference(state, t_end, dt)
+    assert max(per_step) > stepping.SAMPLE_GROUP
+    traj, final = run(state, t_end, dt)
+    assert traj.stats.samples == len(rows) == len(traj.diagnostics)
+    assert final.t == t_end == rows[-1][0]
+    assert same_bits(traj.diagnostics, rows)
+    for (t, c, omega), (t_ref, c_ref, omega_ref) in zip(traj.snapshots, snaps, strict=True):
+        assert t == t_ref and same_bits(c.z1, c_ref.z1) and same_bits(c.z2, c_ref.z2)
+        assert (omega is None) == (omega_ref is None)
+        assert omega is None or same_bits(omega, omega_ref)
+    sup_F = np.array(traj.diagnostics)[:, DIAG_COLUMNS.index("sup_F")]
+    if case == "open-zero-chord":
+        assert list(np.flatnonzero(np.isinf(sup_F))) == [round(t_bad / dt)]
+    else:
+        assert np.all(np.isfinite(sup_F))
+
+
+def test_sample_groups_bound_the_memory_of_run():
+    """The samples of a step are stacked SAMPLE_GROUP at a time, so the
+    traced peak of run above what its trajectory keeps does not grow when
+    a quarter of the sampling interval puts four times the samples in
+    each step (periodic, N = 512; stacking all of them raises it by 61%)."""
+    import tracemalloc
+    state = SimState(small_graph(512, 1e-1, 2))
+    run(state, 0.01, 1e-3)   # caches
+
+    def transient(dt):
+        tracemalloc.start()
+        try:
+            traj, _ = run(state, 0.1, dt)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return traj.stats.samples, peak - kept
+
+    (coarse_samples, coarse), (fine_samples, fine) = transient(4e-3), transient(1e-3)
+    assert fine_samples == 4 * coarse_samples - 3
+    assert fine <= 1.1 * coarse
+
+
+def test_stop_inside_a_group_records_and_counts_up_to_the_stop(monkeypatch):
+    """A run that stops at a sample inside a stacked group records that
+    sample last: the later samples of the group are neither recorded nor
+    counted."""
+    groups = []
+    real_diagnose = stepping._diagnose
+    monkeypatch.setattr(stepping, "_diagnose",
+                        lambda group, d: groups.append(group.t) or real_diagnose(group, d))
+    cand = turning_candidate_periodic(TurningParams(beta1=1.5, b=3.0), n=256, tilt=0.02)
+    traj, final = run(SimState(cand), 0.2, 1e-3, stop_on=(TURNING,))
+    assert final.t in groups[-1] and final.t < groups[-1][-1]
+    assert traj.stats.samples == len(traj.diagnostics) == len(traj.snapshots)
+    assert traj.diagnostics[-1][0] == traj.snapshots[-1][0] == final.t
+    assert traj.stats.samples == sum(len(t) for t in groups) - np.sum(groups[-1] > final.t)
