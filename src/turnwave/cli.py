@@ -18,8 +18,6 @@ from .scenarios import render_trajectory, run_scenario, verify_trajectory
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
-EXIT_NUMERICAL = 3
-EXIT_CERTIFICATE = 4
 
 
 def _build_parser():

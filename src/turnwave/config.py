@@ -8,7 +8,8 @@ the values of an assembled config before a run starts.
 """
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, fields
+from types import SimpleNamespace
 
 from .closures import PhysicalConstants
 from .curve import MIN_NODES
@@ -33,88 +34,57 @@ SCENARIOS = (
 PERIODIC_CANDIDATE = ("muskat-breakdown", "waterwave-turning", "rt-verify")
 
 
-@dataclass
-class GridConfig:
-    n: int = 256
-    L: float = 40.0
+# section -> {key: default}, "" for the top-level keys.  The table fixes
+# the known keys, their order in dump_config and their types: a value is
+# parsed as the type of its default.
+DEFAULTS = {
+    "": {"scenario": "muskat-linear", "output_dir": "out"},
+    "grid": {"n": 256, "L": 40.0},
+    "physics": asdict(PhysicalConstants()),
+    "turning": {**asdict(TurningParams()), "tilt": 0.05},
+    # dt is the sampling interval: diagnostics, snapshots and event checks
+    # happen at t0 + k dt on the dense output; it is also the first trial
+    # step (the step size comes from the error estimate, stepping.STEP_TOL)
+    "numerics": {"dt": 2e-3, "t_end": 0.5, "snapshot_cadence": 10},
+    # M: mode/grid count used by the strip solver; T: continuation horizon
+    "strip": {"r0": 0.04, "M": 512, "T": 0.02},
+    "weights": asdict(WeightParams()),
+    # delta: backward-construction horizon for the datum; epsilon and k:
+    # linear-scenario amplitude and wavenumber
+    "wave": {"delta": 1e-3, "epsilon": 1e-4, "k": 2},
+}
 
 
-@dataclass
-class NumericsConfig:
-    # sampling interval: diagnostics, snapshots and event checks happen at
-    # t0 + k dt on the dense output; it is also the first trial step (the
-    # step size comes from the error estimate, stepping.STEP_TOL)
-    dt: float = 2e-3
-    t_end: float = 0.5
-    snapshot_cadence: int = 10
-
-
-@dataclass
-class StripConfig:
-    r0: float = 0.04
-    M: int = 512            # mode/grid count used by the strip solver
-    T: float = 0.02         # continuation horizon
-
-
-@dataclass
-class TurningConfig:
-    beta1: float = 1.0
-    beta2: float = 3.0
-    beta3: float = 5.0
-    b: float = 3.0
-    cbar: float = -0.2
-    tilt: float = 0.05
-
-
-@dataclass
-class WeightConfig:
-    A: float = 100.0
-    tau: float = 0.005
-
-
-@dataclass
-class PhysicsConfig:
-    rho1: float = 0.0
-    rho2: float = 1.0
-    g: float = 1.0
-    mu: float = 1.0
-    kappa: float = 1.0
-
-
-@dataclass
-class WaveConfig:
-    delta: float = 1e-3     # backward-construction horizon for the datum
-    epsilon: float = 1e-4   # linear-scenario amplitude
-    k: int = 2              # linear-scenario wavenumber
-
-
-@dataclass
 class ScenarioConfig:
-    scenario: str = "muskat-linear"
-    output_dir: str = "out"
-    grid: GridConfig = field(default_factory=GridConfig)
-    physics: PhysicsConfig = field(default_factory=PhysicsConfig)
-    turning: TurningConfig = field(default_factory=TurningConfig)
-    numerics: NumericsConfig = field(default_factory=NumericsConfig)
-    strip: StripConfig = field(default_factory=StripConfig)
-    weights: WeightConfig = field(default_factory=WeightConfig)
-    wave: WaveConfig = field(default_factory=WaveConfig)
+    """A scenario, its output directory and one attribute namespace per
+    section of DEFAULTS (cfg.grid.n), all at their defaults until
+    assigned."""
 
-    def __post_init__(self):
-        if self.scenario not in SCENARIOS:
+    def __init__(self, scenario: str = DEFAULTS[""]["scenario"]):
+        if scenario not in SCENARIOS:
             raise ConfigError(
-                f"unknown scenario {self.scenario!r}; choose from {', '.join(SCENARIOS)}")
+                f"unknown scenario {scenario!r}; choose from {', '.join(SCENARIOS)}")
+        vars(self).update(DEFAULTS[""], scenario=scenario)
+        for section, keys in DEFAULTS.items():
+            if section:
+                setattr(self, section, SimpleNamespace(**keys))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ScenarioConfig) and vars(self) == vars(other)
+
+    def _build(self, cls, section: str):
+        """cls from the keys of the section that are its fields."""
+        values = getattr(self, section)
+        return cls(**{f.name: getattr(values, f.name) for f in fields(cls)})
 
     def constants(self) -> PhysicalConstants:
-        return PhysicalConstants(**asdict(self.physics))
+        return self._build(PhysicalConstants, "physics")
 
     def turning_params(self) -> TurningParams:
-        t = self.turning
-        return TurningParams(beta1=t.beta1, beta2=t.beta2, beta3=t.beta3,
-                             b=t.b, cbar=t.cbar)
+        return self._build(TurningParams, "turning")
 
     def weight_params(self) -> WeightParams:
-        return WeightParams(**asdict(self.weights))
+        return self._build(WeightParams, "weights")
 
     def validate(self) -> None:
         """Range checks on the assembled config, through the checks of the
@@ -159,24 +129,12 @@ class ScenarioConfig:
                 f"turning.beta1 = {self.turning.beta1!r} must lie in (0, pi) "
                 f"for the periodic candidate")
         if self.scenario.startswith("waterwave-"):
-            default = PhysicsConfig()
+            default = DEFAULTS["physics"]
             for name in ("rho1", "mu", "kappa"):
-                if getattr(self.physics, name) != getattr(default, name):
+                if getattr(self.physics, name) != default[name]:
                     raise ConfigError(
                         f"physics.{name} does not enter the water-wave problem; "
-                        f"leave it at {getattr(default, name)!r}")
-
-
-_TOP_LEVEL = {"scenario": str, "output_dir": str}
-_SECTIONS = {
-    "grid": GridConfig,
-    "physics": PhysicsConfig,
-    "turning": TurningConfig,
-    "numerics": NumericsConfig,
-    "strip": StripConfig,
-    "weights": WeightConfig,
-    "wave": WaveConfig,
-}
+                        f"leave it at {default[name]!r}")
 
 
 def _parse_value(text: str, target_type):
@@ -193,23 +151,17 @@ def _parse_value(text: str, target_type):
 def apply_assignment(config: ScenarioConfig, key: str, value: str) -> None:
     """Apply one `section.key` or top-level assignment, validating the key."""
     key = key.strip()
-    if "." not in key:
-        if key not in _TOP_LEVEL:
-            raise ConfigError(f"unknown key {key!r}")
-        setattr(config, key, _parse_value(value, _TOP_LEVEL[key]))
-        if key == "scenario" and config.scenario not in SCENARIOS:
-            raise ConfigError(f"unknown scenario {config.scenario!r}")
-        return
-    section, _, name = key.partition(".")
-    if section not in _SECTIONS:
+    section, _, name = key.partition(".") if "." in key else ("", "", key)
+    if section not in DEFAULTS:
         raise ConfigError(f"unknown section {section!r} in key {key!r}")
-    target = getattr(config, section)
-    known = {f.name: f.type for f in fields(target)}
+    known = DEFAULTS[section]
     if name not in known:
-        raise ConfigError(f"unknown key {key!r} (section {section!r} has: "
-                          f"{', '.join(sorted(known))})")
-    current = getattr(target, name)
-    setattr(target, name, _parse_value(value, type(current)))
+        listing = f" (section {section!r} has: {', '.join(sorted(known))})"
+        raise ConfigError(f"unknown key {key!r}{listing if section else ''}")
+    setattr(getattr(config, section) if section else config, name,
+            _parse_value(value, type(known[name])))
+    if key == "scenario" and config.scenario not in SCENARIOS:
+        raise ConfigError(f"unknown scenario {config.scenario!r}")
 
 
 def load_config(path) -> ScenarioConfig:
@@ -230,10 +182,11 @@ def load_config(path) -> ScenarioConfig:
 
 
 def dump_config(config: ScenarioConfig) -> str:
-    lines = [f"scenario = {config.scenario}",
-             f"output_dir = {config.output_dir}"]
-    for section, cls in _SECTIONS.items():
-        target = getattr(config, section)
-        for f in fields(cls):
-            lines.append(f"{section}.{f.name} = {getattr(target, f.name)}")
+    """Every key of DEFAULTS in table order as `key = value`, the value as
+    str() writes it."""
+    lines = []
+    for section, keys in DEFAULTS.items():
+        holder = getattr(config, section) if section else config
+        prefix = f"{section}." if section else ""
+        lines += [f"{prefix}{name} = {getattr(holder, name)}" for name in keys]
     return "\n".join(lines) + "\n"

@@ -40,14 +40,6 @@ PRUNE_MARGIN = 1e-12
 SPLINE_BAND = 64
 
 
-class CurveError(Exception):
-    pass
-
-
-class SelfIntersectionError(CurveError):
-    pass
-
-
 @dataclass
 class CurveProfile:
     """Closed-form description of a curve, when one is available.
@@ -119,7 +111,7 @@ def resample(curve: Curve, m: int) -> Curve:
     is exactly zero), downsampling truncates it.
     """
     if curve.topology != PERIODIC:
-        raise CurveError("resample applies to periodic curves only")
+        raise ValueError("resample applies to periodic curves only")
     n = curve.n
 
     def _interp(samples):
@@ -135,16 +127,10 @@ def resample(curve: Curve, m: int) -> Curve:
                  _interp(curve.z2))
 
 
-def graph_curve(f, n: Optional[int] = None, topology: str = PERIODIC,
-                L: float = 40.0) -> Curve:
-    """Embed graph samples f(alpha_i) as the curve (alpha, f(alpha))."""
-    f = np.asarray(f, dtype=float)
-    n = f.size if n is None else n
-    if topology == PERIODIC:
-        a = periodic_grid(n)
-    else:
-        a = open_grid(n, L)
-    return Curve(topology, a, a.copy(), f, L=L if topology == OPEN else None)
+def graph_curve(f) -> Curve:
+    """Embed periodic graph samples f(alpha_i) as the curve (alpha, f(alpha))."""
+    a = periodic_grid(np.size(f))
+    return Curve(PERIODIC, a, a.copy(), f)
 
 
 def derivative(curve: Curve, order: int = 1):
@@ -295,10 +281,9 @@ def arc_chord(curve: Curve, d=None):
 
     The diagonal is the removable limit 1 / |d_alpha z|^2, from the first
     derivative d = (d1, d2), of z1's shape, when the caller has it.  A
-    zero chord between distinct nodes, or a zero |d_alpha z|, raises
-    SelfIntersectionError on a single curve; in a stack that member's sup
-    is inf and the other members keep theirs.  A non-finite node makes
-    its curve's sup nan.  F is symmetric, so each pair (i, j), i < j,
+    zero chord between distinct nodes, or a zero |d_alpha z|, makes the
+    sup inf; in a stack the other members keep theirs.  A non-finite node
+    makes its curve's sup nan.  F is symmetric, so each pair (i, j), i < j,
     counts once.  Periodic: beta = a_i - a_j wraps to beta + 2 pi below
     -pi, and the z1 difference is unwrapped with it (z1 - alpha is
     periodic).  The antipodal pairs of an even grid (beta = -pi) count
@@ -327,28 +312,21 @@ def arc_chord(curve: Curve, d=None):
     """
     a, n = curve.alpha, curve.n
     periodic = curve.topology == PERIODIC
-    single = curve.z1.ndim == 1
     z1, z2 = curve.z1.reshape(-1, n), curve.z2.reshape(-1, n)
     x1 = z1 - a if periodic else z1
     nodes, near, lower, (fi, fj) = _chunk_layout(n, periodic)
     batch = max(1, BLOCK_ROWS * n // CHUNK ** 2)   # chunk pairs per evaluation
 
-    def sup(beta, dz1, dz2, names, beta2=None):
+    def sup(beta, dz1, dz2, beta2=None):
         """max F over all but the first axis, dz1 and dz2 in place; beta2
-        is beta squared, None to square beta in place.  On a single curve
-        a zero chord raises, naming names(*its index)."""
+        is beta squared, None to square beta in place."""
         if periodic:
             dz1 += beta
         denom = np.add(np.square(dz1, out=dz1), np.square(dz2, out=dz2), out=dz1)
         with np.errstate(divide="ignore"):
             F = np.divide(np.square(beta, out=beta) if beta2 is None else beta2, denom,
                           out=denom)
-        top = F.max(axis=tuple(range(1, F.ndim)))
-        if single and np.isinf(top).any():
-            i, j = names(*np.argwhere(np.isinf(F))[0])
-            raise SelfIntersectionError(
-                f"nodes {i} and {j} coincide: alpha={a[i]:.6g}, {a[j]:.6g}")
-        return top
+        return F.max(axis=tuple(range(1, F.ndim)))
 
     def wrapped(I, J):
         """beta over the node pairs (I[p, r], J[p, c]) of chunk pairs p."""
@@ -366,15 +344,14 @@ def arc_chord(curve: Curve, d=None):
     def near_sups():
         """sup F over the near chunk pairs of each member, one member at a
         time, with the beta that they all share."""
-        I, J = nodes[near[0]], nodes[near[1]]
-        beta = wrapped(I, J)
+        beta = wrapped(nodes[near[0]], nodes[near[1]])
         beta2 = np.square(beta)
         out = np.empty(count)
         for i in range(count):
             dz1, dz2 = ((X[i, near[0]][:, :, None] - X[i, near[1]][:, None, :])[None]
                         for X in (X1, Z2))
             np.copyto(dz2, np.inf, where=lower)   # F = 0 on the pairs j <= i
-            out[i] = sup(beta, dz1, dz2, lambda m, p, r, c: (I[p, r], J[p, c]), beta2)[0]
+            out[i] = sup(beta, dz1, dz2, beta2)[0]
         return out
 
     sups = near_sups()
@@ -382,13 +359,10 @@ def arc_chord(curve: Curve, d=None):
         h = n // 2
         beta = a[:h] - a[h:]
         beta = np.where(beta < -np.pi, beta, beta + 2.0 * np.pi)
-        sups = np.maximum(sups, sup(beta, x1[:, :h] - x1[:, h:], z2[:, :h] - z2[:, h:],
-                                    lambda s, i: (i, i + h)))
+        sups = np.maximum(sups, sup(beta, x1[:, :h] - x1[:, h:], z2[:, :h] - z2[:, h:]))
     d1, d2 = derivative(curve, 1) if d is None else d
     speed2 = np.reshape(d1 ** 2 + d2 ** 2, (-1, n))
     degenerate = np.any(speed2 == 0.0, axis=-1)
-    if single and degenerate[0]:
-        raise SelfIntersectionError("parameterization degenerate: |d_alpha z| = 0")
     with np.errstate(divide="ignore"):
         sups = np.maximum(sups, np.where(degenerate, np.inf, (1.0 / speed2).max(axis=-1)))
 
@@ -430,12 +404,11 @@ def arc_chord(curve: Curve, d=None):
     hits = far_pairs()
     for k in range(0, hits.size, batch):
         s, p = np.divmod(hits[k:k + batch], fi.size)
-        I, J = nodes[fi[p]], nodes[fj[p]]
         dz1, dz2 = (X[s, fi[p]][:, :, None] - X[s, fj[p]][:, None, :] for X in (X1, Z2))
-        top = sup(wrapped(I, J), dz1, dz2, lambda q, r, c: (I[q, r], J[q, c]))
+        top = sup(wrapped(nodes[fi[p]], nodes[fj[p]]), dz1, dz2)
         with np.errstate(invalid="ignore"):   # a nan member stays nan
             np.maximum.at(sups, s, top)
-    return float(sups[0]) if single else sups
+    return _floats(sups.reshape(curve.z1.shape[:-1]))
 
 
 @dataclass

@@ -15,7 +15,7 @@ printed sin(x/2) is an erratum, being neither 2*pi-periodic nor
 sign-definite, which contradicts the positivity and periodicity the
 weights must satisfy.
 
-energy_distance compares two strip curves through the k-th derivative
+energy_distance compares two strip curves through the fourth derivative
 of their difference on the upper strip boundary (acceptance criterion 10).
 """
 
@@ -169,12 +169,12 @@ def verify_weighted_rt(sigma10_grid, x, t, params: WeightParams) -> WeightedRTRe
 
 # --- sigma10 property checklist ----------------------------------------------
 
-def sigma10_checklist(curves, times, tol: float = 1e-6) -> dict:
+def sigma10_checklist(curves, times) -> dict:
     """Evaluate the stated properties of sigma10 at (x, t) = (0, 0) on a
     trajectory of periodic curves.
 
     p1/p3 (analyticity / C^k bounds) are reported as boundedness values;
-    p2 reality and p4 value, p5 first derivative are checked against tol;
+    p2 reality and p4 value, p5 first derivative are checked against 1e-6;
     p6 (d_x^2 < 0) and p7 (d_t > 0) report signed values.
     """
     curves = list(curves)
@@ -195,8 +195,8 @@ def sigma10_checklist(curves, times, tol: float = 1e-6) -> dict:
         "p1": {"value": float(np.max(np.abs(sig_rows))), "pass": bool(np.all(np.isfinite(sig_rows)))},
         "p2": {"value": float(np.max(np.abs(np.imag(sig_rows + 0j)))), "pass": True},
         "p3": {"value": float(np.max(np.abs(d2s))), "pass": bool(np.all(np.isfinite(d2s)))},
-        "p4": {"value": float(s0[0]), "pass": bool(abs(s0[0]) <= tol)},
-        "p5": {"value": float(ds[0]), "pass": bool(abs(ds[0]) <= tol)},
+        "p4": {"value": float(s0[0]), "pass": bool(abs(s0[0]) <= 1e-6)},
+        "p5": {"value": float(ds[0]), "pass": bool(abs(ds[0]) <= 1e-6)},
         "p6": {"value": float(d2s[0]), "pass": bool(d2s[0] < 0.0)},
         "p7": {"value": float(st), "pass": bool(st > 0.0)},
     }
@@ -205,14 +205,14 @@ def sigma10_checklist(curves, times, tol: float = 1e-6) -> dict:
 
 # --- energy distances on strip contours ---------------------------------------
 
-def energy_distance(strip, reference, k: int = 4) -> float:
-    """int over Gamma_+ of |d^k z - d^k zbar|^2 dRe(zeta) between two strip
+def energy_distance(strip, reference) -> float:
+    """int over Gamma_+ of |d^4 z - d^4 zbar|^2 dRe(zeta) between two strip
     curves sharing the same strip geometry.  The distance whose decay
     acceptance criterion 10 bounds."""
     if abs(strip.r - reference.r) > 1e-14 or strip.n != reference.n:
         raise ValueError("strip curves must share strip geometry")
     kmodes = modes(strip.n)
     diff = strip.coeffs - reference.coeffs  # (2, n_modes)
-    mult = (1j * kmodes) ** k * np.exp(-kmodes * strip.r)
+    mult = (1j * kmodes) ** 4 * np.exp(-kmodes * strip.r)
     vals = diff * mult
     return float(2.0 * np.pi * np.sum(np.abs(vals) ** 2))

@@ -342,8 +342,7 @@ class TurningCertificate:
     passed: bool
 
 
-def turning_certificate(curve: Curve, dv1: Optional[float] = None,
-                        slope_tol: float = _SLOPE_TOL) -> TurningCertificate:
+def turning_certificate(curve: Curve, dv1: Optional[float] = None) -> TurningCertificate:
     """Machine check of the turning conditions: vertical tangent exactly
     at alpha = 0, positive vertical slope there, and negative d_alpha v1.
 
@@ -358,8 +357,8 @@ def turning_certificate(curve: Curve, dv1: Optional[float] = None,
         d1, d2 = derivative(curve, 1)
     i0 = int(np.argmin(np.abs(curve.alpha)))
     off_zero = np.abs(curve.alpha - curve.alpha[i0]) > 10 * np.spacing(curve.alpha[-1])
-    slope_ok = (abs(d1[i0]) <= slope_tol and np.all(d1[off_zero] > 0.0)
-                and abs(report.min_slope) <= slope_tol)
+    slope_ok = (abs(d1[i0]) <= _SLOPE_TOL and np.all(d1[off_zero] > 0.0)
+                and abs(report.min_slope) <= _SLOPE_TOL)
     if dv1 is None:
         dv1 = dv1_at_zero_reduced(curve)
     passed = bool(slope_ok and d2[i0] > 0.0 and dv1 < 0.0)
@@ -370,9 +369,9 @@ def turning_certificate(curve: Curve, dv1: Optional[float] = None,
 
 # --- norms and perturbations ------------------------------------------------
 
-def perturb_h4(curve: Curve, epsilon: float, seed: int, kmax: int = 8) -> Curve:
-    """Add a reproducible band-limited perturbation of exact discrete H^4
-    size epsilon (split across both components)."""
+def perturb_h4(curve: Curve, epsilon: float, seed: int) -> Curve:
+    """Add a reproducible perturbation of exact discrete H^4 size epsilon
+    (split across both components), band-limited to modes 1 .. 8."""
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
     if epsilon == 0:
@@ -390,7 +389,7 @@ def perturb_h4(curve: Curve, epsilon: float, seed: int, kmax: int = 8) -> Curve:
     fields = []
     for _ in range(2):
         f = np.zeros(n)
-        for k in range(1, kmax + 1):
+        for k in range(1, 9):
             amp_c, amp_s = rng.standard_normal(2)
             f += amp_c * np.cos(k * x) + amp_s * np.sin(k * x)
         fields.append(f * envelope)

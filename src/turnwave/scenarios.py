@@ -24,8 +24,8 @@ import numpy as np
 
 from .closures import ClosureIterationError, PhysicalConstants
 from .config import ScenarioConfig, dump_config
-from .curve import (SelfIntersectionError, arc_chord, graph_curve, graph_slope_sup,
-                    load_csv, min_slope, resample)
+from .curve import (arc_chord, graph_curve, graph_slope_sup, load_csv, min_slope,
+                    resample)
 from .diagnostics import (sigma10, sigma10_checklist, sigma_muskat,
                           verify_weighted_rt, weight_h, weight_hbar)
 from .initial_data import (DeltaTooLargeError, dv1_at_zero_periodic,
@@ -132,11 +132,6 @@ def _fit_frequency(series, dt):
     return float(np.arccos(c / 2.0) / dt)
 
 
-def _mode_amplitude(samples, k):
-    n = len(samples)
-    return 2.0 * abs(np.fft.fft(np.asarray(samples, float))[k]) / n
-
-
 # --- scenarios ---------------------------------------------------------------
 
 def muskat_linear(cfg: ScenarioConfig) -> ScenarioResult:
@@ -149,7 +144,7 @@ def muskat_linear(cfg: ScenarioConfig) -> ScenarioResult:
         0.0, 2.0 * np.pi, cfg.grid.n, endpoint=False)))
     traj, _ = run(SimState(curve, consts=consts), cfg.numerics.t_end, cfg.numerics.dt)
     times = traj.times
-    amps = [_mode_amplitude(c.z2, k) for _, c, _ in traj.snapshots]
+    amps = [2.0 * abs(np.fft.fft(c.z2)[k]) / c.n for _, c, _ in traj.snapshots]
     measured = _fit_decay_rate(times, amps)
     theory = consts.darcy_factor * k / 2.0
     rel = abs(measured - theory) / theory
@@ -387,13 +382,7 @@ def rt_verify(cfg: ScenarioConfig) -> ScenarioResult:
         weight_hbar(candidate.alpha, 0.5 * wp.tau ** 2, wp) >= 0))
     report = {
         "sigma10_checklist": checklist,
-        "weighted": {
-            "hi_margin": weighted.hi_margin,
-            "hbari_margin": weighted.hbari_margin,
-            "hbari_bound": weighted.hbari_bound,
-            "hi_pass": weighted.hi_pass,
-            "hbari_pass": weighted.hbari_pass,
-        },
+        "weighted": asdict(weighted),
         "h_at_origin_final_time": float(weight_h(np.array([0.0]), wp.tau, wp)[0]),
         "weights_nonnegative": nonnegative,
         "pass": bool(checklist["p2"]["pass"] and checklist["p4"]["pass"]
@@ -446,10 +435,7 @@ def _sup_F_recomputed(path, t, sup_F) -> bool:
         curve, ts, _ = load_csv(os.path.join(path, name))
         if ts not in rows:
             continue
-        try:
-            value = arc_chord(curve)
-        except SelfIntersectionError:
-            value = np.inf
+        value = arc_chord(curve)
         if not (value == rows[ts] or np.isnan(value) and np.isnan(rows[ts])):
             return False
     return True

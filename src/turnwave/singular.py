@@ -130,7 +130,8 @@ def br_velocity(cot: np.ndarray, omega) -> np.ndarray:
     """Birkhoff-Rott velocity of amplitude omega, (N, 2) samples, from the
     block cot = br_block(curve).  With q = v1 - i v2 and h = 2 pi / N,
     q_i = sum_j (2h / 4 pi i) cot((w_i - w_j) / 2) omega_j over i - j odd,
-    and 2h / 4 pi i = -i / N."""
+    and 2h / 4 pi i = -i / N.  The quadrature that acceptance criterion 1
+    checks against the flat-interface closed form."""
     omega = np.asarray(omega, dtype=float)
     q = (-1j / omega.size) * _alternating(cot, omega, -1.0)
     return np.column_stack([q.real, -q.imag])
@@ -151,13 +152,6 @@ def br_rate(cot: np.ndarray, omega, velocity) -> np.ndarray:
     s = _alternating(1.0 + cot * cot, np.column_stack([omega, u * omega]), 1.0)
     q = (0.5j / omega.size) * (u * s[:, 0] - s[:, 1])
     return np.column_stack([q.real, -q.imag])
-
-
-def birkhoff_rott(curve: Curve, omega) -> np.ndarray:
-    """Birkhoff-Rott velocity of amplitude omega on a periodic curve:
-    (N, 2) samples.  The quadrature that acceptance criterion 1 checks
-    against the flat-interface closed form."""
-    return br_velocity(br_block(curve), omega)
 
 
 def muskat_rhs_periodic(curve: Curve, prefactor: float) -> np.ndarray:
@@ -197,12 +191,7 @@ def _conformal_pair(a, b, i0, i1, da, db):
     return np.divide(num, denom, out=num)
 
 
-def _open_tail_levels(curve: Curve):
-    """Flat-tail heights beyond the truncation (right, left)."""
-    return float(curve.z2[-1]), float(curve.z2[0])
-
-
-def muskat_rhs_open(curve: Curve, rho_jump: float = 1.0) -> np.ndarray:
+def muskat_rhs_open(curve: Curve, darcy_factor: float) -> np.ndarray:
     """Open-line Muskat contour velocity (flat-at-infinity curves).
 
     Trapezoid over [-L, L] with the diagonal limit z1' z'' / |z'|^2, plus
@@ -217,15 +206,14 @@ def muskat_rhs_open(curve: Curve, rho_jump: float = 1.0) -> np.ndarray:
     """
     if curve.topology != OPEN:
         raise QuadratureError("use muskat_rhs_periodic for periodic curves")
-    n = curve.n
     h = curve.alpha[1] - curve.alpha[0]
-    weights = np.full(n, h)
+    weights = np.full(curve.n, h)
     weights[0] = weights[-1] = 0.5 * h
     (d1, d2), dd = derivative(curve, 1), derivative(curve, 2)
     v = _tangent_difference(curve.z1, curve.z2, _open_pair, weights, (d1, d2), dd, 1.0)
 
     L = float(curve.alpha[-1])
-    c_right, c_left = _open_tail_levels(curve)
+    c_right, c_left = float(curve.z2[-1]), float(curve.z2[0])   # flat-tail heights
     num = (curve.z1 - L) ** 2 + (curve.z2 - c_right) ** 2
     den = (curve.z1 + L) ** 2 + (curve.z2 - c_left) ** 2
     # at the truncation nodes num/den vanish, but so does z' - (1, 0) (flat tail)
@@ -233,7 +221,7 @@ def muskat_rhs_open(curve: Curve, rho_jump: float = 1.0) -> np.ndarray:
         T = np.where((num > 0) & (den > 0), 0.5 * np.log(num / den), 0.0)
     v[0] += T * (d1 - 1.0)
     v[1] += T * d2
-    return (rho_jump / (2.0 * np.pi)) * v.T
+    return (darcy_factor / (2.0 * np.pi)) * v.T
 
 
 def _open_pair(z1, z2, i0, i1, dz1, dz2):

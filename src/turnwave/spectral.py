@@ -80,15 +80,14 @@ def discrete_h4_norm(field, period=2.0 * np.pi):
     return float(norm) if norm.ndim == 0 else norm
 
 
-def antiderivative(f, period=2.0 * np.pi):
-    """Zero-mean antiderivative of the zero-mean part of f.
+def antiderivative(f):
+    """Zero-mean antiderivative of the zero-mean part of 2 pi-periodic f.
 
     The mean of f is dropped (a nonzero mean has no periodic
     antiderivative); the result has zero mean.
     """
     f = np.asarray(f, dtype=float)
-    n = f.size
-    k = modes(n) * (2.0 * np.pi / period)
+    k = modes(f.size)
     fk = np.fft.fft(f)
     fk[0] = 0.0
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -124,12 +124,12 @@ def extend_to_strip(curve: Curve, r: float, t: float = 0.0) -> StripCurve:
     coeffs = np.stack([np.fft.fft(curve.z1 - curve.alpha),
                        np.fft.fft(curve.z2)]) / curve.n
     tail = amplified_tail(coeffs, r)
-    if tail > TAIL_TOLERANCE:
+    if not tail <= TAIL_TOLERANCE:
         raise InsufficientAnalyticityError(
             f"amplified Fourier tail {tail:.3e} exceeds {TAIL_TOLERANCE:g}; "
             f"curve is not resolved as analytic on half-width {r:g}")
     viol = decay_violation(coeffs, r)
-    if viol > 1.0:
+    if not viol <= 1.0:
         raise InsufficientAnalyticityError(
             f"coefficient decay violates the e^(-r|k|) envelope by factor "
             f"{viol:.3e} at half-width {r:g}")
@@ -138,16 +138,16 @@ def extend_to_strip(curve: Curve, r: float, t: float = 0.0) -> StripCurve:
 
 # --- scale-of-spaces norm ------------------------------------------------------
 
-def strip_norm(coeffs: np.ndarray, r: float, j: int = 4) -> float:
-    """||f||_r = (sum_+- int |f(a +- ir)|^2 + |d^j f(a +- ir)|^2 da)^(1/2)
+def strip_norm(coeffs: np.ndarray, r: float) -> float:
+    """||f||_r = (sum_+- int |f(a +- ir)|^2 + |d^4 f(a +- ir)|^2 da)^(1/2)
     of the flat-subtracted components with coefficients (2, n), by the
     coefficient (Parseval) formula."""
     k = modes(coeffs.shape[1]).astype(float)
-    weight = 2.0 * np.cosh(2.0 * k * r) * (1.0 + k ** (2 * j))
+    weight = 2.0 * np.cosh(2.0 * k * r) * (1.0 + k ** 8)
     return float(np.sqrt(2.0 * np.pi * np.sum(weight[None, :] * np.abs(coeffs) ** 2)))
 
 
-def strip_distance(a: np.ndarray, b: np.ndarray, r: float, j: int = 4) -> float:
+def strip_distance(a: np.ndarray, b: np.ndarray, r: float) -> float:
     """||a - b||_r of two coefficient arrays, with difference coefficients
     below the double-precision floor (relative to the iterate scale)
     treated as zero: the strip weights amplify sub-roundoff noise beyond
@@ -157,7 +157,7 @@ def strip_distance(a: np.ndarray, b: np.ndarray, r: float, j: int = 4) -> float:
     scale = max(np.abs(a).max(), np.abs(b).max(), 1e-300)
     d = a - b
     d = np.where(np.abs(d) > 10.0 * COEFF_FLOOR * scale, d, 0.0)
-    return strip_norm(d, r, j)
+    return strip_norm(d, r)
 
 
 # --- contour operator --------------------------------------------------------
@@ -238,17 +238,17 @@ def ck_solve(z0: StripCurve, T: float, prefactor: float,
     must stay in the admissible open set: strip norm below norm_bound,
     real-axis arc-chord ratio below CHORD_BOUND, and Fourier tail
     compatible with r(t) wherever G is evaluated (the domain-of-validity
-    guard).  The sweeps work on coefficient arrays; only the returned
-    curves are StripCurves.
+    guard); a check that reads nan counts as outside.  The sweeps work on
+    coefficient arrays; only the returned curves are StripCurves.
     """
     def check_admissible(coeffs, r):
-        if strip_norm(coeffs, r) > norm_bound:
+        if not strip_norm(coeffs, r) <= norm_bound:
             raise RegimeExitError(f"iterate norm exceeds {norm_bound:g}")
-        if arc_chord(_real_curve(coeffs)) > CHORD_BOUND:
+        if not arc_chord(_real_curve(coeffs)) <= CHORD_BOUND:
             raise RegimeExitError("real-trace arc-chord bound exceeded")
 
     def check_strip(coeffs, r, t, it):
-        if decay_violation(coeffs, r) > 1.0:
+        if not decay_violation(coeffs, r) <= 1.0:
             raise RegimeExitError(
                 f"iterate {it} leaves the strip of half-width {r:g} at t={t:g}")
 

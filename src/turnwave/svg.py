@@ -60,7 +60,7 @@ def render_curve(alpha, z1, z2, negative_intervals=(), title: str = "interface")
     return _document(body, title)
 
 
-def render_series(t, values, label: str, title: str = None) -> str:
+def render_series(t, values, label: str) -> str:
     """SVG line plot of a scalar diagnostic against time, with a zero line."""
     t = np.asarray(t, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -80,4 +80,4 @@ def render_series(t, values, label: str, title: str = None) -> str:
         f'<text x="{MARGIN}" y="{MARGIN - 16}" font-family="monospace" '
         f'font-size="14">{label}</text>',
     ]
-    return _document(body, title or label)
+    return _document(body, label)

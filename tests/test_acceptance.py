@@ -24,7 +24,7 @@ from turnwave.initial_data import turning_candidate_open
 from turnwave.scenarios import (ck_compare, muskat_breakdown, muskat_linear,
                                 muskat_turning, render_trajectory, rt_verify,
                                 waterwave_linear, waterwave_turning)
-from turnwave.singular import birkhoff_rott
+from turnwave.singular import br_block, br_velocity
 from turnwave.spectral import hilbert_transform
 from turnwave.stepping import SimState, run
 from turnwave.strip import extend_to_strip
@@ -52,7 +52,7 @@ def test_criterion_01_flat_quadrature_oracle():
     worst = 0.0
     for k in range(1, 9):
         omega = np.sin(k * curve.alpha)
-        v = birkhoff_rott(curve, omega)
+        v = br_velocity(br_block(curve), omega)
         err = max(np.max(np.abs(v[:, 0])),
                   np.max(np.abs(v[:, 1] - 0.5 * hilbert_transform(omega))))
         worst = max(worst, err)

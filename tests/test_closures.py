@@ -6,7 +6,7 @@ import pytest
 
 from turnwave.closures import PhysicalConstants, waterwave_rhs
 from turnwave.curve import derivative, graph_curve, periodic_grid
-from turnwave.singular import birkhoff_rott, br_block, br_rate
+from turnwave.singular import br_block, br_rate, br_velocity
 from turnwave.spectral import antiderivative, fourier_derivative
 
 from conftest import flat_curve
@@ -37,18 +37,19 @@ def test_tangential_gauge_uniformizes_speed():
 
 def waterwave_rhs_residual(curve, omega, consts, omega_t) -> float:
     """Max-norm residual of the implicit omega_t relation, every term
-    re-derived from birkhoff_rott and the geometric rate, with d_t BR =
+    re-derived from br_velocity and the geometric rate, with d_t BR =
     BR(z, omega_t) + geometric part applied directly (no linear system)."""
     d1, d2 = derivative(curve, 1)
     tp = np.column_stack([d1, d2])
     speed2 = d1 ** 2 + d2 ** 2
-    br = birkhoff_rott(curve, omega)
+    cot = br_block(curve)
+    br = br_velocity(cot, omega)
     dbr = np.column_stack([fourier_derivative(br[:, 0]),
                            fourier_derivative(br[:, 1])])
     theta = (tp * dbr).sum(axis=1) / speed2
     c = antiderivative(np.mean(theta) - theta)
     velocity = br + c[:, None] * tp
-    br_t = birkhoff_rott(curve, omega_t) + br_rate(br_block(curve), omega, velocity)
+    br_t = br_velocity(cot, omega_t) + br_rate(cot, omega, velocity)
     rhs = (-2.0 * (br_t * tp).sum(axis=1)
            - fourier_derivative(omega ** 2 / (4.0 * speed2))
            + fourier_derivative(c * omega)

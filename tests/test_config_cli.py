@@ -33,6 +33,75 @@ def test_defaults_round_trip(tmp_path):
     assert dump_config(back) == dump_config(cfg)
 
 
+DEFAULT_DUMP = """\
+scenario = muskat-linear
+output_dir = out
+grid.n = 256
+grid.L = 40.0
+physics.rho1 = 0.0
+physics.rho2 = 1.0
+physics.g = 1.0
+physics.mu = 1.0
+physics.kappa = 1.0
+turning.beta1 = 1.0
+turning.beta2 = 3.0
+turning.beta3 = 5.0
+turning.b = 3.0
+turning.cbar = -0.2
+turning.tilt = 0.05
+numerics.dt = 0.002
+numerics.t_end = 0.5
+numerics.snapshot_cadence = 10
+strip.r0 = 0.04
+strip.M = 512
+strip.T = 0.02
+weights.A = 100.0
+weights.tau = 0.005
+wave.delta = 0.001
+wave.epsilon = 0.0001
+wave.k = 2
+"""
+# the lines of each bundled config's dump that differ from DEFAULT_DUMP
+BUNDLED_DUMP_LINES = {
+    "ck-compare.cfg": ["scenario = ck-compare", "output_dir = out/ck-compare",
+                       "grid.n = 128", "numerics.dt = 0.0001", "strip.r0 = 0.2",
+                       "strip.T = 0.05"],
+    "muskat-breakdown.cfg": ["scenario = muskat-breakdown",
+                             "output_dir = out/muskat-breakdown", "grid.n = 512",
+                             "turning.beta1 = 1.5", "numerics.dt = 0.0002",
+                             "numerics.t_end = 0.05", "wave.delta = 0.01"],
+    "muskat-linear.cfg": ["output_dir = out/muskat-linear"],
+    "muskat-turning.cfg": ["scenario = muskat-turning", "output_dir = out/muskat-turning",
+                           "grid.n = 513", "grid.L = 15.0", "numerics.dt = 0.001",
+                           "numerics.snapshot_cadence = 20"],
+    "rt-verify.cfg": ["scenario = rt-verify", "output_dir = out/rt-verify",
+                      "turning.beta1 = 1.5"],
+    "waterwave-linear.cfg": ["scenario = waterwave-linear",
+                             "output_dir = out/waterwave-linear", "grid.n = 64",
+                             "numerics.dt = 0.005", "numerics.t_end = 2.5"],
+    "waterwave-turning.cfg": ["scenario = waterwave-turning",
+                              "output_dir = out/waterwave-turning", "turning.beta1 = 1.5",
+                              "numerics.dt = 1e-05", "numerics.t_end = 0.005"],
+}
+
+
+def test_dump_text_is_pinned():
+    """config.txt is read back by other tools (the benchmark takes
+    wave.delta and numerics.dt from it), so its key order and value text
+    are fixed: the defaults' dump, and each bundled config's dump as the
+    defaults' lines with its own assignments in their places."""
+    assert dump_config(ScenarioConfig()) == DEFAULT_DUMP
+    default = DEFAULT_DUMP.splitlines()
+    assert sorted(BUNDLED_DUMP_LINES) == sorted(
+        os.path.basename(p) for p in glob.glob(os.path.join(CONFIG_DIR, "*.cfg")))
+    for name, changed in BUNDLED_DUMP_LINES.items():
+        lines = dump_config(load_config(os.path.join(CONFIG_DIR, name))).splitlines()
+        assert len(lines) == len(default), name
+        assert [line for line, d in zip(lines, default) if line != d] == changed, name
+        assert [line.split(" = ")[0] for line in lines] == \
+            [d.split(" = ")[0] for d in default], name
+
+
 def test_unknown_key_is_an_error(tmp_path):
     path = write_cfg(tmp_path, "numerics.dT = 0.1\n")
     with pytest.raises(ConfigError) as err:

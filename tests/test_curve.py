@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from turnwave.curve import (BLOCK_ROWS, CHUNK, Curve, SelfIntersectionError,
-                            arc_chord, derivative,
+from turnwave.curve import (BLOCK_ROWS, CHUNK, Curve, arc_chord, derivative,
                             graph_curve, graph_slope_sup, load_csv, min_slope,
                             open_grid, periodic_grid, resample, save_csv)
 
@@ -69,8 +68,7 @@ def test_arc_chord_detects_self_intersection():
     a = periodic_grid(64)
     # a figure that revisits a point: z = (cos 2a, sin a) hits (1, 0) twice
     c = Curve(PERIODIC, a, np.cos(2 * a), np.sin(a))
-    with pytest.raises(SelfIntersectionError):
-        arc_chord(c)
+    assert arc_chord(c) == np.inf
 
 
 def dense_arc_chord_ratio(curve):
@@ -246,10 +244,10 @@ def test_arc_chord_temporaries_stay_bounded():
 def test_stack_members_get_their_single_curve_floats(topology):
     """derivative, min_slope, graph_slope_sup and arc_chord on a stack give
     each member the floats it gets alone.  A member with a nan node has
-    sup nan, and on the open line one with a zero chord has sup inf where
-    alone it raises (a periodic chord between copied nodes is only near
-    zero: z1 - alpha is unwrapped in rounded arithmetic); the other
-    members keep their values."""
+    sup nan, and on the open line one with a zero chord has sup inf, as it
+    has alone (a periodic chord between copied nodes is only near zero:
+    z1 - alpha is unwrapped in rounded arithmetic); the other members keep
+    their values."""
     curves = [smooth_perturbation(131, topology, c) for c in (
         [0.1, 0.0, 0.05, 0.2, 0.1, 0.0], [0.3, 0.2, -0.1, 0.0, 0.4, 0.1],
         [-0.2, 0.1, 0.0, 0.3, -0.1, 0.2], [0.0, 0.3, 0.1, -0.2, 0.0, 0.3])]
@@ -278,21 +276,31 @@ def test_stack_members_get_their_single_curve_floats(topology):
         assert slope[i] == graph_slope_sup(c) or np.isnan(slope[i])
     assert sup[0] == arc_chord(curves[0]) and sup[3] == arc_chord(curves[3])
     assert np.isnan(sup[2]) and np.isnan(arc_chord(curves[2]))
-    if topology == PERIODIC:
-        assert sup[1] == arc_chord(curves[1])
-        return
-    with pytest.raises(SelfIntersectionError, match="nodes 20 and 90 coincide"):
-        arc_chord(curves[1])
-    assert sup[1] == np.inf
+    assert sup[1] == arc_chord(curves[1])
+    assert (sup[1] == np.inf) == (topology == OPEN)
 
 
-def test_arc_chord_names_coincident_nodes_past_first_block():
+def test_arc_chord_coincident_nodes_past_first_block_read_inf():
+    """Nodes 6 CHUNK and 8 CHUNK + 1 coincide.  Their far chunk pair (6, 8)
+    has bound inf, so it is evaluated, in the second batch of far chunk
+    pairs on this flat line, and its zero chord gives sup inf."""
     i, j = 6 * CHUNK, 8 * CHUNK + 1
     a = open_grid(12 * CHUNK + 5, 12.0)
     z1, z2 = a.copy(), np.zeros_like(a)
     z1[j], z2[j] = z1[i], z2[i]
-    with pytest.raises(SelfIntersectionError, match=f"nodes {i} and {j} coincide"):
-        arc_chord(Curve(OPEN, a, z1, z2, L=12.0))
+    assert arc_chord(Curve(OPEN, a, z1, z2, L=12.0)) == np.inf
+
+
+@pytest.mark.parametrize("topology", [PERIODIC, OPEN])
+def test_arc_chord_zero_speed_reads_inf(topology):
+    """A zero |d_alpha z| at one node makes the diagonal limit 1 / |z'|^2,
+    and so the sup, inf on a single curve."""
+    c = smooth_perturbation(131 if topology == OPEN else 128, topology,
+                            [0.1, 0.0, 0.05, 0.2, 0.1, 0.0])
+    d1, d2 = derivative(c, 1)
+    assert np.isfinite(arc_chord(c, (d1, d2)))
+    d1[40] = d2[40] = 0.0
+    assert arc_chord(c, (d1, d2)) == np.inf
 
 
 def test_min_slope_subgrid_refinement():

@@ -12,8 +12,8 @@ from turnwave.curve import (BLOCK_ROWS, Curve, arc_chord, derivative, graph_curv
 from turnwave.closures import ClosureIterationError, _amplitude_solve
 from turnwave.initial_data import dv1_at_zero_periodic
 from turnwave.singular import (QuadratureError, _conformal, _conformal_pair, _open_pair,
-                               _tangent_difference, birkhoff_rott, br_block, br_rate,
-                               br_velocity, muskat_rhs_open, muskat_rhs_periodic)
+                               _tangent_difference, br_block, br_rate, br_velocity,
+                               muskat_rhs_open, muskat_rhs_periodic)
 from turnwave.spectral import hilbert_transform
 
 from conftest import flat_curve
@@ -28,7 +28,7 @@ def test_flat_birkhoff_rott_matches_hilbert_transform():
     worst = 0.0
     for k in range(1, 9):
         omega = np.sin(k * c.alpha)
-        v = birkhoff_rott(c, omega)
+        v = br_velocity(br_block(c), omega)
         # closed form: v1 = 0, v2 = H(omega)/2 = -cos(k a)/2
         worst = max(worst,
                     np.max(np.abs(v[:, 0])),
@@ -50,7 +50,7 @@ def test_alternating_rule_spectral_convergence():
     def setup(n):
         a = periodic_grid(n)
         c = Curve(PERIODIC, a, a + 0.1 * np.sin(a), 0.1 * np.cos(a))
-        return birkhoff_rott(c, np.sin(a))
+        return br_velocity(br_block(c), np.sin(a))
     err = quadrature_refinement_error(setup(256), setup(128))
     assert err < 1e-10
 
@@ -59,7 +59,7 @@ def test_br_requires_even_grid():
     a = periodic_grid(65)
     c = Curve(PERIODIC, a, a.copy(), np.zeros(65))
     with pytest.raises(QuadratureError):
-        birkhoff_rott(c, np.sin(a))
+        br_velocity(br_block(c), np.sin(a))
 
 
 def test_br_rejects_open_curve():
@@ -67,7 +67,7 @@ def test_br_rejects_open_curve():
     a = open_grid(64, 10.0)
     c = Curve(OPEN, a, a.copy(), np.zeros(64), L=10.0)
     with pytest.raises(QuadratureError):
-        birkhoff_rott(c, np.sin(a))
+        br_velocity(br_block(c), np.sin(a))
 
 
 def test_muskat_periodic_flat_is_stationary():
@@ -143,7 +143,7 @@ def test_muskat_periodic_roll_equivariance():
 
 def test_br_geometric_rate_is_frozen_amplitude_derivative():
     """Moving the nodes along the curve velocity with omega frozen: a
-    centred difference of birkhoff_rott reproduces the geometric rate."""
+    centred difference of br_velocity reproduces the geometric rate."""
     n, eps = 128, 1e-5
     a = periodic_grid(n)
     c = Curve(PERIODIC, a, a + 0.1 * np.sin(a), 0.1 * np.cos(2 * a))
@@ -151,8 +151,8 @@ def test_br_geometric_rate_is_frozen_amplitude_derivative():
     vel = np.column_stack([0.3 * np.cos(a), 0.2 * np.sin(3 * a)])
 
     def moved(s):
-        return birkhoff_rott(c.with_components(c.z1 + s * vel[:, 0],
-                                               c.z2 + s * vel[:, 1]), omega)
+        return br_velocity(br_block(c.with_components(c.z1 + s * vel[:, 0],
+                                                      c.z2 + s * vel[:, 1])), omega)
 
     fd = (moved(eps) - moved(-eps)) / (2.0 * eps)
     rate = br_rate(br_block(c), omega, vel)

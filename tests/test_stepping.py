@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from turnwave.closures import PhysicalConstants
-from turnwave.curve import (Curve, SelfIntersectionError, arc_chord, derivative,
-                            graph_curve, load_csv, min_slope, periodic_grid)
+from turnwave.curve import (Curve, arc_chord, derivative, graph_curve, load_csv, min_slope,
+                            periodic_grid)
 from turnwave.initial_data import (TurningParams, turning_candidate_open,
                                    turning_candidate_periodic)
 from turnwave import stepping
@@ -309,13 +309,10 @@ def per_sample_reference(state, t_end, dt):
 
     def take(sample):
         nonlocal prev, covering, t_star
-        curve, periodic = sample.curve, sample.curve.topology == "periodic"
+        curve = sample.curve
+        periodic = curve.topology == "periodic"
         d = derivative(curve, 1)
         report = min_slope(curve, d=d)
-        try:
-            sup_F = arc_chord(curve, d)
-        except SelfIntersectionError:
-            sup_F = np.inf
         sigma = sample.consts.rho_jump * d[0]
         period = 2.0 * np.pi if periodic else 2.0 * curve.L
         h4 = float(np.sqrt(discrete_h4_norm(curve.z1 - curve.alpha, period) ** 2
@@ -325,9 +322,9 @@ def per_sample_reference(state, t_end, dt):
         if np.isnan(t_star) and prev is not None and prev[1] > 0.0 >= report.min_slope:
             t_star = stepping._locate_turning(covering, *prev, sample.t, report.min_slope)
         prev = (sample.t, report.min_slope)
-        rows.append([sample.t, report.min_slope, sup_F, float(sigma.min()), h4, mean_f,
-                     t_star])
-        snaps.append((sample.t, sample.curve, sample.omega))
+        rows.append([sample.t, report.min_slope, arc_chord(curve, d), float(sigma.min()),
+                     h4, mean_f, t_star])
+        snaps.append((sample.t, curve, sample.omega))
 
     take(state)
     k = 1

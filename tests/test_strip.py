@@ -192,6 +192,27 @@ def test_ck_solve_respects_norm_guard():
         ck_solve(sc, 0.02, PREF, norm_bound=1e-6)
 
 
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+@pytest.mark.parametrize("check", ["arc_chord", "strip_norm", "decay_violation"])
+def test_ck_solve_exits_on_a_nonfinite_check(monkeypatch, check, value):
+    """An admissibility check that reads inf or nan leaves the admissible
+    set: each bound is written so that nan fails it too."""
+    import turnwave.strip as strip_mod
+    sc = extend_to_strip(eps_cos_curve(n=64, eps=0.01), 0.2)
+    monkeypatch.setattr(strip_mod, check, lambda *args: value)
+    with pytest.raises(RegimeExitError):
+        ck_solve(sc, 0.02, PREF)
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+@pytest.mark.parametrize("check", ["amplified_tail", "decay_violation"])
+def test_extend_to_strip_rejects_a_nonfinite_check(monkeypatch, check, value):
+    import turnwave.strip as strip_mod
+    monkeypatch.setattr(strip_mod, check, lambda *args: value)
+    with pytest.raises(InsufficientAnalyticityError):
+        extend_to_strip(eps_cos_curve(), 0.3)
+
+
 def test_ck_backward_forward_round_trip():
     """Solving backward then forward returns the datum (well-posed both
     ways in the analytic class)."""
