@@ -5,7 +5,9 @@ Usage: python scripts/run_all_scenarios.py [--out DIR]
 
 Each summary line ends with the sha256 of the run directory, over every
 file name and its bytes as turnbench/child.py hashes them: two checkouts
-wrote the same artifacts when their lines carry the same hashes.
+wrote the same artifacts when their lines carry the same hashes.  Each
+run directory's config.txt records its output_dir, so the hashes of two
+checkouts compare only when both are run with the same --out.
 """
 
 import argparse

@@ -95,7 +95,14 @@ class ScenarioConfig:
         datum's own ranges hold per scenario: grid.L > beta3 on the open
         line, beta1 < pi on the period.  Water waves have vacuum above and
         only g in their right-hand side, so their configs keep rho1, mu and
-        kappa at the defaults."""
+        kappa at the defaults.  A string value must load back from the
+        config.txt that dump_config writes: no '#', line break, or quote
+        or blank at either end."""
+        for name in DEFAULTS[""]:
+            value = getattr(self, name)
+            if _parse_value(value, str) != value or any(c in value for c in "#\n\r"):
+                raise ConfigError(f"{name} = {value!r} cannot be written to config.txt "
+                                  f"and read back")
         for section, build in (("physics", self.constants),
                                ("turning", self.turning_params),
                                ("weights", self.weight_params)):

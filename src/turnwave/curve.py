@@ -19,6 +19,7 @@ so its results are the same floats.
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
@@ -36,8 +37,12 @@ BLOCK_ROWS = 64
 CHUNK = 16
 # relative slack of its pruning test, far above the rounding it covers
 PRUNE_MARGIN = 1e-12
+# chunk pairs c < c' within this many chunks also get its projection bound
+REACH = 4
 # half-bandwidth and block height of the open-curve derivative products
 SPLINE_BAND = 64
+# rows of A^-1 computed below the band that those blocks read (_spline_operators)
+SPLINE_MARGIN = 32
 
 
 @dataclass
@@ -178,23 +183,60 @@ def _bsplines(t, x, mu, k, r):
     return values
 
 
-def _banded_inverse(A, w):
-    """A^-1 for a matrix whose nonzeros lie within w of the diagonal, by
+def _banded_inverse(t, x, mu, below, above):
+    """The diagonals -above .. below + 5 of A^-1 as rows of an array S,
+    S[above + d, c] = A^-1[c + d, c], for the collocation matrix
+    A[i, mu_i - 5 .. mu_i] = B-splines at node i (mu nondecreasing).
     Gaussian elimination without pivoting, which is stable for the
     totally positive B-spline collocation matrices (de Boor & Pinkus,
-    Numer. Math. 27, 1977).  Row operations only, in O(w n^2): no BLAS
-    or LAPACK call, so the bits do not depend on the thread count."""
-    n = A.shape[0]
-    U, X = A.copy(), np.eye(n)
+    Numer. Math. 27, 1977), then back substitution: row operations only,
+    so the bits do not depend on the thread count.
+
+    Without pivoting L and U keep the profile of A: row r of L starts at
+    column mu_r - 5 and row k of U ends at column mu_k, and a multiplier
+    or entry outside it is an exact zero, whose update leaves its target's
+    bits as they are.  So U is factored in scalar floats over the profile.
+    Each column of X = A^-1 is eliminated and back-substituted on its own,
+    so both go one diagonal d at a time across all columns: elimination
+    subtracts f[r, r - s] X[r - s, c] from X[r, c], r = c + d, for s =
+    5 .. 1 (the pivots in order), and back substitution takes X[r, c] -
+    sum of U[r, r + s] X[r + s, c] over s = 1 .. 5, then divides by
+    U[r, r], for d = below down to -above.  Each entry gets the operations
+    of the dense elimination in their order, except that the back
+    substitution of column c starts below + 1 .. below + 5 rows under the
+    diagonal from the eliminated values instead of those of A^-1."""
+    n = x.size
+    rows = np.arange(n)[:, None]
+    A = np.zeros((n, 11))   # A[r, 5 + c - r] = A[r, c]
+    A[rows, mu[:, None] - rows + np.arange(6)] = _bsplines(t, x, mu, 5, 0)
+    U, F = A.tolist(), np.zeros((6, n)).tolist()   # F[s][r] = f[r, r - s]
+    first, last = (mu - 5).tolist(), np.minimum(mu, n - 1).tolist()
+    end = 0   # the rows r < end start at or before the pivot column
     for k in range(n - 1):
-        below = slice(k + 1, min(n, k + w + 1))
-        f = U[below, k] / U[k, k]
-        U[below, k:k + w + 1] -= f[:, None] * U[k, k:k + w + 1]
-        X[below, :k + 1] -= f[:, None] * X[k, :k + 1]
-    for k in range(n - 1, -1, -1):
-        above = slice(k + 1, min(n, k + w + 1))
-        X[k] = (X[k] - (U[k, above, None] * X[above]).sum(axis=0)) / U[k, k]
-    return X
+        pivot = U[k]
+        while end < n and first[end] <= k:
+            end += 1
+        for r in range(k + 1, min(end, k + 6)):
+            row, shift = U[r], 5 - r
+            f = F[r - k][r] = row[shift + k] / pivot[5]
+            for c in range(k + 1, last[k] + 1):
+                row[shift + c] -= f * pivot[5 + c - k]
+    U, F = np.array(U)[:, 5:].T.copy(), np.array(F)   # U[s, k] = U[k, k + s]
+    # the rows r with f[r, r - s] != 0 lie in r0[s] <= r < r1[s]
+    r0, r1 = (np.argmax(F != 0.0, axis=1).tolist(),
+              (n - np.argmax(F[:, ::-1] != 0.0, axis=1)).tolist())
+    S = np.zeros((above + below + 6, n))
+    S[above] = 1.0
+    for d in range(1, below + 6):
+        for s in range(min(d, 5), 0, -1):
+            c0, c1 = max(0, r0[s] - d), r1[s] - d
+            if c0 < c1:
+                S[above + d, c0:c1] -= F[s, d + c0:d + c1] * S[above + d - s, c0:c1]
+    for d in range(min(below, n - 1), max(-above, 1 - n) - 1, -1):
+        c0, c1 = max(0, -d), min(n, n - d)
+        terms = U[1:, c0 + d:c1 + d] * S[above + d + 1:above + d + 6, c0:c1]
+        S[above + d, c0:c1] = (S[above + d, c0:c1] - terms.sum(axis=0)) / U[0, c0 + d:c1 + d]
+    return S
 
 
 @lru_cache(maxsize=4)
@@ -213,27 +255,45 @@ def _spline_operators(nodes: bytes):
     away from the diagonal, so it is kept as read-only row blocks (j0, j1,
     D_r[i0:i0 + SPLINE_BAND, j0:j1]), j0 = i0 - SPLINE_BAND and
     j1 = i0 + 2 SPLINE_BAND clipped to [0, n]: the entries left out are
-    below 1e-22 of the largest, and a product costs O(n SPLINE_BAND)."""
+    below 1e-22 of the largest, and a product costs O(n SPLINE_BAND).
+
+    The blocks read A^-1 within about 2 SPLINE_BAND of its diagonal, and
+    only that band is computed, SPLINE_MARGIN rows deeper below it: no
+    n x n array is formed, and the build takes O(n SPLINE_BAND) time and
+    memory.  Every kept entry goes through the IEEE operations of the
+    dense elimination, in the same order, save that the back
+    substitution of column c starts SPLINE_MARGIN rows below the deepest
+    row read, from the values the elimination left there rather than
+    those of A^-1.  That error shrinks by about 0.43 per row on the way
+    up, against entries that themselves fall by 0.43 per row away from
+    the diagonal, so it reaches a read entry at about 0.43^(2
+    SPLINE_MARGIN) = 3e-24 of its size, far below its last bit: the
+    blocks are the dense build's, byte for byte (tests/test_curve.py
+    compares them at n = 513 and 1025)."""
     x = np.frombuffer(nodes)
     n = x.size
     t = np.concatenate([np.full(6, x[0]), x[3:-3], np.full(6, x[-1])])
     mu = np.minimum(np.searchsorted(t, x, side="right") - 1, n - 1)
-    rows, cols = np.arange(n)[:, None], mu[:, None] + np.arange(-5, 1)
-    A = np.zeros((n, n))
-    A[rows, cols] = _bsplines(t, x, mu, 5, 0)
-    inverse = _banded_inverse(A, 5)
-    operators = []
-    for r in (1, 2):
-        values, blocks = _bsplines(t, x, mu, 5, r), []
-        for i0 in range(0, n, SPLINE_BAND):
-            i1 = i0 + SPLINE_BAND
-            j0, j1 = max(0, i0 - SPLINE_BAND), min(n, i1 + SPLINE_BAND)
-            block = sum(values[i0:i1, k, None] * inverse[cols[i0:i1, k], j0:j1]
-                        for k in range(6))
+    cols = mu[:, None] + np.arange(-5, 1)
+    spans = [(i0, min(n, i0 + SPLINE_BAND), max(0, i0 - SPLINE_BAND),
+              min(n, i0 + 2 * SPLINE_BAND)) for i0 in range(0, n, SPLINE_BAND)]
+    # the band of A^-1 that the blocks read: rows cols[i0:i1], columns j0:j1
+    below = max(cols[i0:i1].max() - j0 for i0, i1, j0, j1 in spans)
+    above = max(j1 - 1 - cols[i0:i1].min() for i0, i1, j0, j1 in spans)
+    diagonals = _banded_inverse(t, x, mu, min(below + SPLINE_MARGIN, n - 1), above)
+    values = [_bsplines(t, x, mu, 5, r) for r in (1, 2)]
+    operators = ([], [])
+    for i0, i1, j0, j1 in spans:
+        m0, m1 = cols[i0:i1].min(), cols[i0:i1].max() + 1
+        # A^-1[m0:m1, j0:j1], from A^-1[m, j] = diagonals[above + m - j, j]
+        window = diagonals.take((above + np.arange(m0, m1))[:, None] * n
+                                + np.arange(j0, j1) * (1 - n))
+        entries = window[cols[i0:i1] - m0]   # A^-1[cols[i], j] as (rows, 6, columns)
+        for v, blocks in zip(values, operators):
+            block = (v[i0:i1, :, None] * entries).sum(axis=1)
             block.flags.writeable = False
             blocks.append((j0, j1, block))
-        operators.append(tuple(blocks))
-    return tuple(operators)
+    return tuple(map(tuple, operators))
 
 
 def pair_blocks(*xs, rows=None):
@@ -256,25 +316,56 @@ def pair_blocks(*xs, rows=None):
 
 
 @lru_cache(maxsize=4)
-def _chunk_layout(n: int, periodic: bool):
-    """The chunks of arc_chord, read-only.  nodes[c] holds the CHUNK node
-    indices of chunk c < m = ceil(n / CHUNK); the last chunk ends at node
-    n - 1 and overlaps its neighbour when CHUNK does not divide n, so that
-    every chunk is full.  The near chunk pairs c <= c' are the equal and
-    adjacent ones, plus the wrap neighbours (0, m - 1) on a periodic grid;
-    lower marks their node pairs j <= i.  The far chunk pairs, c' > c + 1,
-    hold only pairs i < j."""
+def _chunk_layout(grid: bytes, periodic: bool) -> SimpleNamespace:
+    """The chunks of arc_chord on a grid (float64 bytes), and the terms of
+    its bounds that depend on the grid alone, read-only.
+
+    nodes[c] holds the CHUNK node indices of chunk c < m = ceil(n /
+    CHUNK); the last chunk ends at node n - 1 and overlaps its neighbour
+    when CHUNK does not divide n, so that every chunk is full.  The near
+    chunk pairs (ci, cj), c <= c', are the equal and adjacent ones, plus
+    the wrap neighbours (0, m - 1) on a periodic grid, marked by seam.
+    The far chunk pairs (fi, fj), c' > c + 1, hold only node pairs i < j;
+    far_beta is their widest |beta|.  A window of chunks c .. c + r,
+    r <= REACH, is entry r m + c of a projection table: window holds the
+    entry of each near chunk pair, and reach_window that of each far
+    chunk pair reach[p] within REACH; steps[r, :, c] holds the node
+    steps k -> k + 1 from the first node of chunk c + r (clipped to
+    m - 1) on, CHUNK of them, clipped to n - 2, and wraps marks the
+    windows with beta past -pi, whose pairs wrap.  h2 is the widest grid
+    step squared, da the grid steps, span the alpha range of each chunk,
+    and antipodal the second wrap of beta on the antipodal pairs of an
+    even periodic grid."""
+    a = np.frombuffer(grid)
+    n = a.size
     m = -(-n // CHUNK)
     nodes = np.minimum(np.arange(m) * CHUNK, n - CHUNK)[:, None] + np.arange(CHUNK)
     ci, cj = np.triu_indices(m)
-    near = (cj - ci <= 1) | (periodic & (ci == 0) & (cj == m - 1))
-    lower = nodes[ci[near], :, None] >= nodes[cj[near], None, :]
-    near_pairs, far_pairs = (ci[near], cj[near]), (ci[~near], cj[~near])
-    for x in (nodes, lower, *near_pairs, *far_pairs):
-        x.flags.writeable = False
-    return nodes, near_pairs, lower, far_pairs
+    seam = periodic & (ci == 0) & (cj == m - 1)
+    near = (cj - ci <= 1) | seam
+    window = np.minimum(cj - ci, REACH) * m + ci
+    fi, fj = ci[~near], cj[~near]
+    reach = np.flatnonzero(fj - fi <= REACH)
+    first = nodes[np.minimum(np.arange(REACH + 1)[:, None] + np.arange(m), m - 1), 0]
+    lo, hi = a[nodes[:, 0]], a[nodes[:, -1]]
+    far_beta = hi[fj] - lo[fi]
+    if periodic:
+        far_beta = np.minimum(np.minimum(far_beta, 2.0 * np.pi - (lo[fj] - hi[fi])), np.pi)
+    half = a[:n // 2] - a[n // 2:2 * (n // 2)]
+    layout = SimpleNamespace(
+        nodes=nodes, ci=ci[near], cj=cj[near], seam=seam[near], window=window[near],
+        fi=fi, fj=fj, far_beta=far_beta, reach=reach, reach_window=window[~near][reach],
+        steps=np.minimum(first[:, None, :] + np.arange(CHUNK)[:, None], n - 2),
+        wraps=periodic & (lo - a[first + CHUNK - 1] < -np.pi),
+        h2=np.square(np.diff(a).max()), da=np.diff(a), span=hi - lo,
+        antipodal=np.where(half < -np.pi, half, half + 2.0 * np.pi))
+    for x in vars(layout).values():
+        if isinstance(x, np.ndarray):
+            x.flags.writeable = False
+    return layout
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def arc_chord(curve: Curve, d=None):
     """sup over node pairs of F(z) = |beta|^2 / |z(a) - z(a-beta)|^2: a
     float, or one per member of a stack, shape (k,).
@@ -289,125 +380,163 @@ def arc_chord(curve: Curve, d=None):
     periodic).  The antipodal pairs of an even grid (beta = -pi) count
     with both wraps; one O(N) pass adds the second.
 
-    The sup is exact, but most far pairs are never evaluated.  The nodes
-    fall into chunks of CHUNK (_chunk_layout).  The near chunk pairs, the
-    antipodal pass and the diagonal limit give a lower bound s.  On a far
-    chunk pair F <= (max |beta|)^2 / dist^2, where dist is the distance
-    between the chunks' bounding boxes in (z1, z2).  On a periodic grid
-    beta is wrapped, and the second box is taken shifted by 0 or -2 pi in
-    z1, whichever is nearer.  Only the far chunk pairs whose bound exceeds
-    s (1 - PRUNE_MARGIN) are evaluated.  On a stack, the near chunk pairs
-    go member by member with the beta that all members share, the bounds
-    and the O(N) passes take the whole stack at once, and the far chunk
-    pairs left to evaluate are gathered across members.  Those go at most
-    BLOCK_ROWS * N node pairs at a time, so a stack of the SAMPLE_GROUP
-    samples that stepping.run diagnoses at once stays within the memory
-    bound of one curve.  Every evaluated pair goes through the same IEEE
-    operations as a full sweep, so the sup is the same float.  The bound
-    holds for the rounded F too: on an open curve each of its operations
-    is one of F's applied to box ends, and rounding is monotone.  On a
-    periodic curve the rounded dz1 = (x1_i - x1_j) + beta may stray from
-    z1_i - z1_j by a few roundings of |x1| + 2 pi, which each z1 gap gives
-    up as slack; the margin covers the rest.
+    The sup is exact, but most pairs are never evaluated.  The nodes fall
+    into chunks of CHUNK (_chunk_layout).  The antipodal pass and the
+    diagonal limit give a lower bound s0.  Two upper bounds on F over a
+    chunk pair (c, c') let a pair whose bound is at most s (1 -
+    PRUNE_MARGIN) be skipped.
+
+    * Projection.  For a pair within the window of nodes from the first
+      of chunk c to the last of chunk c', i < j, the chord z_i - z_j is
+      the sum of the steps e_k = z_(k+1) - z_k between them, so |z_i -
+      z_j| >= (j - i) m, where m is the least projection e_k . u over
+      the window on the unit chord u of chunk c; and |beta| <= (j - i) h,
+      h the widest grid step.  So F <= h^2 / m^2 when m > 0.  A curve
+      that turns back within the window has m <= 0 and is never pruned by
+      it, nor is a window with beta past -pi, whose pairs wrap.
+    * Boxes.  On a far chunk pair F <= (max |beta|)^2 / dist^2, where dist
+      is the distance between the chunks' bounding boxes in (z1, z2).  On
+      a periodic grid beta is wrapped, and the second box is taken
+      shifted by 0 or -2 pi in z1, whichever is nearer.
+
+    The near chunk pairs are evaluated first, except those whose
+    projection bound is at most s0, but the wrap neighbours always: every
+    pair they skip is below s0, so they give the s of a full near pass.
+    Then the far chunk pairs are evaluated whose box bound, or for c' - c
+    <= REACH the smaller of the two bounds, exceeds s.  On a stack the
+    bounds take the whole stack at once and the chunk pairs left to
+    evaluate are gathered across members, at most BLOCK_ROWS * N node
+    pairs at a time, so a stack of the SAMPLE_GROUP samples that
+    stepping.run diagnoses at once stays within the memory bound of one
+    curve.  Every evaluated pair goes through the same IEEE operations as
+    a full sweep, so the sup is the same float.
+
+    Both bounds hold for the rounded F.  On an open curve each operation
+    of a box bound is one of F's applied to box ends, and rounding is
+    monotone.  The projection bound takes m from rounded steps and
+    rounded projections: each computed e_k . u is within a few roundings
+    of |e_k| of the exact projection of the exact step, so m less the
+    slack 16 eps max |e_k| is at most the exact least projection.  On a
+    periodic grid a step, and the dz1 = (x1_i - x1_j) + beta of F, carry
+    an absolute rounding of a few eps (|x1| + 2 pi): a further 16 eps
+    (max |x1| + 2 pi) comes off m, and off each z1 gap of a box bound.
+    A computed chord within that of the exact one is still at least
+    (j - i) (m - slack), as j - i >= 1.  The relative roundings, of beta,
+    of the squares and the quotient and of |u| = 1, a few eps in all, are
+    covered by PRUNE_MARGIN.
     """
     a, n = curve.alpha, curve.n
     periodic = curve.topology == PERIODIC
     z1, z2 = curve.z1.reshape(-1, n), curve.z2.reshape(-1, n)
     x1 = z1 - a if periodic else z1
-    nodes, near, lower, (fi, fj) = _chunk_layout(n, periodic)
+    L = _chunk_layout(a.tobytes(), periodic)
+    nodes = L.nodes
     batch = max(1, BLOCK_ROWS * n // CHUNK ** 2)   # chunk pairs per evaluation
+    eps = np.finfo(float).eps
+    # the absolute rounding of a periodic dz1 = (x1_i - x1_j) + beta
+    unwrap = 16.0 * eps * (np.abs(x1).max(axis=-1) + 2.0 * np.pi) if periodic else 0.0
 
-    def sup(beta, dz1, dz2, beta2=None):
-        """max F over all but the first axis, dz1 and dz2 in place; beta2
-        is beta squared, None to square beta in place."""
+    def sup(beta, dz1, dz2):
+        """max F over all but the first axis, its arguments in place."""
         if periodic:
             dz1 += beta
         denom = np.add(np.square(dz1, out=dz1), np.square(dz2, out=dz2), out=dz1)
-        with np.errstate(divide="ignore"):
-            F = np.divide(np.square(beta, out=beta) if beta2 is None else beta2, denom,
-                          out=denom)
+        F = np.divide(np.square(beta, out=beta), denom, out=denom)
         return F.max(axis=tuple(range(1, F.ndim)))
-
-    def wrapped(I, J):
-        """beta over the node pairs (I[p, r], J[p, c]) of chunk pairs p."""
-        beta = a[I][:, :, None] - a[J][:, None, :]
-        if periodic:
-            np.add(beta, 2.0 * np.pi, out=beta, where=beta < -np.pi)
-        return beta
 
     # chunks of x1 and z2 as (members, chunks, CHUNK).  np.take keeps
     # the result C-contiguous: indexing with a slice and an array
     # transposes it, which slows every pass over the pairs
-    count = len(z1)
     X1, Z2 = (np.take(x, nodes, axis=1) for x in (x1, z2))
 
-    def near_sups():
-        """sup F over the near chunk pairs of each member, one member at a
-        time, with the beta that they all share."""
-        beta = wrapped(nodes[near[0]], nodes[near[1]])
-        beta2 = np.square(beta)
-        out = np.empty(count)
-        for i in range(count):
-            dz1, dz2 = ((X[i, near[0]][:, :, None] - X[i, near[1]][:, None, :])[None]
-                        for X in (X1, Z2))
-            np.copyto(dz2, np.inf, where=lower)   # F = 0 on the pairs j <= i
-            out[i] = sup(beta, dz1, dz2, beta2)[0]
-        return out
+    def evaluate(ci, cj, hits, lower):
+        """Raise sups to the max of F over the chunk pairs (ci[p], cj[p])
+        of members s, hits = s * len(ci) + p; lower masks the node pairs
+        j <= i."""
+        for k in range(0, hits.size, batch):
+            s, p = np.divmod(hits[k:k + batch], ci.size)
+            I, J = nodes[ci[p]], nodes[cj[p]]
+            dz1, dz2 = (X[s, ci[p]][:, :, None] - X[s, cj[p]][:, None, :] for X in (X1, Z2))
+            if lower:
+                np.copyto(dz2, np.inf, where=I[:, :, None] >= J[:, None, :])   # F = 0
+            beta = a[I][:, :, None] - a[J][:, None, :]
+            if periodic:
+                np.add(beta, 2.0 * np.pi, out=beta, where=beta < -np.pi)
+            np.maximum.at(sups, s, sup(beta, dz1, dz2))   # a nan stays nan
+            del dz1, dz2, beta   # before the next batch's are made
 
-    sups = near_sups()
-    if periodic and n % 2 == 0:
-        h = n // 2
-        beta = a[:h] - a[h:]
-        beta = np.where(beta < -np.pi, beta, beta + 2.0 * np.pi)
-        sups = np.maximum(sups, sup(beta, x1[:, :h] - x1[:, h:], z2[:, :h] - z2[:, h:]))
-    d1, d2 = derivative(curve, 1) if d is None else d
-    speed2 = np.reshape(d1 ** 2 + d2 ** 2, (-1, n))
-    degenerate = np.any(speed2 == 0.0, axis=-1)
-    with np.errstate(divide="ignore"):
-        sups = np.maximum(sups, np.where(degenerate, np.inf, (1.0 / speed2).max(axis=-1)))
+    def projection_bounds():
+        """h^2 / (m - slack)^2 for the window of chunks c .. c + r of each
+        member, r = 0 .. REACH, as ((REACH + 1) m, members): inf where
+        m - slack <= 0 or the window's pairs wrap, nan where a step is
+        nan.  The steps of the window are the CHUNK from the first node of
+        chunk q on, for q = c .. c + r - 1, and those within chunk c + r.
+        The members run along the last, contiguous axis, so that each
+        pass over the (REACH + 1, CHUNK, m, members) projections is one
+        loop."""
+        e1, e2 = x1.T[1:] - x1.T[:-1], z2.T[1:] - z2.T[:-1]
+        c1, c2 = (np.ascontiguousarray((X[:, :, -1] - X[:, :, 0]).T) for X in (X1, Z2))
+        if periodic:
+            e1 += L.da[:, None]
+            c1 += L.span[:, None]
+        length = np.hypot(c1, c2)
+        proj = np.take(e1, L.steps, axis=0)
+        proj *= c1 / length
+        proj += np.take(e2, L.steps, axis=0) * (c2 / length)
+        low = proj[:, :CHUNK - 1].min(axis=1)
+        whole = np.minimum.accumulate(np.minimum(low, proj[:, -1]), axis=0)
+        np.minimum(low[1:], whole[:-1], out=low[1:])
+        low -= 16.0 * eps * np.max(np.abs(e1) + np.abs(e2), axis=0) + unwrap
+        bound = np.divide(L.h2, np.square(np.maximum(low, 0.0, out=low)), out=low)
+        bound[L.wraps] = np.inf
+        return bound.reshape(-1, len(z1))
 
-    def far_pairs():
+    def far_pairs(projected):
         """member * (far chunk pairs) + pair for each far chunk pair whose
         bound exceeds s (1 - PRUNE_MARGIN), s that member's sup so far.
         The bound's arrays, one row per member, are updated in place."""
+        fi, fj = L.fi, L.fj
 
-        def gaps(chunks):
+        def gaps(x):
             """lo_c - hi_c' and lo_c' - hi_c over the far chunk pairs
-            (c, c'), lo and hi the ends of a chunk's range of values: their
-            larger one is the gap between the ranges, where it is
-            positive."""
-            lo, hi = chunks.min(axis=-1), chunks.max(axis=-1)
+            (c, c'), lo and hi the ends of the range of x over a chunk:
+            their larger one is the gap between the ranges, where it is
+            positive.  The chunks are taken as (members, CHUNK, m), so
+            that each reduction is one loop."""
+            chunks = np.take(x, nodes.T, axis=1)
+            lo, hi = chunks.min(axis=1), chunks.max(axis=1)
             return lo[:, fi] - hi[:, fj], lo[:, fj] - hi[:, fi]
 
-        below, above = gaps(np.take(z1, nodes, axis=1) if periodic else X1)
+        below, above = gaps(z1)
         g1 = np.maximum(below, above)
-        first, last = a[nodes[:, 0]], a[nodes[:, -1]]
-        beta = last[fj] - first[fi]   # the widest |a_i - a_j|
         if periodic:
             # wrapped pairs have dz1 = z1_i - z1_j + 2 pi, and |beta| <= pi
-            slack = 16.0 * np.finfo(float).eps * (np.abs(x1).max(axis=-1, keepdims=True)
-                                                  + 2.0 * np.pi)
             below += 2.0 * np.pi
             above -= 2.0 * np.pi
             np.minimum(g1, np.maximum(below, above, out=below), out=g1)
-            g1 -= slack
-            beta = np.minimum(np.minimum(beta, 2.0 * np.pi - (first[fj] - last[fi])), np.pi)
+            g1 -= unwrap[:, None]
         del below, above
-        g2 = np.maximum(*gaps(Z2))
+        g2 = np.maximum(*gaps(z2))
         denom = np.square(np.maximum(g1, 0.0, out=g1), out=g1)
         denom += np.square(np.maximum(g2, 0.0, out=g2), out=g2)
-        with np.errstate(divide="ignore"):
-            bound = np.divide(np.square(beta), denom, out=denom)
+        bound = np.divide(np.square(L.far_beta), denom, out=denom)
+        bound[:, L.reach] = np.minimum(bound[:, L.reach], projected[L.reach_window].T)
         return np.flatnonzero(bound > sups[:, None] * (1.0 - PRUNE_MARGIN))
 
-    # the far chunk pairs that are not pruned, gathered across members
-    hits = far_pairs()
-    for k in range(0, hits.size, batch):
-        s, p = np.divmod(hits[k:k + batch], fi.size)
-        dz1, dz2 = (X[s, fi[p]][:, :, None] - X[s, fj[p]][:, None, :] for X in (X1, Z2))
-        top = sup(wrapped(nodes[fi[p]], nodes[fj[p]]), dz1, dz2)
-        with np.errstate(invalid="ignore"):   # a nan member stays nan
-            np.maximum.at(sups, s, top)
+    d1, d2 = derivative(curve, 1) if d is None else d
+    speed2 = np.reshape(d1 ** 2 + d2 ** 2, (-1, n))
+    sups = np.where(np.any(speed2 == 0.0, axis=-1), np.inf, (1.0 / speed2).max(axis=-1))
+    if periodic and n % 2 == 0:
+        h = n // 2
+        sups = np.maximum(sups, sup(L.antipodal.copy(), x1[:, :h] - x1[:, h:],
+                                    z2[:, :h] - z2[:, h:]))
+    projected = projection_bounds()
+    near_bound = projected[L.window].T
+    near_bound[:, L.seam] = np.inf
+    # a nan bound, from a nan step, is evaluated, and so is its nan
+    evaluate(L.ci, L.cj, np.flatnonzero(~(near_bound <= sups[:, None] * (1.0 - PRUNE_MARGIN))),
+             True)
+    evaluate(L.fi, L.fj, far_pairs(projected), False)
     return _floats(sups.reshape(curve.z1.shape[:-1]))
 
 

@@ -57,21 +57,33 @@ def rt_report(alpha, sigma, periodic: bool) -> RTReport:
     """Maximal runs of nodes with sigma < 0, as (alpha_first, alpha_last)
     intervals and the node count of the longest one.  On a periodic grid
     a run through the seam is one run, and its interval has
-    alpha_first > alpha_last."""
+    alpha_first > alpha_last.  For a stack, sigma of shape (k, N), the
+    report holds one list of intervals, one minimum and one longest run
+    per member."""
     sigma = np.asarray(sigma)
-    neg = sigma < 0.0
-    n = neg.size
-    edges = np.diff(neg.astype(np.int8), prepend=0, append=0)
-    runs = list(zip(np.flatnonzero(edges == 1).tolist(),
-                    (np.flatnonzero(edges == -1) - 1).tolist()))
-    if periodic and len(runs) > 1 and runs[0][0] == 0 and runs[-1][1] == n - 1:
-        first = runs.pop(0)
-        runs.append((runs.pop()[0], first[1] + n))
-    return RTReport(
-        sigma=sigma,
-        negative_intervals=[(float(alpha[s]), float(alpha[e % n])) for s, e in runs],
-        min_sigma=float(sigma.min()),
-        longest_negative_run=max((e - s + 1 for s, e in runs), default=0))
+    n = sigma.shape[-1]
+    rows = sigma.reshape(-1, n)
+    edges = np.diff((rows < 0.0).astype(np.int8), prepend=0, append=0, axis=-1)
+    member, first = np.nonzero(edges == 1)
+    last = np.nonzero(edges == -1)[1] - 1
+    if periodic:
+        # a member's last run, when it ends at node n - 1, takes in its
+        # first run, when that is another one and starts at node 0
+        tail = np.flatnonzero(last == n - 1)
+        head = np.searchsorted(member, member[tail])
+        join = (first[head] == 0) & (head < tail)
+        head, tail = head[join], tail[join]
+        last[tail] = last[head] + n
+        member, first, last = (np.delete(x, head) for x in (member, first, last))
+    longest = np.zeros(len(rows), dtype=int)
+    np.maximum.at(longest, member, last - first + 1)
+    intervals = [[] for _ in rows]
+    for i, s, e in zip(member.tolist(), first.tolist(), last.tolist()):
+        intervals[i].append((float(alpha[s]), float(alpha[e % n])))
+    lowest = rows.min(axis=-1)
+    if sigma.ndim == 1:
+        return RTReport(sigma, intervals[0], float(lowest[0]), int(longest[0]))
+    return RTReport(sigma, intervals, lowest, longest)
 
 
 def sigma_muskat(curve: Curve, consts: PhysicalConstants) -> RTReport:

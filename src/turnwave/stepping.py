@@ -481,7 +481,7 @@ def run(state: SimState, t_end: float, dt: float, stop_on=()):
         ones are dropped), else None."""
         nonlocal prev_ms
         report, supF, sigma, h4, mean_f, sup_fa = _diagnose(group, derivative(group.curve, 1))
-        alpha, periodic = group.curve.alpha, group.curve.topology == PERIODIC
+        rt = rt_report(group.curve.alpha, sigma, group.curve.topology == PERIODIC)
         for i, t in enumerate(group.t.tolist()):
             m = float(report.min_slope[i])
             if (log.first(TURNING) is None and prev_ms is not None
@@ -490,10 +490,10 @@ def run(state: SimState, t_end: float, dt: float, stop_on=()):
                         alpha=float(report.argmin_alpha[i]), bracket=[prev_ms[0], t])
             prev_ms = (t, m)
             del covering[:-1]
-            rt = rt_report(alpha, sigma[i], periodic)
+            longest, lowest = int(rt.longest_negative_run[i]), float(rt.min_sigma[i])
             for kind, fires, payload in (
-                    (RT_SIGN_CHANGE, rt.longest_negative_run >= RT_RUN_LENGTH,
-                     {"nodes": rt.longest_negative_run, "sigma_min": rt.min_sigma}),
+                    (RT_SIGN_CHANGE, longest >= RT_RUN_LENGTH,
+                     {"nodes": longest, "sigma_min": lowest}),
                     (GRAPH_BLOWUP, GRAPH_BLOWUP_THRESHOLD < sup_fa[i] < np.inf,
                      {"sup_f_alpha": float(sup_fa[i])}),
                     (ARC_CHORD_FAILURE, not supF[i] < ARC_CHORD_MAX,
@@ -502,7 +502,7 @@ def run(state: SimState, t_end: float, dt: float, stop_on=()):
                     log.add(t, kind, **payload)
 
             t_star = log.first(TURNING)
-            traj.diagnostics.append([t, m, float(supF[i]), float(sigma[i].min()),
+            traj.diagnostics.append([t, m, float(supF[i]), lowest,
                                      float(h4[i]), float(mean_f[i]),
                                      t_star.t if t_star else float("nan")])
             sample = _member(group, i)

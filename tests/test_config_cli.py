@@ -144,6 +144,29 @@ def test_bundled_config_loads_and_round_trips(tmp_path, path):
     assert back == cfg
 
 
+@pytest.mark.parametrize("out", ["runs/a b", "runs/x=1", "runs/it's"])
+def test_output_dir_round_trips(tmp_path, out):
+    """config.txt records output_dir; a '=', a blank or a quote inside the
+    value loads back as written."""
+    cfg = load_config(os.path.join(CONFIG_DIR, "muskat-turning.cfg"))
+    cfg.output_dir = out
+    cfg.validate()
+    assert load_config(write_cfg(tmp_path, dump_config(cfg))) == cfg
+
+
+@pytest.mark.parametrize("out", ["runs/x#1", "'quoted'", '"quoted"', "runs/a\nb", " runs/a"],
+                         ids=["hash", "single-quotes", "double-quotes", "newline", "blank"])
+def test_cli_output_dir_that_cannot_load_back_exit_2(tmp_path, monkeypatch, capsys, out):
+    """An output_dir that config.txt cannot carry back (load_config cuts a
+    line at '#', and strips blanks and quotes from its ends) is a config
+    error that names the key, raised before anything is written."""
+    monkeypatch.chdir(tmp_path)
+    path = write_cfg(tmp_path, "scenario = muskat-linear\n")
+    assert main(["run", path, "--out", out]) == 2
+    assert "output_dir" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["case.cfg"]
+
+
 def test_cli_config_error_exit_2(tmp_path, capsys):
     path = write_cfg(tmp_path, "numerics.dT = 0.1\n")
     assert main(["run", path]) == 2

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from turnwave.curve import (BLOCK_ROWS, CHUNK, Curve, arc_chord, derivative,
-                            graph_curve, graph_slope_sup, load_csv, min_slope,
-                            open_grid, periodic_grid, resample, save_csv)
+from turnwave.curve import (BLOCK_ROWS, CHUNK, SPLINE_BAND, Curve, _bsplines,
+                            _spline_operators, arc_chord, derivative, graph_curve,
+                            graph_slope_sup, load_csv, min_slope, open_grid,
+                            periodic_grid, resample, save_csv)
 
 from turnwave.stepping import SAMPLE_GROUP
 
@@ -58,6 +59,72 @@ def test_open_derivative_polynomial():
         d1, d2 = derivative(c, order)
         roundoff = 1e3 * np.finfo(float).eps * 5.0 / h ** order
         assert max(np.max(np.abs(d1 - e1)), np.max(np.abs(d2 - e2))) < roundoff
+
+
+def dense_banded_inverse(A, w):
+    """A^-1 for a matrix whose nonzeros lie within w of the diagonal, by
+    Gaussian elimination without pivoting and back substitution over whole
+    rows of an n x n array: the reference that _spline_operators' banded
+    build must reproduce byte for byte."""
+    n = A.shape[0]
+    U, X = A.copy(), np.eye(n)
+    for k in range(n - 1):
+        below = slice(k + 1, min(n, k + w + 1))
+        f = U[below, k] / U[k, k]
+        U[below, k:k + w + 1] -= f[:, None] * U[k, k:k + w + 1]
+        X[below, :k + 1] -= f[:, None] * X[k, :k + 1]
+    for k in range(n - 1, -1, -1):
+        above = slice(k + 1, min(n, k + w + 1))
+        X[k] = (X[k] - (U[k, above, None] * X[above]).sum(axis=0)) / U[k, k]
+    return X
+
+
+def dense_spline_operators(x):
+    """The row blocks of _spline_operators, D_r = B_r A^-1, built from the
+    dense n x n A and A^-1: the reference for the banded build."""
+    n = x.size
+    t = np.concatenate([np.full(6, x[0]), x[3:-3], np.full(6, x[-1])])
+    mu = np.minimum(np.searchsorted(t, x, side="right") - 1, n - 1)
+    rows, cols = np.arange(n)[:, None], mu[:, None] + np.arange(-5, 1)
+    A = np.zeros((n, n))
+    A[rows, cols] = _bsplines(t, x, mu, 5, 0)
+    inverse = dense_banded_inverse(A, 5)
+    operators = []
+    for r in (1, 2):
+        values, blocks = _bsplines(t, x, mu, 5, r), []
+        for i0 in range(0, n, SPLINE_BAND):
+            i1 = i0 + SPLINE_BAND
+            j0, j1 = max(0, i0 - SPLINE_BAND), min(n, i1 + SPLINE_BAND)
+            blocks.append((j0, j1, sum(values[i0:i1, k, None] * inverse[cols[i0:i1, k], j0:j1]
+                                       for k in range(6))))
+        operators.append(blocks)
+    return operators
+
+
+@pytest.mark.parametrize("n,L", [(513, 15.0), (513, 40.0), (1025, 15.0), (1025, 40.0)])
+def test_spline_operators_equal_the_dense_build(n, L):
+    """The banded build of the derivative operators gives every block of
+    the dense build, byte for byte."""
+    x = open_grid(n, L)
+    got, want = _spline_operators.__wrapped__(x.tobytes()), dense_spline_operators(x)
+    for blocks, reference in zip(got, want):
+        assert len(blocks) == len(reference)
+        for (j0, j1, block), (k0, k1, dense) in zip(blocks, reference):
+            assert (j0, j1) == (k0, k1) and block.tobytes() == dense.tobytes()
+
+
+def test_spline_build_memory_is_banded():
+    """A fresh build at N = 2049 forms no N x N array: its traced peak is
+    at most 16 MB (the dense build's was 101 MB), of which the kept blocks
+    are 6.3 MB."""
+    nodes = open_grid(2049, 15.0).tobytes()
+    tracemalloc.start()
+    try:
+        _spline_operators.__wrapped__(nodes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6
 
 
 def test_arc_chord_flat_is_one():
@@ -218,9 +285,143 @@ def test_arc_chord_nan_node_gives_nan(topology, given_d):
     assert np.isnan(arc_chord(curve, d))
 
 
+def projection_bound(curve, c, c2):
+    """The projection bound of arc_chord on the window of chunks c .. c2 of
+    an open curve, without its rounding slack: h^2 / m^2, m the least
+    projection of a node step in the window on chunk c's unit chord, inf
+    when m <= 0."""
+    first = [min(q * CHUNK, curve.n - CHUNK) for q in (c, c2)]
+    z = np.stack([curve.z1, curve.z2])
+    chord = z[:, first[0] + CHUNK - 1] - z[:, first[0]]
+    steps = np.diff(z[:, first[0]:first[1] + CHUNK], axis=1)
+    m = steps[0] * (chord[0] / np.hypot(*chord)) + steps[1] * (chord[1] / np.hypot(*chord))
+    return np.diff(curve.alpha).max() ** 2 / m.min() ** 2 if m.min() > 0.0 else np.inf
+
+
+def diagonal_limit(curve):
+    d1, d2 = derivative(curve, 1)
+    return (1.0 / (d1 ** 2 + d2 ** 2)).max()
+
+
+def open_grid_curve(z1, z2):
+    return Curve(OPEN, open_grid(129, 8.0), z1, z2, L=8.0)
+
+
+def zigzag_curve():
+    """A gentle open wave whose nodes in chunk 3 step back and forth in z1
+    (steps 2.4 h and -0.4 h): m <= 0 on every window that holds them."""
+    a = open_grid(129, 8.0)
+    k = np.arange(129)
+    z1 = a + 0.7 * (a[1] - a[0]) * (-1.0) ** k * (k // CHUNK == 3)
+    return open_grid_curve(z1, 0.1 * np.sin(a))
+
+
+def near_hairpin_curve():
+    """An open curve at unit speed that turns back by pi over about eight
+    nodes near alpha = 0 and then spreads its legs apart: its sup pairs
+    the legs 16 nodes apart, in adjacent chunks."""
+    a = open_grid(129, 8.0)
+    theta = 0.5 * np.pi * (1.0 + np.tanh(4.0 * a)) + 0.6 * np.tanh(a)
+    t = np.exp(1j * theta)
+    z = np.concatenate([[0.0], np.cumsum(0.5 * (a[1] - a[0]) * (t[1:] + t[:-1]))])
+    return open_grid_curve(z.real, z.imag)
+
+
+def smooth_open_curve():
+    a = open_grid(129, 8.0)
+    return open_grid_curve(a + 0.3 * np.sin(a), 0.2 * np.cos(0.7 * a))
+
+
+def test_arc_chord_zigzag_within_a_chunk_prunes_nothing_there():
+    """Steps that go back inside one chunk make m <= 0, so the projection
+    bound prunes none of the windows that hold them, and the sup, at a
+    backward step, comes out exact.  (The caller's derivative is the wave's
+    without the zigzag, whose spline derivative would otherwise give the
+    larger diagonal limit.)"""
+    curve = zigzag_curve()
+    F = dense_arc_chord_ratio(curve)
+    i, j = np.unravel_index(np.argmax(F), F.shape)
+    assert i // CHUNK == j // CHUNK == 3
+    assert all(projection_bound(curve, c, c2) == np.inf for c, c2 in ((2, 3), (3, 3), (3, 4)))
+    assert arc_chord(curve) == dense_sup(curve)
+    wave = open_grid_curve(curve.alpha, curve.z2)
+    assert arc_chord(curve, derivative(wave, 1)) == F.max() > 5.0 * diagonal_limit(wave)
+
+
+def test_arc_chord_hairpin_within_a_near_window():
+    """A fold within one near window puts the sup at a near pair, 16 nodes
+    apart, far above the diagonal limit; the fold gives m <= 0 on its
+    window, while the straight legs' windows are pruned."""
+    curve = near_hairpin_curve()
+    F = dense_arc_chord_ratio(curve)
+    i, j = np.unravel_index(np.argmax(F), F.shape)
+    assert 0 < abs(i - j) <= 2 * CHUNK - 1 and abs(i // CHUNK - j // CHUNK) == 1
+    assert F.max() > 100.0 * diagonal_limit(curve)
+    assert projection_bound(curve, min(i, j) // CHUNK, max(i, j) // CHUNK) == np.inf
+    assert projection_bound(curve, 0, 1) < diagonal_limit(curve)
+    assert arc_chord(curve) == dense_sup(curve)
+
+
+def test_arc_chord_stack_mixes_pruned_and_unpruned_members():
+    """On a stack the pruned chunk pairs differ from member to member: the
+    smooth curve's windows are pruned, the zigzag's and the fold's are
+    not, and on the flat line the bound is 1, which equals s and prunes
+    nothing.  Each member gets the dense sup, the float it gets alone.
+    (Of the smooth curve's nine single-chunk windows, all but the two
+    that hold its slowest stretches are pruned.)"""
+    curves = [smooth_open_curve(), zigzag_curve(), near_hairpin_curve(),
+              open_grid_curve(open_grid(129, 8.0), np.zeros(129))]
+    assert sum(projection_bound(curves[0], c, c) < diagonal_limit(curves[0])
+               for c in range(9)) == 7
+    stack = Curve(OPEN, curves[0].alpha, np.array([c.z1 for c in curves]),
+                  np.array([c.z2 for c in curves]), L=8.0)
+    sups = arc_chord(stack)
+    for sup, curve in zip(sups, curves):
+        assert sup == arc_chord(curve) == dense_sup(curve)
+
+
+@pytest.mark.parametrize("damage", ["nan", "zero-chord"])
+def test_arc_chord_damage_in_a_pruned_window_is_seen(damage):
+    """A nan node, or two coincident nodes, inside chunk 4 of a smooth
+    curve, whose windows the projection bound would prune: the damaged
+    steps make m nan or <= 0, so the window is evaluated and the sup is
+    nan, or inf."""
+    curve = smooth_open_curve()
+    assert projection_bound(curve, 4, 4) < diagonal_limit(curve)
+    i = 4 * CHUNK + 5
+    if damage == "nan":
+        curve.z1[i] = np.nan
+        assert np.isnan(arc_chord(curve, derivative(smooth_open_curve(), 1)))
+    else:
+        curve.z1[i + 3], curve.z2[i + 3] = curve.z1[i], curve.z2[i]
+        assert arc_chord(curve, derivative(smooth_open_curve(), 1)) == np.inf
+
+
+def test_arc_chord_projection_bound_keeps_its_rounding_slack():
+    """A straight open line at angle 1.2 whose node 21 stands 0.75 off it,
+    between nodes 20 and 22, which are 2e-7 apart along it: the steps
+    20 -> 21 -> 22 project on the chunk's chord to about 1e-7, and their
+    rounding, about eps |step|, is 1e-9 of that.  Computed without its
+    slack the window's bound falls 2.5e-10 below the sup F(20, 22), so
+    with s placed between the two (by the caller's derivative) the
+    window would be pruned: the slack keeps it evaluated."""
+    a = open_grid(65, 4.0)
+    u = np.array([np.cos(1.2), np.sin(1.2)])
+    t = np.concatenate([a[:21], [a[20] + 1e-7, a[20] + 2e-7], a[21:-2] + 2e-7])
+    z = t[:, None] * u
+    z[21] += 0.75 * np.array([-u[1], u[0]])
+    curve = Curve(OPEN, a, z[:, 0].copy(), z[:, 1].copy(), L=4.0)
+    F = dense_arc_chord_ratio(curve)
+    assert np.unravel_index(np.argmax(F), F.shape) in ((20, 22), (22, 20))
+    assert projection_bound(curve, 1, 1) < F.max() * (1.0 - 1e-10)
+    speed = np.full(65, 1.0 / np.sqrt(F.max() * (1.0 - 1e-10)))
+    assert arc_chord(curve, (speed, np.zeros(65))) == F.max()
+
+
 def test_arc_chord_temporaries_stay_bounded():
-    """On a flat line F = 1 on every pair and every far chunk pair's bound
-    exceeds 1, so nothing prunes.  The pairs still go through in batches
+    """On a flat line F = 1 on every pair, every far chunk pair's box bound
+    exceeds 1, and the projection bound of every window is 1 widened by
+    its slack, so nothing prunes.  The pairs still go through in batches
     of at most BLOCK_ROWS * N, three float arrays each, not N^2 / 2 at once
     (50 MB at N = 2048), and a stack of the SAMPLE_GROUP samples that run
     diagnoses at once stays within the same bound."""

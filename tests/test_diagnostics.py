@@ -54,6 +54,25 @@ def test_rt_report_negative_runs(negative, periodic, intervals, longest):
     assert rep.min_sigma == sigma.min()
 
 
+def test_rt_report_stack_gives_each_member_its_report():
+    """A (k, N) stack of sigma rows reports, per member, the intervals,
+    minimum and longest run that the member's row gets alone."""
+    alpha = np.arange(8.0)
+    rows = np.ones((5, 8))
+    for row, negative in zip(rows, ([], range(8), [0, 1, 4, 6, 7], [7], [0, 7])):
+        row[list(negative)] = -0.5
+    rows[2, 4] = -2.0
+    for periodic in (True, False):
+        stack = rt_report(alpha, rows, periodic)
+        for i, row in enumerate(rows):
+            alone = rt_report(alpha, row, periodic)
+            assert stack.negative_intervals[i] == alone.negative_intervals
+            assert stack.min_sigma[i] == alone.min_sigma
+            assert stack.longest_negative_run[i] == alone.longest_negative_run
+        assert list(stack.longest_negative_run) == ([0, 8, 4, 1, 2] if periodic
+                                                    else [0, 8, 2, 1, 1])
+
+
 def test_sigma10_flat_value():
     vals = sigma10(flat_curve(64))
     assert np.max(np.abs(vals + 2.0 * np.pi)) < 1e-13
