@@ -78,16 +78,17 @@ def waterwave_rhs(curve: Curve, omega, consts: PhysicalConstants):
     tp = np.column_stack(derivative(curve, 1))
     speed2 = (tp ** 2).sum(axis=1)
     br = br_velocity(cot, omega)
-    dbr_tangential = (tp * np.column_stack([fourier_derivative(br[:, 0]),
-                                            fourier_derivative(br[:, 1])])).sum(axis=1)
+    dbr_tangential = (tp * fourier_derivative(br.T).T).sum(axis=1)
     theta = dbr_tangential / speed2
     c = antiderivative(np.mean(theta) - theta)
     u = br + c[:, None] * tp
 
     geo = br_rate(cot, omega, u)
+    d_energy, d_transport = fourier_derivative(np.stack([omega ** 2 / (4.0 * speed2),
+                                                         c * omega]))
     explicit = (-2.0 * (geo * tp).sum(axis=1)
-                - fourier_derivative(omega ** 2 / (4.0 * speed2))
-                + fourier_derivative(c * omega)
+                - d_energy
+                + d_transport
                 + 2.0 * c * dbr_tangential
                 - 2.0 * consts.g * tp[:, 1])
     return u, _amplitude_solve(cot, tp[:, 0] + 1j * tp[:, 1], explicit)

@@ -55,6 +55,26 @@ DEFAULTS = {
 }
 
 
+# scenario -> the keys its pipeline reads besides scenario and output_dir;
+# a section name stands for all of its keys.  validate rejects any other
+# key that is moved from its default.  The periodic candidate reads
+# turning.beta1 and b alone; water waves have vacuum above and only g in
+# their right-hand side, and rho2 scales the sigma of their diagnostics.
+READS = {
+    "muskat-linear": ("grid.n", "physics", "numerics", "wave.k", "wave.epsilon"),
+    "muskat-turning": ("grid", "physics", "turning", "numerics"),
+    "muskat-breakdown": ("grid.n", "physics", "turning.beta1", "turning.b", "numerics",
+                         "strip", "wave.delta"),
+    "waterwave-linear": ("grid.n", "physics.rho2", "physics.g", "numerics", "wave.k",
+                         "wave.epsilon"),
+    "waterwave-turning": ("grid.n", "physics.rho2", "physics.g", "turning.beta1",
+                          "turning.b", "numerics", "wave.delta"),
+    "ck-compare": ("grid.n", "physics", "numerics.dt", "strip.r0", "strip.T"),
+    "rt-verify": ("grid.n", "physics", "turning.beta1", "turning.b",
+                  "numerics.snapshot_cadence", "weights"),
+}
+
+
 class ScenarioConfig:
     """A scenario, its output directory and one attribute namespace per
     section of DEFAULTS (cfg.grid.n), all at their defaults until
@@ -93,11 +113,11 @@ class ScenarioConfig:
         least MIN_NODES nodes (even on the period, odd on the open line),
         a resolved wavenumber and a strip of positive width.  The turning
         datum's own ranges hold per scenario: grid.L > beta3 on the open
-        line, beta1 < pi on the period.  Water waves have vacuum above and
-        only g in their right-hand side, so their configs keep rho1, mu and
-        kappa at the defaults.  A string value must load back from the
-        config.txt that dump_config writes: no '#', line break, or quote
-        or blank at either end."""
+        line, beta1 < pi on the period.  A string value must load back from
+        the config.txt that dump_config writes: no '#', line break, or quote
+        or blank at either end.  Last, every key that the scenario does not
+        read (READS) must keep its default: a value it would ignore is an
+        error, not a silent no-op."""
         for name in DEFAULTS[""]:
             value = getattr(self, name)
             if _parse_value(value, str) != value or any(c in value for c in "#\n\r"):
@@ -135,13 +155,15 @@ class ScenarioConfig:
             raise ConfigError(
                 f"turning.beta1 = {self.turning.beta1!r} must lie in (0, pi) "
                 f"for the periodic candidate")
-        if self.scenario.startswith("waterwave-"):
-            default = DEFAULTS["physics"]
-            for name in ("rho1", "mu", "kappa"):
-                if getattr(self.physics, name) != default[name]:
-                    raise ConfigError(
-                        f"physics.{name} does not enter the water-wave problem; "
-                        f"leave it at {default[name]!r}")
+        reads = READS[self.scenario]
+        for section, keys in DEFAULTS.items():
+            if not section or section in reads:
+                continue
+            for name, default in keys.items():
+                key, value = f"{section}.{name}", getattr(getattr(self, section), name)
+                if key not in reads and value != default:
+                    raise ConfigError(f"{key} = {value!r} is not read by scenario "
+                                      f"{self.scenario}; leave it at {default!r}")
 
 
 def _parse_value(text: str, target_type):

@@ -17,6 +17,7 @@ of a stack goes through the same operations as when it is given alone,
 so its results are the same floats.
 """
 
+import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import SimpleNamespace
@@ -30,8 +31,11 @@ PERIODIC = "periodic"
 OPEN = "open"
 
 MIN_NODES = 16
-# Rows per block of the O(N^2) pair sweep (pair_blocks).  Of 32..256, 64 was
-# fastest for both Muskat products at N = 512 and 513 (32, by 7%, at N = 2048).
+# Rows per block of the O(N^2) pair sweep (pair_blocks).  With the blocks
+# formed by outer, 64 is the fastest of 32, 64 and 128 for both Muskat
+# right-hand sides at N = 512 and 513 (by 13-15% over 32, 1-14% over 128)
+# and ties with 32 at N = 2048.  The height also fixes how the kernel
+# products are grouped into sums, so changing it changes the last bits.
 BLOCK_ROWS = 64
 # nodes per chunk of the pruned arc-chord sup (_chunk_layout)
 CHUNK = 16
@@ -83,8 +87,7 @@ class Curve:
             raise ValueError("z1 and z2 must have identical shapes, ending in alpha's")
         if self.alpha.size < MIN_NODES:
             raise ValueError(f"need at least {MIN_NODES} nodes")
-        if np.any(np.diff(self.alpha) <= 0):
-            raise ValueError("alphas must be strictly increasing")
+        self.alpha = _checked_grid(self.alpha)
         if self.topology == OPEN and self.L is None:
             self.L = float(abs(self.alpha[0]))
 
@@ -99,6 +102,26 @@ class Curve:
     def with_components(self, z1, z2) -> "Curve":
         return Curve(self.topology, self.alpha, np.asarray(z1, float),
                      np.asarray(z2, float), L=self.L)
+
+
+# the grids that passed _checked_grid, by id; an entry goes with its grid
+_CHECKED_GRIDS = weakref.WeakValueDictionary()
+
+
+def _checked_grid(alpha: np.ndarray) -> np.ndarray:
+    """alpha, strictly increasing, as a read-only view that later curves on
+    the same grid pass back: the stacks, members and updated curves cut
+    from a curve share its grid, and that grid is checked once, not on
+    every construction.  Any other array is checked, also one with the
+    same values."""
+    if _CHECKED_GRIDS.get(id(alpha)) is alpha:
+        return alpha
+    if np.any(np.diff(alpha) <= 0):
+        raise ValueError("alphas must be strictly increasing")
+    grid = alpha.view()
+    grid.flags.writeable = False
+    _CHECKED_GRIDS[id(grid)] = grid
+    return grid
 
 
 def periodic_grid(n: int) -> np.ndarray:
@@ -143,50 +166,57 @@ def derivative(curve: Curve, order: int = 1):
     nodes: (d1, d2), each of z1's shape, (N,) or (k, N) for a stack.
 
     Periodic: spectral (exact for band-limited data), one batched FFT
-    over the stack; the linear part of z1 is handled separately.  Open:
-    the quintic interpolating spline's derivative at the nodes, a banded
-    matrix product (_spline_operators) applied to each member's (N, 2)
-    points as a (k, N, 2) matmul stack, which gives each member the bits
-    it gets alone.
+    over both components and the stack; the linear part of z1 is handled
+    separately.  Open: the quintic interpolating spline's derivative at
+    the nodes, a banded matrix product (_spline_operators) applied to each
+    member's (N, 2) points as a (k, N, 2) matmul stack, which gives each
+    member the bits it gets alone.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
     if curve.topology == PERIODIC:
-        d1 = fourier_derivative(curve.z1 - curve.alpha, order)
-        if order == 1:
-            d1 = d1 + 1.0
-        return d1, fourier_derivative(curve.z2, order)
+        d1, d2 = fourier_derivative(np.stack([curve.z1 - curve.alpha, curve.z2]), order)
+        return (d1 + 1.0 if order == 1 else d1), d2
     blocks = _spline_operators(curve.alpha.tobytes())[order - 1]
     points = curve.points()
     d = np.concatenate([op @ points[..., j0:j1, :] for j0, j1, op in blocks], axis=-2)
     return d[..., 0], d[..., 1]
 
 
-def _bsplines(t, x, mu, k, r):
-    """r-th derivatives at x of the k + 1 B-splines of degree k on the knots
-    t that can be nonzero there, those with indices mu - k ... mu
-    (t[mu] <= x < t[mu + 1]): the Cox-de Boor recursion up to degree
-    k - r, then r steps of the derivative recursion (de Boor, A Practical
-    Guide to Splines, ch. IX-X).  A ratio whose knot span is empty
-    multiplies a zero B-spline and counts as 0."""
-    values = np.ones((x.size, 1))
-    for d in range(1, k + 1):
+def _bsplines(t, x, mu):
+    """The values and the first and second derivatives at x, each of shape
+    (x.size, 6), of the six quintic B-splines on the knots t that can be
+    nonzero there, those with indices mu - 5 ... mu (t[mu] <= x <
+    t[mu + 1]).  The r-th derivative is the Cox-de Boor recursion up to
+    degree 5 - r, then r steps of the derivative recursion (de Boor, A
+    Practical Guide to Splines, ch. IX-X): the three share the recursion
+    up to degree 3 and branch from there.  A ratio whose knot span is
+    empty multiplies a zero B-spline and counts as 0."""
+
+    def step(values, d):
+        """From values at degree d - 1 to degree d: the Cox-de Boor
+        recursion, and d times the difference of the same ratios (one
+        step of the derivative recursion)."""
         i = mu[:, None] + np.arange(-d, 1)
         padded = np.pad(values, ((0, 0), (1, 1)))
         spans = t[i + d] - t[i], t[i + d + 1] - t[i + 1]
         left, right = (v / np.where(s > 0.0, s, 1.0)
                        for v, s in zip((padded[:, :-1], padded[:, 1:]), spans))
-        if d <= k - r:
-            values = (x[:, None] - t[i]) * left + (t[i + d + 1] - x[:, None]) * right
-        else:
-            values = d * (left - right)
-    return values
+        return ((x[:, None] - t[i]) * left + (t[i + d + 1] - x[:, None]) * right,
+                d * (left - right))
+
+    values = np.ones((x.size, 1))
+    for d in (1, 2, 3):
+        values, _ = step(values, d)
+    values, slopes = step(values, 4)
+    return (*step(values, 5), step(slopes, 5)[1])
 
 
-def _banded_inverse(t, x, mu, below, above):
+def _banded_inverse(values, mu, below, above):
     """The diagonals -above .. below + 5 of A^-1 as rows of an array S,
     S[above + d, c] = A^-1[c + d, c], for the collocation matrix
-    A[i, mu_i - 5 .. mu_i] = B-splines at node i (mu nondecreasing).
+    A[i, mu_i - 5 .. mu_i] = values[i], the B-splines at node i (mu
+    nondecreasing).
     Gaussian elimination without pivoting, which is stable for the
     totally positive B-spline collocation matrices (de Boor & Pinkus,
     Numer. Math. 27, 1977), then back substitution: row operations only,
@@ -205,10 +235,10 @@ def _banded_inverse(t, x, mu, below, above):
     of the dense elimination in their order, except that the back
     substitution of column c starts below + 1 .. below + 5 rows under the
     diagonal from the eliminated values instead of those of A^-1."""
-    n = x.size
+    n = mu.size
     rows = np.arange(n)[:, None]
     A = np.zeros((n, 11))   # A[r, 5 + c - r] = A[r, c]
-    A[rows, mu[:, None] - rows + np.arange(6)] = _bsplines(t, x, mu, 5, 0)
+    A[rows, mu[:, None] - rows + np.arange(6)] = values
     U, F = A.tolist(), np.zeros((6, n)).tolist()   # F[s][r] = f[r, r - s]
     first, last = (mu - 5).tolist(), np.minimum(mu, n - 1).tolist()
     end = 0   # the rows r < end start at or before the pivot column
@@ -280,8 +310,8 @@ def _spline_operators(nodes: bytes):
     # the band of A^-1 that the blocks read: rows cols[i0:i1], columns j0:j1
     below = max(cols[i0:i1].max() - j0 for i0, i1, j0, j1 in spans)
     above = max(j1 - 1 - cols[i0:i1].min() for i0, i1, j0, j1 in spans)
-    diagonals = _banded_inverse(t, x, mu, min(below + SPLINE_MARGIN, n - 1), above)
-    values = [_bsplines(t, x, mu, 5, r) for r in (1, 2)]
+    values, *derivatives = _bsplines(t, x, mu)
+    diagonals = _banded_inverse(values, mu, min(below + SPLINE_MARGIN, n - 1), above)
     operators = ([], [])
     for i0, i1, j0, j1 in spans:
         m0, m1 = cols[i0:i1].min(), cols[i0:i1].max() + 1
@@ -289,29 +319,56 @@ def _spline_operators(nodes: bytes):
         window = diagonals.take((above + np.arange(m0, m1))[:, None] * n
                                 + np.arange(j0, j1) * (1 - n))
         entries = window[cols[i0:i1] - m0]   # A^-1[cols[i], j] as (rows, 6, columns)
-        for v, blocks in zip(values, operators):
+        for v, blocks in zip(derivatives, operators):
             block = (v[i0:i1, :, None] * entries).sum(axis=1)
             block.flags.writeable = False
             blocks.append((j0, j1, block))
     return tuple(map(tuple, operators))
 
 
+def outer(op, x, y, out=None) -> np.ndarray:
+    """op.outer(x, y) for op = np.subtract or np.multiply, as the k = 2
+    matrix product [x, -1] @ [1; y] or [x, 0] @ [y; 0], which BLAS forms
+    about twice as fast as numpy's broadcasting.  Each entry has exactly
+    one inexact term, x_i - y_j or x_i y_j (the others are x_i 1, -1 y_j,
+    0 0 and the accumulator's 0), so it is that term rounded once, in any
+    summation order, with or without FMA, at any thread count: the same
+    value as op.outer.  Only a zero can differ, in its sign: OpenBLAS adds
+    the terms to a +0 accumulator, so an entry whose exact value is -0
+    comes out +0 ((-0) - (+0), or a zero product of opposite signs).  A
+    zero of either sign adds nothing to the sums that the kernels form
+    from these blocks.  The operands take O(len(x) + len(y)) memory."""
+    left, right = np.empty((len(x), 2)), np.empty((2, len(y)))
+    left[:, 0] = x
+    if op is np.subtract:
+        left[:, 1], right[0], right[1] = -1.0, 1.0, y
+    elif op is np.multiply:
+        left[:, 1], right[0], right[1] = 0.0, y, 0.0
+    else:
+        raise ValueError(f"outer forms differences and products, not {op!r}")
+    return np.matmul(left, right, out=out)
+
+
 def pair_blocks(*xs, rows=None):
     """The upper triangle of node pairs of the first `rows` nodes (all by
     default), BLOCK_ROWS rows at a time: yields (i0, i1, diffs), diffs[c] =
-    xs[c][i0:i1, None] - xs[c][None, i0:], so the diagonal pairs sit at
-    [k, k] and the leading (i1 - i0) square also holds pairs j < i.  The
-    diffs live in buffers that the next block overwrites: a consumer may
-    change them in place but must not keep them.  It serves the Muskat
-    kernels; arc_chord needs only the sup and skips most pairs."""
+    xs[c][i0:i1, None] - xs[c][None, i0:], formed by outer (np.subtract),
+    so the diagonal pairs sit at [k, k] and the leading (i1 - i0) square
+    also holds pairs j < i.  Each difference is the broadcast one, except
+    that an exact zero comes out +0 where broadcasting gives -0 ((-0) -
+    (+0)); a kernel value of either zero adds nothing to the block sums
+    of the Muskat kernels.  The diffs live in buffers that the next block
+    overwrites: a consumer may change them in place but must not keep
+    them.  It serves the Muskat kernels; arc_chord needs only the sup and
+    skips most pairs."""
     n = xs[0].size
     rows = n if rows is None else rows
     bufs = [np.empty(min(BLOCK_ROWS, rows) * n) for _ in xs]
     for i0 in range(0, rows, BLOCK_ROWS):
         i1 = min(i0 + BLOCK_ROWS, rows)
         shape = (i1 - i0, n - i0)
-        yield i0, i1, [np.subtract(x[i0:i1, None], x[None, i0:],
-                                   out=buf[:shape[0] * shape[1]].reshape(shape))
+        yield i0, i1, [outer(np.subtract, x[i0:i1], x[i0:],
+                             out=buf[:shape[0] * shape[1]].reshape(shape))
                        for x, buf in zip(xs, bufs)]
 
 

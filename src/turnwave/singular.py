@@ -13,6 +13,10 @@ transcendentals instead of O(N^2):
 with |E_i - E_j|^2 = (a_i - a_j)^2 + (b_i - b_j)^2.  The denominator does
 not cancel the way cosh(dz2) - cos(dz1) does near the diagonal; each
 kernel value is as accurate as E itself, which is rounded once per node.
+The pairwise differences and products are formed by curve.outer as k = 2
+BLAS matrix products, each entry rounded once: the values of numpy's
+broadcasting (an exact zero comes out +0), about twice as fast, and the
+same at any thread count.
 
 Two kinds of kernels appear:
 
@@ -50,7 +54,7 @@ recovered from q = v1 - i*v2.  The perp convention is (x, y)^perp =
 
 import numpy as np
 
-from .curve import Curve, OPEN, PERIODIC, derivative, pair_blocks
+from .curve import Curve, OPEN, PERIODIC, derivative, outer, pair_blocks
 
 
 class QuadratureError(Exception):
@@ -102,17 +106,29 @@ def br_block(curve: Curve) -> np.ndarray:
     """cot((w_i - w_j) / 2) for even i and odd j: the N/2 x N/2 block from
     which every water-wave Birkhoff-Rott quantity is formed.  Periodic
     curves with even N only.  Evaluated in the conformal coordinates as
-    [2 (b_i a_j - a_i b_j) + i (|E_i|^2 - |E_j|^2)] / |E_i - E_j|^2."""
+    [2 (b_i a_j - a_i b_j) + i (|E_i|^2 - |E_j|^2)] / |E_i - E_j|^2.  Its
+    three outer differences and two outer products are formed by
+    curve.outer, each entry rounded once, as numpy's broadcasting rounds
+    it.  Only an exact zero can differ, in its sign: outer gives +0 where
+    broadcasting gives -0 ((-0) - (+0), or a zero product of opposite
+    signs).  A numerator p - q of two exact-zero products can then be a
+    zero of the other sign, and so can the real part of its entry, which
+    adds nothing to the sums of br_velocity, br_rate and the amplitude
+    solve."""
     _require_even(curve)
     if curve.topology != PERIODIC:
         raise QuadratureError("Birkhoff-Rott quadrature implemented for periodic curves")
     a, b = _conformal(curve)
     q = a * a + b * b
-    ae, be, ao, bo = a[::2, None], b[::2, None], a[None, 1::2], b[None, 1::2]
-    denom = np.square(ae - ao) + np.square(be - bo)
+    ae, be, ao, bo = a[::2], b[::2], a[1::2], b[1::2]
+    denom = np.square(outer(np.subtract, ae, ao))
+    denom += np.square(outer(np.subtract, be, bo))
+    num = outer(np.multiply, be, ao)
+    num -= outer(np.multiply, ae, bo)
+    num *= 2.0
     cot = np.empty(denom.shape, dtype=complex)
-    np.divide(2.0 * (be * ao - ae * bo), denom, out=cot.real)
-    np.divide(q[::2, None] - q[None, 1::2], denom, out=cot.imag)
+    np.divide(num, denom, out=cot.real)
+    np.divide(outer(np.subtract, q[::2], q[1::2]), denom, out=cot.imag)
     return cot
 
 
@@ -183,11 +199,12 @@ def _muskat_periodic(curve: Curve, prefactor: float, lead: int = 0,
 
 
 def _conformal_pair(a, b, i0, i1, da, db):
-    """2 (b_i a_j - a_i b_j) / ((a_i - a_j)^2 + (b_i - b_j)^2)."""
+    """2 (b_i a_j - a_i b_j) / ((a_i - a_j)^2 + (b_i - b_j)^2), the two
+    products formed by curve.outer."""
     denom = np.add(np.square(da, out=da), np.square(db, out=db), out=da)
     np.fill_diagonal(denom, 1.0)
-    num = np.multiply.outer(2.0 * b[i0:i1], a[i0:], out=db)
-    num -= np.multiply.outer(2.0 * a[i0:i1], b[i0:])
+    num = outer(np.multiply, 2.0 * b[i0:i1], a[i0:], out=db)
+    num -= outer(np.multiply, 2.0 * a[i0:i1], b[i0:])
     return np.divide(num, denom, out=num)
 
 

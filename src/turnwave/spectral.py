@@ -5,7 +5,10 @@ alpha_i = period * i / N, and use numpy's FFT conventions (mode k lives
 at index k for 0 <= k < N/2 and at N+k for k < 0).  The samples lie
 along the last axis; fourier_derivative, apply_krasny and
 discrete_h4_norm treat any leading axes as a stack of rows, each row
-through the same operations as when it is given alone.
+through the same operations as when it is given alone: numpy's pocketfft
+applies one plan to every row, so a stack of derivatives is one call
+whose rows are the single-row results bit for bit.  The wavenumbers and
+the derivative multipliers are cached per grid size.
 """
 
 from functools import lru_cache
@@ -21,20 +24,24 @@ def modes(n: int) -> np.ndarray:
     return k
 
 
-def fourier_derivative(f, order=1, period=2.0 * np.pi):
-    """Spectral derivative of periodic samples.
-
-    The Nyquist mode is zeroed for odd orders (its derivative is not
-    representable on the grid).
-    """
-    f = np.asarray(f, dtype=float)
-    n = f.shape[-1]
-    k = modes(n) * (2.0 * np.pi / period)
-    fk = np.fft.fft(f)
-    mult = (1j * k) ** order
+@lru_cache(maxsize=16)
+def _derivative_multiplier(n: int, order: int, period: float) -> np.ndarray:
+    """(i k)^order on n samples of the period, read-only.  The Nyquist mode
+    is zeroed for odd orders (its derivative is not representable on the
+    grid)."""
+    mult = (1j * (modes(n) * (2.0 * np.pi / period))) ** order
     if order % 2 == 1 and n % 2 == 0:
         mult[n // 2] = 0.0
-    return np.fft.ifft(fk * mult).real
+    mult.flags.writeable = False
+    return mult
+
+
+def fourier_derivative(f, order=1, period=2.0 * np.pi):
+    """Spectral derivative of periodic samples, or of each row of a stack."""
+    f = np.asarray(f, dtype=float)
+    fk = np.fft.fft(f)
+    fk *= _derivative_multiplier(f.shape[-1], order, period)
+    return np.fft.ifft(fk).real
 
 
 def hilbert_transform(f):

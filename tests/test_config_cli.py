@@ -1,6 +1,7 @@
 """Config parsing, CLI exit codes, artifact determinism, SVG rendering."""
 
 import glob
+import importlib.util
 import json
 import os
 import subprocess
@@ -11,8 +12,8 @@ import pytest
 
 from turnwave import stepping
 from turnwave.cli import main
-from turnwave.config import (ConfigError, ScenarioConfig, apply_assignment,
-                             dump_config, load_config)
+from turnwave.config import (DEFAULTS, READS, SCENARIOS, ConfigError, ScenarioConfig,
+                             apply_assignment, dump_config, load_config)
 from turnwave.curve import load_csv
 from turnwave.strip import PICARD_TOL
 from turnwave.svg import render_curve, render_series
@@ -224,6 +225,73 @@ def test_cli_waterwave_physics_keys_exit_2(tmp_path, capsys, assignment):
     path = os.path.join(CONFIG_DIR, "waterwave-linear.cfg")
     assert main(["run", path, "--out", str(tmp_path / "out"), "--set", assignment]) == 2
     assert assignment.split("=")[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config,assignment", [
+    ("rt-verify.cfg", "turning.tilt=0.3"),       # tilts only the open candidate
+    ("muskat-breakdown.cfg", "grid.L=3"),         # L sizes only the open line
+    ("muskat-linear.cfg", "strip.r0=0.1"),        # no strip pipeline
+    ("ck-compare.cfg", "numerics.t_end=1"),       # compares up to strip.T
+    ("rt-verify.cfg", "numerics.dt=1e-4"),        # samples at weights.tau / 200
+    ("waterwave-turning.cfg", "turning.cbar=-0.5"),   # the periodic candidate
+    ("muskat-turning.cfg", "weights.A=50"),       # only rt-verify weighs
+])
+def test_cli_unread_key_exit_2(tmp_path, capsys, config, assignment):
+    """A key that the scenario never reads, moved from its default, is a
+    config error that names the key and the scenario, raised before
+    anything is written: the run would write the artifacts of the
+    default."""
+    out = tmp_path / "out"
+    path = os.path.join(CONFIG_DIR, config)
+    assert main(["run", path, "--out", str(out), "--set", assignment]) == 2
+    err = capsys.readouterr().err
+    assert assignment.split("=")[0] in err and load_config(path).scenario in err
+    assert not out.exists()
+
+
+def _section_keys(section):
+    return [f"{section}.{name}" for name in DEFAULTS[section]] if section in DEFAULTS \
+        else [section]
+
+
+def _read_keys(scenario):
+    return {key for entry in READS[scenario] for key in _section_keys(entry)}
+
+
+def test_read_table_names_known_keys():
+    """READS has one entry per scenario, and each names a section or a
+    key of DEFAULTS."""
+    assert sorted(READS) == sorted(SCENARIOS)
+    known = {key for section in DEFAULTS if section for key in _section_keys(section)}
+    for scenario in SCENARIOS:
+        assert _read_keys(scenario) <= known, scenario
+
+
+@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(CONFIG_DIR, "*.cfg"))),
+                         ids=os.path.basename)
+def test_bundled_config_assigns_only_keys_it_reads(path):
+    """Every key a bundled config assigns is read by its scenario, also a
+    key assigned its default value."""
+    with open(path) as fh:
+        keys = [line.split("#")[0].split("=")[0].strip() for line in fh]
+    scenario = load_config(path).scenario
+    assigned = {key for key in keys if "." in key}
+    assert assigned and assigned <= _read_keys(scenario)
+
+
+def test_benchmark_jittered_keys_are_read():
+    """Every key that a benchmark seed jitters is read by the scenario of
+    its config, so each seed runs different physics."""
+    where = os.path.join(os.path.dirname(__file__), "..", "turnbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("turnbench_workloads", where)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    jittered = [(name, key) for w in workloads.WORKLOADS.values()
+                for name, keys in w.jitter.items() for key in keys]
+    assert jittered
+    for name, key in jittered:
+        scenario = load_config(os.path.join(CONFIG_DIR, f"{name}.cfg")).scenario
+        assert key in _read_keys(scenario), (name, key)
 
 
 def test_cli_missing_config_exit_2(tmp_path):

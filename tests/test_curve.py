@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from turnwave.curve import (BLOCK_ROWS, CHUNK, SPLINE_BAND, Curve, _bsplines,
+from turnwave.curve import (BLOCK_ROWS, CHUNK, SPLINE_BAND, Curve,
                             _spline_operators, arc_chord, derivative, graph_curve,
                             graph_slope_sup, load_csv, min_slope, open_grid,
                             periodic_grid, resample, save_csv)
 
+from turnwave import curve as curve_module
 from turnwave.stepping import SAMPLE_GROUP
 
 from conftest import flat_curve
@@ -32,6 +33,54 @@ def test_constructor_validation():
         Curve(PERIODIC, a, a[:-1], a)
     with pytest.raises(ValueError):
         Curve(PERIODIC, a[::-1], a, a)
+
+
+def test_grid_is_checked_once_per_grid(monkeypatch):
+    """A grid that does not increase raises, also as a second array with
+    the values of a checked one.  The curves cut from a checked curve (an
+    updated curve, a stack, a member) reuse its grid and do not check it
+    again; any other array is checked."""
+    a = periodic_grid(64)
+    flat = a.copy()
+    flat[5] = flat[4]
+    with pytest.raises(ValueError, match="increasing"):
+        Curve(PERIODIC, flat, a, a)
+    c = wavy(64)
+    checks = []
+    diff = np.diff
+    monkeypatch.setattr(np, "diff", lambda x, *args: checks.append(x.size) or diff(x, *args))
+    stack = Curve(PERIODIC, c.alpha, np.stack([c.z1, c.z1]), np.stack([c.z2, c.z2]))
+    for derived in (c.with_components(c.z1, 2.0 * c.z2), stack,
+                    Curve(PERIODIC, stack.alpha, stack.z1[1], stack.z2[1])):
+        assert derived.alpha is c.alpha
+    assert checks == []
+    for grid in (a, c.alpha.copy()):
+        assert Curve(PERIODIC, grid, c.z1, c.z2).alpha is not c.alpha
+    assert checks == [64, 64]
+    bad = c.alpha.copy()
+    bad[5] = bad[4]
+    with pytest.raises(ValueError, match="increasing"):
+        Curve(PERIODIC, bad, c.z1, c.z2)
+    assert not c.alpha.flags.writeable
+
+
+def test_periodic_derivative_is_one_transform(monkeypatch):
+    """derivative of a periodic curve, or of a stack, takes both
+    components through one fourier_derivative call, with the bits of one
+    call per component."""
+    c = wavy(128)
+    stack = Curve(PERIODIC, c.alpha, np.stack([c.z1, c.z1 + 0.1]), np.stack([c.z2, -c.z2]))
+    calls = []
+    transform = curve_module.fourier_derivative
+    monkeypatch.setattr(curve_module, "fourier_derivative",
+                        lambda f, order: calls.append(f.shape) or transform(f, order))
+    for curve in (c, stack):
+        for order in (1, 2):
+            d1, d2 = derivative(curve, order)
+            alone = transform(curve.z1 - curve.alpha, order)
+            assert d1.tobytes() == (alone + 1.0 if order == 1 else alone).tobytes()
+            assert d2.tobytes() == transform(curve.z2, order).tobytes()
+    assert calls == [(2, 128)] * 2 + [(2, 2, 128)] * 2
 
 
 def test_periodic_derivative_band_limited_exact():
@@ -79,6 +128,26 @@ def dense_banded_inverse(A, w):
     return X
 
 
+def reference_bsplines(t, x, mu, k, r):
+    """r-th derivatives at x of the k + 1 B-splines of degree k on the knots
+    t that can be nonzero there, those with indices mu - k ... mu: the
+    Cox-de Boor recursion up to degree k - r, then r steps of the
+    derivative recursion, run for each r on its own.  The reference for
+    _bsplines, which shares the recursion between the orders."""
+    values = np.ones((x.size, 1))
+    for d in range(1, k + 1):
+        i = mu[:, None] + np.arange(-d, 1)
+        padded = np.pad(values, ((0, 0), (1, 1)))
+        spans = t[i + d] - t[i], t[i + d + 1] - t[i + 1]
+        left, right = (v / np.where(s > 0.0, s, 1.0)
+                       for v, s in zip((padded[:, :-1], padded[:, 1:]), spans))
+        if d <= k - r:
+            values = (x[:, None] - t[i]) * left + (t[i + d + 1] - x[:, None]) * right
+        else:
+            values = d * (left - right)
+    return values
+
+
 def dense_spline_operators(x):
     """The row blocks of _spline_operators, D_r = B_r A^-1, built from the
     dense n x n A and A^-1: the reference for the banded build."""
@@ -87,11 +156,11 @@ def dense_spline_operators(x):
     mu = np.minimum(np.searchsorted(t, x, side="right") - 1, n - 1)
     rows, cols = np.arange(n)[:, None], mu[:, None] + np.arange(-5, 1)
     A = np.zeros((n, n))
-    A[rows, cols] = _bsplines(t, x, mu, 5, 0)
+    A[rows, cols] = reference_bsplines(t, x, mu, 5, 0)
     inverse = dense_banded_inverse(A, 5)
     operators = []
     for r in (1, 2):
-        values, blocks = _bsplines(t, x, mu, 5, r), []
+        values, blocks = reference_bsplines(t, x, mu, 5, r), []
         for i0 in range(0, n, SPLINE_BAND):
             i1 = i0 + SPLINE_BAND
             j0, j1 = max(0, i0 - SPLINE_BAND), min(n, i1 + SPLINE_BAND)

@@ -1,5 +1,6 @@
-"""Byte-for-byte determinism of the O(N^2) right-hand sides, and of the
-turning certificate's d_alpha v1(0), across BLAS thread counts."""
+"""Byte-for-byte determinism of the O(N^2) right-hand sides, of the
+water-wave Birkhoff-Rott block, and of the turning certificate's
+d_alpha v1(0), across BLAS thread counts."""
 
 import os
 import subprocess
@@ -11,11 +12,12 @@ import pytest
 import turnwave
 
 SIZES = {"muskat_rhs_periodic": 512, "muskat_rhs_open": 513, "waterwave_rhs": 256,
-         "dv1_at_zero_periodic": 2048}
+         "dv1_at_zero_periodic": 2048, "br_block": 256}
 # float64 values each case writes: per node for a right-hand side, (z_t,
-# omega_t) for the water waves; dv1 is one number at n_eval nodes
+# omega_t) for the water waves; dv1 is one number at n_eval nodes; the
+# complex N/2 x N/2 Birkhoff-Rott block is two per entry
 VALUES = {"muskat_rhs_periodic": 2 * 512, "muskat_rhs_open": 2 * 513,
-          "waterwave_rhs": 3 * 256, "dv1_at_zero_periodic": 1}
+          "waterwave_rhs": 3 * 256, "dv1_at_zero_periodic": 1, "br_block": 2 * 128 ** 2}
 
 SCRIPT = f"""
 import sys
@@ -24,7 +26,7 @@ from turnwave.closures import PhysicalConstants, waterwave_rhs
 from turnwave.curve import Curve, open_grid, periodic_grid
 from turnwave.initial_data import (TurningParams, dv1_at_zero_periodic,
                                    turning_candidate_periodic)
-from turnwave.singular import muskat_rhs_open, muskat_rhs_periodic
+from turnwave.singular import br_block, muskat_rhs_open, muskat_rhs_periodic
 
 SIZES = {SIZES!r}
 
@@ -43,7 +45,8 @@ out = [muskat_rhs_periodic(turned_periodic(SIZES["muskat_rhs_periodic"]), 0.3),
        np.concatenate([u.ravel(), omega_t]),
        np.array([dv1_at_zero_periodic(
            turning_candidate_periodic(TurningParams(beta1=1.5, b=3.0), n=512), 0.3,
-           n_eval=SIZES["dv1_at_zero_periodic"])])]
+           n_eval=SIZES["dv1_at_zero_periodic"])]),
+       br_block(turned_periodic(SIZES["br_block"]))]
 sys.stdout.buffer.write(b"".join(np.ascontiguousarray(x).tobytes() for x in out))
 """
 
@@ -75,6 +78,7 @@ def one_and_two_threads():
                "OpenBLAS's threaded path and its last bits depend on the "
                "thread count (see README)")),
     "dv1_at_zero_periodic",
+    "br_block",
 ])
 def test_rhs_bytes_independent_of_blas_threads(one_and_two_threads, name):
     one, two = one_and_two_threads

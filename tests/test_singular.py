@@ -8,7 +8,7 @@ import pytest
 
 from turnwave import singular
 from turnwave.curve import (BLOCK_ROWS, Curve, arc_chord, derivative, graph_curve,
-                            min_slope, open_grid, pair_blocks, periodic_grid)
+                            min_slope, open_grid, outer, pair_blocks, periodic_grid)
 from turnwave.closures import ClosureIterationError, _amplitude_solve
 from turnwave.initial_data import dv1_at_zero_periodic
 from turnwave.singular import (QuadratureError, _conformal, _conformal_pair, _open_pair,
@@ -271,6 +271,78 @@ def dense_product(kern, weights, d, dd, diag_scale):
     scale = np.stack([np.abs(d1) * mag[:, 0] + mag[:, 1] + np.abs(limit * dd[0]),
                       np.abs(d2) * mag[:, 0] + mag[:, 2] + np.abs(limit * dd[1])])
     return ref, 2 * (d1.size + 3) * np.finfo(float).eps * scale
+
+
+def signed_operands(size, seed):
+    """Doubles of both signs and magnitudes from 1e-300 to 1e300; from
+    two on, with +0 and -0 among them, and from five on, one inf and one
+    nan."""
+    rng = np.random.default_rng(seed)
+    x = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-300, 300, size)
+    x[rng.integers(0, size, 6)] = rng.uniform(-1.0, 1.0, 6)   # same-size values
+    x[1::7], x[3::11] = 0.0, -0.0
+    if size > 4:
+        x[size // 2], x[size // 3] = np.inf, np.nan
+    return x
+
+
+@pytest.mark.parametrize("rows,cols", [(1, 1), (1, 300), (300, 1), (37, 300),
+                                       (BLOCK_ROWS, 513), (128, 128)])
+def test_outer_differences_equal_broadcasting(rows, cols):
+    """outer(np.subtract) gives x_i - y_j as the broadcast subtraction
+    rounds it, on operands with +0, -0, inf and nan: the same values and
+    sign bits, except that an exact zero comes out +0.  The broadcast -0
+    comes from (-0) - (+0) alone, which the operands hold."""
+    x, y = signed_operands(rows, 1), signed_operands(cols, 2)
+    with np.errstate(invalid="ignore"):
+        want, got = x[:, None] - y[None, :], outer(np.subtract, x, y)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want) & (want != 0))
+    if rows > 3 and cols > 1:
+        assert np.any((want == 0) & np.signbit(want))
+    buf = np.empty((rows, cols))
+    with np.errstate(invalid="ignore"):
+        assert outer(np.subtract, x, y, out=buf) is buf
+    assert buf.tobytes() == got.tobytes()
+
+
+@pytest.mark.parametrize("rows,cols", [(1, 1), (1, 300), (300, 1), (37, 300),
+                                       (BLOCK_ROWS, 513), (128, 128)])
+def test_outer_products_equal_broadcasting(rows, cols):
+    """outer(np.multiply) gives x_i y_j rounded once, as the broadcast
+    product does, also where it overflows, underflows or meets inf or nan;
+    the sign bits agree except on exact-zero products, which come out
+    +0."""
+    x, y = signed_operands(rows, 3), signed_operands(cols, 4)
+    with np.errstate(invalid="ignore", over="ignore", under="ignore"):
+        want, got = x[:, None] * y[None, :], outer(np.multiply, x, y)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want) & (want != 0))
+    with pytest.raises(ValueError):
+        outer(np.add, x, y)
+
+
+def broadcast_br_block(curve):
+    """br_block as numpy's broadcasting forms it: the reference for the
+    products of curve.outer."""
+    a, b = _conformal(curve)
+    q = a * a + b * b
+    ae, be, ao, bo = a[::2, None], b[::2, None], a[None, 1::2], b[None, 1::2]
+    denom = np.square(ae - ao) + np.square(be - bo)
+    cot = np.empty(denom.shape, dtype=complex)
+    np.divide(2.0 * (be * ao - ae * bo), denom, out=cot.real)
+    np.divide(q[::2, None] - q[None, 1::2], denom, out=cot.imag)
+    return cot
+
+
+@pytest.mark.parametrize("n", [16, 128, 256, 512])
+def test_br_block_equals_broadcast_evaluation(n):
+    """Every entry of the block equals the broadcast form's, bit for bit
+    (a zero may differ in its sign alone), on a turned curve and on the
+    flat line, whose b = 0 at alpha = 0 and pi."""
+    for c in (turned_periodic(n), flat_curve(n), near_turnover(n)):
+        got, want = br_block(c), broadcast_br_block(c)
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("n", sorted({16, 64, 65, BLOCK_ROWS, 513, 2048}))

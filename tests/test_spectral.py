@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from turnwave.spectral import (antiderivative, apply_krasny,
+from turnwave.spectral import (_derivative_multiplier, antiderivative, apply_krasny,
                                fourier_derivative, hilbert_transform,
                                krasny_filter, modes)
 
@@ -35,6 +35,23 @@ def test_fourier_derivative_nonstandard_period():
     f = np.sin(2 * np.pi * x / 4.0)
     exact = (2 * np.pi / 4.0) * np.cos(2 * np.pi * x / 4.0)
     assert np.max(np.abs(fourier_derivative(f, period=4.0) - exact)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [256, 512, 513, 1024])
+def test_fourier_derivative_stack_rows_equal_single_rows(n):
+    """A stack's derivative is one batched transform whose rows are the
+    single-row derivatives bit for bit, for stacks of 2 and 2 x 3 rows,
+    through one cached, read-only multiplier per (n, order, period)."""
+    rng = np.random.default_rng(n)
+    stack = rng.standard_normal((2, 3, n))
+    for order in (1, 2):
+        for rows in (stack[:, 0], stack):
+            got = fourier_derivative(rows, order)
+            for row, f in zip(got.reshape(-1, n), rows.reshape(-1, n)):
+                assert row.tobytes() == fourier_derivative(f, order).tobytes()
+        mult = _derivative_multiplier(n, order, 2.0 * np.pi)
+        assert mult is _derivative_multiplier(n, order, 2.0 * np.pi)
+        assert not mult.flags.writeable
 
 
 def test_hilbert_transform_oracle():
