@@ -57,21 +57,25 @@ DEFAULTS = {
 
 # scenario -> the keys its pipeline reads besides scenario and output_dir;
 # a section name stands for all of its keys.  validate rejects any other
-# key that is moved from its default.  The periodic candidate reads
-# turning.beta1 and b alone; water waves have vacuum above and only g in
-# their right-hand side, and rho2 scales the sigma of their diagnostics.
+# key that is moved from its default.  The periodic candidate shapes the
+# curve with turning.beta1 and b alone; it reads beta2 and beta3 only
+# through TurningParams, which orders beta1 < beta2 < beta3, so they
+# must move to reach beta1 in [beta2's default, pi).  Water waves have
+# vacuum above and only g in their right-hand side, and rho2 scales the
+# sigma of their diagnostics.
+PERIODIC_TURNING = ("turning.beta1", "turning.beta2", "turning.beta3", "turning.b")
 READS = {
     "muskat-linear": ("grid.n", "physics", "numerics", "wave.k", "wave.epsilon"),
     "muskat-turning": ("grid", "physics", "turning", "numerics"),
-    "muskat-breakdown": ("grid.n", "physics", "turning.beta1", "turning.b", "numerics",
-                         "strip", "wave.delta"),
+    "muskat-breakdown": ("grid.n", "physics", *PERIODIC_TURNING, "numerics", "strip",
+                         "wave.delta"),
     "waterwave-linear": ("grid.n", "physics.rho2", "physics.g", "numerics", "wave.k",
                          "wave.epsilon"),
-    "waterwave-turning": ("grid.n", "physics.rho2", "physics.g", "turning.beta1",
-                          "turning.b", "numerics", "wave.delta"),
+    "waterwave-turning": ("grid.n", "physics.rho2", "physics.g", *PERIODIC_TURNING,
+                          "numerics", "wave.delta"),
     "ck-compare": ("grid.n", "physics", "numerics.dt", "strip.r0", "strip.T"),
-    "rt-verify": ("grid.n", "physics", "turning.beta1", "turning.b",
-                  "numerics.snapshot_cadence", "weights"),
+    "rt-verify": ("grid.n", "physics", *PERIODIC_TURNING, "numerics.snapshot_cadence",
+                  "weights"),
 }
 
 

@@ -17,7 +17,6 @@ of a stack goes through the same operations as when it is given alone,
 so its results are the same floats.
 """
 
-import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import SimpleNamespace
@@ -104,24 +103,23 @@ class Curve:
                      np.asarray(z2, float), L=self.L)
 
 
-# the grids that passed _checked_grid, by id; an entry goes with its grid
-_CHECKED_GRIDS = weakref.WeakValueDictionary()
+# the last grid that passed _checked_grid, as a read-only copy
+_checked = None
 
 
 def _checked_grid(alpha: np.ndarray) -> np.ndarray:
-    """alpha, strictly increasing, as a read-only view that later curves on
+    """alpha, strictly increasing, as a read-only copy that later curves on
     the same grid pass back: the stacks, members and updated curves cut
     from a curve share its grid, and that grid is checked once, not on
     every construction.  Any other array is checked, also one with the
-    same values."""
-    if _CHECKED_GRIDS.get(id(alpha)) is alpha:
-        return alpha
-    if np.any(np.diff(alpha) <= 0):
-        raise ValueError("alphas must be strictly increasing")
-    grid = alpha.view()
-    grid.flags.writeable = False
-    _CHECKED_GRIDS[id(grid)] = grid
-    return grid
+    same values; the copy keeps a later write to alpha off the grid."""
+    global _checked
+    if alpha is not _checked:
+        if np.any(np.diff(alpha) <= 0):
+            raise ValueError("alphas must be strictly increasing")
+        _checked = alpha.copy()
+        _checked.flags.writeable = False
+    return _checked
 
 
 def periodic_grid(n: int) -> np.ndarray:

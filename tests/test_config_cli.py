@@ -1,20 +1,28 @@
 """Config parsing, CLI exit codes, artifact determinism, SVG rendering."""
 
+import ast
 import glob
 import importlib.util
+import inspect
 import json
 import os
 import subprocess
 import sys
+import textwrap
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from turnwave import stepping
 from turnwave.cli import main
+from turnwave.closures import PhysicalConstants
 from turnwave.config import (DEFAULTS, READS, SCENARIOS, ConfigError, ScenarioConfig,
                              apply_assignment, dump_config, load_config)
 from turnwave.curve import load_csv
+from turnwave.diagnostics import WeightParams
+from turnwave.initial_data import TurningParams
+from turnwave.scenarios import _PIPELINES, _finish
 from turnwave.strip import PICARD_TOL
 from turnwave.svg import render_curve, render_series
 
@@ -292,6 +300,69 @@ def test_benchmark_jittered_keys_are_read():
     for name, key in jittered:
         scenario = load_config(os.path.join(CONFIG_DIR, f"{name}.cfg")).scenario
         assert key in _read_keys(scenario), (name, key)
+
+
+# ScenarioConfig's builders: method -> (section, the dataclass it fills)
+BUILDERS = {"constants": ("physics", PhysicalConstants),
+            "turning_params": ("turning", TurningParams),
+            "weight_params": ("weights", WeightParams)}
+
+
+def _config_reads(function):
+    """The keys that function's source names on its cfg argument, as two
+    sets: each cfg.<section>.<key>, and the keys that a builder call
+    (cfg.constants() ...) takes into the object it builds."""
+    named, built = set(), set()
+    for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(function)))):
+        if not isinstance(node, ast.Attribute):
+            continue
+        holder = node.value
+        if isinstance(holder, ast.Attribute) and isinstance(holder.value, ast.Name) \
+                and holder.value.id == "cfg":
+            named.add(f"{holder.attr}.{node.attr}")
+        if isinstance(holder, ast.Name) and holder.id == "cfg" and node.attr in BUILDERS:
+            section, cls = BUILDERS[node.attr]
+            built |= {f"{section}.{f.name}" for f in fields(cls)}
+    return named, built
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_read_table_matches_the_pipeline(scenario):
+    """READS agrees with the source of the scenario's pipeline.  Every key
+    that the pipeline names on cfg is in READS, or validate would reject a
+    key the run uses.  Every key in READS is named by the pipeline or by
+    _finish, or is a field of an object the pipeline builds from cfg: a key
+    in READS that nothing reads would pass validate and change nothing."""
+    named, built = _config_reads(_PIPELINES[scenario])
+    finish_named, _ = _config_reads(_finish)
+    reads = _read_keys(scenario)
+    assert named and named <= reads, named - reads
+    assert reads <= named | built | finish_named, reads - (named | built | finish_named)
+
+
+@pytest.mark.parametrize("config", ["muskat-breakdown.cfg", "waterwave-turning.cfg",
+                                    "rt-verify.cfg"])
+def test_periodic_candidate_takes_beta1_up_to_pi(config):
+    """The periodic candidate allows beta1 in (0, pi), and TurningParams
+    orders beta1 < beta2 < beta3: moving beta2 and beta3 out of the way is
+    how a config reaches beta1 in [3, pi), so those keys pass validate in
+    the periodic scenarios."""
+    cfg = load_config(os.path.join(CONFIG_DIR, config))
+    for assignment in ("turning.beta1=3.1", "turning.beta2=4", "turning.beta3=5"):
+        apply_assignment(cfg, *assignment.split("="))
+    cfg.validate()
+    assert cfg.turning_params().beta1 == 3.1
+
+
+def test_cli_rt_verify_with_beta1_near_pi_runs(tmp_path):
+    """rt-verify at beta1 = 3.1 runs to its report (exit 0 or 4), not to a
+    config error."""
+    out = tmp_path / "out"
+    code = main(["run", os.path.join(CONFIG_DIR, "rt-verify.cfg"), "--out", str(out),
+                 "--set", "turning.beta1=3.1", "--set", "turning.beta2=4",
+                 "--set", "turning.beta3=5"])
+    assert code in (0, 4)
+    assert "sigma10_checklist" in json.loads((out / "report.json").read_text())
 
 
 def test_cli_missing_config_exit_2(tmp_path):

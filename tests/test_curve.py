@@ -39,7 +39,8 @@ def test_grid_is_checked_once_per_grid(monkeypatch):
     """A grid that does not increase raises, also as a second array with
     the values of a checked one.  The curves cut from a checked curve (an
     updated curve, a stack, a member) reuse its grid and do not check it
-    again; any other array is checked."""
+    again; any other array is checked.  The grid is a read-only copy, so a
+    later write to the caller's array does not reach it."""
     a = periodic_grid(64)
     flat = a.copy()
     flat[5] = flat[4]
@@ -62,6 +63,10 @@ def test_grid_is_checked_once_per_grid(monkeypatch):
     with pytest.raises(ValueError, match="increasing"):
         Curve(PERIODIC, bad, c.z1, c.z2)
     assert not c.alpha.flags.writeable
+    grid = periodic_grid(64)
+    held = Curve(PERIODIC, grid, c.z1, c.z2)
+    grid[5] = grid[4]
+    assert held.alpha[5] > held.alpha[4]
 
 
 def test_periodic_derivative_is_one_transform(monkeypatch):
