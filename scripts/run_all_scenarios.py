@@ -7,12 +7,16 @@ Each summary line ends with the sha256 of the run directory, over every
 file name and its bytes as turnbench/child.py hashes them: two checkouts
 wrote the same artifacts when their lines carry the same hashes.  Each
 run directory's config.txt records its output_dir, so the hashes of two
-checkouts compare only when both are run with the same --out.
+checkouts compare only when both are run with the same --out.  Each line
+also gives the run's wall and CPU seconds and the minor page faults it
+took (getrusage of this process around run_scenario); they go to stdout
+only, never into a run directory.
 """
 
 import argparse
 import hashlib
 import os
+import resource
 import sys
 import time
 
@@ -43,10 +47,13 @@ def main():
             continue
         cfg = load_config(os.path.join(CONFIG_DIR, name))
         cfg.output_dir = os.path.join(args.out, name[:-4])
-        t0 = time.time()
+        t0, r0 = time.time(), resource.getrusage(resource.RUSAGE_SELF)
         result = run_scenario(cfg)
+        r1 = resource.getrusage(resource.RUSAGE_SELF)
+        cpu = r1.ru_utime + r1.ru_stime - r0.ru_utime - r0.ru_stime
         print(f"{name:28s} exit={result.exit_code} "
-              f"({time.time() - t0:5.1f}s)  {result.message}  "
+              f"({time.time() - t0:5.1f}s, cpu {cpu:5.2f}s, "
+              f"{r1.ru_minflt - r0.ru_minflt} minor faults)  {result.message}  "
               f"sha256={hash_dir(cfg.output_dir)}")
         worst = max(worst, result.exit_code)
     return worst

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import Curve, derivative
+from .curve import Curve, derivative, scratch
 from .singular import br_block, br_rate, br_velocity
 from .spectral import antiderivative, fourier_derivative
 
@@ -103,18 +103,31 @@ def _amplitude_solve(cot, tau, rhs) -> np.ndarray:
     identity.  With its off-diagonal blocks P (even <- odd) and Q
     (odd <- even), x_e solves the N/2 Schur complement
     (I - P Q) x_e = r_e - P r_o, and x_o = r_o - Q x_e.  The residual is
-    checked on all N rows of the original system."""
+    checked on all N rows of the original system.
+
+    P, Q, I - P Q and the complex products they are taken from are scratch
+    views.  Q is in F order, as numpy lays out the product with cot.T, and
+    I - P Q is formed as 0 - P Q, then 1 added on the diagonal: 1 + (0 -
+    x) is 1 - x in IEEE arithmetic, so the matrix is np.eye - P @ Q bit
+    for bit."""
     k = -1j / tau.size
-    P = 2.0 * np.real((k * tau[::2])[:, None] * cot)
-    Q = -2.0 * np.real((k * tau[1::2])[:, None] * cot.T)
+    z = np.multiply((k * tau[::2])[:, None], cot, out=scratch(0, cot.shape, complex))
+    P = np.multiply(2.0, z.real, out=scratch(1, cot.shape))
+    z = np.multiply((k * tau[1::2])[:, None], cot.T,
+                    out=scratch(0, cot.T.shape, complex, order="F"))
+    Q = np.multiply(-2.0, z.real, out=scratch(2, cot.T.shape, order="F"))
     r_e, r_o = rhs[::2], rhs[1::2]
+    schur = np.matmul(P, Q, out=scratch(0, (P.shape[0], Q.shape[1])))
+    np.subtract(0.0, schur, out=schur)
+    schur.reshape(-1)[::schur.shape[0] + 1] += 1.0
     try:
-        x_e = np.linalg.solve(np.eye(P.shape[0]) - P @ Q, r_e - P @ r_o)
+        x_e = np.linalg.solve(schur, r_e - P @ r_o)
     except np.linalg.LinAlgError as exc:
         raise ClosureIterationError("water-wave amplitude system is singular") from exc
-    x_o = r_o - Q @ x_e
+    qx = Q @ x_e
+    x_o = r_o - qx
     residual = float(max(np.max(np.abs(x_e + P @ x_o - r_e)),
-                         np.max(np.abs(Q @ x_e + x_o - r_o))))
+                         np.max(np.abs(qx + x_o - r_o))))
     bound = SOLVE_RESIDUAL_BOUND * max(1.0, float(np.max(np.abs(rhs))))
     if not residual < bound:
         raise ClosureIterationError(

@@ -17,6 +17,7 @@ of a stack goes through the same operations as when it is given alone,
 so its results are the same floats.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import SimpleNamespace
@@ -347,27 +348,58 @@ def outer(op, x, y, out=None) -> np.ndarray:
     return np.matmul(left, right, out=out)
 
 
+# The scratch pool of the O(N^2) kernels: three flat float64 buffers, each
+# as large as the largest request of its slot so far (scratch).
+_pool = [np.empty(0) for _ in range(3)]
+
+
+def scratch(slot: int, shape, dtype=float, order="C") -> np.ndarray:
+    """Pool buffer `slot` (0, 1 or 2) as an uninitialised float or complex
+    array of `shape`, in C or F order.  Each buffer grows to the largest
+    size requested of it and is kept across calls, so the blocks of the
+    O(N^2) kernels (pair_blocks and its pair functions, br_block, br_rate,
+    the amplitude solve, arc_chord's batches) reuse the same pages.
+    Allocated and freed on every call, blocks of 0.1-0.5 MB sit at glibc's
+    mmap and trim thresholds, and the top of the heap is handed back to the
+    kernel and faulted in again on the next call.
+
+    A view is overwritten by the next request of its slot, by any caller.
+    A function holds views only while it runs and returns none.  While it
+    holds them it calls nothing that asks scratch for a slot; the one
+    exception is pair_blocks, which hands its consumer views of every slot
+    it uses, so the slot numbers stay in the functions that ask for them.
+    The pool is for single-threaded use."""
+    width = 2 if dtype is complex else 1
+    size = width * math.prod(shape)
+    if _pool[slot].size < size:
+        _pool[slot] = np.empty(size)
+    view = _pool[slot][:size]
+    return (view.view(complex) if width == 2 else view).reshape(shape, order=order)
+
+
 def pair_blocks(*xs, rows=None):
     """The upper triangle of node pairs of the first `rows` nodes (all by
-    default), BLOCK_ROWS rows at a time: yields (i0, i1, diffs), diffs[c] =
-    xs[c][i0:i1, None] - xs[c][None, i0:], formed by outer (np.subtract),
-    so the diagonal pairs sit at [k, k] and the leading (i1 - i0) square
-    also holds pairs j < i.  Each difference is the broadcast one, except
-    that an exact zero comes out +0 where broadcasting gives -0 ((-0) -
-    (+0)); a kernel value of either zero adds nothing to the block sums
-    of the Muskat kernels.  The diffs live in buffers that the next block
-    overwrites: a consumer may change them in place but must not keep
-    them.  It serves the Muskat kernels; arc_chord needs only the sup and
-    skips most pairs."""
+    default), BLOCK_ROWS rows at a time: yields (i0, i1, diffs, spare),
+    diffs[c] = xs[c][i0:i1, None] - xs[c][None, i0:], formed by outer
+    (np.subtract), so the diagonal pairs sit at [k, k] and the leading
+    (i1 - i0) square also holds pairs j < i.  Each difference is the
+    broadcast one, except that an exact zero comes out +0 where
+    broadcasting gives -0 ((-0) - (+0)); a kernel value of either zero
+    adds nothing to the block sums of the Muskat kernels.  Two arrays xs
+    at most.  The diffs and spare, an uninitialised block of their shape,
+    are scratch views that the next block overwrites: a consumer may
+    change them in place, but must not keep them or ask scratch for
+    anything during the sweep.  It serves the Muskat kernels; arc_chord
+    needs only the sup and skips most pairs."""
     n = xs[0].size
     rows = n if rows is None else rows
-    bufs = [np.empty(min(BLOCK_ROWS, rows) * n) for _ in xs]
+    bufs = [scratch(slot, (min(BLOCK_ROWS, rows) * n,)) for slot in range(len(xs) + 1)]
     for i0 in range(0, rows, BLOCK_ROWS):
         i1 = min(i0 + BLOCK_ROWS, rows)
         shape = (i1 - i0, n - i0)
-        yield i0, i1, [outer(np.subtract, x[i0:i1], x[i0:],
-                             out=buf[:shape[0] * shape[1]].reshape(shape))
-                       for x, buf in zip(xs, bufs)]
+        blocks = [buf[:shape[0] * shape[1]].reshape(shape) for buf in bufs]
+        yield i0, i1, [outer(np.subtract, x[i0:i1], x[i0:], out=blk)
+                       for x, blk in zip(xs, blocks)], blocks[-1]
 
 
 @lru_cache(maxsize=4)
@@ -507,18 +539,20 @@ def arc_chord(curve: Curve, d=None):
     def evaluate(ci, cj, hits, lower):
         """Raise sups to the max of F over the chunk pairs (ci[p], cj[p])
         of members s, hits = s * len(ci) + p; lower masks the node pairs
-        j <= i."""
+        j <= i.  A batch's dz1, dz2 and beta are scratch slots 0, 1, 2."""
         for k in range(0, hits.size, batch):
             s, p = np.divmod(hits[k:k + batch], ci.size)
             I, J = nodes[ci[p]], nodes[cj[p]]
-            dz1, dz2 = (X[s, ci[p]][:, :, None] - X[s, cj[p]][:, None, :] for X in (X1, Z2))
+            shape = (p.size, CHUNK, CHUNK)
+            dz1, dz2 = (np.subtract(X[s, ci[p]][:, :, None], X[s, cj[p]][:, None, :],
+                                    out=scratch(slot, shape))
+                        for slot, X in enumerate((X1, Z2)))
             if lower:
                 np.copyto(dz2, np.inf, where=I[:, :, None] >= J[:, None, :])   # F = 0
-            beta = a[I][:, :, None] - a[J][:, None, :]
+            beta = np.subtract(a[I][:, :, None], a[J][:, None, :], out=scratch(2, shape))
             if periodic:
                 np.add(beta, 2.0 * np.pi, out=beta, where=beta < -np.pi)
             np.maximum.at(sups, s, sup(beta, dz1, dz2))   # a nan stays nan
-            del dz1, dz2, beta   # before the next batch's are made
 
     def projection_bounds():
         """h^2 / (m - slack)^2 for the window of chunks c .. c + r of each
@@ -557,10 +591,13 @@ def arc_chord(curve: Curve, d=None):
             (c, c'), lo and hi the ends of the range of x over a chunk:
             their larger one is the gap between the ranges, where it is
             positive.  The chunks are taken as (members, CHUNK, m), so
-            that each reduction is one loop."""
+            that each reduction is one loop, and each difference is taken
+            in place of its gathered lo, with no temporary of its own."""
             chunks = np.take(x, nodes.T, axis=1)
             lo, hi = chunks.min(axis=1), chunks.max(axis=1)
-            return lo[:, fi] - hi[:, fj], lo[:, fj] - hi[:, fi]
+            below, above = lo[:, fi], lo[:, fj]
+            return (np.subtract(below, hi[:, fj], out=below),
+                    np.subtract(above, hi[:, fi], out=above))
 
         below, above = gaps(z1)
         g1 = np.maximum(below, above)
@@ -571,7 +608,9 @@ def arc_chord(curve: Curve, d=None):
             np.minimum(g1, np.maximum(below, above, out=below), out=g1)
             g1 -= unwrap[:, None]
         del below, above
-        g2 = np.maximum(*gaps(z2))
+        below, above = gaps(z2)
+        g2 = np.maximum(below, above, out=below)
+        del above
         denom = np.square(np.maximum(g1, 0.0, out=g1), out=g1)
         denom += np.square(np.maximum(g2, 0.0, out=g2), out=g2)
         bound = np.divide(np.square(L.far_beta), denom, out=denom)

@@ -32,7 +32,7 @@ from .initial_data import (DeltaTooLargeError, dv1_at_zero_periodic,
                            turning_candidate_open, turning_candidate_periodic,
                            turning_certificate, waterwave_datum)
 from .stepping import (BlowUpError, GRAPH_BLOWUP, RT_RUN_LENGTH, RT_SIGN_CHANGE,
-                       TURNING, SimState, StepStats, _brent, advance, run)
+                       SAMPLE_GROUP, TURNING, SimState, StepStats, _brent, advance, run)
 from .strip import (CKResult, InsufficientAnalyticityError, RegimeExitError,
                     ck_solve, extend_to_strip)
 from .svg import render_curve, render_series
@@ -304,7 +304,13 @@ def waterwave_turning(cfg: ScenarioConfig) -> ScenarioResult:
     ev_blow = traj.events.first(GRAPH_BLOWUP)
     graph_fails = ev_turn is not None and min_slope(final.curve).min_slope <= 0.0
     times = traj.times
-    sup_fa = [graph_slope_sup(c) for _, c, _ in traj.snapshots]
+    # one call per stack of SAMPLE_GROUP snapshots, which gives each its
+    # own floats; a stack of all of them would raise the peak memory by 2 MB
+    curves, sup_fa = [c for _, c, _ in traj.snapshots], []
+    for g in range(0, len(curves), SAMPLE_GROUP):
+        group = curves[g:g + SAMPLE_GROUP]
+        sup_fa += graph_slope_sup(group[0].with_components(
+            np.stack([c.z1 for c in group]), np.stack([c.z2 for c in group]))).tolist()
     finite = [v for v in sup_fa if np.isfinite(v)]
     report = {
         "round_trip_error": round_trip,

@@ -54,7 +54,7 @@ recovered from q = v1 - i*v2.  The perp convention is (x, y)^perp =
 
 import numpy as np
 
-from .curve import Curve, OPEN, PERIODIC, derivative, outer, pair_blocks
+from .curve import Curve, OPEN, PERIODIC, derivative, outer, pair_blocks, scratch
 
 
 class QuadratureError(Exception):
@@ -83,17 +83,17 @@ def _tangent_difference(x1, x2, pair, weights, d, dd, diag_scale,
     `rows` nodes (all by default); shape (2, rows).
 
     K has a zero diagonal and is exactly odd in floating point (K_ji =
-    -K_ij): pair(x1, x2, i0, i1, dx1, dx2) returns its rows i0:i1, columns
-    i0:N from the difference blocks of curve.pair_blocks, which it may
-    overwrite.  A block adds blk @ X[i0:] to rows i0:i1 of S = K X, X =
-    [w, w d_1, w d_2], and subtracts blk[:, i1 - i0:].T @ X[i0:i1] from
-    rows i1:."""
+    -K_ij): pair(x1, x2, i0, i1, dx1, dx2, spare) returns its rows i0:i1,
+    columns i0:N from the difference blocks and the spare block of
+    curve.pair_blocks, all of which it may overwrite.  A block adds
+    blk @ X[i0:] to rows i0:i1 of S = K X, X = [w, w d_1, w d_2], and
+    subtracts blk[:, i1 - i0:].T @ X[i0:i1] from rows i1:."""
     d1, d2 = d
     rows = d1.size if rows is None else rows
     xs = np.column_stack([weights, weights * d1, weights * d2])
     s = np.zeros_like(xs)
-    for i0, i1, (u1, u2) in pair_blocks(x1, x2, rows=rows):
-        blk = pair(x1, x2, i0, i1, u1, u2)
+    for i0, i1, (u1, u2), spare in pair_blocks(x1, x2, rows=rows):
+        blk = pair(x1, x2, i0, i1, u1, u2, spare)
         s[i0:i1] += blk @ xs[i0:]
         s[i1:] -= blk[:, i1 - i0:].T @ xs[i0:i1]
     d1, d2, s = d1[:rows], d2[:rows], s[:rows]
@@ -114,21 +114,25 @@ def br_block(curve: Curve) -> np.ndarray:
     signs).  A numerator p - q of two exact-zero products can then be a
     zero of the other sign, and so can the real part of its entry, which
     adds nothing to the sums of br_velocity, br_rate and the amplitude
-    solve."""
+    solve.  The differences and products are scratch views; the block
+    returned is the caller's."""
     _require_even(curve)
     if curve.topology != PERIODIC:
         raise QuadratureError("Birkhoff-Rott quadrature implemented for periodic curves")
     a, b = _conformal(curve)
     q = a * a + b * b
     ae, be, ao, bo = a[::2], b[::2], a[1::2], b[1::2]
-    denom = np.square(outer(np.subtract, ae, ao))
-    denom += np.square(outer(np.subtract, be, bo))
-    num = outer(np.multiply, be, ao)
-    num -= outer(np.multiply, ae, bo)
+    shape = (ae.size, ao.size)
+    denom = outer(np.subtract, ae, ao, out=scratch(0, shape))
+    np.square(denom, out=denom)
+    diff = outer(np.subtract, be, bo, out=scratch(1, shape))
+    denom += np.square(diff, out=diff)
+    num = outer(np.multiply, be, ao, out=scratch(1, shape))
+    num -= outer(np.multiply, ae, bo, out=scratch(2, shape))
     num *= 2.0
-    cot = np.empty(denom.shape, dtype=complex)
+    cot = np.empty(shape, dtype=complex)
     np.divide(num, denom, out=cot.real)
-    np.divide(outer(np.subtract, q[::2], q[1::2]), denom, out=cot.imag)
+    np.divide(outer(np.subtract, q[::2], q[1::2], out=num), denom, out=cot.imag)
     return cot
 
 
@@ -161,11 +165,13 @@ def br_rate(cot: np.ndarray, omega, velocity) -> np.ndarray:
     The kernel is -(2h / 8 pi i) (u_i - u_j) / sin^2((w_i - w_j) / 2) with
     u = v1 + i v2 and -2h / 8 pi i = i / 2N.  1 / sin^2 = 1 + cot^2 reuses
     the BR block, and with S = 1 / sin^2 (symmetric) the difference is
-    applied as u_i (S omega)_i - (S (u omega))_i."""
+    applied as u_i (S omega)_i - (S (u omega))_i; the block S is scratch
+    slot 0."""
     omega = np.asarray(omega, dtype=float)
     velocity = np.asarray(velocity, dtype=float)
     u = velocity[:, 0] + 1j * velocity[:, 1]
-    s = _alternating(1.0 + cot * cot, np.column_stack([omega, u * omega]), 1.0)
+    sq = np.multiply(cot, cot, out=scratch(0, cot.shape, complex))
+    s = _alternating(np.add(1.0, sq, out=sq), np.column_stack([omega, u * omega]), 1.0)
     q = (0.5j / omega.size) * (u * s[:, 0] - s[:, 1])
     return np.column_stack([q.real, -q.imag])
 
@@ -198,13 +204,13 @@ def _muskat_periodic(curve: Curve, prefactor: float, lead: int = 0,
     return prefactor * v.T
 
 
-def _conformal_pair(a, b, i0, i1, da, db):
+def _conformal_pair(a, b, i0, i1, da, db, spare):
     """2 (b_i a_j - a_i b_j) / ((a_i - a_j)^2 + (b_i - b_j)^2), the two
-    products formed by curve.outer."""
+    products formed by curve.outer, the second in spare."""
     denom = np.add(np.square(da, out=da), np.square(db, out=db), out=da)
     np.fill_diagonal(denom, 1.0)
     num = outer(np.multiply, 2.0 * b[i0:i1], a[i0:], out=db)
-    num -= outer(np.multiply, 2.0 * a[i0:i1], b[i0:])
+    num -= outer(np.multiply, 2.0 * a[i0:i1], b[i0:], out=spare)
     return np.divide(num, denom, out=num)
 
 
@@ -241,8 +247,9 @@ def muskat_rhs_open(curve: Curve, darcy_factor: float) -> np.ndarray:
     return (darcy_factor / (2.0 * np.pi)) * v.T
 
 
-def _open_pair(z1, z2, i0, i1, dz1, dz2):
+def _open_pair(z1, z2, i0, i1, dz1, dz2, spare):
+    """dz1 / (dz1^2 + dz2^2), dz1^2 in spare."""
     denom = np.square(dz2, out=dz2)
-    denom += dz1 ** 2
+    denom += np.square(dz1, out=spare)
     np.fill_diagonal(denom, 1.0)
     return np.divide(dz1, denom, out=dz1)

@@ -16,6 +16,7 @@ mode multipliers, and provides:
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -41,6 +42,8 @@ TAIL_TOLERANCE = 1e-13      # amplified-tail threshold relative to the peak
 COEFF_FLOOR = 1e-15         # relative floor below which coefficients count as 0
 DECAY_MARGIN_MODES = 8      # slack modes in the pointwise decay check
 CHORD_BOUND = 1e8           # largest admissible real-axis arc-chord ratio
+START_PANELS = 4            # Simpson intervals of ck_solve's first time grid (a multiple of 4)
+MAX_DOUBLINGS = 6           # the interval count doubles at most this often (to 256)
 
 
 @dataclass
@@ -55,6 +58,9 @@ class StripCurve:
     coeffs: np.ndarray
     r: float
     t: float = 0.0
+    # the checked grid of the real curves, shared by the curves of a
+    # ck_solve; None makes a new periodic_grid(n)
+    grid: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=complex)
@@ -73,14 +79,15 @@ class StripCurve:
         return self.coeffs.shape[1]
 
     def real_curve(self) -> Curve:
-        return _real_curve(self.coeffs)
+        return _real_curve(self.coeffs, self.grid)
 
 
-def _real_curve(coeffs: np.ndarray) -> Curve:
-    """The curve on the real axis, from its coefficients (2, n)."""
+def _real_curve(coeffs: np.ndarray, grid=None) -> Curve:
+    """The curve on the real axis, from its coefficients (2, n), on grid,
+    periodic_grid(n) by default."""
     n = coeffs.shape[1]
     vals = np.fft.ifft(coeffs, axis=1).real * n
-    alpha = periodic_grid(n)
+    alpha = periodic_grid(n) if grid is None else grid
     return Curve(topology=PERIODIC, alpha=alpha, z1=alpha + vals[0], z2=vals[1])
 
 
@@ -138,12 +145,23 @@ def extend_to_strip(curve: Curve, r: float, t: float = 0.0) -> StripCurve:
 
 # --- scale-of-spaces norm ------------------------------------------------------
 
+@lru_cache(maxsize=(START_PANELS << MAX_DOUBLINGS) + 1)
+def _strip_weight(n: int, r: float) -> np.ndarray:
+    """2 cosh(2 k r) (1 + k^8) for the n modes k, read-only: the weights of
+    strip_norm at half-width r.  ck_solve takes the norms of each node of
+    a time grid at that node's r on every sweep, so the cache holds the
+    nodes of the finest grid."""
+    k = modes(n).astype(float)
+    weight = 2.0 * np.cosh(2.0 * k * r) * (1.0 + k ** 8)
+    weight.flags.writeable = False
+    return weight
+
+
 def strip_norm(coeffs: np.ndarray, r: float) -> float:
     """||f||_r = (sum_+- int |f(a +- ir)|^2 + |d^4 f(a +- ir)|^2 da)^(1/2)
     of the flat-subtracted components with coefficients (2, n), by the
     coefficient (Parseval) formula."""
-    k = modes(coeffs.shape[1]).astype(float)
-    weight = 2.0 * np.cosh(2.0 * k * r) * (1.0 + k ** 8)
+    weight = _strip_weight(coeffs.shape[1], r)
     return float(np.sqrt(2.0 * np.pi * np.sum(weight[None, :] * np.abs(coeffs) ** 2)))
 
 
@@ -162,11 +180,11 @@ def strip_distance(a: np.ndarray, b: np.ndarray, r: float) -> float:
 
 # --- contour operator --------------------------------------------------------
 
-def _g_coeffs(coeffs: np.ndarray, prefactor: float) -> np.ndarray:
-    """Fourier coefficients (FFT layout / n) of the real-axis contour
-    velocity (v1, v2) of the curve with coefficients (2, n)."""
-    v = muskat_rhs_periodic(_real_curve(coeffs), prefactor)
-    return np.fft.fft(v, axis=0).T / coeffs.shape[1]
+def _g_coeffs(curve: Curve, prefactor: float) -> np.ndarray:
+    """Fourier coefficients (FFT layout / n) of the contour velocity (v1,
+    v2) of a real curve."""
+    v = muskat_rhs_periodic(curve, prefactor)
+    return np.fft.fft(v, axis=0).T / curve.n
 
 
 def _quadratic_integral(f0, f1, f2, h: float, s: float):
@@ -193,8 +211,6 @@ def _simpson_nodes(z0: np.ndarray, g: np.ndarray, h: float) -> np.ndarray:
 
 PICARD_TOL = 1e-10      # bound on the sweep-to-sweep strip distance and the time error
 PICARD_MAX_ITER = 50    # sweeps before a solve is returned unconverged
-START_PANELS = 4        # Simpson intervals of the first time grid (a multiple of 4)
-MAX_DOUBLINGS = 6       # the interval count doubles at most this often (to 256)
 
 
 @dataclass
@@ -220,7 +236,7 @@ class CKResult:
         coeffs = self.curves[m].coeffs + _quadratic_integral(*self.g[m:m + 3], h,
                                                              (t - self.times[m]) / h)
         r = np.interp(t, self.times, [c.r for c in self.curves])
-        return StripCurve(coeffs=coeffs, r=r, t=t)
+        return StripCurve(coeffs=coeffs, r=r, t=t, grid=self.curves[m].grid)
 
 
 def ck_solve(z0: StripCurve, T: float, prefactor: float,
@@ -239,12 +255,14 @@ def ck_solve(z0: StripCurve, T: float, prefactor: float,
     real-axis arc-chord ratio below CHORD_BOUND, and Fourier tail
     compatible with r(t) wherever G is evaluated (the domain-of-validity
     guard); a check that reads nan counts as outside.  The sweeps work on
-    coefficient arrays; only the returned curves are StripCurves.
+    coefficient arrays; only the returned curves are StripCurves.  The real
+    curves of the solve, and of the curves it returns, share the grid of
+    z0's real curve.
     """
     def check_admissible(coeffs, r):
         if not strip_norm(coeffs, r) <= norm_bound:
             raise RegimeExitError(f"iterate norm exceeds {norm_bound:g}")
-        if not arc_chord(_real_curve(coeffs)) <= CHORD_BOUND:
+        if not arc_chord(_real_curve(coeffs, grid)) <= CHORD_BOUND:
             raise RegimeExitError("real-trace arc-chord bound exceeded")
 
     def check_strip(coeffs, r, t, it):
@@ -254,7 +272,9 @@ def ck_solve(z0: StripCurve, T: float, prefactor: float,
 
     # z^n(0) = z0 in every sweep: check it and evaluate G(z0) once
     check_strip(z0.coeffs, z0.r, 0.0, 1)
-    g0 = _g_coeffs(z0.coeffs, prefactor)
+    real0 = z0.real_curve()
+    grid = real0.alpha
+    g0 = _g_coeffs(real0, prefactor)
     check_admissible(z0.coeffs, z0.r)
 
     evaluations = 1
@@ -269,7 +289,7 @@ def ck_solve(z0: StripCurve, T: float, prefactor: float,
             for j in range(1, panels + 1):
                 check_strip(prev[j], rs[j], times[j], it)
                 # the first sweep of a grid iterates on z0 at every node
-                g.append(g0 if it == 1 else _g_coeffs(prev[j], prefactor))
+                g.append(g0 if it == 1 else _g_coeffs(_real_curve(prev[j], grid), prefactor))
             g = np.stack(g)
             evaluations += panels if it > 1 else 0
             new = _simpson_nodes(z0.coeffs, g, T / panels)
@@ -287,7 +307,7 @@ def ck_solve(z0: StripCurve, T: float, prefactor: float,
     else:
         raise RegimeExitError(f"time error estimate {error:.3e} exceeds "
                               f"{PICARD_TOL:g} at {panels} panels")
-    curves = [StripCurve(coeffs=new[j], r=rs[j], t=z0.t + times[j])
+    curves = [StripCurve(coeffs=new[j], r=rs[j], t=z0.t + times[j], grid=grid)
               for j in range(panels + 1)]
     return CKResult(times=z0.t + times, curves=curves, g=g,
                     contraction_history=history, iterations=it,

@@ -3,6 +3,7 @@ acceptance-criterion scoreboard."""
 
 import numpy as np
 
+from turnwave import curve as curve_module
 from turnwave.curve import OPEN, PERIODIC, Curve, open_grid, periodic_grid
 
 RESULTS = []
@@ -14,6 +15,14 @@ def flat_curve(n: int = 256, topology: str = PERIODIC, L: float = 40.0,
     a = periodic_grid(n) if topology == PERIODIC else open_grid(n, L)
     return Curve(topology, a, a.copy(), np.full(n, offset),
                  L=L if topology == OPEN else None)
+
+
+def empty_scratch_pool(monkeypatch):
+    """Give the O(N^2) kernels an empty scratch pool for the rest of the
+    test, so that a traced call allocates, and is charged for, every block
+    it asks of the pool: a warm-up call would otherwise have grown the
+    pool untraced."""
+    monkeypatch.setattr(curve_module, "_pool", [np.empty(0) for _ in curve_module._pool])
 
 
 def record(criterion: str, passed: bool, detail: str = ""):

@@ -15,7 +15,7 @@ from turnwave.curve import (BLOCK_ROWS, CHUNK, SPLINE_BAND, Curve,
 from turnwave import curve as curve_module
 from turnwave.stepping import SAMPLE_GROUP
 
-from conftest import flat_curve
+from conftest import empty_scratch_pool, flat_curve
 
 PERIODIC, OPEN = "periodic", "open"
 
@@ -492,13 +492,14 @@ def test_arc_chord_projection_bound_keeps_its_rounding_slack():
     assert arc_chord(curve, (speed, np.zeros(65))) == F.max()
 
 
-def test_arc_chord_temporaries_stay_bounded():
+def test_arc_chord_temporaries_stay_bounded(monkeypatch):
     """On a flat line F = 1 on every pair, every far chunk pair's box bound
     exceeds 1, and the projection bound of every window is 1 widened by
     its slack, so nothing prunes.  The pairs still go through in batches
     of at most BLOCK_ROWS * N, three float arrays each, not N^2 / 2 at once
     (50 MB at N = 2048), and a stack of the SAMPLE_GROUP samples that run
-    diagnoses at once stays within the same bound."""
+    diagnoses at once stays within the same bound.  The traced call starts
+    from an empty scratch pool, whose batches count."""
     n = 2048
     line = flat_curve(n)
     stack = Curve(PERIODIC, line.alpha, np.tile(line.z1, (SAMPLE_GROUP, 1)),
@@ -506,6 +507,7 @@ def test_arc_chord_temporaries_stay_bounded():
     for curve in (line, stack):
         d = derivative(curve, 1)
         arc_chord(curve, d)   # builds the cached chunk layout
+        empty_scratch_pool(monkeypatch)
         tracemalloc.start()
         try:
             assert np.all(arc_chord(curve, d) == 1.0)

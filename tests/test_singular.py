@@ -16,7 +16,7 @@ from turnwave.singular import (QuadratureError, _conformal, _conformal_pair, _op
                                muskat_rhs_open, muskat_rhs_periodic)
 from turnwave.spectral import hilbert_transform
 
-from conftest import flat_curve
+from conftest import empty_scratch_pool, flat_curve
 
 PERIODIC, OPEN = "periodic", "open"
 
@@ -360,8 +360,8 @@ def test_blocked_kernels_equal_dense_evaluation(n):
         kern = dense_kernel(x1, x2)
         assert np.array_equal(kern, -kern.T)
         rows = []
-        for i0, i1, (u1, u2) in pair_blocks(x1, x2):
-            assert np.array_equal(pair(x1, x2, i0, i1, u1, u2), kern[i0:i1, i0:])
+        for i0, i1, (u1, u2), spare in pair_blocks(x1, x2):
+            assert np.array_equal(pair(x1, x2, i0, i1, u1, u2, spare), kern[i0:i1, i0:])
             rows += range(i0, i1)
         assert rows == list(range(n))
         d, dd = derivative(c, 1), derivative(c, 2)
@@ -393,17 +393,19 @@ def test_muskat_rhs_match_dense_kernel_product(monkeypatch):
         assert np.all(np.abs(v - ref) <= factor * bound + 2.0 * eps * np.abs(ref))
 
 
-def test_muskat_velocities_form_no_n_by_n_array():
+def test_muskat_velocities_form_no_n_by_n_array(monkeypatch):
     """At N = 2048 the periodic and open right-hand sides and
     dv1_at_zero_periodic allocate at most 4 blocks of BLOCK_ROWS x N
     floats at once (4 MB), where the N x N kernel took 33.5 MB.  Each runs
-    once first, to build the cached open-spline operators."""
+    once first, to build the cached open-spline operators, and then from
+    an empty scratch pool, whose blocks count."""
     n = 2048
     cp, co, coarse = turned_periodic(n), turned_open(n + 1, L=60.0), turned_periodic(512)
     cases = [lambda: muskat_rhs_periodic(cp, 0.3), lambda: muskat_rhs_open(co, 1.7),
              lambda: dv1_at_zero_periodic(coarse, 0.3, n_eval=n)]
     for case in cases:
         case()
+        empty_scratch_pool(monkeypatch)
         tracemalloc.start()
         try:
             case()
@@ -454,8 +456,8 @@ def test_muskat_periodic_kernel_matches_40_digit_reference(reference_near_turnov
     assert np.abs(kern).max() > 200.0
     gaps, rows = [], []
 
-    def recorded(a, b, i0, i1, da, db):
-        blk = _conformal_pair(a, b, i0, i1, da, db)
+    def recorded(a, b, i0, i1, da, db, spare):
+        blk = _conformal_pair(a, b, i0, i1, da, db, spare)
         gaps.append(np.max(np.abs(blk - kern[i0:i1, i0:])))
         rows.extend(range(i0, i1))
         return blk

@@ -1,15 +1,20 @@
 """Analytic-strip machinery: traces, analyticity checks, norms, Picard
 continuation on a shrinking strip."""
 
+import os
+
 import numpy as np
 import pytest
 
+from turnwave import strip as strip_mod
 from turnwave.closures import PhysicalConstants
+from turnwave.config import load_config
 from turnwave.curve import Curve, periodic_grid
 from turnwave.spectral import modes
 from turnwave.strip import (InsufficientAnalyticityError, RegimeExitError,
                             amplified_tail, ck_solve, decay_violation,
                             extend_to_strip, strip_distance, strip_norm)
+from turnwave.scenarios import run_scenario
 
 from conftest import flat_curve
 
@@ -222,3 +227,42 @@ def test_ck_backward_forward_round_trip():
     fwd = ck_solve(back.curves[-1], 0.01, PREF)
     rc = fwd.curves[-1].real_curve()
     assert np.max(np.abs(rc.z2 - c.z2)) < 1e-9
+
+
+def test_strip_weights_are_computed_once_per_time_grid():
+    """The weights of strip_norm are computed once per half-width of a time
+    grid, not on every norm and distance of every sweep, and give the
+    bits of the uncached expression."""
+    sc = extend_to_strip(eps_cos_curve(n=64, eps=0.01), 0.2)
+    k = modes(sc.n).astype(float)
+    for r in (0.0, 0.1, 0.2):
+        weight = 2.0 * np.cosh(2.0 * k * r) * (1.0 + k ** 8)
+        norm = float(np.sqrt(2.0 * np.pi * np.sum(weight[None, :] * np.abs(sc.coeffs) ** 2)))
+        assert strip_norm(sc.coeffs, r) == norm
+    strip_mod._strip_weight.cache_clear()
+    res = ck_solve(sc, 0.02, PREF)
+    info = strip_mod._strip_weight.cache_info()
+    assert res.iterations > 2
+    assert info.misses == len(res.times)   # z0.r is the r of the first node
+    assert info.hits >= res.iterations * len(res.times)
+
+
+def test_breakdown_real_curves_share_one_grid(monkeypatch, tmp_path):
+    """The real curves of a bundled muskat-breakdown run, over a hundred,
+    take the grid of their strip solve's first real curve: its two solves
+    make at most two new grids between them, where each real curve checked
+    and copied its own."""
+    grids, real_curve = [], strip_mod._real_curve
+
+    def recorded(coeffs, grid=None):
+        curve = real_curve(coeffs, grid)
+        grids.append(curve.alpha)
+        return curve
+
+    monkeypatch.setattr(strip_mod, "_real_curve", recorded)
+    cfg = load_config(os.path.join(os.path.dirname(__file__), "..", "configs",
+                                   "muskat-breakdown.cfg"))
+    cfg.output_dir = str(tmp_path / "run")
+    assert run_scenario(cfg).exit_code == 0
+    assert len(grids) > 100
+    assert len({id(g) for g in grids}) <= 2
