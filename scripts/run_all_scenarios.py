@@ -8,9 +8,10 @@ file name and its bytes as turnbench/child.py hashes them: two checkouts
 wrote the same artifacts when their lines carry the same hashes.  Each
 run directory's config.txt records its output_dir, so the hashes of two
 checkouts compare only when both are run with the same --out.  Each line
-also gives the run's wall and CPU seconds and the minor page faults it
-took (getrusage of this process around run_scenario); they go to stdout
-only, never into a run directory.
+also gives the run's wall and CPU seconds, the minor page faults it
+took (getrusage of this process around run_scenario) and the wall
+seconds of its writer, scenarios._finish (snapshots, diagnostics,
+reports and plots); they go to stdout only, never into a run directory.
 """
 
 import argparse
@@ -20,6 +21,7 @@ import resource
 import sys
 import time
 
+from turnwave import scenarios
 from turnwave.config import load_config
 from turnwave.scenarios import run_scenario
 
@@ -36,10 +38,23 @@ def hash_dir(path):
     return digest.hexdigest()
 
 
+def timed(fn, seconds):
+    """fn, adding the wall seconds of each call to seconds[0]."""
+    def wrapper(*args, **kwargs):
+        t0 = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            seconds[0] += time.perf_counter() - t0
+    return wrapper
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="out", help="parent output directory")
     args = ap.parse_args()
+    finish_s = [0.0]
+    scenarios._finish = timed(scenarios._finish, finish_s)
 
     worst = 0
     for name in sorted(os.listdir(CONFIG_DIR)):
@@ -47,13 +62,15 @@ def main():
             continue
         cfg = load_config(os.path.join(CONFIG_DIR, name))
         cfg.output_dir = os.path.join(args.out, name[:-4])
+        finish_s[0] = 0.0
         t0, r0 = time.time(), resource.getrusage(resource.RUSAGE_SELF)
         result = run_scenario(cfg)
         r1 = resource.getrusage(resource.RUSAGE_SELF)
         cpu = r1.ru_utime + r1.ru_stime - r0.ru_utime - r0.ru_stime
         print(f"{name:28s} exit={result.exit_code} "
               f"({time.time() - t0:5.1f}s, cpu {cpu:5.2f}s, "
-              f"{r1.ru_minflt - r0.ru_minflt} minor faults)  {result.message}  "
+              f"{r1.ru_minflt - r0.ru_minflt} minor faults, "
+              f"finish {finish_s[0]:.4f}s)  {result.message}  "
               f"sha256={hash_dir(cfg.output_dir)}")
         worst = max(worst, result.exit_code)
     return worst

@@ -160,26 +160,37 @@ def graph_curve(f) -> Curve:
     return Curve(PERIODIC, a, a.copy(), f)
 
 
-def derivative(curve: Curve, order: int = 1):
+def derivative(curve: Curve, order=1):
     """Per-component d^order/d alpha^order, order 1 or 2, sampled at the
-    nodes: (d1, d2), each of z1's shape, (N,) or (k, N) for a stack.
+    nodes: (d1, d2), each of z1's shape, (N,) or (k, N) for a stack.  The
+    order (1, 2) gives both pairs, ((d1, d2), (dd1, dd2)), each the bits
+    of its single-order call.
 
     Periodic: spectral (exact for band-limited data), one batched FFT
-    over both components and the stack; the linear part of z1 is handled
-    separately.  Open: the quintic interpolating spline's derivative at
-    the nodes, a banded matrix product (_spline_operators) applied to each
-    member's (N, 2) points as a (k, N, 2) matmul stack, which gives each
-    member the bits it gets alone.
+    over both components and the stack, and for (1, 2) one inverse FFT
+    over both orders; the linear part of z1 is handled separately.  Open:
+    the quintic interpolating spline's derivative at the nodes, a banded
+    matrix product (_spline_operators) applied to each member's (N, 2)
+    points as a (k, N, 2) matmul stack, which gives each member the bits
+    it gets alone; (1, 2) takes both products of a block in one pass.
     """
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
+    both = order == (1, 2)
+    if not (both or order in (1, 2)):
+        raise ValueError("order must be 1, 2 or (1, 2)")
+    orders = order if both else (order,)
     if curve.topology == PERIODIC:
-        d1, d2 = fourier_derivative(np.stack([curve.z1 - curve.alpha, curve.z2]), order)
-        return (d1 + 1.0 if order == 1 else d1), d2
-    blocks = _spline_operators(curve.alpha.tobytes())[order - 1]
-    points = curve.points()
-    d = np.concatenate([op @ points[..., j0:j1, :] for j0, j1, op in blocks], axis=-2)
-    return d[..., 0], d[..., 1]
+        d = fourier_derivative(np.stack([curve.z1 - curve.alpha, curve.z2]), order)
+        pairs = [(d1 + 1.0 if o == 1 else d1, d2)
+                 for o, (d1, d2) in zip(orders, d if both else [d])]
+    else:
+        ops = _spline_operators(curve.alpha.tobytes())
+        points = curve.points()
+        # per block of rows, the product of each order asked for
+        rows = [[op @ points[..., j0:j1, :] for j0, j1, op in span]
+                for span in zip(*(ops[o - 1] for o in orders))]
+        pairs = [(d[..., 0], d[..., 1])
+                 for d in (np.concatenate(col, axis=-2) for col in zip(*rows))]
+    return tuple(pairs) if both else pairs[0]
 
 
 def _bsplines(t, x, mu):
@@ -453,9 +464,11 @@ def _chunk_layout(grid: bytes, periodic: bool) -> SimpleNamespace:
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def arc_chord(curve: Curve, d=None):
+def arc_chord(curve: Curve, d=None, floor: float = 0.0):
     """sup over node pairs of F(z) = |beta|^2 / |z(a) - z(a-beta)|^2: a
-    float, or one per member of a stack, shape (k,).
+    float, or one per member of a stack, shape (k,).  With a floor b the
+    result is max(b, sup) instead, the same float, for a caller that only
+    asks whether the sup exceeds b: see the pruning below.
 
     The diagonal is the removable limit 1 / |d_alpha z|^2, from the first
     derivative d = (d1, d2), of z1's shape, when the caller has it.  A
@@ -497,6 +510,13 @@ def arc_chord(curve: Curve, d=None):
     stepping.run diagnoses at once stays within the memory bound of one
     curve.  Every evaluated pair goes through the same IEEE operations as
     a full sweep, so the sup is the same float.
+
+    A floor b seeds s with max(s0, b) instead, so that every chunk pair
+    whose bound is at most b is skipped.  The result is still max(b,
+    sup): when the sup exceeds b, the chunk bound of its pair is at least
+    the sup, which is above every s reached, so that pair is evaluated;
+    when it does not, no pair evaluated exceeds b.  A nan or inf sup
+    stays nan or inf.
 
     Both bounds hold for the rounded F.  On an open curve each operation
     of a box bound is one of F's applied to box ends, and rounding is
@@ -624,6 +644,7 @@ def arc_chord(curve: Curve, d=None):
         h = n // 2
         sups = np.maximum(sups, sup(L.antipodal.copy(), x1[:, :h] - x1[:, h:],
                                     z2[:, :h] - z2[:, h:]))
+    np.maximum(sups, floor, out=sups)   # a nan stays nan
     projected = projection_bounds()
     near_bound = projected[L.window].T
     near_bound[:, L.seam] = np.inf

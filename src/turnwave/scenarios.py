@@ -7,7 +7,8 @@ the snapshots (every numerics.snapshot_cadence-th sample and the last),
 diagnostics.csv and events.json, then the scenario's own files,
 metrics.json (step counts and, per ck_solve call, its time grid and
 Picard sweeps), config.txt and report.json, and finally the
-interface, min_slope and sigma_min plots through render_trajectory.
+interface, min_slope and sigma_min plots, drawn from the trajectory in
+memory by the drawer that render_trajectory uses on the files.
 The returned ScenarioResult's exit_code follows the CLI convention: 0
 success, 3 numerical failure (the directory keeps the partial
 trajectory that a BlowUpError carries), 4 certificate failure.  Config
@@ -24,17 +25,17 @@ import numpy as np
 
 from .closures import ClosureIterationError, PhysicalConstants
 from .config import ScenarioConfig, dump_config
-from .curve import (arc_chord, graph_curve, graph_slope_sup, load_csv, min_slope,
-                    resample)
-from .diagnostics import (sigma10, sigma10_checklist, sigma_muskat,
+from .curve import arc_chord, graph_curve, load_csv, min_slope, resample
+from .diagnostics import (rt_report, sigma10, sigma10_checklist, sigma_muskat,
                           verify_weighted_rt, weight_h, weight_hbar)
 from .initial_data import (DeltaTooLargeError, dv1_at_zero_periodic,
                            turning_candidate_open, turning_candidate_periodic,
                            turning_certificate, waterwave_datum)
-from .stepping import (BlowUpError, GRAPH_BLOWUP, RT_RUN_LENGTH, RT_SIGN_CHANGE,
-                       SAMPLE_GROUP, TURNING, SimState, StepStats, _brent, advance, run)
+from .stepping import (BlowUpError, DIAG_COLUMNS, GRAPH_BLOWUP, RT_RUN_LENGTH,
+                       RT_SIGN_CHANGE, TURNING, SimState, StepStats, _brent, advance, run)
 from .strip import (CKResult, InsufficientAnalyticityError, RegimeExitError,
                     ck_solve, extend_to_strip)
+from .spectral import fourier_derivative
 from .svg import render_curve, render_series
 
 # fixed stage parameters of the breakdown pipeline (the backward
@@ -79,7 +80,12 @@ def _finish(cfg: ScenarioConfig, report: dict, message: str, traj=None,
     _write(os.path.join(out, "config.txt"), dump_config(cfg))
     _write(os.path.join(out, "report.json"), json.dumps(report, indent=1) + "\n")
     if traj is not None:
-        render_trajectory(out, cfg.constants())
+        if not traj.snapshots:
+            raise FileNotFoundError(f"{out}: no snapshot files")
+        t_last, curve, _ = traj.snapshots[-1]   # the last snapshot write_dir wrote
+        rows = np.array(traj.diagnostics, dtype=float).reshape(-1, len(DIAG_COLUMNS))
+        _draw_plots(out, curve, t_last, {name: rows[:, DIAG_COLUMNS.index(name)]
+                                         for name in PLOTTED_COLUMNS}, cfg.constants())
     code = 3 if "error" in report else (0 if report["pass"] else 4)
     return ScenarioResult(cfg.scenario, code, report, message)
 
@@ -95,23 +101,38 @@ def _picard_metrics(res: CKResult) -> dict:
             "contraction_history": list(map(float, res.contraction_history))}
 
 
+def _negative_run(res: CKResult, t, alpha, consts) -> int:
+    """sigma_muskat(res.at(t).real_curve(), consts).longest_negative_run,
+    bit for bit, from the z1 row alone: the operations of derivative on
+    that row, each per row, and rt_report."""
+    z1 = res.z1_at(t)
+    sigma = consts.rho_jump * (fourier_derivative(z1 - alpha) + 1.0)
+    return rt_report(alpha, sigma, True).longest_negative_run
+
+
 def _locate_rt_sign_change(res: CKResult, nodes: list, j: int, consts):
     """(time, real curve, RT report) where the continuation's longest
     negative sigma run first reaches RT_RUN_LENGTH, between the nodes j-1
     and j; nodes holds (real curve, RT report) at every node.  Brent's
-    method finds the jump of RT_RUN_LENGTH - 1/2 - run(res.at(t)); the
-    earliest time evaluated past it is returned, within about 1e-14."""
-    hits = [(res.times[j],) + nodes[j]]
+    method finds the jump of RT_RUN_LENGTH - 1/2 - run(res.at(t)), with
+    each probe's run from _negative_run; the earliest time evaluated past
+    it is returned, within about 1e-14, and only its curve and report are
+    built."""
+    alpha = nodes[j][0].alpha
+    hits = [(res.times[j], nodes[j][1].longest_negative_run)]
 
     def excess(t):
-        rc = res.at(t).real_curve()
-        hits.append((t, rc, sigma_muskat(rc, consts)))
-        return RT_RUN_LENGTH - 0.5 - hits[-1][2].longest_negative_run
+        hits.append((t, _negative_run(res, t, alpha, consts)))
+        return RT_RUN_LENGTH - 0.5 - hits[-1][1]
 
     _brent(excess, res.times[j - 1], res.times[j], *(
         RT_RUN_LENGTH - 0.5 - sig.longest_negative_run for _, sig in nodes[j - 1:j + 1]))
-    return min((hit for hit in hits if hit[2].longest_negative_run >= RT_RUN_LENGTH),
-               key=lambda hit: hit[0])
+    t, _ = best = min((hit for hit in hits if hit[1] >= RT_RUN_LENGTH),
+                      key=lambda hit: hit[0])
+    if best is hits[0]:
+        return (t,) + nodes[j]
+    rc = res.at(t).real_curve()
+    return t, rc, sigma_muskat(rc, consts)
 
 
 def _fit_decay_rate(times, amplitudes):
@@ -304,13 +325,7 @@ def waterwave_turning(cfg: ScenarioConfig) -> ScenarioResult:
     ev_blow = traj.events.first(GRAPH_BLOWUP)
     graph_fails = ev_turn is not None and min_slope(final.curve).min_slope <= 0.0
     times = traj.times
-    # one call per stack of SAMPLE_GROUP snapshots, which gives each its
-    # own floats; a stack of all of them would raise the peak memory by 2 MB
-    curves, sup_fa = [c for _, c, _ in traj.snapshots], []
-    for g in range(0, len(curves), SAMPLE_GROUP):
-        group = curves[g:g + SAMPLE_GROUP]
-        sup_fa += graph_slope_sup(group[0].with_components(
-            np.stack([c.z1 for c in group]), np.stack([c.z2 for c in group]))).tolist()
+    sup_fa = traj.slope_sups
     finite = [v for v in sup_fa if np.isfinite(v)]
     report = {
         "round_trip_error": round_trip,
@@ -478,28 +493,43 @@ def verify_trajectory(path) -> ScenarioResult:
                           "trajectory consistent" if ok else "inconsistent")
 
 
-def render_trajectory(path, consts: PhysicalConstants = PhysicalConstants()) -> list:
-    """Draw interface.svg from the last snapshot, and min_slope.svg and
-    sigma_min.svg from diagnostics.csv, in a run directory.  Returns the
-    list of files written."""
-    snaps = sorted(f for f in os.listdir(path) if f.startswith("snap_")
-                   and f.endswith(".csv"))
-    if not snaps:
-        raise FileNotFoundError(f"{path}: no snapshot files")
-    written = []
-    curve, t_last, _ = load_csv(os.path.join(path, snaps[-1]))
+# the diagnostics columns that the plots of a run directory read
+PLOTTED_COLUMNS = ("t", "min_slope", "sigma_min")
+
+
+def _draw_plots(path, curve, t_last, columns, consts: PhysicalConstants) -> list:
+    """Draw interface.svg from the curve of the last snapshot, at t_last,
+    and, when columns (name -> values of PLOTTED_COLUMNS) is not None,
+    min_slope.svg and sigma_min.svg, in a run directory.  Returns the list
+    of files written."""
     rep = sigma_muskat(curve, consts)
     target = os.path.join(path, "interface.svg")
     _write(target, render_curve(curve.alpha, curve.z1, curve.z2,
                                 rep.negative_intervals,
-                                title=f"interface t={t_last:.6g}"))
-    written.append(target)
-    diag_path = os.path.join(path, "diagnostics.csv")
-    if os.path.exists(diag_path):
-        rows = np.genfromtxt(diag_path, delimiter=",", names=True)
-        t = np.atleast_1d(rows["t"])
-        for name in ("min_slope", "sigma_min"):
+                                title=f"interface t={float(t_last):.6g}"))
+    written = [target]
+    if columns is not None:
+        for name in PLOTTED_COLUMNS[1:]:
             target = os.path.join(path, f"{name}.svg")
-            _write(target, render_series(t, np.atleast_1d(rows[name]), name))
+            _write(target, render_series(columns["t"], columns[name], name))
             written.append(target)
     return written
+
+
+def render_trajectory(path, consts: PhysicalConstants = PhysicalConstants()) -> list:
+    """Draw the plots of a run directory from its files: the last snapshot
+    and diagnostics.csv, when there is one (_draw_plots).  A run draws the
+    same plots from memory, byte for byte: snapshots and diagnostics are
+    written with 17 significant digits (repr for the time), which read
+    back as the same floats.  Returns the list of files written."""
+    snaps = sorted(f for f in os.listdir(path) if f.startswith("snap_")
+                   and f.endswith(".csv"))
+    if not snaps:
+        raise FileNotFoundError(f"{path}: no snapshot files")
+    curve, t_last, _ = load_csv(os.path.join(path, snaps[-1]))
+    diag_path = os.path.join(path, "diagnostics.csv")
+    columns = None
+    if os.path.exists(diag_path):
+        rows = np.genfromtxt(diag_path, delimiter=",", names=True)
+        columns = {name: np.atleast_1d(rows[name]) for name in PLOTTED_COLUMNS}
+    return _draw_plots(path, curve, t_last, columns, consts)

@@ -197,8 +197,9 @@ def _muskat_periodic(curve: Curve, prefactor: float, lead: int = 0,
     if curve.topology != PERIODIC:
         raise QuadratureError("use muskat_rhs_open for open curves")
     n = curve.n
-    a, b, *d = np.roll([*_conformal(curve), *derivative(curve, 1),
-                        *derivative(curve, 2)], lead, axis=1)
+    (d1, d2), (dd1, dd2) = derivative(curve, (1, 2))
+    values = [*_conformal(curve), d1, d2, dd1, dd2]
+    a, b, *d = np.roll(values, lead, axis=1) if lead else values
     v = _tangent_difference(a, b, _conformal_pair, np.full(n, 2.0 * np.pi / n),
                             d[:2], d[2:], 2.0, rows)
     return prefactor * v.T
@@ -232,7 +233,7 @@ def muskat_rhs_open(curve: Curve, darcy_factor: float) -> np.ndarray:
     h = curve.alpha[1] - curve.alpha[0]
     weights = np.full(curve.n, h)
     weights[0] = weights[-1] = 0.5 * h
-    (d1, d2), dd = derivative(curve, 1), derivative(curve, 2)
+    (d1, d2), dd = derivative(curve, (1, 2))
     v = _tangent_difference(curve.z1, curve.z2, _open_pair, weights, (d1, d2), dd, 1.0)
 
     L = float(curve.alpha[-1])

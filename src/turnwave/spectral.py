@@ -37,10 +37,15 @@ def _derivative_multiplier(n: int, order: int, period: float) -> np.ndarray:
 
 
 def fourier_derivative(f, order=1, period=2.0 * np.pi):
-    """Spectral derivative of periodic samples, or of each row of a stack."""
+    """Spectral derivative of periodic samples, or of each row of a stack.
+    A tuple of orders gives the stack of those derivatives, one per order,
+    from one forward and one inverse transform."""
     f = np.asarray(f, dtype=float)
     fk = np.fft.fft(f)
-    fk *= _derivative_multiplier(f.shape[-1], order, period)
+    if isinstance(order, tuple):
+        fk = np.stack([fk * _derivative_multiplier(f.shape[-1], o, period) for o in order])
+    else:
+        fk *= _derivative_multiplier(f.shape[-1], order, period)
     return np.fft.ifft(fk).real
 
 

@@ -62,6 +62,7 @@ Events:
 
 import bisect
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
@@ -356,6 +357,8 @@ DIAG_COLUMNS = ["t", "min_slope", "sup_F", "sigma_min", "h4_norm", "mean_f", "t_
 class Trajectory:
     snapshots: list = field(default_factory=list)  # (t, curve, omega)
     diagnostics: list = field(default_factory=list)
+    # graph_slope_sup of each recorded sample; not a column of diagnostics.csv
+    slope_sups: list = field(default_factory=list)
     events: EventLog = field(default_factory=EventLog)
     stats: StepStats = field(default_factory=StepStats)
 
@@ -376,7 +379,7 @@ class Trajectory:
         with open(os.path.join(path, "diagnostics.csv"), "w") as fh:
             fh.write(",".join(DIAG_COLUMNS) + "\n")
             for row in self.diagnostics:
-                fh.write(",".join("" if (isinstance(x, float) and np.isnan(x))
+                fh.write(",".join("" if (isinstance(x, float) and math.isnan(x))
                                   else f"{x:.17g}" for x in row) + "\n")
         with open(os.path.join(path, "events.json"), "w") as fh:
             fh.write(json.dumps([asdict(e) for e in self.events.events], indent=1) + "\n")
@@ -505,6 +508,7 @@ def run(state: SimState, t_end: float, dt: float, stop_on=()):
             traj.diagnostics.append([t, m, float(supF[i]), lowest,
                                      float(h4[i]), float(mean_f[i]),
                                      t_star.t if t_star else float("nan")])
+            traj.slope_sups.append(float(sup_fa[i]))
             sample = _member(group, i)
             traj.snapshots.append((t, sample.curve, sample.omega))
             traj.stats.samples += 1

@@ -82,12 +82,17 @@ class StripCurve:
         return _real_curve(self.coeffs, self.grid)
 
 
+def _real_rows(coeffs: np.ndarray, grid=None):
+    """The grid, periodic_grid(n) by default, and the values on it of each
+    row of the coefficients (..., n): z1 - a and z2 for (2, n)."""
+    n = coeffs.shape[-1]
+    return (periodic_grid(n) if grid is None else grid), np.fft.ifft(coeffs).real * n
+
+
 def _real_curve(coeffs: np.ndarray, grid=None) -> Curve:
     """The curve on the real axis, from its coefficients (2, n), on grid,
     periodic_grid(n) by default."""
-    n = coeffs.shape[1]
-    vals = np.fft.ifft(coeffs, axis=1).real * n
-    alpha = periodic_grid(n) if grid is None else grid
+    alpha, vals = _real_rows(coeffs, grid)
     return Curve(topology=PERIODIC, alpha=alpha, z1=alpha + vals[0], z2=vals[1])
 
 
@@ -227,16 +232,31 @@ class CKResult:
     time_error: float = 0.0
     g_evaluations: int = 0
 
+    def _panel(self, t: float):
+        """The first node m of t's Simpson panel, its step h and (t -
+        times[m]) / h."""
+        m = 2 * int(np.searchsorted(self.times[2:-1:2], t, side="right"))
+        h = self.times[m + 1] - self.times[m]
+        return m, h, (t - self.times[m]) / h
+
     def at(self, t: float) -> StripCurve:
         """Dense output at time t in [times[0], times[-1]]: the node value at
         the start of t's Simpson panel plus the integral of that panel's
         quadratic through G up to t.  It needs no new G evaluations."""
-        m = 2 * int(np.searchsorted(self.times[2:-1:2], t, side="right"))
-        h = self.times[m + 1] - self.times[m]
-        coeffs = self.curves[m].coeffs + _quadratic_integral(*self.g[m:m + 3], h,
-                                                             (t - self.times[m]) / h)
+        m, h, s = self._panel(t)
+        coeffs = self.curves[m].coeffs + _quadratic_integral(*self.g[m:m + 3], h, s)
         r = np.interp(t, self.times, [c.r for c in self.curves])
         return StripCurve(coeffs=coeffs, r=r, t=t, grid=self.curves[m].grid)
+
+    def z1_at(self, t: float) -> np.ndarray:
+        """at(t).real_curve().z1, bit for bit, from the z1 row of the
+        coefficients alone: each operation of the dense output and of
+        _real_curve is elementwise or per row, and the inverse FFT gives a
+        row of a stack the bits it gives the row alone."""
+        m, h, s = self._panel(t)
+        alpha, x1 = _real_rows(self.curves[m].coeffs[0] + _quadratic_integral(
+            *self.g[m:m + 3, 0], h, s), self.curves[m].grid)
+        return alpha + x1
 
 
 def ck_solve(z0: StripCurve, T: float, prefactor: float,
@@ -254,16 +274,22 @@ def ck_solve(z0: StripCurve, T: float, prefactor: float,
     must stay in the admissible open set: strip norm below norm_bound,
     real-axis arc-chord ratio below CHORD_BOUND, and Fourier tail
     compatible with r(t) wherever G is evaluated (the domain-of-validity
-    guard); a check that reads nan counts as outside.  The sweeps work on
-    coefficient arrays; only the returned curves are StripCurves.  The real
-    curves of the solve, and of the curves it returns, share the grid of
-    z0's real curve.
+    guard); a check that reads nan counts as outside.  The arc-chord check
+    asks arc_chord only whether the sup exceeds CHORD_BOUND (its floor).
+    The sweeps work on coefficient arrays; only the returned curves are
+    StripCurves.  The real curves of the solve, and of the curves it
+    returns, share the grid of z0's real curve; a real curve that the
+    admissibility check builds is the one the next sweep's G takes.
     """
-    def check_admissible(coeffs, r):
+    def check_admissible(coeffs, r, real=None):
+        """Raise RegimeExitError outside the admissible set; else return the
+        real curve of coeffs (real, when given)."""
         if not strip_norm(coeffs, r) <= norm_bound:
             raise RegimeExitError(f"iterate norm exceeds {norm_bound:g}")
-        if not arc_chord(_real_curve(coeffs, grid)) <= CHORD_BOUND:
+        real = _real_curve(coeffs, grid) if real is None else real
+        if not arc_chord(real, floor=CHORD_BOUND) <= CHORD_BOUND:
             raise RegimeExitError("real-trace arc-chord bound exceeded")
+        return real
 
     def check_strip(coeffs, r, t, it):
         if not decay_violation(coeffs, r) <= 1.0:
@@ -275,28 +301,29 @@ def ck_solve(z0: StripCurve, T: float, prefactor: float,
     real0 = z0.real_curve()
     grid = real0.alpha
     g0 = _g_coeffs(real0, prefactor)
-    check_admissible(z0.coeffs, z0.r)
+    check_admissible(z0.coeffs, z0.r, real0)
 
     evaluations = 1
     for panels in (START_PANELS << k for k in range(MAX_DOUBLINGS + 1)):
         times = np.linspace(0.0, T, panels + 1)
         rs = z0.r * (1.0 - times / (2.0 * T))
         new = np.repeat(z0.coeffs[None], panels + 1, axis=0)
-        history = []
+        history, reals = [], {}
         for it in range(1, PICARD_MAX_ITER + 1):
             prev = new
             g = [g0]
             for j in range(1, panels + 1):
                 check_strip(prev[j], rs[j], times[j], it)
-                # the first sweep of a grid iterates on z0 at every node
-                g.append(g0 if it == 1 else _g_coeffs(_real_curve(prev[j], grid), prefactor))
+                # the first sweep of a grid iterates on z0 at every node; the
+                # last sweep's admissibility check built two of the real curves
+                g.append(g0 if it == 1 else _g_coeffs(
+                    reals[j] if j in reals else _real_curve(prev[j], grid), prefactor))
             g = np.stack(g)
             evaluations += panels if it > 1 else 0
             new = _simpson_nodes(z0.coeffs, g, T / panels)
             step = max(strip_distance(new[j], prev[j], rs[j]) for j in range(panels + 1))
             history.append(step)
-            for j in (panels // 2, panels):
-                check_admissible(new[j], rs[j])
+            reals = {j: check_admissible(new[j], rs[j]) for j in (panels // 2, panels)}
             if step < PICARD_TOL:
                 break
         converged = step < PICARD_TOL

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from turnwave.closures import PhysicalConstants
-from turnwave.curve import (Curve, arc_chord, derivative, graph_curve, load_csv, min_slope,
-                            periodic_grid)
+from turnwave.curve import (Curve, arc_chord, derivative, graph_curve, graph_slope_sup,
+                            load_csv, min_slope, periodic_grid)
 from turnwave.initial_data import (TurningParams, turning_candidate_open,
                                    turning_candidate_periodic)
 from turnwave import stepping
@@ -200,6 +200,26 @@ def test_run_records_monotone_diagnostics():
     assert [row[0] for row in traj.diagnostics] == list(traj.times)
     assert final.t == pytest.approx(0.05)
     assert traj.events.kinds() == []
+
+
+@pytest.mark.parametrize("topology", ["periodic", "open"])
+def test_run_keeps_each_samples_slope_sup_out_of_the_csv(tmp_path, topology):
+    """run keeps the graph_slope_sup that it computes for each recorded
+    sample, the float that graph_slope_sup gives that snapshot alone, on
+    the trajectory; diagnostics.csv keeps its columns."""
+    if topology == "periodic":
+        cand = turning_candidate_periodic(TurningParams(beta1=1.5, b=3.0), n=128, tilt=0.02)
+    else:
+        cand = turning_candidate_open(TurningParams(), n=129, L=10.0)
+    traj, _ = run(SimState(cand), 0.02, 1e-3)
+    assert len(traj.slope_sups) == len(traj.snapshots) == len(traj.diagnostics) > 10
+    for sup, (_, curve, _) in zip(traj.slope_sups, traj.snapshots):
+        assert type(sup) is float
+        assert sup == graph_slope_sup(Curve(curve.topology, curve.alpha, curve.z1, curve.z2,
+                                            L=curve.L))
+    traj.write_dir(tmp_path)
+    header = (tmp_path / "diagnostics.csv").read_text().splitlines()[0]
+    assert header.split(",") == DIAG_COLUMNS
 
 
 def test_run_emits_turning_event():

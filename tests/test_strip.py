@@ -204,7 +204,7 @@ def test_ck_solve_exits_on_a_nonfinite_check(monkeypatch, check, value):
     set: each bound is written so that nan fails it too."""
     import turnwave.strip as strip_mod
     sc = extend_to_strip(eps_cos_curve(n=64, eps=0.01), 0.2)
-    monkeypatch.setattr(strip_mod, check, lambda *args: value)
+    monkeypatch.setattr(strip_mod, check, lambda *args, **kwargs: value)
     with pytest.raises(RegimeExitError):
         ck_solve(sc, 0.02, PREF)
 
@@ -248,10 +248,11 @@ def test_strip_weights_are_computed_once_per_time_grid():
 
 
 def test_breakdown_real_curves_share_one_grid(monkeypatch, tmp_path):
-    """The real curves of a bundled muskat-breakdown run, over a hundred,
+    """The real curves of a bundled muskat-breakdown run, over fifty,
     take the grid of their strip solve's first real curve: its two solves
     make at most two new grids between them, where each real curve checked
-    and copied its own."""
+    and copied its own.  (Over a hundred before the RT probes read the z1
+    row alone and ck_solve passed its checked real curves on to G.)"""
     grids, real_curve = [], strip_mod._real_curve
 
     def recorded(coeffs, grid=None):
@@ -264,5 +265,69 @@ def test_breakdown_real_curves_share_one_grid(monkeypatch, tmp_path):
                                    "muskat-breakdown.cfg"))
     cfg.output_dir = str(tmp_path / "run")
     assert run_scenario(cfg).exit_code == 0
-    assert len(grids) > 100
+    assert len(grids) > 50
     assert len({id(g) for g in grids}) <= 2
+
+
+def test_rt_probes_read_the_run_length_of_the_full_path(monkeypatch, tmp_path):
+    """On the bundled breakdown continuation, at every time that Brent's
+    method probes, the run length read from the z1 row alone equals the
+    longest negative run of sigma_muskat on the full real curve there; the
+    located (time, curve, report) is the one the full path, which built
+    both at every probe, returns; and location builds one StripCurve, the
+    one at the located time."""
+    from turnwave import scenarios
+    from turnwave.diagnostics import sigma_muskat
+    from turnwave.stepping import RT_RUN_LENGTH, _brent
+
+    calls = []
+    locate = scenarios._locate_rt_sign_change
+    monkeypatch.setattr(scenarios, "_locate_rt_sign_change",
+                        lambda *args: calls.append(args) or locate(*args))
+    cfg = load_config(os.path.join(os.path.dirname(__file__), "..", "configs",
+                                   "muskat-breakdown.cfg"))
+    cfg.output_dir = str(tmp_path / "run")
+    assert run_scenario(cfg).exit_code == 0
+    (res, nodes, j, consts), = calls
+
+    def full_path():
+        """The location as it was, a real curve and RT report per probe."""
+        hits = [(res.times[j],) + nodes[j]]
+
+        def excess(t):
+            rc = res.at(t).real_curve()
+            hits.append((t, rc, sigma_muskat(rc, consts)))
+            return RT_RUN_LENGTH - 0.5 - hits[-1][2].longest_negative_run
+
+        _brent(excess, res.times[j - 1], res.times[j], *(
+            RT_RUN_LENGTH - 0.5 - sig.longest_negative_run for _, sig in nodes[j - 1:j + 1]))
+        return hits[1:], min((h for h in hits if h[2].longest_negative_run >= RT_RUN_LENGTH),
+                             key=lambda h: h[0])
+
+    probes, lean_run = [], scenarios._negative_run
+    monkeypatch.setattr(scenarios, "_negative_run",
+                        lambda *args: probes.append((args[1], lean_run(*args))) or probes[-1][1])
+    built = []
+    post_init = strip_mod.StripCurve.__post_init__
+    monkeypatch.setattr(strip_mod.StripCurve, "__post_init__",
+                        lambda self: built.append(self.t) or post_init(self))
+    t, rc, sig = locate(res, nodes, j, consts)
+    assert built == [t]
+    full_probes, (t_full, rc_full, sig_full) = full_path()
+    assert len(probes) > 10
+    assert [p for p, _ in probes] == [h[0] for h in full_probes]
+    for (_, run), (_, _, report) in zip(probes, full_probes):
+        assert run == report.longest_negative_run
+    assert t == t_full and t != res.times[j]
+    assert rc.z1.tobytes() == rc_full.z1.tobytes() and rc.z2.tobytes() == rc_full.z2.tobytes()
+    assert sig.sigma.tobytes() == sig_full.sigma.tobytes()
+    assert (sig.negative_intervals, sig.min_sigma, sig.longest_negative_run) == (
+        sig_full.negative_intervals, sig_full.min_sigma, sig_full.longest_negative_run)
+
+
+def test_z1_at_is_the_real_curve_z1():
+    """CKResult.z1_at(t) is at(t).real_curve().z1 bit for bit, at nodes,
+    inside panels and at the horizon."""
+    res = ck_solve(extend_to_strip(eps_cos_curve(n=64, eps=0.05), 0.2), 0.02, PREF)
+    for t in np.concatenate([res.times, np.linspace(0.0, 0.02, 13)[1:-1]]):
+        assert res.z1_at(t).tobytes() == res.at(t).real_curve().z1.tobytes()
