@@ -18,10 +18,10 @@ so its results are the same floats.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from types import SimpleNamespace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -50,32 +50,12 @@ SPLINE_MARGIN = 32
 
 
 @dataclass
-class CurveProfile:
-    """Closed-form description of a curve, when one is available.
-
-    Used by quadratures that need accuracy beyond the sampled grid
-    (semi-infinite tail integrals).  z2 is smooth on |alpha| <= blend_start,
-    a polynomial blend up to tail_start and constant for |alpha| >=
-    tail_start (odd extension on the left).
-    """
-
-    z1: Callable[[np.ndarray], np.ndarray]
-    dz1: Callable[[np.ndarray], np.ndarray]
-    d2z1: Callable[[np.ndarray], np.ndarray]
-    z2: Callable[[np.ndarray], np.ndarray]
-    dz2: Callable[[np.ndarray], np.ndarray]
-    blend_start: float
-    tail_start: float
-
-
-@dataclass
 class Curve:
     topology: str
     alpha: np.ndarray
     z1: np.ndarray
     z2: np.ndarray
     L: Optional[float] = None
-    profile: Optional[CurveProfile] = field(default=None, repr=False)
 
     def __post_init__(self):
         self.alpha = np.asarray(self.alpha, dtype=float)
@@ -668,17 +648,10 @@ def _floats(x: np.ndarray):
 
 def min_slope(curve: Curve, d=None) -> SlopeReport:
     """Minimum of d_alpha z1 with 3-point quadratic subgrid refinement,
-    for each member of a stack.
-
-    Uses the curve's closed-form profile when one is attached (exact node
-    derivatives); otherwise the grid derivative d = (d1, d2), computed
-    here unless the caller passes it.
+    for each member of a stack, from the node derivatives d = (d1, d2)
+    that the caller passes, or else the grid derivative.
     """
-    if curve.profile is not None:
-        d1 = np.broadcast_to(np.asarray(curve.profile.dz1(curve.alpha), dtype=float),
-                             curve.z1.shape)
-    else:
-        d1, _ = derivative(curve, 1) if d is None else d
+    d1, _ = derivative(curve, 1) if d is None else d
     a, n = curve.alpha, curve.n
     rows = np.reshape(d1, (-1, n))
     i = np.argmin(rows, axis=-1)

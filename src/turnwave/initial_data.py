@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .closures import PhysicalConstants
-from .curve import (Curve, CurveProfile, OPEN, PERIODIC, derivative,
+from .curve import (Curve, OPEN, PERIODIC, derivative,
                     min_slope, open_grid, periodic_grid, resample)
 from .singular import QuadratureError, _muskat_periodic
 from .spectral import discrete_h4_norm
@@ -45,10 +45,6 @@ QUAD_EPSREL = 1e-10
 MAX_QUAD_PANELS = 4096          # panels per piece before the doubling gives up
 # the 16-point Gauss-Legendre rule on [-1, 1], applied panel by panel
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-
-
-class PreconditionError(Exception):
-    pass
 
 
 class DeltaTooLargeError(Exception):
@@ -165,21 +161,11 @@ def tilt_profile(alpha):
     return alpha / (1.0 + alpha ** 2)
 
 
-def dtilt_profile(alpha):
-    return (1.0 - alpha ** 2) / (1.0 + alpha ** 2) ** 2
-
-
-def d2tilt_profile(alpha):
-    return 2.0 * alpha * (alpha ** 2 - 3.0) / (1.0 + alpha ** 2) ** 3
-
-
 def turning_candidate_open(params: TurningParams, n: int = 1025,
                            L: float = 40.0, tilt: float = 0.0) -> Curve:
     """Open-line turning candidate on a symmetric uniform grid.
 
-    n odd places a node exactly at alpha = 0.  The returned curve carries
-    its closed-form profile (used by the high-accuracy certificate
-    quadratures).  tilt > 0 adds
+    n odd places a node exactly at alpha = 0.  tilt > 0 adds
     tilt * a/(1+a^2) to z1, unfolding the vertical tangent into a strict
     graph (slope tilt at 0) so forward evolution reaches it at a finite
     positive time.
@@ -187,20 +173,8 @@ def turning_candidate_open(params: TurningParams, n: int = 1025,
     if L <= params.beta3:
         raise ValueError("truncation L must exceed beta3")
     alpha = open_grid(n, L)
-    vert = _VerticalProfile(params)
-    if tilt:
-        horiz = (lambda a: z1_profile(a) + tilt * tilt_profile(a),
-                 lambda a: dz1_profile(a) + tilt * dtilt_profile(a),
-                 lambda a: d2z1_profile(a) + tilt * d2tilt_profile(a))
-    else:
-        horiz = (z1_profile, dz1_profile, d2z1_profile)
-    z1 = horiz[0](alpha)
-    z2 = vert.value(alpha)
-    profile = CurveProfile(
-        z1=horiz[0], dz1=horiz[1], d2z1=horiz[2],
-        z2=vert.value, dz2=vert.deriv,
-        blend_start=params.beta2, tail_start=params.beta3)
-    return Curve(OPEN, alpha, z1, z2, L=L, profile=profile)
+    return Curve(OPEN, alpha, z1_profile(alpha) + tilt * tilt_profile(alpha),
+                 _VerticalProfile(params).value(alpha), L=L)
 
 
 def turning_candidate_periodic(params: TurningParams, n: int = 256,
@@ -231,25 +205,6 @@ def turning_candidate_periodic(params: TurningParams, n: int = 256,
 _SLOPE_TOL = 1e-8
 
 
-def _check_reduced_hypotheses(curve: Curve):
-    """The certificate quadratures integrate an open candidate's closed-form
-    profile; a sampled curve without one is refused."""
-    if curve.topology != OPEN:
-        raise PreconditionError("reduced formula applies to open curves")
-    if curve.profile is None:
-        raise PreconditionError("certificate quadratures need the curve's "
-                                "closed-form profile")
-    d1 = np.asarray(curve.profile.dz1(curve.alpha), dtype=float)
-    i0 = int(np.argmin(np.abs(curve.alpha)))
-    if abs(d1[i0]) > 1e-4:
-        raise PreconditionError(
-            f"d_alpha z1(0) = {d1[i0]:.3e}, not a vertical-tangent candidate")
-    # oddness of both components
-    if (np.max(np.abs(curve.z1 + curve.z1[::-1])) > 1e-10 * (1 + np.max(np.abs(curve.z1)))
-            or np.max(np.abs(curve.z2 + curve.z2[::-1])) > 1e-8 * (1 + np.max(np.abs(curve.z2)))):
-        raise PreconditionError("curve is not odd-symmetric")
-
-
 def _panel_sum(g, a: float, b: float, panels: int) -> float:
     """Composite 16-point Gauss-Legendre sum of g over `panels` equal
     panels of [a, b]."""
@@ -275,44 +230,44 @@ def _half_line_integral(g, bs: float, ts: float) -> float:
     panels, last = 2, total(1)
     while panels <= MAX_QUAD_PANELS:
         now = total(panels)
-        if abs(now - last) <= QUAD_EPSREL * abs(now):
+        gap = abs(now - last)
+        if gap <= QUAD_EPSREL * abs(now):
             return now
         panels, last = 2 * panels, now
-    raise QuadratureError(f"panel sums still differ by {abs(now - last):.3e} "
+    raise QuadratureError(f"panel sums still differ by {gap:.3e} "
                           f"at {MAX_QUAD_PANELS} panels per piece")
 
 
-def dv1_at_zero_reduced(curve: Curve) -> float:
-    """d_alpha v1(0) by the reduced formula
-    4 z2'(0) int_0^inf z1 z2 z1' / (z1^2 + z2^2)^2 dbeta."""
-    _check_reduced_hypotheses(curve)
-    prof = curve.profile
+def dv1_at_zero_reduced(params: TurningParams) -> float:
+    """d_alpha v1(0) of the untilted open candidate by the reduced formula
+    4 z2'(0) int_0^inf z1 z2 z1' / (z1^2 + z2^2)^2 dbeta, integrated on
+    its closed-form profile."""
+    vert = _VerticalProfile(params)
 
     def g(beta):
-        zz1 = prof.z1(beta)
-        zz2 = prof.z2(beta)
-        return zz1 * zz2 * prof.dz1(beta) / (zz1 ** 2 + zz2 ** 2) ** 2
-    return 4.0 * float(prof.dz2(0.0)) * _half_line_integral(
-        g, prof.blend_start, prof.tail_start)
+        zz1 = z1_profile(beta)
+        zz2 = vert.value(beta)
+        return zz1 * zz2 * dz1_profile(beta) / (zz1 ** 2 + zz2 ** 2) ** 2
+    return 4.0 * float(vert.deriv(0.0)) * _half_line_integral(
+        g, params.beta2, params.beta3)
 
 
-def dv1_at_zero_full(curve: Curve) -> float:
-    """d_alpha v1(0) by direct differentiation of the contour equation
-    (two-integral form, before integration by parts).  The independent
-    reference that dv1_at_zero_reduced is checked against in acceptance
-    criterion 4."""
-    _check_reduced_hypotheses(curve)
-    prof = curve.profile
-    dz2_0 = float(prof.dz2(0.0))
+def dv1_at_zero_full(params: TurningParams) -> float:
+    """d_alpha v1(0) of the untilted open candidate by direct
+    differentiation of the contour equation (two-integral form, before
+    integration by parts).  The independent reference that
+    dv1_at_zero_reduced is checked against in acceptance criterion 4."""
+    vert = _VerticalProfile(params)
+    dz2_0 = float(vert.deriv(0.0))
 
     def g(beta):
-        zz1, zz2 = prof.z1(beta), prof.z2(beta)
-        dd1, dd2 = prof.dz1(beta), prof.dz2(beta)
+        zz1, zz2 = z1_profile(beta), vert.value(beta)
+        dd1, dd2 = dz1_profile(beta), vert.deriv(beta)
         r2 = zz1 ** 2 + zz2 ** 2
-        i1 = (dd1 ** 2 + zz1 * prof.d2z1(beta)) / r2
+        i1 = (dd1 ** 2 + zz1 * d2z1_profile(beta)) / r2
         i2 = -2.0 * zz1 * dd1 * (zz1 * dd1 - zz2 * (dz2_0 - dd2)) / r2 ** 2
         return i1 + i2
-    return 2.0 * _half_line_integral(g, prof.blend_start, prof.tail_start)
+    return 2.0 * _half_line_integral(g, params.beta2, params.beta3)
 
 
 def dv1_at_zero_periodic(curve: Curve, prefactor: float,
@@ -342,29 +297,33 @@ class TurningCertificate:
     passed: bool
 
 
-def turning_certificate(curve: Curve, dv1: Optional[float] = None) -> TurningCertificate:
+def turning_certificate(curve: Curve, dv1: float, d=None) -> TurningCertificate:
     """Machine check of the turning conditions: vertical tangent exactly
     at alpha = 0, positive vertical slope there, and negative d_alpha v1.
 
-    dv1 may be supplied (periodic candidates certify through the evolved
-    velocity field); open candidates default to the reduced quadrature.
+    The caller supplies dv1 and, when it has them in closed form, the node
+    derivatives d = (d1, d2); else the grid derivative is used.
     """
-    report = min_slope(curve)
-    if curve.profile is not None:
-        d1 = np.asarray(curve.profile.dz1(curve.alpha), dtype=float)
-        d2 = np.asarray(curve.profile.dz2(curve.alpha), dtype=float)
-    else:
-        d1, d2 = derivative(curve, 1)
+    d1, d2 = derivative(curve, 1) if d is None else d
+    report = min_slope(curve, (d1, d2))
     i0 = int(np.argmin(np.abs(curve.alpha)))
     off_zero = np.abs(curve.alpha - curve.alpha[i0]) > 10 * np.spacing(curve.alpha[-1])
     slope_ok = (abs(d1[i0]) <= _SLOPE_TOL and np.all(d1[off_zero] > 0.0)
                 and abs(report.min_slope) <= _SLOPE_TOL)
-    if dv1 is None:
-        dv1 = dv1_at_zero_reduced(curve)
     passed = bool(slope_ok and d2[i0] > 0.0 and dv1 < 0.0)
     return TurningCertificate(
         min_slope=report.min_slope, argmin_alpha=report.argmin_alpha,
         dz2_at_zero=float(d2[i0]), dv1_at_zero=float(dv1), passed=passed)
+
+
+def open_certificate(params: TurningParams, n: int, L: float) -> TurningCertificate:
+    """The turning certificate of the untilted open candidate on n nodes of
+    [-L, L]: the closed-form node derivatives of its profile and the
+    reduced quadrature of d_alpha v1(0)."""
+    dv1 = dv1_at_zero_reduced(params)   # first: no curve array on the heap above its temporaries
+    curve = turning_candidate_open(params, n=n, L=L)
+    d = (dz1_profile(curve.alpha), _VerticalProfile(params).deriv(curve.alpha))
+    return turning_certificate(curve, dv1, d)
 
 
 # --- norms and perturbations ------------------------------------------------

@@ -25,14 +25,15 @@ import numpy as np
 
 from .closures import ClosureIterationError, PhysicalConstants
 from .config import ScenarioConfig, dump_config
-from .curve import arc_chord, graph_curve, load_csv, min_slope, resample
+from .curve import arc_chord, derivative, graph_curve, load_csv, min_slope, resample
 from .diagnostics import (rt_report, sigma10, sigma10_checklist, sigma_muskat,
                           verify_weighted_rt, weight_h, weight_hbar)
-from .initial_data import (DeltaTooLargeError, dv1_at_zero_periodic,
+from .initial_data import (DeltaTooLargeError, dv1_at_zero_periodic, open_certificate,
                            turning_candidate_open, turning_candidate_periodic,
                            turning_certificate, waterwave_datum)
 from .stepping import (BlowUpError, DIAG_COLUMNS, GRAPH_BLOWUP, RT_RUN_LENGTH,
                        RT_SIGN_CHANGE, TURNING, SimState, StepStats, _brent, advance, run)
+from .singular import QuadratureError
 from .strip import (CKResult, InsufficientAnalyticityError, RegimeExitError,
                     ck_solve, extend_to_strip)
 from .spectral import fourier_derivative
@@ -181,8 +182,7 @@ def muskat_turning(cfg: ScenarioConfig) -> ScenarioResult:
     forward run from the tilted unfolding until the Turning event."""
     consts = cfg.constants()
     params = cfg.turning_params()
-    exact = turning_candidate_open(params, n=cfg.grid.n, L=cfg.grid.L)
-    cert = turning_certificate(exact)
+    cert = open_certificate(params, cfg.grid.n, cfg.grid.L)
     tilted = turning_candidate_open(params, n=cfg.grid.n, L=cfg.grid.L,
                                     tilt=cfg.turning.tilt)
     traj, _ = run(SimState(tilted, consts=consts), cfg.numerics.t_end,
@@ -210,7 +210,7 @@ def muskat_breakdown(cfg: ScenarioConfig) -> ScenarioResult:
     pref = consts.periodic_prefactor
     candidate = turning_candidate_periodic(params, n=cfg.grid.n)
     dv1 = dv1_at_zero_periodic(candidate, pref)
-    cert = turning_certificate(candidate, dv1=dv1)
+    cert = turning_certificate(candidate, dv1)
     report = {"certificate": {"passed": cert.passed, "dv1_at_zero": dv1,
                               "dz2_at_zero": cert.dz2_at_zero}}
     if not cert.passed:
@@ -427,7 +427,8 @@ _PIPELINES = {
 }
 
 NUMERICAL_ERRORS = (BlowUpError, RegimeExitError, InsufficientAnalyticityError,
-                    ClosureIterationError, DeltaTooLargeError, FloatingPointError)
+                    ClosureIterationError, DeltaTooLargeError, QuadratureError,
+                    FloatingPointError)
 
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
@@ -443,43 +444,47 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
 
 # --- post-hoc verification and rendering of a trajectory directory -----------
 
-def _sup_F_recomputed(path, t, sup_F) -> bool:
-    """arc_chord of every snapshot whose time is a diagnostics row equals
-    that row's sup_F as the same float (inf for a zero chord; nan as nan).
-    The 17-digit round trip of both files is exact, so any difference is
-    a diagnostics fault.  A snapshot without a row (a curve appended
-    after the run) is skipped."""
-    rows = dict(zip(t.tolist(), sup_F.tolist()))
+def _recomputed(path, rows) -> dict:
+    """Whether arc_chord and min_slope of every snapshot whose time is a
+    diagnostics row equal that row's sup_F and min_slope as the same
+    floats (inf for a zero chord; nan as nan), one check each.  The
+    17-digit round trip of both files is exact, so any difference is a
+    diagnostics fault.  A snapshot without a row (a curve appended after
+    the run) is skipped."""
+    index = {t: i for i, t in enumerate(rows["t"].tolist())}
+    checks = {"sup_F_recomputed": True, "min_slope_recomputed": True}
     for name in sorted(os.listdir(path)):
         if not (name.startswith("snap_") and name.endswith(".csv")):
             continue
         curve, ts, _ = load_csv(os.path.join(path, name))
-        if ts not in rows:
+        if ts not in index:
             continue
-        value = arc_chord(curve)
-        if not (value == rows[ts] or np.isnan(value) and np.isnan(rows[ts])):
-            return False
-    return True
+        d = derivative(curve, 1)
+        for column, value in (("sup_F", arc_chord(curve, d)),
+                              ("min_slope", min_slope(curve, d).min_slope)):
+            row = float(rows[column][index[ts]])
+            if not (value == row or np.isnan(value) and np.isnan(row)):
+                checks[f"{column}_recomputed"] = False
+    return checks
 
 
 def verify_trajectory(path) -> ScenarioResult:
     """Consistency checks on an artifact directory: events well-ordered
     (Turning precedes RTSignChange when both occur), diagnostics time
     strictly increasing, finite arc-chord constants, and each
-    snapshot's arc-chord constant recomputed equal to its diagnostics
-    row (_sup_F_recomputed)."""
+    snapshot's arc-chord constant and min d_alpha z1 recomputed equal to
+    its diagnostics row (_recomputed)."""
     events_path = os.path.join(path, "events.json")
     diag_path = os.path.join(path, "diagnostics.csv")
     if not os.path.exists(events_path) or not os.path.exists(diag_path):
         raise FileNotFoundError(f"{path}: events.json / diagnostics.csv missing")
     with open(events_path) as fh:
         events = json.load(fh)
-    rows = np.genfromtxt(diag_path, delimiter=",", names=True)
-    t, sup_F = np.atleast_1d(rows["t"]), np.atleast_1d(rows["sup_F"])
+    rows = np.atleast_1d(np.genfromtxt(diag_path, delimiter=",", names=True))
     checks = {
-        "time_monotone": bool(np.all(np.diff(t) > 0)) if t.size > 1 else True,
-        "sup_F_finite": bool(np.all(np.isfinite(sup_F))),
-        "sup_F_recomputed": _sup_F_recomputed(path, t, sup_F),
+        "time_monotone": bool(np.all(np.diff(rows["t"]) > 0)),
+        "sup_F_finite": bool(np.all(np.isfinite(rows["sup_F"]))),
+        **_recomputed(path, rows),
     }
     kinds = [e["kind"] for e in events]
     if TURNING in kinds and RT_SIGN_CHANGE in kinds:

@@ -190,15 +190,14 @@ def _unpack(like: SimState, y: np.ndarray, t) -> SimState:
 
 def _stack(states) -> SimState:
     """One stack of the given states, single or stacked, in order; its t
-    is the array of their times.  A lone state keeps its profile."""
+    is the array of their times."""
     first, c = states[0], states[0].curve
 
     def rows(xs):
         return np.concatenate([np.reshape(x, (-1, c.n)) for x in xs])
 
     curve = Curve(c.topology, c.alpha, rows([st.curve.z1 for st in states]),
-                  rows([st.curve.z2 for st in states]), L=c.L,
-                  profile=c.profile if len(states) == 1 else None)
+                  rows([st.curve.z2 for st in states]), L=c.L)
     omega = None if first.omega is None else rows([st.omega for st in states])
     return replace(first, curve=curve, omega=omega,
                    t=np.concatenate([np.atleast_1d(st.t) for st in states]))
@@ -207,8 +206,7 @@ def _stack(states) -> SimState:
 def _member(group: SimState, i: int) -> SimState:
     """Member i of a stack, as a single state."""
     c = group.curve
-    return replace(group, curve=Curve(c.topology, c.alpha, c.z1[i], c.z2[i], L=c.L,
-                                      profile=c.profile),
+    return replace(group, curve=Curve(c.topology, c.alpha, c.z1[i], c.z2[i], L=c.L),
                    omega=None if group.omega is None else group.omega[i],
                    t=float(group.t[i]))
 
@@ -370,12 +368,17 @@ class Trajectory:
         """Write every cadence-th snapshot and the last recorded sample, then
         any snapshot past the recorded samples (a curve appended after the
         run, such as the continuation curve at the RT sign change),
-        diagnostics.csv and events.json."""
+        diagnostics.csv and events.json.  Snapshot files of an earlier run
+        in path that these do not overwrite are removed."""
         os.makedirs(path, exist_ok=True)
         last = len(self.diagnostics) - 1
         kept = [s for i, s in enumerate(self.snapshots) if i % cadence == 0 or i >= last]
-        for i, (t, curve, omega) in enumerate(kept):
-            save_csv(curve, os.path.join(path, f"snap_{i:05d}.csv"), t=t, omega=omega)
+        names = [f"snap_{i:05d}.csv" for i in range(len(kept))]
+        for name in set(os.listdir(path)) - set(names):
+            if name.startswith("snap_") and name.endswith(".csv"):
+                os.remove(os.path.join(path, name))
+        for name, (t, curve, omega) in zip(names, kept):
+            save_csv(curve, os.path.join(path, name), t=t, omega=omega)
         with open(os.path.join(path, "diagnostics.csv"), "w") as fh:
             fh.write(",".join(DIAG_COLUMNS) + "\n")
             for row in self.diagnostics:

@@ -791,21 +791,58 @@ def test_bundled_configs_run_without_scipy(tmp_path):
     assert results["block"]["codes"] == results["allow"]["codes"]
 
 
-def test_verify_recomputes_sup_F_from_the_snapshots(tmp_path):
-    """verify recomputes the arc-chord sup of every snapshot that has a
-    diagnostics row; one sup_F moved by one ulp fails sup_F_recomputed,
-    exit 4."""
+@pytest.mark.parametrize("config,sets,column", [
+    ("muskat-linear.cfg", ["grid.n=64", "numerics.t_end=0.1"], "sup_F"),
+    ("muskat-turning.cfg", SMALL_RUNS["muskat-turning.cfg"], "min_slope"),
+], ids=["sup_F", "min_slope"])
+def test_verify_recomputes_diagnostics_from_the_snapshots(tmp_path, config, sets, column):
+    """verify recomputes the arc-chord sup and min d_alpha z1 of every
+    snapshot that has a diagnostics row, the initial open curve of
+    muskat-turning included: its row comes from the same node derivatives
+    as every other row.  One value of the column moved by one ulp fails
+    its check, exit 4."""
     from turnwave.scenarios import verify_trajectory
     out = tmp_path / "out"
-    assert main(["run", os.path.join(CONFIG_DIR, "muskat-linear.cfg"), "--set", "grid.n=64",
-                 "--set", "numerics.t_end=0.1", "--out", str(out)]) == 0
-    assert verify_trajectory(out).report["checks"]["sup_F_recomputed"] is True
+    assert main(["run", os.path.join(CONFIG_DIR, config), "--out", str(out)]
+                + [arg for kv in sets for arg in ("--set", kv)]) == 0
+    assert verify_trajectory(out).report["checks"][f"{column}_recomputed"] is True
     diag = out / "diagnostics.csv"
     lines = diag.read_text().splitlines()
     fields = lines[1].split(",")
-    column = lines[0].split(",").index("sup_F")
-    fields[column] = f"{np.nextafter(float(fields[column]), np.inf):.17g}"
+    index = lines[0].split(",").index(column)
+    fields[index] = f"{np.nextafter(float(fields[index]), np.inf):.17g}"
     diag.write_text("\n".join([lines[0], ",".join(fields), *lines[2:]]) + "\n")
     result = verify_trajectory(out)
-    assert result.report["checks"]["sup_F_recomputed"] is False
+    assert result.report["checks"][f"{column}_recomputed"] is False
     assert result.exit_code == 4 and main(["verify", str(out)]) == 4
+
+
+def test_rerun_into_a_directory_removes_stale_snapshots(tmp_path):
+    """A shorter run into the directory of a longer one leaves only its own
+    snapshots: verify passes and render draws its last curve, t = 0.5."""
+    out = tmp_path / "out"
+    config = os.path.join(CONFIG_DIR, "muskat-linear.cfg")
+    assert main(["run", config, "--set", "numerics.t_end=0.6",
+                 "--set", "numerics.snapshot_cadence=1", "--out", str(out)]) == 0
+    assert len(glob.glob(str(out / "snap_*.csv"))) == 301
+    assert main(["run", config, "--out", str(out)]) == 0
+    snaps = sorted(os.path.basename(p) for p in glob.glob(str(out / "snap_*.csv")))
+    assert snaps == [f"snap_{i:05d}.csv" for i in range(26)]
+    assert main(["verify", str(out)]) == 0
+    assert main(["render", str(out)]) == 0
+    assert "interface t=0.5<" in (out / "interface.svg").read_text()
+
+
+@pytest.mark.parametrize("assignment", ["turning.b=1000", "turning.cbar=-1e6",
+                                        "turning.beta1=1e-6"])
+def test_cli_certificate_quadrature_failure_exit_3(tmp_path, assignment):
+    """A certificate quadrature whose panel sums do not settle is a
+    numerical failure: exit 3 with a report that names the error and the
+    gap it left, not a traceback."""
+    out = tmp_path / "out"
+    assert main(["run", os.path.join(CONFIG_DIR, "muskat-turning.cfg"), "--set", assignment,
+                 "--out", str(out)]) == 3
+    report = json.loads((out / "report.json").read_text())
+    assert report["error"].startswith("QuadratureError: panel sums still differ by ")
+    assert float(report["error"].split("differ by ")[1].split()[0]) > 0.0
+    assert report["pass"] is False

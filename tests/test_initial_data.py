@@ -1,7 +1,5 @@
 """Turning candidates and sign certificates."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,13 +7,13 @@ from hypothesis import strategies as st
 
 from turnwave.closures import PhysicalConstants
 from turnwave.curve import derivative, min_slope, resample
-from turnwave.initial_data import (DeltaTooLargeError, PreconditionError,
-                                   TurningParams, dv1_at_zero_full,
-                                   dv1_at_zero_periodic,
-                                   dv1_at_zero_reduced, perturb_h4,
+from turnwave.initial_data import (DeltaTooLargeError, TurningParams,
+                                   _VerticalProfile, dv1_at_zero_full,
+                                   dv1_at_zero_periodic, dv1_at_zero_reduced,
+                                   dz1_profile, open_certificate, perturb_h4,
                                    turning_candidate_open,
                                    turning_candidate_periodic,
-                                   turning_certificate, waterwave_datum)
+                                   waterwave_datum)
 from turnwave import singular
 from turnwave.singular import _conformal
 from turnwave.spectral import discrete_h4_norm
@@ -36,11 +34,11 @@ def test_params_validation():
 
 def test_open_candidate_geometry():
     c = turning_candidate_open(DEFAULT, n=513, L=15.0)
-    d1 = c.profile.dz1(c.alpha)
+    d1 = dz1_profile(c.alpha)
     i0 = np.argmin(np.abs(c.alpha))
     assert abs(d1[i0]) < 1e-14                       # vertical tangent at 0
     assert np.all(d1[np.abs(c.alpha) > 1e-9] > 0)    # strict graph elsewhere
-    assert c.profile.dz2(0.0) > 0                    # rising through it
+    assert _VerticalProfile(DEFAULT).deriv(0.0) > 0  # rising through it
     # odd symmetry and flat tails at the configured level
     assert np.max(np.abs(c.z2 + c.z2[::-1])) < 1e-12
     assert abs(c.z2[-1] - DEFAULT.cbar) < 1e-12
@@ -69,26 +67,13 @@ def test_reduced_vs_full_integration_by_parts():
     """The two quadratures of d_alpha v1(0) agree (they differ by an exact
     integration by parts)."""
     for b in (1.0, 2.5, 4.0):
-        c = turning_candidate_open(TurningParams(b=b), n=257, L=15.0)
-        red, full = dv1_at_zero_reduced(c), dv1_at_zero_full(c)
+        params = TurningParams(b=b)
+        red, full = dv1_at_zero_reduced(params), dv1_at_zero_full(params)
         assert abs(red - full) <= 1e-6 * max(abs(red), abs(full))
 
 
-def test_reduced_rejects_non_candidates():
-    c = turning_candidate_open(DEFAULT, n=257, L=15.0, tilt=0.3)
-    with pytest.raises(PreconditionError):
-        dv1_at_zero_reduced(c)
-    # the certificate quadratures integrate the closed-form profile; a
-    # sampled curve without one is refused, not approximated on the grid
-    bare = replace(turning_candidate_open(DEFAULT, n=257, L=15.0), profile=None)
-    for quadrature in (dv1_at_zero_reduced, dv1_at_zero_full):
-        with pytest.raises(PreconditionError, match="profile"):
-            quadrature(bare)
-
-
 def test_certificate_passes_default_open_candidate():
-    c = turning_candidate_open(DEFAULT, n=513, L=15.0)
-    cert = turning_certificate(c)
+    cert = open_certificate(DEFAULT, n=513, L=15.0)
     assert cert.passed
     assert cert.dv1_at_zero < 0 and cert.dz2_at_zero > 0
 
@@ -161,8 +146,8 @@ def test_waterwave_datum_rejects_bad_delta():
        st.floats(min_value=-1.0, max_value=-0.05))
 @example(2.0, -0.63671875)
 def test_open_candidate_certificate_quadratures_agree(b, cbar):
-    c = turning_candidate_open(TurningParams(b=b, cbar=cbar), n=257, L=15.0)
-    red, full = dv1_at_zero_reduced(c), dv1_at_zero_full(c)
+    params = TurningParams(b=b, cbar=cbar)
+    red, full = dv1_at_zero_reduced(params), dv1_at_zero_full(params)
     assert abs(red - full) <= 1e-6 * max(abs(red), abs(full), 1e-12)
 
 
@@ -171,7 +156,6 @@ def dv1_reference(params, dps=40):
     (mpmath), on the profile as built: the blend polynomial keeps its
     double-precision coefficients, so only the quadrature is compared."""
     mpmath = pytest.importorskip("mpmath")
-    from turnwave.initial_data import _VerticalProfile
     blend = [float(c) for c in _VerticalProfile(params).poly.coef[::-1]]
     with mpmath.workdps(dps):
         b1, b2, b3, b, cbar = map(mpmath.mpf, (params.beta1, params.beta2,
@@ -215,7 +199,6 @@ def dv1_reference(params, dps=40):
 def test_certificate_quadratures_match_40_digit_reference(params):
     """The Gauss-Legendre panel sums against mpmath at 40 digits, within
     1e-11 relative.  In the cancelling case dv1(0) is only 5.2e-4."""
-    c = turning_candidate_open(params, n=257, L=15.0)
     red_ref, full_ref = dv1_reference(params)
-    assert abs(dv1_at_zero_reduced(c) - red_ref) <= 1e-11 * abs(red_ref)
-    assert abs(dv1_at_zero_full(c) - full_ref) <= 1e-11 * abs(full_ref)
+    assert abs(dv1_at_zero_reduced(params) - red_ref) <= 1e-11 * abs(red_ref)
+    assert abs(dv1_at_zero_full(params) - full_ref) <= 1e-11 * abs(full_ref)

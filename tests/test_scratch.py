@@ -1,6 +1,7 @@
 """The scratch pool of the O(N^2) kernels: repeated calls reuse its pages,
 and no result is a view of it."""
 
+import gc
 import sys
 
 import numpy as np
@@ -50,14 +51,22 @@ def test_repeated_kernel_calls_take_no_page_faults(label, call, per_call):
     """After two warm-up calls, 20 more calls take at most per_call minor
     page faults each on average: their blocks come from pages that the
     pool already holds, not from memory freed to the kernel after the
-    previous call and faulted in again."""
+    previous call and faulted in again.  The cyclic collector runs before
+    them and is off during them: a collection that frees garbage of other
+    tests can release an allocator arena and fault a page whatever the
+    kernels do."""
     import resource
     for _ in range(2):
         call()
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    for _ in range(20):
-        call()
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    gc.collect()
+    gc.disable()
+    try:
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(20):
+            call()
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    finally:
+        gc.enable()
     assert faults <= 20 * per_call, f"{label}: {faults} minor faults in 20 calls"
 
 
