@@ -74,9 +74,7 @@ def main(argv=None) -> int:
             print(f"turnwave: verify: {result.message}")
             return result.exit_code
         if args.command == "render":
-            written = render_trajectory(args.trajectory)
-            for path in written:
-                print(path)
+            print(*render_trajectory(args.trajectory), sep="\n")
             return EXIT_OK
     except FileNotFoundError as exc:
         print(f"turnwave: {exc}", file=sys.stderr)

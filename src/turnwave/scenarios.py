@@ -24,15 +24,16 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .closures import ClosureIterationError, PhysicalConstants
-from .config import ScenarioConfig, dump_config
-from .curve import arc_chord, derivative, graph_curve, load_csv, min_slope, resample
+from .config import ScenarioConfig, dump_config, load_config
+from .curve import PERIODIC, derivative, graph_curve, min_slope, resample
 from .diagnostics import (rt_report, sigma10, sigma10_checklist, sigma_muskat,
                           verify_weighted_rt, weight_h, weight_hbar)
 from .initial_data import (DeltaTooLargeError, dv1_at_zero_periodic, open_certificate,
                            turning_candidate_open, turning_candidate_periodic,
                            turning_certificate, waterwave_datum)
 from .stepping import (BlowUpError, DIAG_COLUMNS, GRAPH_BLOWUP, RT_RUN_LENGTH,
-                       RT_SIGN_CHANGE, TURNING, SimState, StepStats, _brent, advance, run)
+                       RT_SIGN_CHANGE, TURNING, SimState, StepStats, Trajectory, _brent,
+                       _diagnose, _stack, advance, remove_trajectory, run)
 from .singular import QuadratureError
 from .strip import (CKResult, InsufficientAnalyticityError, RegimeExitError,
                     ck_solve, extend_to_strip)
@@ -61,7 +62,8 @@ def _write(path, text):
 
 def _finish(cfg: ScenarioConfig, report: dict, message: str, traj=None,
             files=None, metrics=None) -> ScenarioResult:
-    """Write the run directory: the thinned trajectory, `files` (name ->
+    """Write the run directory: the thinned trajectory (without one, the
+    trajectory files of an earlier run are removed), `files` (name ->
     text), metrics.json, config.txt, report.json and the trajectory's
     plots.  metrics.json holds the step counts of the trajectory's run
     under "run" and the scenario's own sections in `metrics` (name ->
@@ -70,7 +72,9 @@ def _finish(cfg: ScenarioConfig, report: dict, message: str, traj=None,
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
     metrics = dict(metrics or {})
-    if traj is not None:
+    if traj is None:
+        remove_trajectory(out)
+    else:
         traj.write_dir(out, cfg.numerics.snapshot_cadence)
         metrics["run"] = asdict(traj.stats)
     if metrics:
@@ -83,10 +87,7 @@ def _finish(cfg: ScenarioConfig, report: dict, message: str, traj=None,
     if traj is not None:
         if not traj.snapshots:
             raise FileNotFoundError(f"{out}: no snapshot files")
-        t_last, curve, _ = traj.snapshots[-1]   # the last snapshot write_dir wrote
-        rows = np.array(traj.diagnostics, dtype=float).reshape(-1, len(DIAG_COLUMNS))
-        _draw_plots(out, curve, t_last, {name: rows[:, DIAG_COLUMNS.index(name)]
-                                         for name in PLOTTED_COLUMNS}, cfg.constants())
+        _draw_plots(out, traj, cfg.constants())
     code = 3 if "error" in report else (0 if report["pass"] else 4)
     return ScenarioResult(cfg.scenario, code, report, message)
 
@@ -223,10 +224,9 @@ def muskat_breakdown(cfg: ScenarioConfig) -> ScenarioResult:
     picard = {"backward": _picard_metrics(back)}
     metrics = {"ck_solve": picard}
     datum = back.curves[-1].real_curve()
-    report["datum_min_slope"] = min_slope(datum).min_slope
-
     traj, final = run(SimState(datum, consts=consts), cfg.numerics.t_end,
                       cfg.numerics.dt, stop_on=(TURNING,))
+    report["datum_min_slope"] = traj.diagnostics[0][1]
     ev = traj.events.first(TURNING)
     if ev is None:
         report["pass"] = False
@@ -323,7 +323,7 @@ def waterwave_turning(cfg: ScenarioConfig) -> ScenarioResult:
                                np.max(np.abs(rt_curve.z2 - star.z2))))
     ev_turn = traj.events.first(TURNING)
     ev_blow = traj.events.first(GRAPH_BLOWUP)
-    graph_fails = ev_turn is not None and min_slope(final.curve).min_slope <= 0.0
+    graph_fails = ev_turn is not None and traj.diagnostics[-1][1] <= 0.0
     times = traj.times
     sup_fa = traj.slope_sups
     finite = [v for v in sup_fa if np.isfinite(v)]
@@ -442,99 +442,74 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
                        getattr(exc, "trajectory", None))
 
 
-# --- post-hoc verification and rendering of a trajectory directory -----------
+# --- post-hoc verification and rendering of a run directory ----------------
 
-def _recomputed(path, rows) -> dict:
-    """Whether arc_chord and min_slope of every snapshot whose time is a
-    diagnostics row equal that row's sup_F and min_slope as the same
-    floats (inf for a zero chord; nan as nan), one check each.  The
-    17-digit round trip of both files is exact, so any difference is a
-    diagnostics fault.  A snapshot without a row (a curve appended after
-    the run) is skipped."""
-    index = {t: i for i, t in enumerate(rows["t"].tolist())}
-    checks = {"sup_F_recomputed": True, "min_slope_recomputed": True}
-    for name in sorted(os.listdir(path)):
-        if not (name.startswith("snap_") and name.endswith(".csv")):
-            continue
-        curve, ts, _ = load_csv(os.path.join(path, name))
-        if ts not in index:
-            continue
-        d = derivative(curve, 1)
-        for column, value in (("sup_F", arc_chord(curve, d)),
-                              ("min_slope", min_slope(curve, d).min_slope)):
-            row = float(rows[column][index[ts]])
-            if not (value == row or np.isnan(value) and np.isnan(row)):
-                checks[f"{column}_recomputed"] = False
-    return checks
+# the diagnostics columns that a snapshot determines, and the plots of a run
+RECOMPUTED = ("min_slope", "sup_F", "sigma_min", "h4_norm", "mean_f")
+PLOTS = ("interface", "min_slope", "sigma_min")
+
+
+def _read_run(path):
+    """The trajectory of a run directory and the constants of its config.txt."""
+    return Trajectory.read_dir(path), load_config(os.path.join(path, "config.txt")).constants()
 
 
 def verify_trajectory(path) -> ScenarioResult:
-    """Consistency checks on an artifact directory: events well-ordered
-    (Turning precedes RTSignChange when both occur), diagnostics time
-    strictly increasing, finite arc-chord constants, and each
-    snapshot's arc-chord constant and min d_alpha z1 recomputed equal to
-    its diagnostics row (_recomputed)."""
-    events_path = os.path.join(path, "events.json")
-    diag_path = os.path.join(path, "diagnostics.csv")
-    if not os.path.exists(events_path) or not os.path.exists(diag_path):
-        raise FileNotFoundError(f"{path}: events.json / diagnostics.csv missing")
-    with open(events_path) as fh:
-        events = json.load(fh)
-    rows = np.atleast_1d(np.genfromtxt(diag_path, delimiter=",", names=True))
-    checks = {
-        "time_monotone": bool(np.all(np.diff(rows["t"]) > 0)),
-        "sup_F_finite": bool(np.all(np.isfinite(rows["sup_F"]))),
-        **_recomputed(path, rows),
-    }
-    kinds = [e["kind"] for e in events]
+    """Consistency checks on a run directory (_read_run): events
+    well-ordered (Turning precedes RTSignChange when both occur),
+    diagnostics time strictly increasing, finite arc-chord constants, and
+    each column of RECOMPUTED equal, in every row whose time has a
+    snapshot, to the float that _diagnose, the row's writer, recomputes
+    from that snapshot (inf for a zero chord; nan as nan), one check per
+    column.  The 17-digit round trip of the files is exact, so any
+    difference is a diagnostics fault.  A snapshot without a row (a curve
+    appended after the run) is skipped."""
+    traj, consts = _read_run(path)
+    rows, col = {row[0]: row for row in traj.diagnostics}, DIAG_COLUMNS.index
+    table = np.reshape(traj.diagnostics, (-1, len(DIAG_COLUMNS)))
+    checks = {"time_monotone": bool(np.all(np.diff(table[:, 0]) > 0)),
+              "sup_F_finite": bool(np.all(np.isfinite(table[:, col("sup_F")])))}
+    checks.update((f"{name}_recomputed", True) for name in RECOMPUTED)
+    checked = [(t, curve, omega) for t, curve, omega in traj.snapshots if t in rows]
+    for t, curve, omega in checked:
+        group = _stack([SimState(curve, omega, t, consts)])
+        report, sup_F, sigma, h4, mean_f, _ = _diagnose(group, derivative(group.curve, 1))
+        sigma_min = rt_report(curve.alpha, sigma, curve.topology == PERIODIC).min_sigma
+        for name, value in zip(RECOMPUTED, (report.min_slope, sup_F, sigma_min, h4, mean_f)):
+            value, row = float(value[0]), rows[t][col(name)]
+            if not (value == row or np.isnan(value) and np.isnan(row)):
+                checks[f"{name}_recomputed"] = False
+    kinds, first = traj.events.kinds(), traj.events.first
     if TURNING in kinds and RT_SIGN_CHANGE in kinds:
         checks["turning_before_rt"] = kinds.index(TURNING) < kinds.index(RT_SIGN_CHANGE)
-        t_turn = next(e["t"] for e in events if e["kind"] == TURNING)
-        t_rt = next(e["t"] for e in events if e["kind"] == RT_SIGN_CHANGE)
-        checks["turning_time_before_rt_time"] = t_turn <= t_rt
+        checks["turning_time_before_rt_time"] = first(TURNING).t <= first(RT_SIGN_CHANGE).t
     ok = all(checks.values())
-    report = {"checks": checks, "events": kinds, "pass": ok}
+    report = {"checks": checks, "events": kinds, "checked_snapshots": len(checked), "pass": ok}
     return ScenarioResult("verify", 0 if ok else 4, report,
                           "trajectory consistent" if ok else "inconsistent")
 
 
-# the diagnostics columns that the plots of a run directory read
-PLOTTED_COLUMNS = ("t", "min_slope", "sigma_min")
-
-
-def _draw_plots(path, curve, t_last, columns, consts: PhysicalConstants) -> list:
-    """Draw interface.svg from the curve of the last snapshot, at t_last,
-    and, when columns (name -> values of PLOTTED_COLUMNS) is not None,
-    min_slope.svg and sigma_min.svg, in a run directory.  Returns the list
-    of files written."""
-    rep = sigma_muskat(curve, consts)
-    target = os.path.join(path, "interface.svg")
-    _write(target, render_curve(curve.alpha, curve.z1, curve.z2,
-                                rep.negative_intervals,
-                                title=f"interface t={float(t_last):.6g}"))
-    written = [target]
-    if columns is not None:
-        for name in PLOTTED_COLUMNS[1:]:
-            target = os.path.join(path, f"{name}.svg")
-            _write(target, render_series(columns["t"], columns[name], name))
-            written.append(target)
+def _draw_plots(path, traj, consts: PhysicalConstants) -> list:
+    """Draw interface.svg from the last snapshot of traj, and min_slope.svg
+    and sigma_min.svg from its diagnostics rows, in a run directory.
+    Returns the list of files written."""
+    t_last, curve, _ = traj.snapshots[-1]
+    rows = np.reshape(traj.diagnostics, (-1, len(DIAG_COLUMNS)))
+    written = [os.path.join(path, f"{name}.svg") for name in PLOTS]
+    _write(written[0], render_curve(curve.alpha, curve.z1, curve.z2,
+                                    sigma_muskat(curve, consts).negative_intervals,
+                                    title=f"interface t={float(t_last):.6g}"))
+    for target, name in zip(written[1:], PLOTS[1:]):
+        _write(target, render_series(rows[:, 0], rows[:, DIAG_COLUMNS.index(name)], name))
     return written
 
 
-def render_trajectory(path, consts: PhysicalConstants = PhysicalConstants()) -> list:
-    """Draw the plots of a run directory from its files: the last snapshot
-    and diagnostics.csv, when there is one (_draw_plots).  A run draws the
-    same plots from memory, byte for byte: snapshots and diagnostics are
-    written with 17 significant digits (repr for the time), which read
-    back as the same floats.  Returns the list of files written."""
-    snaps = sorted(f for f in os.listdir(path) if f.startswith("snap_")
-                   and f.endswith(".csv"))
-    if not snaps:
-        raise FileNotFoundError(f"{path}: no snapshot files")
-    curve, t_last, _ = load_csv(os.path.join(path, snaps[-1]))
-    diag_path = os.path.join(path, "diagnostics.csv")
-    columns = None
-    if os.path.exists(diag_path):
-        rows = np.genfromtxt(diag_path, delimiter=",", names=True)
-        columns = {name: np.atleast_1d(rows[name]) for name in PLOTTED_COLUMNS}
-    return _draw_plots(path, curve, t_last, columns, consts)
+def render_trajectory(path) -> list:
+    """Draw the plots of a run directory from its files with the constants
+    of its config.txt (_read_run), through the drawer the run used.  A run
+    draws the same plots from memory, byte for byte: snapshots and
+    diagnostics are written with 17 significant digits (repr for the
+    time), which read back as the same floats.  Returns the list of files
+    written."""
+    traj, consts = _read_run(path)
+    return _draw_plots(path, traj, consts)

@@ -61,6 +61,7 @@ Events:
 """
 
 import bisect
+import fnmatch
 import json
 import math
 import os
@@ -70,8 +71,8 @@ from typing import Optional
 import numpy as np
 
 from .closures import PhysicalConstants, waterwave_rhs
-from .curve import (Curve, PERIODIC, arc_chord, derivative, graph_slope_sup, min_slope,
-                    save_csv)
+from .curve import (Curve, PERIODIC, arc_chord, derivative, graph_slope_sup, load_csv,
+                    min_slope, save_csv)
 from .diagnostics import rt_report
 from .singular import muskat_rhs_open, muskat_rhs_periodic
 from .spectral import apply_krasny, discrete_h4_norm
@@ -368,15 +369,13 @@ class Trajectory:
         """Write every cadence-th snapshot and the last recorded sample, then
         any snapshot past the recorded samples (a curve appended after the
         run, such as the continuation curve at the RT sign change),
-        diagnostics.csv and events.json.  Snapshot files of an earlier run
-        in path that these do not overwrite are removed."""
+        diagnostics.csv and events.json.  The snapshot files of an earlier
+        run in path that these do not overwrite are removed."""
         os.makedirs(path, exist_ok=True)
         last = len(self.diagnostics) - 1
         kept = [s for i, s in enumerate(self.snapshots) if i % cadence == 0 or i >= last]
         names = [f"snap_{i:05d}.csv" for i in range(len(kept))]
-        for name in set(os.listdir(path)) - set(names):
-            if name.startswith("snap_") and name.endswith(".csv"):
-                os.remove(os.path.join(path, name))
+        remove_trajectory(path, keep=names)
         for name, (t, curve, omega) in zip(names, kept):
             save_csv(curve, os.path.join(path, name), t=t, omega=omega)
         with open(os.path.join(path, "diagnostics.csv"), "w") as fh:
@@ -386,6 +385,32 @@ class Trajectory:
                                   else f"{x:.17g}" for x in row) + "\n")
         with open(os.path.join(path, "events.json"), "w") as fh:
             fh.write(json.dumps([asdict(e) for e in self.events.events], indent=1) + "\n")
+
+    @classmethod
+    def read_dir(cls, path) -> "Trajectory":
+        """The inverse of write_dir: the snapshot files in order, the
+        diagnostics.csv rows (an empty field is nan) and the events, each
+        value the float that was written (17 significant digits, repr for
+        a snapshot's time).  Raises FileNotFoundError when path holds no
+        snapshot files."""
+        names = sorted(fnmatch.filter(os.listdir(path), "snap_*.csv"))
+        if not names:
+            raise FileNotFoundError(f"{path}: no snapshot files")
+        with open(os.path.join(path, "diagnostics.csv")) as fh:
+            rows = [[float(x) if x else math.nan for x in line.rstrip("\n").split(",")]
+                    for line in fh.readlines()[1:]]
+        with open(os.path.join(path, "events.json")) as fh:
+            events = EventLog([Event(**e) for e in json.load(fh)])
+        return cls([(t, c, w) for c, t, w in (load_csv(os.path.join(path, name))
+                                              for name in names)], rows, events=events)
+
+
+def remove_trajectory(path, keep=()):
+    """Remove the trajectory files of an earlier run from path (its
+    snapshots, diagnostics.csv and events.json), except those in keep."""
+    for name in set(os.listdir(path)) - set(keep):
+        if fnmatch.fnmatchcase(name, "snap_*.csv") or name in ("diagnostics.csv", "events.json"):
+            os.remove(os.path.join(path, name))
 
 
 def _diagnose(group: SimState, d):

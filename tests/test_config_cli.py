@@ -22,7 +22,7 @@ from turnwave.config import (DEFAULTS, READS, SCENARIOS, ConfigError, ScenarioCo
 from turnwave.curve import load_csv
 from turnwave.diagnostics import WeightParams
 from turnwave.initial_data import TurningParams
-from turnwave.scenarios import _PIPELINES, _finish
+from turnwave.scenarios import RECOMPUTED, _PIPELINES, _finish, verify_trajectory
 from turnwave.strip import PICARD_TOL
 from turnwave.svg import render_curve, render_series
 
@@ -791,21 +791,31 @@ def test_bundled_configs_run_without_scipy(tmp_path):
     assert results["block"]["codes"] == results["allow"]["codes"]
 
 
+def run_config(config, out, sets=()):
+    """The exit code of `turnwave run` on a bundled config into out."""
+    return main(["run", os.path.join(CONFIG_DIR, config), "--out", str(out)]
+                + [arg for kv in sets for arg in ("--set", kv)])
+
+
 @pytest.mark.parametrize("config,sets,column", [
     ("muskat-linear.cfg", ["grid.n=64", "numerics.t_end=0.1"], "sup_F"),
     ("muskat-turning.cfg", SMALL_RUNS["muskat-turning.cfg"], "min_slope"),
-], ids=["sup_F", "min_slope"])
+    ("muskat-linear.cfg", ["grid.n=64", "numerics.t_end=0.1", "physics.rho1=2.0"],
+     "sigma_min"),
+    ("waterwave-turning.cfg", SMALL_RUNS["waterwave-turning.cfg"], "h4_norm"),
+    ("waterwave-linear.cfg", SMALL_RUNS["waterwave-linear.cfg"], "mean_f"),
+], ids=["sup_F", "min_slope", "sigma_min", "h4_norm", "mean_f"])
 def test_verify_recomputes_diagnostics_from_the_snapshots(tmp_path, config, sets, column):
-    """verify recomputes the arc-chord sup and min d_alpha z1 of every
-    snapshot that has a diagnostics row, the initial open curve of
-    muskat-turning included: its row comes from the same node derivatives
-    as every other row.  One value of the column moved by one ulp fails
-    its check, exit 4."""
-    from turnwave.scenarios import verify_trajectory
+    """verify recomputes min_slope, sup_F, sigma_min, h4_norm and mean_f of
+    every snapshot that has a diagnostics row, the initial open curve of
+    muskat-turning and the water waves (with their amplitude) included,
+    with the run's own constants (rho1 = 2 makes sigma negative).  One
+    value of a column moved by one ulp fails that column's check alone,
+    exit 4."""
     out = tmp_path / "out"
-    assert main(["run", os.path.join(CONFIG_DIR, config), "--out", str(out)]
-                + [arg for kv in sets for arg in ("--set", kv)]) == 0
-    assert verify_trajectory(out).report["checks"][f"{column}_recomputed"] is True
+    assert run_config(config, out, sets) == 0
+    checks = verify_trajectory(out).report["checks"]
+    assert all(checks[f"{name}_recomputed"] is True for name in RECOMPUTED)
     diag = out / "diagnostics.csv"
     lines = diag.read_text().splitlines()
     fields = lines[1].split(",")
@@ -813,8 +823,75 @@ def test_verify_recomputes_diagnostics_from_the_snapshots(tmp_path, config, sets
     fields[index] = f"{np.nextafter(float(fields[index]), np.inf):.17g}"
     diag.write_text("\n".join([lines[0], ",".join(fields), *lines[2:]]) + "\n")
     result = verify_trajectory(out)
-    assert result.report["checks"][f"{column}_recomputed"] is False
+    assert [k for k, ok in result.report["checks"].items() if not ok] == [
+        f"{column}_recomputed"]
     assert result.exit_code == 4 and main(["verify", str(out)]) == 4
+
+
+def test_small_runs_verify_every_recomputed_column(tmp_path):
+    """Every shrunk bundled config whose run leaves a trajectory verifies
+    with all five recomputed columns equal to its rows, on at least its
+    initial snapshot.  ck-compare samples no trajectory and the small
+    muskat-breakdown fails before its forward run: both directories hold
+    none, and verify and render exit 2."""
+    with_trajectory = []
+    for config, sets in SMALL_RUNS.items():
+        out = tmp_path / config
+        run_config(config, out, sets)
+        if not (out / "events.json").exists():
+            assert main(["verify", str(out)]) == main(["render", str(out)]) == 2
+            continue
+        with_trajectory.append(config)
+        result = verify_trajectory(out)
+        assert result.exit_code == 0, (config, result.report)
+        assert result.report["checked_snapshots"] >= 1
+        assert all(result.report["checks"][f"{name}_recomputed"] for name in RECOMPUTED)
+    assert sorted(with_trajectory) == sorted(set(SMALL_RUNS) - {
+        "ck-compare.cfg", "muskat-breakdown.cfg"})
+
+
+def test_bundled_runs_verify_every_snapshot_with_a_row(tmp_path):
+    """Each bundled trajectory run at its own size verifies: every snapshot
+    but muskat-breakdown's appended continuation curve (its time has no
+    row) is recomputed, with all five columns equal to its row."""
+    for config in sorted(SMALL_RUNS):
+        out = tmp_path / config
+        assert run_config(config, out) == 0
+        if config == "ck-compare.cfg":
+            assert main(["verify", str(out)]) == 2
+            continue
+        result = verify_trajectory(out)
+        snaps = len(glob.glob(str(out / "snap_*.csv")))
+        assert result.exit_code == 0, (config, result.report)
+        assert result.report["checked_snapshots"] == snaps - (config == "muskat-breakdown.cfg")
+
+
+def test_failed_rerun_removes_the_earlier_trajectory(tmp_path):
+    """A run that fails before it has a trajectory (exit 3: the certificate
+    quadrature does not settle) into the directory of a finished run
+    leaves none of that run's snapshots, diagnostics.csv or events.json,
+    so verify and render exit 2 instead of passing on the stale files."""
+    out = tmp_path / "out"
+    assert run_config("muskat-turning.cfg", out) == 0
+    assert main(["verify", str(out)]) == 0
+    assert run_config("muskat-turning.cfg", out, ["turning.b=1000"]) == 3
+    assert glob.glob(str(out / "snap_*.csv")) == []
+    assert not (out / "diagnostics.csv").exists() and not (out / "events.json").exists()
+    assert main(["verify", str(out)]) == 2
+    assert main(["render", str(out)]) == 2
+
+
+def test_render_draws_with_the_constants_of_the_run(tmp_path):
+    """render takes the physical constants from the run's config.txt: with
+    rho1 = 2 > rho2 the sigma of the interface is negative, and the plot
+    the run drew, with its red sigma < 0 overlay (a second polyline), is
+    the one render draws."""
+    out = tmp_path / "out"
+    assert run_config("muskat-linear.cfg", out, ["physics.rho1=2.0"]) == 0
+    drawn = (out / "interface.svg").read_text()
+    assert drawn.count("<polyline") == 2
+    assert main(["render", str(out)]) == 0
+    assert (out / "interface.svg").read_text() == drawn
 
 
 def test_rerun_into_a_directory_removes_stale_snapshots(tmp_path):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from turnwave import curve as curve_module
-from turnwave import scenarios, stepping
+from turnwave import stepping
 from turnwave.cli import main
 from turnwave.config import ScenarioConfig
 from turnwave.curve import CHUNK, Curve, arc_chord, derivative, graph_curve
@@ -138,14 +138,16 @@ PLOTS = ("interface.svg", "min_slope.svg", "sigma_min.svg")
 
 
 def run_without_reading_files(monkeypatch, argv):
-    """main(argv) with np.genfromtxt and load_csv made to raise, so that a
-    run which reads back its own files fails; returns its exit code."""
+    """main(argv) with the reader of a run directory (Trajectory.read_dir and
+    the load_csv it calls) and np.genfromtxt made to raise, so that a run
+    which reads back its own files fails; returns its exit code."""
     def refuse(*args, **kwargs):
         raise AssertionError("a run read back a file it wrote")
 
     with monkeypatch.context() as m:
         m.setattr(np, "genfromtxt", refuse)
-        m.setattr(scenarios, "load_csv", refuse)
+        m.setattr(Trajectory, "read_dir", refuse)
+        m.setattr(stepping, "load_csv", refuse)
         return main(argv)
 
 

@@ -15,7 +15,8 @@ from turnwave.initial_data import (TurningParams, turning_candidate_open,
 from turnwave import stepping
 from turnwave.spectral import discrete_h4_norm
 from turnwave.stepping import (BlowUpError, DIAG_COLUMNS, GRAPH_BLOWUP, STAGES, STEP_TOL,
-                               TURNING, SimState, StepStats, advance, run, step_dp54)
+                               TURNING, SimState, StepStats, Trajectory, advance, run,
+                               step_dp54)
 
 
 def small_graph(n=64, eps=1e-3, k=2):
@@ -275,6 +276,40 @@ def test_trajectory_write_dir_round_trip(tmp_path):
     assert header.split(",")[0] == "t"
     snaps = sorted(tmp_path.glob("snap_*.csv"))
     assert len(snaps) == len(traj.snapshots)
+
+
+@pytest.mark.parametrize("problem", ["periodic", "open", "waterwave"])
+def test_read_dir_inverts_write_dir(tmp_path, problem):
+    """Trajectory.read_dir gives back what write_dir wrote: every snapshot
+    (time, topology, L, nodes and amplitude) and every diagnostics row as
+    the same floats, an empty t_star as nan, and the same events; a curve
+    appended after the run comes back last."""
+    if problem == "open":
+        state = SimState(turning_candidate_open(TurningParams(), n=129, L=10.0))
+    elif problem == "waterwave":
+        state = SimState(small_graph(), 1e-3 * np.sin(periodic_grid(64)))
+    else:
+        state = SimState(turning_candidate_periodic(TurningParams(beta1=1.5, b=3.0), n=128,
+                                                    tilt=0.02))
+    traj, final = run(state, 0.2, 1e-2, stop_on=(TURNING,))
+    traj.snapshots.append((final.t + 1.0, final.curve, final.omega))
+    traj.write_dir(tmp_path)
+    back = Trajectory.read_dir(tmp_path)
+    assert len(back.snapshots) == len(traj.snapshots)
+    for (t, curve, omega), (t_back, curve_back, omega_back) in zip(traj.snapshots,
+                                                                   back.snapshots):
+        assert t_back == t and type(t_back) is float
+        assert (curve_back.topology, curve_back.L) == (curve.topology, curve.L)
+        for got, want in zip((curve_back.alpha, curve_back.z1, curve_back.z2, omega_back),
+                             (curve.alpha, curve.z1, curve.z2, omega)):
+            assert (got is None) == (want is None)
+            assert want is None or got.tobytes() == np.asarray(want).tobytes()
+    assert np.array_equal(back.diagnostics, traj.diagnostics, equal_nan=True)
+    t_star = DIAG_COLUMNS.index("t_star")
+    assert np.isnan(back.diagnostics[0][t_star])
+    assert back.events == traj.events
+    turned = TURNING in back.events.kinds()
+    assert turned == (problem != "waterwave") == (not np.isnan(back.diagnostics[-1][t_star]))
 
 
 def test_write_dir_thins_to_cadence_and_keeps_appended_curves(tmp_path):
