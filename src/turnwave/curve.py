@@ -43,6 +43,8 @@ CHUNK = 16
 PRUNE_MARGIN = 1e-12
 # chunk pairs c < c' within this many chunks also get its projection bound
 REACH = 4
+# arc-chord sup of a curve self-intersecting at grid resolution (ArcChordFailure, ck_solve)
+ARC_CHORD_MAX = 1e8
 # half-bandwidth and block height of the open-curve derivative products
 SPLINE_BAND = 64
 # rows of A^-1 computed below the band that those blocks read (_spline_operators)

@@ -43,6 +43,7 @@ from .stepping import SimState, StepStats, advance
 # govern the result there
 QUAD_EPSREL = 1e-10
 MAX_QUAD_PANELS = 4096          # panels per piece before the doubling gives up
+DV1_NODES = 2048                # nodes dv1_at_zero_periodic resamples a coarser curve to
 # the 16-point Gauss-Legendre rule on [-1, 1], applied panel by panel
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
@@ -270,18 +271,17 @@ def dv1_at_zero_full(params: TurningParams) -> float:
     return 2.0 * _half_line_integral(g, params.beta2, params.beta3)
 
 
-def dv1_at_zero_periodic(curve: Curve, prefactor: float,
-                         n_eval: int = 2048) -> float:
+def dv1_at_zero_periodic(curve: Curve, prefactor: float) -> float:
     """d_alpha v1 at alpha = 0 for a periodic curve, from the full contour
     velocity on a refined grid.
 
     The velocity gradient at a vertical-tangent point converges slowly in
     the node count (the kernel peak narrows with the flattening of z1),
-    so the curve is trigonometrically resampled to n_eval nodes and the
+    so the curve is trigonometrically resampled to DV1_NODES nodes and the
     derivative taken by a centered fourth-order stencil: spectral
     differentiation at the original resolution aliases badly here.
     """
-    c = resample(curve, n_eval) if curve.n < n_eval else curve
+    c = resample(curve, DV1_NODES) if curve.n < DV1_NODES else curve
     v = _muskat_periodic(c, prefactor, lead=2, rows=5)   # nodes -2..2
     h = 2.0 * np.pi / c.n
     return float((-v[4, 0] + 8.0 * v[3, 0] - 8.0 * v[1, 0] + v[0, 0])

@@ -33,7 +33,7 @@ from .initial_data import (DeltaTooLargeError, dv1_at_zero_periodic, open_certif
                            turning_certificate, waterwave_datum)
 from .stepping import (BlowUpError, DIAG_COLUMNS, GRAPH_BLOWUP, RT_RUN_LENGTH,
                        RT_SIGN_CHANGE, TURNING, SimState, StepStats, Trajectory, _brent,
-                       _diagnose, _stack, advance, remove_trajectory, run)
+                       _diagnose, _stack, advance, remove_run_files, run)
 from .singular import QuadratureError
 from .strip import (CKResult, InsufficientAnalyticityError, RegimeExitError,
                     ck_solve, extend_to_strip)
@@ -43,7 +43,6 @@ from .svg import render_curve, render_series
 # fixed stage parameters of the breakdown pipeline (the backward
 # analyticity radius is generous because the candidate is band-limited)
 BACKWARD_STRIP_R0 = 0.1
-CONTINUATION_NORM_BOUND = 1e12
 CK_COMPARE_INTERVALS = 32   # ck-compare compares at k T / 32, k = 0 .. 32
 
 
@@ -62,18 +61,18 @@ def _write(path, text):
 
 def _finish(cfg: ScenarioConfig, report: dict, message: str, traj=None,
             files=None, metrics=None) -> ScenarioResult:
-    """Write the run directory: the thinned trajectory (without one, the
-    trajectory files of an earlier run are removed), `files` (name ->
+    """Write the run directory, with every file of an earlier run removed
+    (stepping.remove_run_files): the thinned trajectory, `files` (name ->
     text), metrics.json, config.txt, report.json and the trajectory's
     plots.  metrics.json holds the step counts of the trajectory's run
-    under "run" and the scenario's own sections in `metrics` (name ->
-    JSON value), when there are any.  The exit code is 3 for a report
-    that carries an "error", else 0 or 4 from report["pass"]."""
+    under "run" and the scenario's own sections in `metrics` (name -> JSON
+    value), when there are any.  The exit code is 3 for a report that
+    carries an "error", else 0 or 4 from report["pass"]."""
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
     metrics = dict(metrics or {})
     if traj is None:
-        remove_trajectory(out)
+        remove_run_files(out)
     else:
         traj.write_dir(out, cfg.numerics.snapshot_cadence)
         metrics["run"] = asdict(traj.stats)
@@ -220,7 +219,7 @@ def muskat_breakdown(cfg: ScenarioConfig) -> ScenarioResult:
 
     # backward-in-time analytic continuation produces a strict graph datum
     sc0 = extend_to_strip(candidate, BACKWARD_STRIP_R0, t=0.0)
-    back = ck_solve(sc0, cfg.wave.delta, -pref, norm_bound=CONTINUATION_NORM_BOUND)
+    back = ck_solve(sc0, cfg.wave.delta, -pref)
     picard = {"backward": _picard_metrics(back)}
     metrics = {"ck_solve": picard}
     datum = back.curves[-1].real_curve()
@@ -238,7 +237,7 @@ def muskat_breakdown(cfg: ScenarioConfig) -> ScenarioResult:
     # then continue on a linearly shrinking strip of analyticity
     handoff = resample(final.curve, cfg.strip.M)
     sc = extend_to_strip(handoff, cfg.strip.r0, t=final.t)
-    res = ck_solve(sc, cfg.strip.T, pref, norm_bound=CONTINUATION_NORM_BOUND)
+    res = ck_solve(sc, cfg.strip.T, pref)
     picard["continuation"] = _picard_metrics(res)
 
     # every node to T.  res.times already include the handoff time, so

@@ -25,27 +25,27 @@ def modes(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _derivative_multiplier(n: int, order: int, period: float) -> np.ndarray:
-    """(i k)^order on n samples of the period, read-only.  The Nyquist mode
+def _derivative_multiplier(n: int, order: int) -> np.ndarray:
+    """(i k)^order on n samples of [0, 2 pi), read-only.  The Nyquist mode
     is zeroed for odd orders (its derivative is not representable on the
     grid)."""
-    mult = (1j * (modes(n) * (2.0 * np.pi / period))) ** order
+    mult = (1j * modes(n)) ** order
     if order % 2 == 1 and n % 2 == 0:
         mult[n // 2] = 0.0
     mult.flags.writeable = False
     return mult
 
 
-def fourier_derivative(f, order=1, period=2.0 * np.pi):
-    """Spectral derivative of periodic samples, or of each row of a stack.
+def fourier_derivative(f, order=1):
+    """Spectral derivative of 2 pi-periodic samples, or of each row of a stack.
     A tuple of orders gives the stack of those derivatives, one per order,
     from one forward and one inverse transform."""
     f = np.asarray(f, dtype=float)
     fk = np.fft.fft(f)
     if isinstance(order, tuple):
-        fk = np.stack([fk * _derivative_multiplier(f.shape[-1], o, period) for o in order])
+        fk = np.stack([fk * _derivative_multiplier(f.shape[-1], o) for o in order])
     else:
-        fk *= _derivative_multiplier(f.shape[-1], order, period)
+        fk *= _derivative_multiplier(f.shape[-1], order)
     return np.fft.ifft(fk).real
 
 

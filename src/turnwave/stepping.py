@@ -71,8 +71,8 @@ from typing import Optional
 import numpy as np
 
 from .closures import PhysicalConstants, waterwave_rhs
-from .curve import (Curve, PERIODIC, arc_chord, derivative, graph_slope_sup, load_csv,
-                    min_slope, save_csv)
+from .curve import (ARC_CHORD_MAX, Curve, PERIODIC, arc_chord, derivative, graph_slope_sup,
+                    load_csv, min_slope, save_csv)
 from .diagnostics import rt_report
 from .singular import muskat_rhs_open, muskat_rhs_periodic
 from .spectral import apply_krasny, discrete_h4_norm
@@ -85,7 +85,6 @@ GRAPH_BLOWUP = "GraphBlowup"
 RT_RUN_LENGTH = 3               # consecutive nodes with sigma < 0
 FILTER_THRESHOLD = 1e-12        # Krasny filter level, relative to the top mode
 GRAPH_BLOWUP_THRESHOLD = 1e3    # sup |f_alpha| flagged as slope blow-up
-ARC_CHORD_MAX = 1e8             # sup F(z) flagged as arc-chord failure
 
 STEP_TOL = 1e-11                # absolute and relative local error per step
 MIN_STEP_RATIO = 1e-8           # a step below this fraction of dt is a blow-up
@@ -125,12 +124,12 @@ STAGES = len(_C)
 
 class BlowUpError(Exception):
     """NaN/Inf or a vanishing step; carries the last valid state and the
-    trajectory."""
+    trajectory, which run sets when the error passes through it."""
 
-    def __init__(self, message, state=None, trajectory=None):
+    def __init__(self, message, state=None):
         super().__init__(message)
         self.state = state
-        self.trajectory = trajectory
+        self.trajectory = None
 
 
 @dataclass
@@ -369,13 +368,13 @@ class Trajectory:
         """Write every cadence-th snapshot and the last recorded sample, then
         any snapshot past the recorded samples (a curve appended after the
         run, such as the continuation curve at the RT sign change),
-        diagnostics.csv and events.json.  The snapshot files of an earlier
-        run in path that these do not overwrite are removed."""
+        diagnostics.csv and events.json, after remove_run_files has removed
+        the files of an earlier run in path."""
         os.makedirs(path, exist_ok=True)
         last = len(self.diagnostics) - 1
         kept = [s for i, s in enumerate(self.snapshots) if i % cadence == 0 or i >= last]
         names = [f"snap_{i:05d}.csv" for i in range(len(kept))]
-        remove_trajectory(path, keep=names)
+        remove_run_files(path, keep=names)
         for name, (t, curve, omega) in zip(names, kept):
             save_csv(curve, os.path.join(path, name), t=t, omega=omega)
         with open(os.path.join(path, "diagnostics.csv"), "w") as fh:
@@ -405,11 +404,18 @@ class Trajectory:
                                               for name in names)], rows, events=events)
 
 
-def remove_trajectory(path, keep=()):
-    """Remove the trajectory files of an earlier run from path (its
-    snapshots, diagnostics.csv and events.json), except those in keep."""
+# every name a run writes besides its snapshots (snap_*.csv): exact names,
+# so that no file of the user's in an output directory matches
+RUN_FILES = ("diagnostics.csv", "events.json", "metrics.json", "config.txt", "report.json",
+             "interface.svg", "min_slope.svg", "sigma_min.svg", "sigma10.svg", "slope_sup.svg",
+             "mode_amplitude.svg", "mode_series.svg", "continuation.csv", "ck_compare.csv")
+
+
+def remove_run_files(path, keep=()):
+    """Remove the files of an earlier run from path, its snapshots and each
+    name in RUN_FILES, except those in keep.  Other files in path stay."""
     for name in set(os.listdir(path)) - set(keep):
-        if fnmatch.fnmatchcase(name, "snap_*.csv") or name in ("diagnostics.csv", "events.json"):
+        if name in RUN_FILES or fnmatch.fnmatchcase(name, "snap_*.csv"):
             os.remove(os.path.join(path, name))
 
 

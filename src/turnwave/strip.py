@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .curve import Curve, PERIODIC, arc_chord, periodic_grid
+from .curve import ARC_CHORD_MAX, Curve, PERIODIC, arc_chord, periodic_grid
 from .singular import muskat_rhs_periodic
 from .spectral import modes
 
@@ -41,7 +41,7 @@ TAIL_FRACTION = 0.25        # top fraction of modes inspected for decay
 TAIL_TOLERANCE = 1e-13      # amplified-tail threshold relative to the peak
 COEFF_FLOOR = 1e-15         # relative floor below which coefficients count as 0
 DECAY_MARGIN_MODES = 8      # slack modes in the pointwise decay check
-CHORD_BOUND = 1e8           # largest admissible real-axis arc-chord ratio
+NORM_GROWTH = 1e4           # largest admissible iterate strip norm, relative to the datum's
 START_PANELS = 4            # Simpson intervals of ck_solve's first time grid (a multiple of 4)
 MAX_DOUBLINGS = 6           # the interval count doubles at most this often (to 256)
 
@@ -259,8 +259,7 @@ class CKResult:
         return alpha + x1
 
 
-def ck_solve(z0: StripCurve, T: float, prefactor: float,
-             norm_bound: float = 1e8) -> CKResult:
+def ck_solve(z0: StripCurve, T: float, prefactor: float) -> CKResult:
     """Successive approximations z^{n+1}(t) = z0 + int_0^t G(z^n(s)) ds.
 
     G is evaluated by real-axis collocation and continued in Fourier
@@ -271,11 +270,14 @@ def ck_solve(z0: StripCurve, T: float, prefactor: float,
     time error from the last sweep's G; while E > PICARD_TOL the interval
     count doubles, at most MAX_DOUBLINGS times.  The strip half-width shrinks
     linearly, r(t) = r0 (1 - t / 2T), from z0.r to z0.r / 2.  Iterates
-    must stay in the admissible open set: strip norm below norm_bound,
-    real-axis arc-chord ratio below CHORD_BOUND, and Fourier tail
-    compatible with r(t) wherever G is evaluated (the domain-of-validity
-    guard); a check that reads nan counts as outside.  The arc-chord check
-    asks arc_chord only whether the sup exceeds CHORD_BOUND (its floor).
+    must stay in the admissible open set: a finite strip norm at most
+    NORM_GROWTH times the strip norm of z0 at z0.r, real-axis arc-chord
+    ratio at most ARC_CHORD_MAX, and Fourier tail compatible with r(t)
+    wherever G is evaluated (the domain-of-validity guard); a check that
+    reads nan counts as outside.  The norm bound is relative: the datum's
+    own norm, roundoff in its top modes times the strip weights, passes
+    any fixed bound on a fine enough grid.  The arc-chord check asks
+    arc_chord only whether the sup exceeds ARC_CHORD_MAX (its floor).
     The sweeps work on coefficient arrays; only the returned curves are
     StripCurves.  The real curves of the solve, and of the curves it
     returns, share the grid of z0's real curve; a real curve that the
@@ -284,10 +286,10 @@ def ck_solve(z0: StripCurve, T: float, prefactor: float,
     def check_admissible(coeffs, r, real=None):
         """Raise RegimeExitError outside the admissible set; else return the
         real curve of coeffs (real, when given)."""
-        if not strip_norm(coeffs, r) <= norm_bound:
+        if not strip_norm(coeffs, r) <= norm_bound < np.inf:
             raise RegimeExitError(f"iterate norm exceeds {norm_bound:g}")
         real = _real_curve(coeffs, grid) if real is None else real
-        if not arc_chord(real, floor=CHORD_BOUND) <= CHORD_BOUND:
+        if not arc_chord(real, floor=ARC_CHORD_MAX) <= ARC_CHORD_MAX:
             raise RegimeExitError("real-trace arc-chord bound exceeded")
         return real
 
@@ -297,6 +299,7 @@ def ck_solve(z0: StripCurve, T: float, prefactor: float,
                 f"iterate {it} leaves the strip of half-width {r:g} at t={t:g}")
 
     # z^n(0) = z0 in every sweep: check it and evaluate G(z0) once
+    norm_bound = NORM_GROWTH * strip_norm(z0.coeffs, z0.r)
     check_strip(z0.coeffs, z0.r, 0.0, 1)
     real0 = z0.real_curve()
     grid = real0.alpha

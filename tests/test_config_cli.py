@@ -1,6 +1,7 @@
 """Config parsing, CLI exit codes, artifact determinism, SVG rendering."""
 
 import ast
+import fnmatch
 import glob
 import importlib.util
 import inspect
@@ -853,10 +854,14 @@ def test_small_runs_verify_every_recomputed_column(tmp_path):
 def test_bundled_runs_verify_every_snapshot_with_a_row(tmp_path):
     """Each bundled trajectory run at its own size verifies: every snapshot
     but muskat-breakdown's appended continuation curve (its time has no
-    row) is recomputed, with all five columns equal to its row."""
+    row) is recomputed, with all five columns equal to its row.  Every
+    file a bundled run writes is one that a later run into its directory
+    removes: a snapshot or a name in stepping.RUN_FILES."""
     for config in sorted(SMALL_RUNS):
         out = tmp_path / config
         assert run_config(config, out) == 0
+        assert all(name in stepping.RUN_FILES or fnmatch.fnmatchcase(name, "snap_*.csv")
+                   for name in os.listdir(out)), sorted(os.listdir(out))
         if config == "ck-compare.cfg":
             assert main(["verify", str(out)]) == 2
             continue
@@ -869,16 +874,47 @@ def test_bundled_runs_verify_every_snapshot_with_a_row(tmp_path):
 def test_failed_rerun_removes_the_earlier_trajectory(tmp_path):
     """A run that fails before it has a trajectory (exit 3: the certificate
     quadrature does not settle) into the directory of a finished run
-    leaves none of that run's snapshots, diagnostics.csv or events.json,
-    so verify and render exit 2 instead of passing on the stale files."""
+    leaves none of that run's files but its own config.txt and
+    report.json: no snapshots, diagnostics.csv, events.json, metrics.json
+    or plots.  So verify and render exit 2 instead of passing on the stale
+    files."""
     out = tmp_path / "out"
     assert run_config("muskat-turning.cfg", out) == 0
     assert main(["verify", str(out)]) == 0
     assert run_config("muskat-turning.cfg", out, ["turning.b=1000"]) == 3
-    assert glob.glob(str(out / "snap_*.csv")) == []
-    assert not (out / "diagnostics.csv").exists() and not (out / "events.json").exists()
+    assert sorted(os.listdir(out)) == ["config.txt", "report.json"]
     assert main(["verify", str(out)]) == 2
     assert main(["render", str(out)]) == 2
+
+
+def test_rerun_of_another_scenario_removes_the_files_only_it_wrote(tmp_path):
+    """A muskat-turning run into the directory of a muskat-breakdown run
+    leaves no continuation.csv and no snapshot past its own; a file that
+    no run writes stays."""
+    out = tmp_path / "out"
+    assert run_config("muskat-breakdown.cfg", out) == 0
+    (out / "notes.txt").write_text("kept\n")
+    assert (out / "continuation.csv").exists()
+    assert run_config("muskat-turning.cfg", out) == 0
+    written = sorted(os.listdir(out))
+    assert "continuation.csv" not in written and "notes.txt" in written
+    assert main(["verify", str(out)]) == 0
+    fresh = tmp_path / "fresh"
+    assert run_config("muskat-turning.cfg", fresh) == 0
+    assert sorted(os.listdir(fresh)) == [name for name in written if name != "notes.txt"]
+
+
+def test_breakdown_runs_past_grid_768(tmp_path):
+    """ck_solve bounds each iterate's strip norm by NORM_GROWTH times its
+    datum's, so the breakdown grid refines past 768.  At grid.n = strip.M
+    = 1024 the backward datum's own strip norm is about 2e17, roundoff in
+    its top modes times the strip weights, and the run exits 0 with an RT
+    sign change that verify accepts."""
+    out = tmp_path / "out"
+    assert run_config("muskat-breakdown.cfg", out, ["grid.n=1024", "strip.M=1024"]) == 0
+    events = json.loads((out / "events.json").read_text())
+    assert stepping.RT_SIGN_CHANGE in [event["kind"] for event in events]
+    assert main(["verify", str(out)]) == 0
 
 
 def test_render_draws_with_the_constants_of_the_run(tmp_path):

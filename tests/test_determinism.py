@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 import turnwave
+from turnwave.initial_data import DV1_NODES
 
 SIZES = {"muskat_rhs_periodic": 512, "muskat_rhs_open": 513, "waterwave_rhs": 256,
-         "dv1_at_zero_periodic": 2048, "br_block": 256}
+         "dv1_at_zero_periodic": DV1_NODES, "br_block": 256}
 # float64 values each case writes: per node for a right-hand side, (z_t,
-# omega_t) for the water waves; dv1 is one number at n_eval nodes; the
+# omega_t) for the water waves; dv1 is one number at DV1_NODES nodes; the
 # complex N/2 x N/2 Birkhoff-Rott block is two per entry
 VALUES = {"muskat_rhs_periodic": 2 * 512, "muskat_rhs_open": 2 * 513,
           "waterwave_rhs": 3 * 256, "dv1_at_zero_periodic": 1, "br_block": 2 * 128 ** 2}
@@ -44,8 +45,7 @@ out = [muskat_rhs_periodic(turned_periodic(SIZES["muskat_rhs_periodic"]), 0.3),
        muskat_rhs_open(open_curve, 1.7),
        np.concatenate([u.ravel(), omega_t]),
        np.array([dv1_at_zero_periodic(
-           turning_candidate_periodic(TurningParams(beta1=1.5, b=3.0), n=512), 0.3,
-           n_eval=SIZES["dv1_at_zero_periodic"])]),
+           turning_candidate_periodic(TurningParams(beta1=1.5, b=3.0), n=512), 0.3)]),
        br_block(turned_periodic(SIZES["br_block"]))]
 sys.stdout.buffer.write(b"".join(np.ascontiguousarray(x).tobytes() for x in out))
 """

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from turnwave import initial_data
 from turnwave.closures import PhysicalConstants
 from turnwave.curve import derivative, min_slope, resample
 from turnwave.initial_data import (DeltaTooLargeError, TurningParams,
@@ -89,11 +90,13 @@ def test_certificate_periodic_candidate_sign_depends_on_beta1():
     assert dv1_at_zero_periodic(narrow, pref) > 0.0
 
 
-def test_dv1_periodic_resolution_stable():
+def test_dv1_periodic_resolution_stable(monkeypatch):
     pref = PhysicalConstants().periodic_prefactor
     c = turning_candidate_periodic(TurningParams(beta1=1.5, b=3.0), n=256)
-    v1 = dv1_at_zero_periodic(c, pref, n_eval=2048)
-    v2 = dv1_at_zero_periodic(c, pref, n_eval=4096)
+    assert initial_data.DV1_NODES == 2048
+    v1 = dv1_at_zero_periodic(c, pref)
+    monkeypatch.setattr(initial_data, "DV1_NODES", 4096)
+    v2 = dv1_at_zero_periodic(c, pref)
     assert abs(v1 - v2) < 5e-3 * abs(v2)
 
 
@@ -112,7 +115,7 @@ def test_dv1_periodic_matches_stencil_of_dense_velocity(monkeypatch):
     blocks, pair = [], singular._conformal_pair
     monkeypatch.setattr(singular, "_conformal_pair",
                         lambda *args: blocks.append(args[-1].shape) or pair(*args))
-    assert abs(dv1_at_zero_periodic(cand, pref, n_eval=2048) - dv1) <= 1e-12 * abs(dv1)
+    assert abs(dv1_at_zero_periodic(cand, pref) - dv1) <= 1e-12 * abs(dv1)
     assert blocks == [(5, 2048)]
 
 

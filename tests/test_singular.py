@@ -10,7 +10,7 @@ from turnwave import singular
 from turnwave.curve import (BLOCK_ROWS, Curve, arc_chord, derivative, graph_curve,
                             min_slope, open_grid, outer, pair_blocks, periodic_grid)
 from turnwave.closures import ClosureIterationError, _amplitude_solve
-from turnwave.initial_data import dv1_at_zero_periodic
+from turnwave.initial_data import DV1_NODES, dv1_at_zero_periodic
 from turnwave.singular import (QuadratureError, _conformal, _conformal_pair, _open_pair,
                                _tangent_difference, br_block, br_rate, br_velocity,
                                muskat_rhs_open, muskat_rhs_periodic)
@@ -394,15 +394,15 @@ def test_muskat_rhs_match_dense_kernel_product(monkeypatch):
 
 
 def test_muskat_velocities_form_no_n_by_n_array(monkeypatch):
-    """At N = 2048 the periodic and open right-hand sides and
+    """At N = DV1_NODES = 2048 the periodic and open right-hand sides and
     dv1_at_zero_periodic allocate at most 4 blocks of BLOCK_ROWS x N
     floats at once (4 MB), where the N x N kernel took 33.5 MB.  Each runs
     once first, to build the cached open-spline operators, and then from
     an empty scratch pool, whose blocks count."""
-    n = 2048
+    n = DV1_NODES
     cp, co, coarse = turned_periodic(n), turned_open(n + 1, L=60.0), turned_periodic(512)
     cases = [lambda: muskat_rhs_periodic(cp, 0.3), lambda: muskat_rhs_open(co, 1.7),
-             lambda: dv1_at_zero_periodic(coarse, 0.3, n_eval=n)]
+             lambda: dv1_at_zero_periodic(coarse, 0.3)]
     for case in cases:
         case()
         empty_scratch_pool(monkeypatch)

@@ -30,18 +30,11 @@ def test_fourier_derivative_second_order():
     assert np.max(np.abs(fourier_derivative(f, 2) + 25 * f)) < 1e-11
 
 
-def test_fourier_derivative_nonstandard_period():
-    x = 4.0 * np.arange(64) / 64
-    f = np.sin(2 * np.pi * x / 4.0)
-    exact = (2 * np.pi / 4.0) * np.cos(2 * np.pi * x / 4.0)
-    assert np.max(np.abs(fourier_derivative(f, period=4.0) - exact)) < 1e-12
-
-
 @pytest.mark.parametrize("n", [256, 512, 513, 1024])
 def test_fourier_derivative_stack_rows_equal_single_rows(n):
     """A stack's derivative is one batched transform whose rows are the
     single-row derivatives bit for bit, for stacks of 2 and 2 x 3 rows,
-    through one cached, read-only multiplier per (n, order, period)."""
+    through one cached, read-only multiplier per (n, order)."""
     rng = np.random.default_rng(n)
     stack = rng.standard_normal((2, 3, n))
     for order in (1, 2):
@@ -49,8 +42,8 @@ def test_fourier_derivative_stack_rows_equal_single_rows(n):
             got = fourier_derivative(rows, order)
             for row, f in zip(got.reshape(-1, n), rows.reshape(-1, n)):
                 assert row.tobytes() == fourier_derivative(f, order).tobytes()
-        mult = _derivative_multiplier(n, order, 2.0 * np.pi)
-        assert mult is _derivative_multiplier(n, order, 2.0 * np.pi)
+        mult = _derivative_multiplier(n, order)
+        assert mult is _derivative_multiplier(n, order)
         assert not mult.flags.writeable
 
 

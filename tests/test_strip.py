@@ -191,10 +191,18 @@ def test_ck_contraction_geometric():
     assert all(r < 0.9 for r in ratios[2:])
 
 
-def test_ck_solve_respects_norm_guard():
-    sc = extend_to_strip(eps_cos_curve(n=64, eps=0.01), 0.2)
-    with pytest.raises(RegimeExitError):
-        ck_solve(sc, 0.02, PREF, norm_bound=1e-6)
+def test_ck_solve_respects_norm_guard(monkeypatch):
+    """The admissible strip norm is NORM_GROWTH times the datum's.  A
+    backward solve of a k = 4 mode on a thin strip grows the norm by about
+    10%: it returns at the default NORM_GROWTH, and at NORM_GROWTH = 1.05
+    an iterate past the datum leaves the admissible set."""
+    sc = extend_to_strip(eps_cos_curve(n=64, eps=0.01, k=4), 0.02)
+    res = ck_solve(sc, 0.05, -PREF)
+    growth = max(strip_norm(c.coeffs, c.r) for c in res.curves) / strip_norm(sc.coeffs, sc.r)
+    assert 1.05 < growth < strip_mod.NORM_GROWTH
+    monkeypatch.setattr(strip_mod, "NORM_GROWTH", 1.05)
+    with pytest.raises(RegimeExitError, match="iterate norm exceeds"):
+        ck_solve(sc, 0.05, -PREF)
 
 
 @pytest.mark.parametrize("value", [np.inf, np.nan])
