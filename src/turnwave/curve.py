@@ -162,8 +162,10 @@ def derivative(curve: Curve, order=1):
     orders = order if both else (order,)
     if curve.topology == PERIODIC:
         d = fourier_derivative(np.stack([curve.z1 - curve.alpha, curve.z2]), order)
-        pairs = [(d1 + 1.0 if o == 1 else d1, d2)
-                 for o, (d1, d2) in zip(orders, d if both else [d])]
+        d = d if both else d[None]
+        if orders[0] == 1:
+            d[0, 0] += 1.0   # the derivative of the linear part alpha of z1
+        pairs = [(d1, d2) for d1, d2 in d]
     else:
         ops = _spline_operators(curve.alpha.tobytes())
         points = curve.points()
@@ -351,7 +353,8 @@ def scratch(slot: int, shape, dtype=float, order="C") -> np.ndarray:
     array of `shape`, in C or F order.  Each buffer grows to the largest
     size requested of it and is kept across calls, so the blocks of the
     O(N^2) kernels (pair_blocks and its pair functions, br_block, br_rate,
-    the amplitude solve, arc_chord's batches) reuse the same pages.
+    the amplitude solve, arc_chord's batches and bounds) reuse the same
+    pages.
     Allocated and freed on every call, blocks of 0.1-0.5 MB sit at glibc's
     mmap and trim thresholds, and the top of the heap is handed back to the
     kernel and faulted in again on the next call.
@@ -488,10 +491,11 @@ def arc_chord(curve: Curve, d=None, floor: float = 0.0):
     <= REACH the smaller of the two bounds, exceeds s.  On a stack the
     bounds take the whole stack at once and the chunk pairs left to
     evaluate are gathered across members, at most BLOCK_ROWS * N node
-    pairs at a time, so a stack of the SAMPLE_GROUP samples that
-    stepping.run diagnoses at once stays within the memory bound of one
-    curve.  Every evaluated pair goes through the same IEEE operations as
-    a full sweep, so the sup is the same float.
+    pairs at a time, and the projections are taken one window reach at a
+    time, so a stack of the STACK_NODES // N samples that stepping.run
+    diagnoses at once stays within the memory bound of one curve.  Every
+    evaluated pair goes through the same IEEE operations as a full sweep,
+    so the sup is the same float.
 
     A floor b seeds s with max(s0, b) instead, so that every chunk pair
     whose bound is at most b is skipped.  The result is still max(b,
@@ -562,22 +566,37 @@ def arc_chord(curve: Curve, d=None, floor: float = 0.0):
         m - slack <= 0 or the window's pairs wrap, nan where a step is
         nan.  The steps of the window are the CHUNK from the first node of
         chunk q on, for q = c .. c + r - 1, and those within chunk c + r.
-        The members run along the last, contiguous axis, so that each
-        pass over the (REACH + 1, CHUNK, m, members) projections is one
-        loop."""
+        The projections of the steps from chunk c + r on are taken one
+        reach r at a time, as (CHUNK, m, members) in scratch slots 1 and
+        2; the members run along the last, contiguous axis, so that each
+        pass over them is one loop."""
         e1, e2 = x1.T[1:] - x1.T[:-1], z2.T[1:] - z2.T[:-1]
         c1, c2 = (np.ascontiguousarray((X[:, :, -1] - X[:, :, 0]).T) for X in (X1, Z2))
         if periodic:
             e1 += L.da[:, None]
             c1 += L.span[:, None]
         length = np.hypot(c1, c2)
-        proj = np.take(e1, L.steps, axis=0)
-        proj *= c1 / length
-        proj += np.take(e2, L.steps, axis=0) * (c2 / length)
-        low = proj[:, :CHUNK - 1].min(axis=1)
-        whole = np.minimum.accumulate(np.minimum(low, proj[:, -1]), axis=0)
-        np.minimum(low[1:], whole[:-1], out=low[1:])
-        low -= 16.0 * eps * np.max(np.abs(e1) + np.abs(e2), axis=0) + unwrap
+        u1, u2 = c1 / length, c2 / length
+        low = np.empty((REACH + 1,) + u1.shape)
+        for r, steps in enumerate(L.steps):
+            shape = steps.shape + e1.shape[1:]
+            # mode="clip" (every index is in range) writes to out unbuffered
+            proj = np.take(e1, steps, axis=0, out=scratch(1, shape), mode="clip")
+            proj *= u1
+            term = np.take(e2, steps, axis=0, out=scratch(2, shape), mode="clip")
+            proj += np.multiply(term, u2, out=term)
+            np.min(proj[:CHUNK - 1], axis=0, out=low[r])
+            # whole: the least projection of the CHUNK steps from each of
+            # chunks c .. c + r - 1, the window's steps before chunk c + r
+            last = np.minimum(low[r], proj[-1])
+            if r:
+                np.minimum(low[r], whole, out=low[r])
+                np.minimum(whole, last, out=whole)
+            else:
+                whole = last
+        size = np.abs(e1, out=scratch(1, e1.shape))
+        size += np.abs(e2, out=scratch(2, e2.shape))
+        low -= 16.0 * eps * size.max(axis=0) + unwrap
         bound = np.divide(L.h2, np.square(np.maximum(low, 0.0, out=low)), out=low)
         bound[L.wraps] = np.inf
         return bound.reshape(-1, len(z1))
@@ -620,8 +639,11 @@ def arc_chord(curve: Curve, d=None, floor: float = 0.0):
         return np.flatnonzero(bound > sups[:, None] * (1.0 - PRUNE_MARGIN))
 
     d1, d2 = derivative(curve, 1) if d is None else d
-    speed2 = np.reshape(d1 ** 2 + d2 ** 2, (-1, n))
-    sups = np.where(np.any(speed2 == 0.0, axis=-1), np.inf, (1.0 / speed2).max(axis=-1))
+    # |d_alpha z|^2, then its inverse, in scratch slots 0 and 1
+    speed2 = np.square(np.reshape(d1, z1.shape), out=scratch(0, z1.shape))
+    speed2 += np.square(np.reshape(d2, z1.shape), out=scratch(1, z1.shape))
+    stalled = np.any(speed2 == 0.0, axis=-1)
+    sups = np.where(stalled, np.inf, np.divide(1.0, speed2, out=speed2).max(axis=-1))
     if periodic and n % 2 == 0:
         h = n // 2
         sups = np.maximum(sups, sup(L.antipodal.copy(), x1[:, :h] - x1[:, h:],

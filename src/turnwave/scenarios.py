@@ -102,6 +102,13 @@ def _picard_metrics(res: CKResult) -> dict:
             "contraction_history": list(map(float, res.contraction_history))}
 
 
+def _unconverged(name: str, res: CKResult) -> str:
+    """The message of a run that stops at a ck_solve call that did not
+    converge."""
+    return (f"{name} solve did not converge in {res.iterations} Picard sweeps "
+            f"(last strip distance {res.contraction_history[-1]:.3g})")
+
+
 def _negative_run(res: CKResult, t, alpha, consts) -> int:
     """sigma_muskat(res.at(t).real_curve(), consts).longest_negative_run,
     bit for bit, from the z1 row alone: the operations of derivative on
@@ -204,7 +211,12 @@ def muskat_breakdown(cfg: ScenarioConfig) -> ScenarioResult:
     a graph datum -> forward run to Turning -> strip continuation past
     turnover to strip.T, on whose dense output the RT sign change (sigma
     < 0 on >= 3 nodes) is located.  The continuation curve at the sign
-    change is written as the last snapshot."""
+    change is written as the last snapshot.  A backward or continuation
+    solve that returns unconverged fails the run (exit 4) before its
+    curves are used.  The sign-change time is a grid quantity: the time
+    at which {sigma < 0} first spans RT_RUN_LENGTH nodes, t* plus about
+    114/N^2 at the bundled datum, which tends to t* as N grows (the time
+    written also counts the handoff time twice; see below)."""
     consts = cfg.constants()
     params = cfg.turning_params()
     pref = consts.periodic_prefactor
@@ -222,6 +234,9 @@ def muskat_breakdown(cfg: ScenarioConfig) -> ScenarioResult:
     back = ck_solve(sc0, cfg.wave.delta, -pref)
     picard = {"backward": _picard_metrics(back)}
     metrics = {"ck_solve": picard}
+    if not back.converged:
+        report["pass"] = False
+        return _finish(cfg, report, _unconverged("backward", back), metrics=metrics)
     datum = back.curves[-1].real_curve()
     traj, final = run(SimState(datum, consts=consts), cfg.numerics.t_end,
                       cfg.numerics.dt, stop_on=(TURNING,))
@@ -239,6 +254,9 @@ def muskat_breakdown(cfg: ScenarioConfig) -> ScenarioResult:
     sc = extend_to_strip(handoff, cfg.strip.r0, t=final.t)
     res = ck_solve(sc, cfg.strip.T, pref)
     picard["continuation"] = _picard_metrics(res)
+    if not res.converged:
+        report["pass"] = False
+        return _finish(cfg, report, _unconverged("continuation", res), traj, metrics=metrics)
 
     # every node to T.  res.times already include the handoff time, so
     # final.t + tt counts it twice, as the seed-0 benchmark reference does

@@ -8,7 +8,11 @@ discrete_h4_norm treat any leading axes as a stack of rows, each row
 through the same operations as when it is given alone: numpy's pocketfft
 applies one plan to every row, so a stack of derivatives is one call
 whose rows are the single-row results bit for bit.  The wavenumbers and
-the derivative multipliers are cached per grid size.
+the derivative multipliers are cached per grid size.  fourier_derivative,
+apply_krasny and discrete_h4_norm transform in place (_fft, and ifft into
+its input), with the bits of numpy's out-of-place transforms, and return
+real arrays of their own: a stack holds one complex array at a time, and
+none once they return.
 """
 
 from functools import lru_cache
@@ -22,6 +26,14 @@ def modes(n: int) -> np.ndarray:
     k = np.fft.fftfreq(n, d=1.0 / n)
     k.flags.writeable = False
     return k
+
+
+def _fft(f) -> np.ndarray:
+    """The FFT of real samples, computed in place in their complex copy:
+    numpy's fft of a real array casts it to a complex copy of its own and
+    writes the transform to a second one."""
+    fk = np.asarray(f, dtype=float).astype(complex)
+    return np.fft.fft(fk, out=fk)
 
 
 @lru_cache(maxsize=16)
@@ -40,13 +52,16 @@ def fourier_derivative(f, order=1):
     """Spectral derivative of 2 pi-periodic samples, or of each row of a stack.
     A tuple of orders gives the stack of those derivatives, one per order,
     from one forward and one inverse transform."""
-    f = np.asarray(f, dtype=float)
-    fk = np.fft.fft(f)
+    fk = _fft(f)
+    n = fk.shape[-1]
     if isinstance(order, tuple):
-        fk = np.stack([fk * _derivative_multiplier(f.shape[-1], o) for o in order])
+        products = np.empty((len(order),) + fk.shape, dtype=complex)
+        for out, o in zip(products, order):
+            np.multiply(fk, _derivative_multiplier(n, o), out=out)
+        fk = products
     else:
-        fk *= _derivative_multiplier(f.shape[-1], order)
-    return np.fft.ifft(fk).real
+        fk *= _derivative_multiplier(n, order)
+    return np.fft.ifft(fk, out=fk).real.copy()
 
 
 def hilbert_transform(f):
@@ -61,14 +76,15 @@ def hilbert_transform(f):
 
 def krasny_filter(coeffs, threshold):
     """Zero Fourier coefficients below threshold * max(|coeffs|), the max
-    taken over each row (last axis).
+    taken over each row (last axis), and return them.
 
-    threshold = 0 is the identity.  Operates on (a copy of) a complex
-    coefficient array in any mode ordering.
+    threshold = 0 is the identity.  Works in any mode ordering, in place
+    on a complex array (apply_krasny's own transform), else on a complex
+    copy of coeffs.
     """
     if threshold < 0:
         raise ValueError("filter threshold must be >= 0")
-    coeffs = np.array(coeffs, dtype=complex)
+    coeffs = np.asarray(coeffs, dtype=complex)
     mags = np.abs(coeffs)
     coeffs[mags < threshold * mags.max(axis=-1, keepdims=True)] = 0.0
     return coeffs
@@ -76,19 +92,22 @@ def krasny_filter(coeffs, threshold):
 
 def apply_krasny(f, threshold):
     """Krasny filter applied to real periodic samples."""
-    fk = krasny_filter(np.fft.fft(np.asarray(f, dtype=float)), threshold)
-    return np.fft.ifft(fk).real
+    fk = krasny_filter(_fft(f), threshold)
+    return np.fft.ifft(fk, out=fk).real.copy()
 
 
 def discrete_h4_norm(field, period=2.0 * np.pi):
     """Discrete H^4 norm (L^2 + 4th derivative L^2) of periodic samples: a
     float, or one per row of a stack."""
-    field = np.asarray(field, dtype=float)
-    n = field.shape[-1]
+    fk = _fft(field)
+    n = fk.shape[-1]
     k = modes(n) * (2.0 * np.pi / period)
-    fk = np.fft.fft(field) / n
+    fk /= n
     weights = 1.0 + k ** 8
-    norm = np.sqrt(period * np.sum(weights * np.abs(fk) ** 2, axis=-1))
+    power = np.abs(fk)
+    power *= power
+    power *= weights
+    norm = np.sqrt(period * np.sum(power, axis=-1))
     return float(norm) if norm.ndim == 0 else norm
 
 

@@ -33,15 +33,19 @@ the solution at t0 + k dt (and at t_end when that is off the grid) on
 the dense output of the step that covers the sample, Krasny-filters it,
 and records its diagnostics: minimum slope, arc-chord supremum,
 Rayleigh-Taylor minimum, H4 size, and the graph mean.  The samples that
-one accepted step covers are evaluated, filtered and diagnosed as
-stacks (k, rows, N) of at most SAMPLE_GROUP samples; a sample at the
+one accepted step covers are evaluated and filtered as stacks (k, rows,
+N) of at most STACK_NODES // N samples (_samples); a sample at the
 step's end is its filtered end state, and the initial state is a stack
-of one.  Each member of a stack goes through the operations it would go
-through alone, so every diagnostic is the same float.  After a stack is
-diagnosed, its samples are checked for events and recorded one by one,
-in order, the initial state included; when a sample fires an event in
-stop_on, the run ends there, and the later samples of its stack are
-neither recorded nor counted.  `run` keeps every sample in memory; the
+of one.  Before the other diagnostics, _stop_count finds the first
+member at which an event kind in stop_on fires (Turning from the slope
+minima of the stack's derivative alone), and only the members up to it
+are diagnosed, as one stack.  Each member of a stack goes through the
+operations it would go through alone, so every diagnostic is the same
+float, whatever the stack size.  After a stack is diagnosed, its samples
+are checked for events and recorded one by one, in order, the initial
+state included; the run ends at the sample where stop_on fires, and the
+later samples of its stack are neither diagnosed, recorded nor
+counted.  `run` keeps every sample in memory; the
 trajectory is thinned to every snapshot_cadence-th sample only when it
 is written (`Trajectory.write_dir`).
 
@@ -52,7 +56,9 @@ Events:
                  Shampine & Thompson 2000); the payload records both
                  sample times.
   RTSignChange   sigma = (rho2-rho1) d_alpha z1 < 0 on >= RT_RUN_LENGTH
-                 consecutive nodes
+                 consecutive nodes: a grid quantity, the time at which
+                 {sigma < 0} first spans that many nodes, which follows
+                 the sign change of sigma itself at a delay of O(1/N^2)
   GraphBlowup    sup |f_alpha| exceeds GRAPH_BLOWUP_THRESHOLD while still
                  a graph: a curve with d_alpha z1 <= 0 somewhere, whose
                  graph_slope_sup is +inf, does not fire it
@@ -95,11 +101,14 @@ SAMPLE_SLACK = 1e-9             # rounding allowance on t_end, in units of dt
 TURNING_XTOL = 1e-14            # absolute tolerance of the located Turning time
 TURNING_RTOL = 4.0 * np.finfo(float).eps    # and its relative tolerance
 TURNING_MAX_ITER = 100          # root-finder iterations before giving up
-# samples diagnosed as one stack: enough to amortise the per-call cost of
-# the diagnostics, few enough that the stacked arrays (k x rows x N, and
-# arc_chord's k x ~N^2/512 far-chunk bounds) keep arc_chord within the
-# memory it takes on one curve, 2 x 3 x BLOCK_ROWS x N floats, at N = 2048
-SAMPLE_GROUP = 8
+# nodes sampled and diagnosed as one stack, members x N.  Each diagnostic
+# pays its per-call cost once per stack, and 16384 nodes (31 members at
+# N = 513) hold every step of the bundled turning runs in one stack.  It
+# is the largest power of two under which no bundled run's peak resident
+# memory grows by 2% over stacks of 8 (32768 adds 1.5 MB to the
+# breakdown run), and it keeps arc_chord on the stack within the memory
+# it takes on one curve, 2 x 3 x BLOCK_ROWS x N floats, at N = 2048
+STACK_NODES = 16384
 
 # Dormand-Prince 5(4): nodes, stage rows (the last row is also the
 # fifth-order weights), fifth- minus fourth-order weights, and the
@@ -162,7 +171,8 @@ def _filtered(state: SimState) -> SimState:
     curve, omega = state.curve, state.omega
     if curve.topology != PERIODIC:
         return state
-    z1 = apply_krasny(curve.z1 - curve.alpha, FILTER_THRESHOLD) + curve.alpha
+    z1 = apply_krasny(curve.z1 - curve.alpha, FILTER_THRESHOLD)
+    z1 += curve.alpha
     z2 = apply_krasny(curve.z2, FILTER_THRESHOLD)
     if omega is not None:
         omega = apply_krasny(omega, FILTER_THRESHOLD)
@@ -203,12 +213,14 @@ def _stack(states) -> SimState:
                    t=np.concatenate([np.atleast_1d(st.t) for st in states]))
 
 
-def _member(group: SimState, i: int) -> SimState:
-    """Member i of a stack, as a single state."""
+def _member(group: SimState, i) -> SimState:
+    """Member i of a stack, as a single state; the stack of the members i
+    when i is a slice."""
     c = group.curve
+    t = group.t[i]
     return replace(group, curve=Curve(c.topology, c.alpha, c.z1[i], c.z2[i], L=c.L),
                    omega=None if group.omega is None else group.omega[i],
-                   t=float(group.t[i]))
+                   t=t if isinstance(i, slice) else float(t))
 
 
 def _derivative(state: SimState) -> np.ndarray:
@@ -233,13 +245,22 @@ class Step:
 
     def at(self, t) -> SimState:
         """The dense output at t in [start.t, start.t + h], unfiltered; a
-        stack when t is an array of times."""
+        stack when t is an array of times.  The polynomial y0 + theta (dy
+        + rest (b + theta (c + rest d))) is evaluated in place, in the one
+        array it returns, with the bits of that expression."""
         t = np.asarray(t, dtype=float)
         theta = ((t - self.start.t) / self.h)[..., None, None]
         y0, dy, b, c, d = self.dense
         rest = 1.0 - theta
-        return _unpack(self.start, y0 + theta * (dy + rest * (b + theta * (c + rest * d))),
-                       float(t) if t.ndim == 0 else t)
+        y = rest * d
+        y += c
+        y *= theta
+        y += b
+        y *= rest
+        y += dy
+        y *= theta
+        y += y0
+        return _unpack(self.start, y, float(t) if t.ndim == 0 else t)
 
 
 def _combine(weights, k) -> np.ndarray:
@@ -436,6 +457,48 @@ def _diagnose(group: SimState, d):
             h4, mean_f, graph_slope_sup(curve, d))
 
 
+def _fires(kind, values, before) -> np.ndarray:
+    """Whether an event kind fires at each member of a stack, from the
+    diagnostic it is read off: the min slope for Turning, which also needs
+    the min slope of the sample `before` the stack (nan for none), the
+    longest run of sigma < 0, the graph slope sup, or the arc-chord sup."""
+    if kind == TURNING:
+        return (np.append(before, values[:-1]) > 0.0) & (values <= 0.0)
+    if kind == RT_SIGN_CHANGE:
+        return values >= RT_RUN_LENGTH
+    if kind == GRAPH_BLOWUP:
+        return (GRAPH_BLOWUP_THRESHOLD < values) & (values < np.inf)
+    return ~(values < ARC_CHORD_MAX)
+
+
+def _stop_count(group: SimState, d, stop_on, before) -> int:
+    """How many members of a stack run records: those up to the first at
+    which an event kind in stop_on fires, or all.  d is the stack's first
+    derivative and before the min slope of the sample before it.  Turning
+    is read off the slope minima alone; any other kind in stop_on off its
+    own diagnostic of the whole stack."""
+    curve = group.curve
+    read = {TURNING: lambda: min_slope(curve, d=d).min_slope,
+            RT_SIGN_CHANGE: lambda: rt_report(curve.alpha, group.consts.rho_jump * d[0],
+                                              curve.topology == PERIODIC).longest_negative_run,
+            GRAPH_BLOWUP: lambda: graph_slope_sup(curve, d),
+            ARC_CHORD_FAILURE: lambda: arc_chord(curve, d)}
+    fired = np.zeros(len(group.t), dtype=bool)
+    for kind in stop_on:
+        fired |= _fires(kind, read[kind](), before)
+    return int(np.argmax(fired)) + 1 if fired.any() else len(group.t)
+
+
+def _samples(step: Step, end: SimState, ts) -> SimState:
+    """The samples at the times ts of an accepted step as one stack: the
+    filtered dense output, and at the step's end its filtered end state."""
+    inner = ts[:-1] if ts[-1] == end.t else ts
+    parts = [_filtered(step.at(inner))] if inner else []
+    if len(inner) < len(ts):
+        parts.append(end)
+    return _stack(parts)
+
+
 def _sample_times(t0: float, t_end: float, dt: float) -> list:
     """t0 + k dt up to t_end, then t_end itself when it is off that grid by
     more than a rounding error."""
@@ -513,29 +576,33 @@ def run(state: SimState, t_end: float, dt: float, stop_on=()):
     covering = []           # (end time, step) of the steps since that sample
 
     def take(group):
-        """Diagnose a stack of samples at once, then check and record them
-        one by one; returns the sample at which stop_on fired (the later
-        ones are dropped), else None."""
+        """Diagnose the members of a stack up to the one where the run
+        stops (_stop_count) at once, then check and record them one by
+        one; returns the sample at which stop_on fired, else None."""
         nonlocal prev_ms
-        report, supF, sigma, h4, mean_f, sup_fa = _diagnose(group, derivative(group.curve, 1))
+        d = derivative(group.curve, 1)
+        before = math.nan if prev_ms is None else prev_ms[1]
+        count = _stop_count(group, d, stop_on, before)
+        if count < len(group.t):
+            group, d = _member(group, slice(count)), (d[0][:count], d[1][:count])
+        report, supF, sigma, h4, mean_f, sup_fa = _diagnose(group, d)
         rt = rt_report(group.curve.alpha, sigma, group.curve.topology == PERIODIC)
+        fired = {kind: _fires(kind, values, before) for kind, values in (
+            (TURNING, report.min_slope), (RT_SIGN_CHANGE, rt.longest_negative_run),
+            (GRAPH_BLOWUP, sup_fa), (ARC_CHORD_FAILURE, supF))}
         for i, t in enumerate(group.t.tolist()):
             m = float(report.min_slope[i])
-            if (log.first(TURNING) is None and prev_ms is not None
-                    and prev_ms[1] > 0.0 >= m):
+            if fired[TURNING][i] and log.first(TURNING) is None:
                 log.add(_locate_turning(covering, *prev_ms, t, m), TURNING, min_slope=m,
                         alpha=float(report.argmin_alpha[i]), bracket=[prev_ms[0], t])
             prev_ms = (t, m)
             del covering[:-1]
             longest, lowest = int(rt.longest_negative_run[i]), float(rt.min_sigma[i])
-            for kind, fires, payload in (
-                    (RT_SIGN_CHANGE, longest >= RT_RUN_LENGTH,
-                     {"nodes": longest, "sigma_min": lowest}),
-                    (GRAPH_BLOWUP, GRAPH_BLOWUP_THRESHOLD < sup_fa[i] < np.inf,
-                     {"sup_f_alpha": float(sup_fa[i])}),
-                    (ARC_CHORD_FAILURE, not supF[i] < ARC_CHORD_MAX,
-                     {"sup_F": float(supF[i])})):
-                if fires and log.first(kind) is None:
+            for kind, payload in (
+                    (RT_SIGN_CHANGE, {"nodes": longest, "sigma_min": lowest}),
+                    (GRAPH_BLOWUP, {"sup_f_alpha": float(sup_fa[i])}),
+                    (ARC_CHORD_FAILURE, {"sup_F": float(supF[i])})):
+                if fired[kind][i] and log.first(kind) is None:
                     log.add(t, kind, **payload)
 
             t_star = log.first(TURNING)
@@ -550,6 +617,7 @@ def run(state: SimState, t_end: float, dt: float, stop_on=()):
                 return sample
         return None
 
+    members = max(1, STACK_NODES // state.curve.n)
     group, k = _stack([state]), 1
     try:
         stopped = take(group)
@@ -558,13 +626,8 @@ def run(state: SimState, t_end: float, dt: float, stop_on=()):
         for step, end, _ in _accepted_steps(state, times[-1], dt, traj.stats):
             covering.append((end.t, step))
             covered = bisect.bisect_right(times, end.t, k)
-            for g in range(k, covered, SAMPLE_GROUP):
-                ts = times[g:min(g + SAMPLE_GROUP, covered)]
-                inner = ts[:-1] if ts[-1] == end.t else ts
-                parts = [_filtered(step.at(inner))] if inner else []
-                if len(inner) < len(ts):
-                    parts.append(end)   # a sample at the step's end is its end state
-                group = _stack(parts)
+            for g in range(k, covered, members):
+                group = _samples(step, end, times[g:min(g + members, covered)])
                 stopped = take(group)
                 if stopped is not None:
                     return traj, stopped

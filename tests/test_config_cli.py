@@ -15,7 +15,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from turnwave import stepping
+from turnwave import stepping, strip
 from turnwave.cli import main
 from turnwave.closures import PhysicalConstants
 from turnwave.config import (DEFAULTS, READS, SCENARIOS, ConfigError, ScenarioConfig,
@@ -444,6 +444,25 @@ def test_rt_verify_writes_every_cadence_th_step(tmp_path):
     for i, name in enumerate(snaps):
         assert (thinned / name).read_bytes() == (every / f"snap_{10 * i:05d}.csv").read_bytes()
     assert not (thinned / "rt_report.json").exists()
+
+
+@pytest.mark.parametrize("sweeps, solve", [(2, "backward"), (6, "continuation")])
+def test_cli_unconverged_breakdown_solve_exit_4(tmp_path, monkeypatch, capsys, sweeps, solve):
+    """A breakdown run whose backward or continuation ck_solve returns
+    unconverged after PICARD_MAX_ITER sweeps fails: exit 4, a report that
+    does not pass, a message naming the solve and its sweeps, converged
+    false in metrics.json, and no continuation.csv.  The bundled config
+    converges in 6 (backward) and 7 (continuation) sweeps, so a cap of 2
+    stops the backward solve and a cap of 6 the continuation."""
+    monkeypatch.setattr(strip, "PICARD_MAX_ITER", sweeps)
+    out = tmp_path / "out"
+    assert main(["run", os.path.join(CONFIG_DIR, "muskat-breakdown.cfg"),
+                 "--out", str(out)]) == 4
+    assert f"{solve} solve did not converge in {sweeps} Picard sweeps" in capsys.readouterr().err
+    assert json.loads((out / "report.json").read_text())["pass"] is False
+    picard = json.loads((out / "metrics.json").read_text())["ck_solve"][solve]
+    assert picard["converged"] is False and picard["sweeps"] == sweeps
+    assert not (out / "continuation.csv").exists()
 
 
 def test_cli_blowup_keeps_partial_trajectory_exit_3(tmp_path, monkeypatch):
@@ -908,12 +927,17 @@ def test_breakdown_runs_past_grid_768(tmp_path):
     """ck_solve bounds each iterate's strip norm by NORM_GROWTH times its
     datum's, so the breakdown grid refines past 768.  At grid.n = strip.M
     = 1024 the backward datum's own strip norm is about 2e17, roundoff in
-    its top modes times the strip weights, and the run exits 0 with an RT
-    sign change that verify accepts."""
+    its top modes times the strip weights; the backward solve converges
+    and the forward run turns.  Its continuation, handed a curve one sample
+    past turnover, does not converge in PICARD_MAX_ITER sweeps, so the run
+    fails with exit 4, not the exit 3 of a norm bound, and verify accepts
+    the forward trajectory it keeps."""
     out = tmp_path / "out"
-    assert run_config("muskat-breakdown.cfg", out, ["grid.n=1024", "strip.M=1024"]) == 0
+    assert run_config("muskat-breakdown.cfg", out, ["grid.n=1024", "strip.M=1024"]) == 4
+    picard = json.loads((out / "metrics.json").read_text())["ck_solve"]
+    assert picard["backward"]["converged"] and not picard["continuation"]["converged"]
     events = json.loads((out / "events.json").read_text())
-    assert stepping.RT_SIGN_CHANGE in [event["kind"] for event in events]
+    assert stepping.TURNING in [event["kind"] for event in events]
     assert main(["verify", str(out)]) == 0
 
 

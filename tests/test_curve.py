@@ -13,7 +13,7 @@ from turnwave.curve import (BLOCK_ROWS, CHUNK, SPLINE_BAND, Curve,
                             periodic_grid, resample, save_csv)
 
 from turnwave import curve as curve_module
-from turnwave.stepping import SAMPLE_GROUP
+from turnwave.stepping import STACK_NODES
 
 from conftest import empty_scratch_pool, flat_curve
 
@@ -497,13 +497,14 @@ def test_arc_chord_temporaries_stay_bounded(monkeypatch):
     exceeds 1, and the projection bound of every window is 1 widened by
     its slack, so nothing prunes.  The pairs still go through in batches
     of at most BLOCK_ROWS * N, three float arrays each, not N^2 / 2 at once
-    (50 MB at N = 2048), and a stack of the SAMPLE_GROUP samples that run
-    diagnoses at once stays within the same bound.  The traced call starts
-    from an empty scratch pool, whose batches count."""
+    (50 MB at N = 2048), and the largest stack that run diagnoses at once,
+    STACK_NODES // N samples, stays within the same bound.  The traced call
+    starts from an empty scratch pool, whose batches count."""
     n = 2048
     line = flat_curve(n)
-    stack = Curve(PERIODIC, line.alpha, np.tile(line.z1, (SAMPLE_GROUP, 1)),
-                  np.tile(line.z2, (SAMPLE_GROUP, 1)))
+    members = STACK_NODES // n
+    stack = Curve(PERIODIC, line.alpha, np.tile(line.z1, (members, 1)),
+                  np.tile(line.z2, (members, 1)))
     for curve in (line, stack):
         d = derivative(curve, 1)
         arc_chord(curve, d)   # builds the cached chunk layout

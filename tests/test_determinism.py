@@ -1,8 +1,10 @@
 """Byte-for-byte determinism of the O(N^2) right-hand sides, of the
 water-wave Birkhoff-Rott block, and of the turning certificate's
-d_alpha v1(0), across BLAS thread counts."""
+d_alpha v1(0), across BLAS thread counts; and of a run directory across
+the sizes of the sample stacks that stepping.run diagnoses."""
 
 import os
+import runpy
 import subprocess
 import sys
 
@@ -10,7 +12,12 @@ import numpy as np
 import pytest
 
 import turnwave
+from turnwave import stepping
+from turnwave.config import load_config
 from turnwave.initial_data import DV1_NODES
+from turnwave.scenarios import run_scenario
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
 
 SIZES = {"muskat_rhs_periodic": 512, "muskat_rhs_open": 513, "waterwave_rhs": 256,
          "dv1_at_zero_periodic": DV1_NODES, "br_block": 256}
@@ -83,3 +90,25 @@ def one_and_two_threads():
 def test_rhs_bytes_independent_of_blas_threads(one_and_two_threads, name):
     one, two = one_and_two_threads
     assert one[name] == two[name]
+
+
+@pytest.mark.parametrize("config, n", [("muskat-turning", 129), ("waterwave-turning", 128)])
+def test_run_directory_does_not_depend_on_the_stack_size(monkeypatch, tmp_path, config, n):
+    """A run writes the same files, byte for byte (snapshots, diagnostics,
+    events, reports and plots), whether stepping.run diagnoses one sample
+    per stack or STACK_NODES // N at once, and stops at the same sample.
+    Both runs write into one output directory, whose path config.txt
+    records, and are hashed as scripts/run_all_scenarios.py hashes a run.
+    The open run takes grid.L = 8, on which 129 nodes turn (at L = 15 they
+    do not before t_end)."""
+    hash_dir = runpy.run_path(os.path.join(ROOT, "scripts", "run_all_scenarios.py"))["hash_dir"]
+    cfg = load_config(os.path.join(ROOT, "configs", f"{config}.cfg"))
+    cfg.grid.n, cfg.output_dir = n, str(tmp_path)
+    if config == "muskat-turning":
+        cfg.grid.L = 8.0
+    hashes = []
+    for nodes in (n, stepping.STACK_NODES):
+        monkeypatch.setattr(stepping, "STACK_NODES", nodes)
+        assert run_scenario(cfg).exit_code == 0
+        hashes.append(hash_dir(tmp_path))
+    assert hashes[0] == hashes[1]

@@ -14,9 +14,9 @@ from turnwave.initial_data import (TurningParams, turning_candidate_open,
                                    turning_candidate_periodic)
 from turnwave import stepping
 from turnwave.spectral import discrete_h4_norm
-from turnwave.stepping import (BlowUpError, DIAG_COLUMNS, GRAPH_BLOWUP, STAGES, STEP_TOL,
-                               TURNING, SimState, StepStats, Trajectory, advance, run,
-                               step_dp54)
+from turnwave.stepping import (ARC_CHORD_FAILURE, BlowUpError, DIAG_COLUMNS, GRAPH_BLOWUP,
+                               RT_SIGN_CHANGE, STAGES, STEP_TOL, TURNING, SimState,
+                               StepStats, Trajectory, advance, run, step_dp54)
 
 
 def small_graph(n=64, eps=1e-3, k=2):
@@ -55,6 +55,24 @@ def test_dp54_dense_output_matches_fine_reference():
     assert np.max(np.abs(mid.curve.z2 - ref.curve.z2)) < 3 * STEP_TOL
     end = step.at(0.04)
     assert np.max(np.abs(end.curve.z2 - step.end.curve.z2)) < 1e-17
+
+
+def test_dense_output_is_its_polynomial_bit_for_bit():
+    """Step.at evaluates y0 + theta (dy + rest (b + theta (c + rest d))),
+    rest = 1 - theta, in place in one array, with the bits of that
+    expression, at one time and at each time of a stack."""
+    st = SimState(small_graph(64, 1e-1, 2))
+    step = step_dp54(st, 0.04)
+    y0, dy, b, c, d = step.dense
+    ts = np.array([0.003, 0.01, 0.025, 0.039])
+    stack = step.at(ts)
+    for i, t in enumerate(ts.tolist()):
+        theta = (t - st.t) / step.h
+        rest = 1.0 - theta
+        expected = stepping._unpack(st, y0 + theta * (dy + rest * (b + theta * (c + rest * d))),
+                                    t).curve
+        for got in (step.at(t).curve, stepping._member(stack, i).curve):
+            assert same_bits(got.z1, expected.z1) and same_bits(got.z2, expected.z2)
 
 
 def test_turning_time_independent_of_sampling_interval():
@@ -400,10 +418,12 @@ def same_bits(x, y):
 
 @pytest.mark.parametrize("case", ["open", "open-zero-chord", "periodic", "water"])
 def test_stacked_samples_equal_per_sample_reference(monkeypatch, case):
-    """run diagnoses the samples of a step as stacks of at most SAMPLE_GROUP;
-    every diagnostics column and snapshot is bit for bit the one-sample-
-    at-a-time reference, the initial sample, steps that cover more samples
-    than one group and groups that end on a step's end state included.  In
+    """run diagnoses the samples of a step as stacks of at most
+    STACK_NODES // N, here 8 so that steps cover more samples than one
+    stack; every diagnostics column and snapshot is bit for bit the
+    one-sample-at-a-time reference, the initial sample, steps that cover
+    more samples than one stack and stacks that end on a step's end state
+    included.  In
     the zero-chord case one dense-output sample inside a group gets two
     coincident nodes: its sup_F is inf, and every other sample keeps its
     value."""
@@ -429,8 +449,9 @@ def test_stacked_samples_equal_per_sample_reference(monkeypatch, case):
             return st
 
         monkeypatch.setattr(stepping, "_filtered", coincide)
+    monkeypatch.setattr(stepping, "STACK_NODES", 8 * state.curve.n)
     rows, snaps, per_step = per_sample_reference(state, t_end, dt)
-    assert max(per_step) > stepping.SAMPLE_GROUP
+    assert max(per_step) > 8
     traj, final = run(state, t_end, dt)
     assert traj.stats.samples == len(rows) == len(traj.diagnostics)
     assert final.t == t_end == rows[-1][0]
@@ -446,40 +467,93 @@ def test_stacked_samples_equal_per_sample_reference(monkeypatch, case):
         assert np.all(np.isfinite(sup_F))
 
 
-def test_sample_groups_bound_the_memory_of_run():
-    """The samples of a step are stacked SAMPLE_GROUP at a time, so the
-    traced peak of run above what its trajectory keeps does not grow when
-    a quarter of the sampling interval puts four times the samples in
-    each step (periodic, N = 512; stacking all of them raises it by 61%)."""
+def test_sample_groups_bound_the_memory_of_run(monkeypatch):
+    """The samples of a step are stacked at most STACK_NODES // N at a
+    time, so the traced peak of run above what its trajectory keeps does
+    not grow when a quarter of the sampling interval puts four times the
+    samples in each step (periodic, N = 512, where both runs fill stacks
+    of 32; stacking all the samples of a step raises it 3.6-fold)."""
     import tracemalloc
     state = SimState(small_graph(512, 1e-1, 2))
     run(state, 0.01, 1e-3)   # caches
+    sizes = []
+    real_stack = stepping._stack
+
+    def stack(parts):
+        group = real_stack(parts)
+        sizes.append(len(group.t))
+        return group
+
+    monkeypatch.setattr(stepping, "_stack", stack)
 
     def transient(dt):
+        sizes.clear()
         tracemalloc.start()
         try:
             traj, _ = run(state, 0.1, dt)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert max(sizes) == stepping.STACK_NODES // 512
         return traj.stats.samples, peak - kept
 
-    (coarse_samples, coarse), (fine_samples, fine) = transient(4e-3), transient(1e-3)
+    (coarse_samples, coarse), (fine_samples, fine) = transient(5e-4), transient(1.25e-4)
     assert fine_samples == 4 * coarse_samples - 3
     assert fine <= 1.1 * coarse
 
 
+def spy(monkeypatch, name, record):
+    """Patch stepping.<name> to pass each stack it is given (_diagnose) or
+    returns (_stack) to record first."""
+    real = getattr(stepping, name)
+    if name == "_stack":
+        def patched(parts):
+            group = real(parts)
+            record(group)
+            return group
+    else:
+        def patched(group, *args):
+            record(group)
+            return real(group, *args)
+    monkeypatch.setattr(stepping, name, patched)
+
+
 def test_stop_inside_a_group_records_and_counts_up_to_the_stop(monkeypatch):
-    """A run that stops at a sample inside a stacked group records that
-    sample last: the later samples of the group are neither recorded nor
-    counted."""
-    groups = []
-    real_diagnose = stepping._diagnose
-    monkeypatch.setattr(stepping, "_diagnose",
-                        lambda group, d: groups.append(group.t) or real_diagnose(group, d))
+    """A run that stops at a sample inside the stack of a step's samples
+    records that sample last: the later samples of the stack are neither
+    diagnosed, recorded nor counted."""
+    stacks, groups = [], []
+    spy(monkeypatch, "_stack", lambda group: stacks.append(group.t))
+    spy(monkeypatch, "_diagnose", lambda group: groups.append(group.t))
     cand = turning_candidate_periodic(TurningParams(beta1=1.5, b=3.0), n=256, tilt=0.02)
     traj, final = run(SimState(cand), 0.2, 1e-3, stop_on=(TURNING,))
-    assert final.t in groups[-1] and final.t < groups[-1][-1]
+    assert final.t in stacks[-1] and final.t < stacks[-1][-1]
     assert traj.stats.samples == len(traj.diagnostics) == len(traj.snapshots)
-    assert traj.diagnostics[-1][0] == traj.snapshots[-1][0] == final.t
-    assert traj.stats.samples == sum(len(t) for t in groups) - np.sum(groups[-1] > final.t)
+    assert traj.diagnostics[-1][0] == traj.snapshots[-1][0] == final.t == groups[-1][-1]
+    assert traj.stats.samples == sum(len(t) for t in groups)
+
+
+@pytest.mark.parametrize("kind", [TURNING, RT_SIGN_CHANGE, GRAPH_BLOWUP, ARC_CHORD_FAILURE])
+def test_run_diagnoses_no_sample_past_the_stop(monkeypatch, kind):
+    """A run that stops on an event kind diagnoses no sample past the one
+    where it stops, although the stack of the step that covers that sample
+    holds later ones, and no stack holds more than STACK_NODES // N
+    samples.  It records the run without stop_on up to the first sample at
+    which the kind fires, bit for bit, and its events up to there.  The
+    arc-chord bound is lowered to 11.92, which the sup reaches near t =
+    0.03, so that each kind stops the run in a different stack."""
+    monkeypatch.setattr(stepping, "ARC_CHORD_MAX", 11.92)
+    cand = turning_candidate_periodic(TurningParams(beta1=1.5, b=3.0), n=256, tilt=0.02)
+    full, _ = run(SimState(cand), 0.2, 1e-3)
+    event = full.events.first(kind)
+    t_stop = event.payload["bracket"][1] if kind == TURNING else event.t
+    stacks, diagnosed = [], []
+    spy(monkeypatch, "_stack", lambda group: stacks.append(group.t))
+    spy(monkeypatch, "_diagnose", lambda group: diagnosed.append(group.t))
+    traj, final = run(SimState(cand), 0.2, 1e-3, stop_on=(kind,))
+    assert final.t == t_stop
+    assert t_stop in stacks[-1] and t_stop < stacks[-1][-1]
+    assert max(ts[-1] for ts in diagnosed) == t_stop
+    assert max(len(ts) for ts in stacks) <= stepping.STACK_NODES // cand.n
+    assert same_bits(traj.diagnostics, full.diagnostics[:len(traj.diagnostics)])
+    assert traj.events.events == [e for e in full.events.events if e.t <= t_stop]
