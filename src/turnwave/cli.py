@@ -76,6 +76,9 @@ def main(argv=None) -> int:
         if args.command == "render":
             print(*render_trajectory(args.trajectory), sep="\n")
             return EXIT_OK
+    except ConfigError as exc:
+        print(f"turnwave: config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except FileNotFoundError as exc:
         print(f"turnwave: {exc}", file=sys.stderr)
         return EXIT_CONFIG

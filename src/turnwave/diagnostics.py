@@ -86,11 +86,11 @@ def rt_report(alpha, sigma, periodic: bool) -> RTReport:
     return RTReport(sigma, intervals, lowest, longest)
 
 
-def sigma_muskat(curve: Curve, consts: PhysicalConstants) -> RTReport:
-    """RT sign proxy (rho2 - rho1) d_alpha z1 with sign-run extraction."""
-    d1, _ = derivative(curve, 1)
-    return rt_report(curve.alpha, consts.rho_jump * d1,
-                     curve.topology == PERIODIC)
+def sigma_muskat(curve: Curve, consts: PhysicalConstants, d) -> RTReport:
+    """RT sign proxy (rho2 - rho1) d_alpha z1 with sign-run extraction, from
+    the first derivative d = (d1, d2) of the curve, or of a stack of
+    curves (one report per member, as rt_report gives it)."""
+    return rt_report(curve.alpha, consts.rho_jump * d[0], curve.topology == PERIODIC)
 
 
 def sigma10(curve: Curve) -> np.ndarray:

@@ -24,8 +24,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .closures import ClosureIterationError, PhysicalConstants
-from .config import ScenarioConfig, dump_config, load_config
-from .curve import PERIODIC, derivative, graph_curve, min_slope, resample
+from .config import ConfigError, ScenarioConfig, dump_config, load_config
+from .curve import derivative, graph_curve, min_slope, resample
 from .diagnostics import (rt_report, sigma10, sigma10_checklist, sigma_muskat,
                           verify_weighted_rt, weight_h, weight_hbar)
 from .initial_data import (DeltaTooLargeError, dv1_at_zero_periodic, open_certificate,
@@ -33,7 +33,7 @@ from .initial_data import (DeltaTooLargeError, dv1_at_zero_periodic, open_certif
                            turning_certificate, waterwave_datum)
 from .stepping import (BlowUpError, DIAG_COLUMNS, GRAPH_BLOWUP, RT_RUN_LENGTH,
                        RT_SIGN_CHANGE, TURNING, SimState, StepStats, Trajectory, _brent,
-                       _diagnose, _stack, advance, remove_run_files, run)
+                       _diagnose, advance, remove_run_files, run)
 from .singular import QuadratureError
 from .strip import (CKResult, InsufficientAnalyticityError, RegimeExitError,
                     ck_solve, extend_to_strip)
@@ -70,10 +70,9 @@ def _finish(cfg: ScenarioConfig, report: dict, message: str, traj=None,
     carries an "error", else 0 or 4 from report["pass"]."""
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
+    remove_run_files(out)
     metrics = dict(metrics or {})
-    if traj is None:
-        remove_run_files(out)
-    else:
+    if traj is not None:
         traj.write_dir(out, cfg.numerics.snapshot_cadence)
         metrics["run"] = asdict(traj.stats)
     if metrics:
@@ -110,9 +109,9 @@ def _unconverged(name: str, res: CKResult) -> str:
 
 
 def _negative_run(res: CKResult, t, alpha, consts) -> int:
-    """sigma_muskat(res.at(t).real_curve(), consts).longest_negative_run,
-    bit for bit, from the z1 row alone: the operations of derivative on
-    that row, each per row, and rt_report."""
+    """sigma_muskat(rc, consts, derivative(rc, 1)).longest_negative_run of
+    rc = res.at(t).real_curve(), bit for bit, from the z1 row alone: the
+    operations of derivative on that row, each per row, and rt_report."""
     z1 = res.z1_at(t)
     sigma = consts.rho_jump * (fourier_derivative(z1 - alpha) + 1.0)
     return rt_report(alpha, sigma, True).longest_negative_run
@@ -140,7 +139,7 @@ def _locate_rt_sign_change(res: CKResult, nodes: list, j: int, consts):
     if best is hits[0]:
         return (t,) + nodes[j]
     rc = res.at(t).real_curve()
-    return t, rc, sigma_muskat(rc, consts)
+    return t, rc, sigma_muskat(rc, consts, derivative(rc, 1))
 
 
 def _fit_decay_rate(times, amplitudes):
@@ -193,7 +192,7 @@ def muskat_turning(cfg: ScenarioConfig) -> ScenarioResult:
     tilted = turning_candidate_open(params, n=cfg.grid.n, L=cfg.grid.L,
                                     tilt=cfg.turning.tilt)
     traj, _ = run(SimState(tilted, consts=consts), cfg.numerics.t_end,
-                  cfg.numerics.dt, stop_on=(TURNING,))
+                  cfg.numerics.dt, stop_at_turning=True)
     ev = traj.events.first(TURNING)
     report = {
         "certificate": {"passed": cert.passed, "min_slope": cert.min_slope,
@@ -239,7 +238,7 @@ def muskat_breakdown(cfg: ScenarioConfig) -> ScenarioResult:
         return _finish(cfg, report, _unconverged("backward", back), metrics=metrics)
     datum = back.curves[-1].real_curve()
     traj, final = run(SimState(datum, consts=consts), cfg.numerics.t_end,
-                      cfg.numerics.dt, stop_on=(TURNING,))
+                      cfg.numerics.dt, stop_at_turning=True)
     report["datum_min_slope"] = traj.diagnostics[0][1]
     ev = traj.events.first(TURNING)
     if ev is None:
@@ -260,10 +259,12 @@ def muskat_breakdown(cfg: ScenarioConfig) -> ScenarioResult:
 
     # every node to T.  res.times already include the handoff time, so
     # final.t + tt counts it twice, as the seed-0 benchmark reference does
-    nodes = [(rc, sigma_muskat(rc, consts)) for rc in (c.real_curve() for c in res.curves)]
+    real = [c.real_curve() for c in res.curves]
+    ds = [derivative(rc, 1) for rc in real]
+    nodes = [(rc, sigma_muskat(rc, consts, d)) for rc, d in zip(real, ds)]
     files = {"continuation.csv": "t,min_slope,sigma_min,negative_run\n" + "".join(
-        f"{final.t + tt:.17g},{min_slope(rc).min_slope:.17g},{sig.min_sigma:.17g},"
-        f"{sig.longest_negative_run}\n" for tt, (rc, sig) in zip(res.times, nodes))}
+        f"{final.t + tt:.17g},{min_slope(rc, d=d).min_slope:.17g},{sig.min_sigma:.17g},"
+        f"{sig.longest_negative_run}\n" for tt, (rc, sig), d in zip(res.times, nodes, ds))}
     j = next((j for j, (_, sig) in enumerate(nodes)
               if sig.longest_negative_run >= RT_RUN_LENGTH), None)
     if j is None:
@@ -329,7 +330,7 @@ def waterwave_turning(cfg: ScenarioConfig) -> ScenarioResult:
     datum, omega0 = waterwave_datum(star, cfg.wave.delta, consts=consts,
                                     dt=cfg.numerics.dt, stats=backward)
     traj, final = run(SimState(datum, omega0, consts=consts), cfg.numerics.t_end,
-                      cfg.numerics.dt, stop_on=(TURNING,))
+                      cfg.numerics.dt, stop_at_turning=True)
     # round trip: the datum integrated forward by delta must recover the
     # turning curve; every sample is in memory, so read it at sample delta/dt
     rt_step = round(cfg.wave.delta / cfg.numerics.dt)
@@ -467,8 +468,17 @@ PLOTS = ("interface", "min_slope", "sigma_min")
 
 
 def _read_run(path):
-    """The trajectory of a run directory and the constants of its config.txt."""
-    return Trajectory.read_dir(path), load_config(os.path.join(path, "config.txt")).constants()
+    """The trajectory of a run directory and the constants of its
+    config.txt.  A run directory comes from outside the program: a
+    config.txt that does not load (such as one with a key an older
+    turnwave wrote), or whose physics values PhysicalConstants rejects,
+    raises ConfigError."""
+    config = os.path.join(path, "config.txt")
+    traj, cfg = Trajectory.read_dir(path), load_config(config)
+    try:
+        return traj, cfg.constants()
+    except ValueError as exc:
+        raise ConfigError(f"{config}: physics.{exc}") from exc
 
 
 def verify_trajectory(path) -> ScenarioResult:
@@ -476,11 +486,11 @@ def verify_trajectory(path) -> ScenarioResult:
     well-ordered (Turning precedes RTSignChange when both occur),
     diagnostics time strictly increasing, finite arc-chord constants, and
     each column of RECOMPUTED equal, in every row whose time has a
-    snapshot, to the float that _diagnose, the row's writer, recomputes
-    from that snapshot (inf for a zero chord; nan as nan), one check per
-    column.  The 17-digit round trip of the files is exact, so any
-    difference is a diagnostics fault.  A snapshot without a row (a curve
-    appended after the run) is skipped."""
+    snapshot, to the float that the row's writers, min_slope and
+    _diagnose, recompute from that snapshot alone (inf for a zero chord;
+    nan as nan), one check per column.  The 17-digit round trip of the
+    files is exact, so any difference is a diagnostics fault.  A snapshot
+    without a row (a curve appended after the run) is skipped."""
     traj, consts = _read_run(path)
     rows, col = {row[0]: row for row in traj.diagnostics}, DIAG_COLUMNS.index
     table = np.reshape(traj.diagnostics, (-1, len(DIAG_COLUMNS)))
@@ -489,11 +499,11 @@ def verify_trajectory(path) -> ScenarioResult:
     checks.update((f"{name}_recomputed", True) for name in RECOMPUTED)
     checked = [(t, curve, omega) for t, curve, omega in traj.snapshots if t in rows]
     for t, curve, omega in checked:
-        group = _stack([SimState(curve, omega, t, consts)])
-        report, sup_F, sigma, h4, mean_f, _ = _diagnose(group, derivative(group.curve, 1))
-        sigma_min = rt_report(curve.alpha, sigma, curve.topology == PERIODIC).min_sigma
-        for name, value in zip(RECOMPUTED, (report.min_slope, sup_F, sigma_min, h4, mean_f)):
-            value, row = float(value[0]), rows[t][col(name)]
+        d = derivative(curve, 1)
+        sup_F, rt, h4, mean_f, _ = _diagnose(SimState(curve, omega, t, consts), d)
+        values = (min_slope(curve, d=d).min_slope, sup_F, rt.min_sigma, h4, mean_f)
+        for name, value in zip(RECOMPUTED, values):
+            value, row = float(value), rows[t][col(name)]
             if not (value == row or np.isnan(value) and np.isnan(row)):
                 checks[f"{name}_recomputed"] = False
     kinds, first = traj.events.kinds(), traj.events.first
@@ -513,8 +523,8 @@ def _draw_plots(path, traj, consts: PhysicalConstants) -> list:
     t_last, curve, _ = traj.snapshots[-1]
     rows = np.reshape(traj.diagnostics, (-1, len(DIAG_COLUMNS)))
     written = [os.path.join(path, f"{name}.svg") for name in PLOTS]
-    _write(written[0], render_curve(curve.alpha, curve.z1, curve.z2,
-                                    sigma_muskat(curve, consts).negative_intervals,
+    sigma = sigma_muskat(curve, consts, derivative(curve, 1))
+    _write(written[0], render_curve(curve.alpha, curve.z1, curve.z2, sigma.negative_intervals,
                                     title=f"interface t={float(t_last):.6g}"))
     for target, name in zip(written[1:], PLOTS[1:]):
         _write(target, render_series(rows[:, 0], rows[:, DIAG_COLUMNS.index(name)], name))

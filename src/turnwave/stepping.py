@@ -36,16 +36,16 @@ Rayleigh-Taylor minimum, H4 size, and the graph mean.  The samples that
 one accepted step covers are evaluated and filtered as stacks (k, rows,
 N) of at most STACK_NODES // N samples (_samples); a sample at the
 step's end is its filtered end state, and the initial state is a stack
-of one.  Before the other diagnostics, _stop_count finds the first
-member at which an event kind in stop_on fires (Turning from the slope
-minima of the stack's derivative alone), and only the members up to it
-are diagnosed, as one stack.  Each member of a stack goes through the
+of one.  The slope minima of a stack are taken once, from its
+derivative, and give the Turning mask.  A run that stops at Turning
+diagnoses only the members up to the first at which Turning fires, as
+one stack (_diagnose).  Each member of a stack goes through the
 operations it would go through alone, so every diagnostic is the same
 float, whatever the stack size.  After a stack is diagnosed, its samples
 are checked for events and recorded one by one, in order, the initial
-state included; the run ends at the sample where stop_on fires, and the
-later samples of its stack are neither diagnosed, recorded nor
-counted.  `run` keeps every sample in memory; the
+state included; a run that stops at Turning ends at the sample where it
+fires, and the later samples of its stack are neither diagnosed,
+recorded nor counted.  `run` keeps every sample in memory; the
 trajectory is thinned to every snapshot_cadence-th sample only when it
 is written (`Trajectory.write_dir`).
 
@@ -79,7 +79,7 @@ import numpy as np
 from .closures import PhysicalConstants, waterwave_rhs
 from .curve import (ARC_CHORD_MAX, Curve, PERIODIC, arc_chord, derivative, graph_slope_sup,
                     load_csv, min_slope, save_csv)
-from .diagnostics import rt_report
+from .diagnostics import sigma_muskat
 from .singular import muskat_rhs_open, muskat_rhs_periodic
 from .spectral import apply_krasny, discrete_h4_norm
 
@@ -389,15 +389,13 @@ class Trajectory:
         """Write every cadence-th snapshot and the last recorded sample, then
         any snapshot past the recorded samples (a curve appended after the
         run, such as the continuation curve at the RT sign change),
-        diagnostics.csv and events.json, after remove_run_files has removed
-        the files of an earlier run in path."""
+        diagnostics.csv and events.json.  The files of an earlier run in
+        path stay unless the caller removes them (remove_run_files)."""
         os.makedirs(path, exist_ok=True)
         last = len(self.diagnostics) - 1
         kept = [s for i, s in enumerate(self.snapshots) if i % cadence == 0 or i >= last]
-        names = [f"snap_{i:05d}.csv" for i in range(len(kept))]
-        remove_run_files(path, keep=names)
-        for name, (t, curve, omega) in zip(names, kept):
-            save_csv(curve, os.path.join(path, name), t=t, omega=omega)
+        for i, (t, curve, omega) in enumerate(kept):
+            save_csv(curve, os.path.join(path, f"snap_{i:05d}.csv"), t=t, omega=omega)
         with open(os.path.join(path, "diagnostics.csv"), "w") as fh:
             fh.write(",".join(DIAG_COLUMNS) + "\n")
             for row in self.diagnostics:
@@ -432,19 +430,19 @@ RUN_FILES = ("diagnostics.csv", "events.json", "metrics.json", "config.txt", "re
              "mode_amplitude.svg", "mode_series.svg", "continuation.csv", "ck_compare.csv")
 
 
-def remove_run_files(path, keep=()):
+def remove_run_files(path):
     """Remove the files of an earlier run from path, its snapshots and each
-    name in RUN_FILES, except those in keep.  Other files in path stay."""
-    for name in set(os.listdir(path)) - set(keep):
+    name in RUN_FILES.  Other files in path stay."""
+    for name in os.listdir(path):
         if name in RUN_FILES or fnmatch.fnmatchcase(name, "snap_*.csv"):
             os.remove(os.path.join(path, name))
 
 
 def _diagnose(group: SimState, d):
-    """The diagnostics of a stack of samples, one per member: the slope
-    report, arc-chord sup (inf for a zero chord), sigma rows, H4 size,
-    graph mean and graph slope sup.  d = (d1, d2) is the stack's first
-    derivative."""
+    """The diagnostics of a sample, or of a stack of samples one per
+    member, besides the slope report: arc-chord sup (inf for a zero
+    chord), RT report (sigma_muskat), H4 size, graph mean and graph slope
+    sup.  d = (d1, d2) is the first derivative."""
     curve = group.curve
     d1 = d[0]
     periodic = curve.topology == PERIODIC
@@ -453,11 +451,11 @@ def _diagnose(group: SimState, d):
                  + discrete_h4_norm(curve.z2, period) ** 2)
     mean_f = (np.mean(curve.z2 * d1, axis=-1) if periodic
               else np.trapezoid(curve.z2 * d1, curve.alpha, axis=-1))
-    return (min_slope(curve, d=d), arc_chord(curve, d), group.consts.rho_jump * d1,
-            h4, mean_f, graph_slope_sup(curve, d))
+    return (arc_chord(curve, d), sigma_muskat(curve, group.consts, d), h4, mean_f,
+            graph_slope_sup(curve, d))
 
 
-def _fires(kind, values, before) -> np.ndarray:
+def _fires(kind, values, before=math.nan) -> np.ndarray:
     """Whether an event kind fires at each member of a stack, from the
     diagnostic it is read off: the min slope for Turning, which also needs
     the min slope of the sample `before` the stack (nan for none), the
@@ -469,24 +467,6 @@ def _fires(kind, values, before) -> np.ndarray:
     if kind == GRAPH_BLOWUP:
         return (GRAPH_BLOWUP_THRESHOLD < values) & (values < np.inf)
     return ~(values < ARC_CHORD_MAX)
-
-
-def _stop_count(group: SimState, d, stop_on, before) -> int:
-    """How many members of a stack run records: those up to the first at
-    which an event kind in stop_on fires, or all.  d is the stack's first
-    derivative and before the min slope of the sample before it.  Turning
-    is read off the slope minima alone; any other kind in stop_on off its
-    own diagnostic of the whole stack."""
-    curve = group.curve
-    read = {TURNING: lambda: min_slope(curve, d=d).min_slope,
-            RT_SIGN_CHANGE: lambda: rt_report(curve.alpha, group.consts.rho_jump * d[0],
-                                              curve.topology == PERIODIC).longest_negative_run,
-            GRAPH_BLOWUP: lambda: graph_slope_sup(curve, d),
-            ARC_CHORD_FAILURE: lambda: arc_chord(curve, d)}
-    fired = np.zeros(len(group.t), dtype=bool)
-    for kind in stop_on:
-        fired |= _fires(kind, read[kind](), before)
-    return int(np.argmax(fired)) + 1 if fired.any() else len(group.t)
 
 
 def _samples(step: Step, end: SimState, ts) -> SimState:
@@ -559,9 +539,9 @@ def _locate_turning(covering, t_a, m_a, t_b, m_b) -> float:
     return _brent(slope, t_a, t_b, m_a, m_b)
 
 
-def run(state: SimState, t_end: float, dt: float, stop_on=()):
-    """Sample the solution at state.t + k dt up to t_end, or up to the
-    sample at which an event kind in stop_on first fires.  Returns
+def run(state: SimState, t_end: float, dt: float, stop_at_turning=False):
+    """Sample the solution at state.t + k dt up to t_end, or, when
+    stop_at_turning, up to the sample at which Turning fires.  Returns
     (Trajectory, last sample); the trajectory holds every sample, its
     `events` and its step `stats`.  Every sample, the initial state too,
     goes through the same checks; Turning needs an earlier positive slope.
@@ -576,23 +556,26 @@ def run(state: SimState, t_end: float, dt: float, stop_on=()):
     covering = []           # (end time, step) of the steps since that sample
 
     def take(group):
-        """Diagnose the members of a stack up to the one where the run
-        stops (_stop_count) at once, then check and record them one by
-        one; returns the sample at which stop_on fired, else None."""
+        """Take the slope minima of a stack once, diagnose at once its
+        members up to the first at which Turning fires when the run stops
+        there (all of them otherwise), then check and record them one by
+        one; returns the sample at which the run stopped, else None."""
         nonlocal prev_ms
         d = derivative(group.curve, 1)
-        before = math.nan if prev_ms is None else prev_ms[1]
-        count = _stop_count(group, d, stop_on, before)
-        if count < len(group.t):
+        report = min_slope(group.curve, d=d)
+        turning = _fires(TURNING, report.min_slope,
+                         math.nan if prev_ms is None else prev_ms[1])
+        stop = stop_at_turning and turning.any()
+        if stop:
+            count = int(np.argmax(turning)) + 1
             group, d = _member(group, slice(count)), (d[0][:count], d[1][:count])
-        report, supF, sigma, h4, mean_f, sup_fa = _diagnose(group, d)
-        rt = rt_report(group.curve.alpha, sigma, group.curve.topology == PERIODIC)
-        fired = {kind: _fires(kind, values, before) for kind, values in (
-            (TURNING, report.min_slope), (RT_SIGN_CHANGE, rt.longest_negative_run),
-            (GRAPH_BLOWUP, sup_fa), (ARC_CHORD_FAILURE, supF))}
+        supF, rt, h4, mean_f, sup_fa = _diagnose(group, d)
+        fired = {kind: _fires(kind, values) for kind, values in (
+            (RT_SIGN_CHANGE, rt.longest_negative_run), (GRAPH_BLOWUP, sup_fa),
+            (ARC_CHORD_FAILURE, supF))}
         for i, t in enumerate(group.t.tolist()):
             m = float(report.min_slope[i])
-            if fired[TURNING][i] and log.first(TURNING) is None:
+            if turning[i] and log.first(TURNING) is None:
                 log.add(_locate_turning(covering, *prev_ms, t, m), TURNING, min_slope=m,
                         alpha=float(report.argmin_alpha[i]), bracket=[prev_ms[0], t])
             prev_ms = (t, m)
@@ -613,16 +596,12 @@ def run(state: SimState, t_end: float, dt: float, stop_on=()):
             sample = _member(group, i)
             traj.snapshots.append((t, sample.curve, sample.omega))
             traj.stats.samples += 1
-            if any(log.first(kind) for kind in stop_on):
-                return sample
-        return None
+        return sample if stop else None
 
     members = max(1, STACK_NODES // state.curve.n)
     group, k = _stack([state]), 1
     try:
-        stopped = take(group)
-        if stopped is not None:
-            return traj, stopped
+        take(group)
         for step, end, _ in _accepted_steps(state, times[-1], dt, traj.stats):
             covering.append((end.t, step))
             covered = bisect.bisect_right(times, end.t, k)

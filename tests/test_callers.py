@@ -1,7 +1,8 @@
 """Every public function of the package has a caller outside the tests,
-unless it is the reference that an acceptance test rests on; and every
+unless it is the reference that an acceptance test rests on; every
 defaulted parameter of one has a call outside the tests that passes it,
-unless a test needs it."""
+unless a test needs it; and a module imports another module's private
+names only where the reach is listed with its reason."""
 
 import ast
 import glob
@@ -32,6 +33,17 @@ TEST_ONLY_OPTIONS = {
                                      "the acceptance criteria build each scenario's config"),
     ("turning_candidate_periodic", "tilt"): ("test_stepping.py", "test_run_emits_turning_event",
                                              "a periodic graph that turns in a short run"),
+}
+
+# private names that one module of the package imports from another:
+# (importer, module, name) and why the importer reaches for it
+PRIVATE_IMPORTS = {
+    ("initial_data", "singular", "_muskat_periodic"):
+        "dv1_at_zero_periodic needs the periodic velocity on the five nodes around alpha = 0",
+    ("scenarios", "stepping", "_brent"):
+        "the RT sign change is located with the root finder that locates Turning",
+    ("scenarios", "stepping", "_diagnose"):
+        "verify recomputes each diagnostics row with the functions the run wrote it with",
 }
 
 
@@ -154,3 +166,20 @@ def test_test_only_options_are_passed_by_their_tests():
                  if isinstance(node, ast.FunctionDef) and node.name == test_name)
         assert any(name == callee and _passes(call, positional[callee], param)
                    for name, call in _calls(test)), (callee, param, test_name)
+
+
+def private_imports():
+    """(importer, module, name) of each `from .module import _name` in
+    src/turnwave."""
+    found = set()
+    for path, tree in _trees("src/turnwave/*.py"):
+        importer = os.path.splitext(os.path.basename(path))[0]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                found |= {(importer, node.module, alias.name) for alias in node.names
+                          if alias.name.startswith("_")}
+    return found
+
+
+def test_private_names_imported_across_modules_are_listed():
+    assert private_imports() == set(PRIVATE_IMPORTS)

@@ -954,6 +954,26 @@ def test_render_draws_with_the_constants_of_the_run(tmp_path):
     assert (out / "interface.svg").read_text() == drawn
 
 
+@pytest.mark.parametrize("line", ["numerics.norm_bound = 1e8", "physics.mu = -1"])
+def test_verify_and_render_report_a_config_that_does_not_load(tmp_path, capsys, line):
+    """A run directory comes from outside the program.  A config.txt with a
+    key that turnwave no longer reads (numerics.norm_bound, which an older
+    version wrote), or with a physics value PhysicalConstants rejects,
+    makes verify and render exit 2 with a config error that names the
+    file, as run does, not a traceback."""
+    out = tmp_path / "out"
+    assert run_config("muskat-linear.cfg", out, ["grid.n=64", "numerics.t_end=0.1"]) == 0
+    config = out / "config.txt"
+    with open(config, "a") as fh:
+        fh.write(line + "\n")
+    for command in ("verify", "render"):
+        capsys.readouterr()
+        assert main([command, str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"turnwave: config error: {config}:"), err
+        assert "Traceback" not in err
+
+
 def test_rerun_into_a_directory_removes_stale_snapshots(tmp_path):
     """A shorter run into the directory of a longer one leaves only its own
     snapshots: verify passes and render draws its last curve, t = 0.5."""

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from turnwave.closures import PhysicalConstants
-from turnwave.curve import Curve, graph_curve, periodic_grid
+from turnwave.curve import Curve, derivative, graph_curve, periodic_grid
 from turnwave.diagnostics import (WeightParams, energy_distance, rt_report,
                                   sigma10, sigma10_checklist, sigma_muskat,
                                   verify_weighted_rt, weight_h, weight_h_dt,
@@ -21,7 +21,8 @@ WP = WeightParams(A=100.0, tau=0.005)
 
 
 def test_sigma_muskat_flat_positive():
-    rep = sigma_muskat(flat_curve(64), PhysicalConstants())
+    c = flat_curve(64)
+    rep = sigma_muskat(c, PhysicalConstants(), derivative(c, 1))
     assert rep.min_sigma == pytest.approx(1.0)
     assert rep.negative_intervals == []
 
@@ -29,7 +30,7 @@ def test_sigma_muskat_flat_positive():
 def test_sigma_muskat_negative_interval_extraction():
     a = periodic_grid(128)
     c = Curve("periodic", a, a - 1.2 * np.sin(a), np.zeros(128))
-    rep = sigma_muskat(c, PhysicalConstants())
+    rep = sigma_muskat(c, PhysicalConstants(), derivative(c, 1))
     assert rep.min_sigma < 0
     assert len(rep.negative_intervals) == 1
     lo, hi = rep.negative_intervals[0]

@@ -14,9 +14,9 @@ from turnwave.initial_data import (TurningParams, turning_candidate_open,
                                    turning_candidate_periodic)
 from turnwave import stepping
 from turnwave.spectral import discrete_h4_norm
-from turnwave.stepping import (ARC_CHORD_FAILURE, BlowUpError, DIAG_COLUMNS, GRAPH_BLOWUP,
-                               RT_SIGN_CHANGE, STAGES, STEP_TOL, TURNING, SimState,
-                               StepStats, Trajectory, advance, run, step_dp54)
+from turnwave.stepping import (BlowUpError, DIAG_COLUMNS, GRAPH_BLOWUP, STAGES, STEP_TOL,
+                               TURNING, SimState, StepStats, Trajectory, advance, run,
+                               step_dp54)
 
 
 def small_graph(n=64, eps=1e-3, k=2):
@@ -82,7 +82,7 @@ def test_turning_time_independent_of_sampling_interval():
                                   L=15.0, tilt=0.05)
     t_star = []
     for dt in (1e-3, 4e-3):
-        traj, final = run(SimState(cand), 0.5, dt, stop_on=(TURNING,))
+        traj, final = run(SimState(cand), 0.5, dt, stop_at_turning=True)
         ev = traj.events.first(TURNING)
         lo, hi = ev.payload["bracket"]
         assert hi == final.t and hi - lo == pytest.approx(dt) and lo < ev.t <= hi
@@ -106,7 +106,7 @@ def test_reused_stages_give_the_bits_of_recomputed_ones(monkeypatch, topology):
     calls = []
     real_rhs, real_step = stepping._rhs, stepping.step_dp54
     monkeypatch.setattr(stepping, "_rhs", lambda *args: calls.append(1) or real_rhs(*args))
-    traj, final = run(state, 0.3, 0.1, stop_on=(TURNING,))
+    traj, final = run(state, 0.3, 0.1, stop_at_turning=True)
     stats = traj.stats
     trials = stats.accepted_steps + stats.rejected_steps
     reused = trials - 1 if topology == "open" else stats.rejected_steps
@@ -114,7 +114,7 @@ def test_reused_stages_give_the_bits_of_recomputed_ones(monkeypatch, topology):
     assert len(calls) == stats.rhs_evaluations == STAGES * trials - reused
 
     monkeypatch.setattr(stepping, "step_dp54", lambda st, h, k0=None: real_step(st, h))
-    ref, ref_final = run(state, 0.3, 0.1, stop_on=(TURNING,))
+    ref, ref_final = run(state, 0.3, 0.1, stop_at_turning=True)
     assert ref.stats.rhs_evaluations == STAGES * trials
     assert (ref.stats.accepted_steps, ref.stats.rejected_steps) == (
         stats.accepted_steps, stats.rejected_steps)
@@ -245,7 +245,7 @@ def test_run_emits_turning_event():
     params = TurningParams(beta1=1.5, b=3.0)
     cand = turning_candidate_periodic(params, n=256, tilt=0.02)
     st = SimState(cand)
-    traj, final = run(st, 0.2, 1e-3, stop_on=(TURNING,))
+    traj, final = run(st, 0.2, 1e-3, stop_at_turning=True)
     ev = traj.events.first(TURNING)
     assert ev is not None and 0.0 < ev.t <= final.t + 1e-12
     # interpolated crossing: min_slope positive before, negative at stop
@@ -257,12 +257,10 @@ def test_initial_state_events_fire_at_t0(monkeypatch):
     """The initial state goes through the same event checks as every later
     sample: a datum whose graph slope (2e-3) already exceeds the threshold
     logs GraphBlowup at t0, although the decaying flow never exceeds it
-    again, and a run that stops on that event ends at the datum."""
+    again."""
     monkeypatch.setattr(stepping, "GRAPH_BLOWUP_THRESHOLD", 1.5e-3)
     traj, _ = run(SimState(small_graph()), 0.05, 1e-2)
     assert [(e.t, e.kind) for e in traj.events.events] == [(0.0, GRAPH_BLOWUP)]
-    traj, final = run(SimState(small_graph()), 0.05, 1e-2, stop_on=(GRAPH_BLOWUP,))
-    assert final.t == 0.0 and traj.stats.samples == 1 and traj.stats.accepted_steps == 0
 
 
 def test_graph_blowup_needs_a_graph():
@@ -309,7 +307,7 @@ def test_read_dir_inverts_write_dir(tmp_path, problem):
     else:
         state = SimState(turning_candidate_periodic(TurningParams(beta1=1.5, b=3.0), n=128,
                                                     tilt=0.02))
-    traj, final = run(state, 0.2, 1e-2, stop_on=(TURNING,))
+    traj, final = run(state, 0.2, 1e-2, stop_at_turning=True)
     traj.snapshots.append((final.t + 1.0, final.curve, final.omega))
     traj.write_dir(tmp_path)
     back = Trajectory.read_dir(tmp_path)
@@ -373,7 +371,7 @@ def test_waterwave_energy_bounded_small_amplitude():
 
 
 def per_sample_reference(state, t_end, dt):
-    """The samples of run(state, t_end, dt) without stop_on, taken one at a
+    """The samples of run(state, t_end, dt) without a stop, taken one at a
     time through step.at(t), _filtered and the functions on single curves:
     (diagnostics rows, snapshots, samples per accepted step)."""
     times = stepping._sample_times(state.t, t_end, dt)
@@ -526,34 +524,51 @@ def test_stop_inside_a_group_records_and_counts_up_to_the_stop(monkeypatch):
     spy(monkeypatch, "_stack", lambda group: stacks.append(group.t))
     spy(monkeypatch, "_diagnose", lambda group: groups.append(group.t))
     cand = turning_candidate_periodic(TurningParams(beta1=1.5, b=3.0), n=256, tilt=0.02)
-    traj, final = run(SimState(cand), 0.2, 1e-3, stop_on=(TURNING,))
+    traj, final = run(SimState(cand), 0.2, 1e-3, stop_at_turning=True)
     assert final.t in stacks[-1] and final.t < stacks[-1][-1]
     assert traj.stats.samples == len(traj.diagnostics) == len(traj.snapshots)
     assert traj.diagnostics[-1][0] == traj.snapshots[-1][0] == final.t == groups[-1][-1]
     assert traj.stats.samples == sum(len(t) for t in groups)
 
 
-@pytest.mark.parametrize("kind", [TURNING, RT_SIGN_CHANGE, GRAPH_BLOWUP, ARC_CHORD_FAILURE])
-def test_run_diagnoses_no_sample_past_the_stop(monkeypatch, kind):
-    """A run that stops on an event kind diagnoses no sample past the one
-    where it stops, although the stack of the step that covers that sample
-    holds later ones, and no stack holds more than STACK_NODES // N
-    samples.  It records the run without stop_on up to the first sample at
-    which the kind fires, bit for bit, and its events up to there.  The
-    arc-chord bound is lowered to 11.92, which the sup reaches near t =
-    0.03, so that each kind stops the run in a different stack."""
-    monkeypatch.setattr(stepping, "ARC_CHORD_MAX", 11.92)
+def test_run_diagnoses_no_sample_past_the_stop(monkeypatch):
+    """A run that stops at Turning diagnoses no sample past the one where
+    it stops, although the stack of the step that covers that sample holds
+    later ones, and no stack holds more than STACK_NODES // N samples.  It
+    records the run without a stop up to the sample at which Turning
+    fires, bit for bit, and its events up to there."""
     cand = turning_candidate_periodic(TurningParams(beta1=1.5, b=3.0), n=256, tilt=0.02)
     full, _ = run(SimState(cand), 0.2, 1e-3)
-    event = full.events.first(kind)
-    t_stop = event.payload["bracket"][1] if kind == TURNING else event.t
+    t_stop = full.events.first(TURNING).payload["bracket"][1]
     stacks, diagnosed = [], []
     spy(monkeypatch, "_stack", lambda group: stacks.append(group.t))
     spy(monkeypatch, "_diagnose", lambda group: diagnosed.append(group.t))
-    traj, final = run(SimState(cand), 0.2, 1e-3, stop_on=(kind,))
+    traj, final = run(SimState(cand), 0.2, 1e-3, stop_at_turning=True)
     assert final.t == t_stop
     assert t_stop in stacks[-1] and t_stop < stacks[-1][-1]
     assert max(ts[-1] for ts in diagnosed) == t_stop
     assert max(len(ts) for ts in stacks) <= stepping.STACK_NODES // cand.n
     assert same_bits(traj.diagnostics, full.diagnostics[:len(traj.diagnostics)])
     assert traj.events.events == [e for e in full.events.events if e.t <= t_stop]
+
+
+def test_each_diagnosed_stack_takes_its_slope_minima_and_sigma_once(monkeypatch):
+    """run takes min_slope of each stack once, on the whole stack, and
+    sigma_muskat once, on the members it diagnoses; the stop cuts the last
+    stack between the two.  The single curves of _locate_turning's Brent
+    probes are not stacks and are not counted."""
+    built, diagnosed, slopes, sigmas = [], [], [], []
+    spy(monkeypatch, "_stack", lambda group: built.append(len(group.t)))
+    spy(monkeypatch, "_diagnose", lambda group: diagnosed.append(len(group.t)))
+    for name, record in (("min_slope", slopes), ("sigma_muskat", sigmas)):
+        def patched(curve, *args, real=getattr(stepping, name), record=record, **kwargs):
+            if np.ndim(curve.z1) == 2:
+                record.append(len(curve.z1))
+            return real(curve, *args, **kwargs)
+        monkeypatch.setattr(stepping, name, patched)
+    cand = turning_candidate_periodic(TurningParams(beta1=1.5, b=3.0), n=256, tilt=0.02)
+    traj, _ = run(SimState(cand), 0.2, 1e-3, stop_at_turning=True)
+    assert TURNING in traj.events.kinds()
+    assert slopes == built and sigmas == diagnosed
+    assert diagnosed[:-1] == built[:-1] and diagnosed[-1] < built[-1]
+    assert sum(diagnosed) == traj.stats.samples

@@ -9,7 +9,7 @@ import pytest
 from turnwave import strip as strip_mod
 from turnwave.closures import PhysicalConstants
 from turnwave.config import load_config
-from turnwave.curve import Curve, periodic_grid
+from turnwave.curve import Curve, derivative, periodic_grid
 from turnwave.spectral import modes
 from turnwave.strip import (InsufficientAnalyticityError, RegimeExitError,
                             amplified_tail, ck_solve, decay_violation,
@@ -304,7 +304,7 @@ def test_rt_probes_read_the_run_length_of_the_full_path(monkeypatch, tmp_path):
 
         def excess(t):
             rc = res.at(t).real_curve()
-            hits.append((t, rc, sigma_muskat(rc, consts)))
+            hits.append((t, rc, sigma_muskat(rc, consts, derivative(rc, 1))))
             return RT_RUN_LENGTH - 0.5 - hits[-1][2].longest_negative_run
 
         _brent(excess, res.times[j - 1], res.times[j], *(
