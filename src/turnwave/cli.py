@@ -4,13 +4,14 @@
     turnwave verify <trajectory-dir>
     turnwave render <trajectory-dir>
 
-Exit codes: 0 success, 2 configuration/usage error, 3 numerical failure,
-4 certificate failure.
+Exit codes: 0 success, 2 configuration/usage error (an output directory
+that cannot be made is one), 3 numerical failure, 4 certificate failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .config import ConfigError, apply_assignment, load_config
@@ -59,6 +60,7 @@ def main(argv=None) -> int:
             if args.out is not None:
                 cfg.output_dir = args.out
             cfg.validate()
+            os.makedirs(cfg.output_dir, exist_ok=True)
         except (ConfigError, OSError) as exc:
             print(f"turnwave: config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG

@@ -198,9 +198,16 @@ def apply_assignment(config: ScenarioConfig, key: str, value: str) -> None:
 
 
 def load_config(path) -> ScenarioConfig:
+    """The config of a UTF-8 file of assignments; a line that is not UTF-8
+    (its undecodable bytes read as lone surrogates) is a ConfigError."""
     config = ScenarioConfig()
-    with open(path) as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, 1):
+            try:
+                raw.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise ConfigError(f"{path}:{lineno}: not UTF-8 text at column "
+                                  f"{exc.start + 1}") from None
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue

@@ -26,8 +26,8 @@ import numpy as np
 from .closures import ClosureIterationError, PhysicalConstants
 from .config import ConfigError, ScenarioConfig, dump_config, load_config
 from .curve import derivative, graph_curve, min_slope, resample
-from .diagnostics import (rt_report, sigma10, sigma10_checklist, sigma_muskat,
-                          verify_weighted_rt, weight_h, weight_hbar)
+from .diagnostics import (sigma10, sigma10_checklist, sigma_muskat, verify_weighted_rt,
+                          weight_h, weight_hbar)
 from .initial_data import (DeltaTooLargeError, dv1_at_zero_periodic, open_certificate,
                            turning_candidate_open, turning_candidate_periodic,
                            turning_certificate, waterwave_datum)
@@ -37,7 +37,6 @@ from .stepping import (BlowUpError, DIAG_COLUMNS, GRAPH_BLOWUP, RT_RUN_LENGTH,
 from .singular import QuadratureError
 from .strip import (CKResult, InsufficientAnalyticityError, RegimeExitError,
                     ck_solve, extend_to_strip)
-from .spectral import fourier_derivative
 from .svg import render_curve, render_series
 
 # fixed stage parameters of the breakdown pipeline (the backward
@@ -55,7 +54,7 @@ class ScenarioResult:
 
 
 def _write(path, text):
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
 
@@ -108,38 +107,44 @@ def _unconverged(name: str, res: CKResult) -> str:
             f"(last strip distance {res.contraction_history[-1]:.3g})")
 
 
-def _negative_run(res: CKResult, t, alpha, consts) -> int:
-    """sigma_muskat(rc, consts, derivative(rc, 1)).longest_negative_run of
-    rc = res.at(t).real_curve(), bit for bit, from the z1 row alone: the
-    operations of derivative on that row, each per row, and rt_report."""
-    z1 = res.z1_at(t)
-    sigma = consts.rho_jump * (fourier_derivative(z1 - alpha) + 1.0)
-    return rt_report(alpha, sigma, True).longest_negative_run
+def _rt_margin(sigma) -> float:
+    """The least, over the cyclic windows of RT_RUN_LENGTH consecutive
+    nodes, of the largest sigma in the window: negative exactly when sigma
+    < 0 on a run of RT_RUN_LENGTH nodes, a run through the seam included,
+    and continuous in sigma, so in the time of a smooth solution."""
+    n = len(sigma)
+    wrapped = np.resize(sigma, n + RT_RUN_LENGTH - 1)
+    top = sigma.copy()
+    for k in range(1, RT_RUN_LENGTH):
+        np.maximum(top, wrapped[k:k + n], out=top)
+    return float(top.min())
 
 
 def _locate_rt_sign_change(res: CKResult, nodes: list, j: int, consts):
     """(time, real curve, RT report) where the continuation's longest
     negative sigma run first reaches RT_RUN_LENGTH, between the nodes j-1
     and j; nodes holds (real curve, RT report) at every node.  Brent's
-    method finds the jump of RT_RUN_LENGTH - 1/2 - run(res.at(t)), with
-    each probe's run from _negative_run; the earliest time evaluated past
-    it is returned, within about 1e-14, and only its curve and report are
-    built."""
-    alpha = nodes[j][0].alpha
-    hits = [(res.times[j], nodes[j][1].longest_negative_run)]
+    method finds the root of _rt_margin on the dense output, as Turning is
+    the root of min d_alpha z1 (event location after Shampine & Thompson);
+    each probe builds the real curve at its time and its sigma_muskat
+    report, and the earliest probe whose run reaches RT_RUN_LENGTH is
+    returned (node j when none does).  Near the root sigma is roundoff,
+    about 5e-14 at the bundled datum, and the run length flips between 1
+    and 3 over about 5e-13 of time: the returned time lies in that
+    window, not at its first flip."""
+    best = (res.times[j],) + nodes[j]
 
-    def excess(t):
-        hits.append((t, _negative_run(res, t, alpha, consts)))
-        return RT_RUN_LENGTH - 0.5 - hits[-1][1]
+    def margin(t):
+        nonlocal best
+        rc = res.at(t).real_curve()
+        sig = sigma_muskat(rc, consts, derivative(rc, 1))
+        if sig.longest_negative_run >= RT_RUN_LENGTH and t < best[0]:
+            best = t, rc, sig
+        return _rt_margin(sig.sigma)
 
-    _brent(excess, res.times[j - 1], res.times[j], *(
-        RT_RUN_LENGTH - 0.5 - sig.longest_negative_run for _, sig in nodes[j - 1:j + 1]))
-    t, _ = best = min((hit for hit in hits if hit[1] >= RT_RUN_LENGTH),
-                      key=lambda hit: hit[0])
-    if best is hits[0]:
-        return (t,) + nodes[j]
-    rc = res.at(t).real_curve()
-    return t, rc, sigma_muskat(rc, consts, derivative(rc, 1))
+    _brent(margin, res.times[j - 1], res.times[j],
+           *(_rt_margin(sig.sigma) for _, sig in nodes[j - 1:j + 1]))
+    return best
 
 
 def _fit_decay_rate(times, amplitudes):
@@ -215,7 +220,10 @@ def muskat_breakdown(cfg: ScenarioConfig) -> ScenarioResult:
     curves are used.  The sign-change time is a grid quantity: the time
     at which {sigma < 0} first spans RT_RUN_LENGTH nodes, t* plus about
     114/N^2 at the bundled datum, which tends to t* as N grows (the time
-    written also counts the handoff time twice; see below)."""
+    written also counts the handoff time twice; see below).  It is the
+    root of the continuous margin _rt_margin, located to within the
+    roundoff window of about 5e-13 in which the run length flips
+    (_locate_rt_sign_change)."""
     consts = cfg.constants()
     params = cfg.turning_params()
     pref = consts.periodic_prefactor
@@ -322,7 +330,9 @@ def waterwave_turning(cfg: ScenarioConfig) -> ScenarioResult:
     last sample) restates the stop rule: the run stops at the first
     sample where Turning fires, which is that same test, so the key is
     true whenever Turning fires.  It stays until a growth fit of
-    sup |f_alpha| can replace it as criterion 7's check."""
+    sup |f_alpha| can replace it as criterion 7's check.  The sigma_min
+    column of the run's diagnostics is the Muskat proxy rho_jump *
+    d_alpha z1, not the water-wave RT function -d_n p."""
     consts = cfg.constants()
     params = cfg.turning_params()
     star = turning_candidate_periodic(params, n=cfg.grid.n)

@@ -82,17 +82,12 @@ class StripCurve:
         return _real_curve(self.coeffs, self.grid)
 
 
-def _real_rows(coeffs: np.ndarray, grid=None):
-    """The grid, periodic_grid(n) by default, and the values on it of each
-    row of the coefficients (..., n): z1 - a and z2 for (2, n)."""
-    n = coeffs.shape[-1]
-    return (periodic_grid(n) if grid is None else grid), np.fft.ifft(coeffs).real * n
-
-
 def _real_curve(coeffs: np.ndarray, grid=None) -> Curve:
     """The curve on the real axis, from its coefficients (2, n), on grid,
     periodic_grid(n) by default."""
-    alpha, vals = _real_rows(coeffs, grid)
+    n = coeffs.shape[1]
+    vals = np.fft.ifft(coeffs, axis=1).real * n
+    alpha = periodic_grid(n) if grid is None else grid
     return Curve(topology=PERIODIC, alpha=alpha, z1=alpha + vals[0], z2=vals[1])
 
 
@@ -232,31 +227,16 @@ class CKResult:
     time_error: float = 0.0
     g_evaluations: int = 0
 
-    def _panel(self, t: float):
-        """The first node m of t's Simpson panel, its step h and (t -
-        times[m]) / h."""
-        m = 2 * int(np.searchsorted(self.times[2:-1:2], t, side="right"))
-        h = self.times[m + 1] - self.times[m]
-        return m, h, (t - self.times[m]) / h
-
     def at(self, t: float) -> StripCurve:
         """Dense output at time t in [times[0], times[-1]]: the node value at
         the start of t's Simpson panel plus the integral of that panel's
         quadratic through G up to t.  It needs no new G evaluations."""
-        m, h, s = self._panel(t)
-        coeffs = self.curves[m].coeffs + _quadratic_integral(*self.g[m:m + 3], h, s)
+        m = 2 * int(np.searchsorted(self.times[2:-1:2], t, side="right"))
+        h = self.times[m + 1] - self.times[m]
+        coeffs = self.curves[m].coeffs + _quadratic_integral(*self.g[m:m + 3], h,
+                                                             (t - self.times[m]) / h)
         r = np.interp(t, self.times, [c.r for c in self.curves])
         return StripCurve(coeffs=coeffs, r=r, t=t, grid=self.curves[m].grid)
-
-    def z1_at(self, t: float) -> np.ndarray:
-        """at(t).real_curve().z1, bit for bit, from the z1 row of the
-        coefficients alone: each operation of the dense output and of
-        _real_curve is elementwise or per row, and the inverse FFT gives a
-        row of a stack the bits it gives the row alone."""
-        m, h, s = self._panel(t)
-        alpha, x1 = _real_rows(self.curves[m].coeffs[0] + _quadratic_integral(
-            *self.g[m:m + 3, 0], h, s), self.curves[m].grid)
-        return alpha + x1
 
 
 def ck_solve(z0: StripCurve, T: float, prefactor: float) -> CKResult:

@@ -974,6 +974,43 @@ def test_verify_and_render_report_a_config_that_does_not_load(tmp_path, capsys, 
         assert "Traceback" not in err
 
 
+def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    """A config file, or a run directory's config.txt, with bytes that are
+    not UTF-8 (here in a comment) makes run, verify and render exit 2 with
+    a config error that names the file and line, not a traceback."""
+    path = tmp_path / "case.cfg"
+    path.write_bytes(b"scenario = muskat-linear\n# \xff\xfe\n")
+    out = tmp_path / "out"
+    assert run_config("muskat-linear.cfg", out, ["grid.n=64", "numerics.t_end=0.1"]) == 0
+    config = out / "config.txt"
+    lines = len(config.read_text().splitlines())
+    with open(config, "ab") as fh:
+        fh.write(b"# \xff\xfe\n")
+    for argv, where in ((["run", str(path)], f"{path}:2:"),
+                        (["verify", str(out)], f"{config}:{lines + 1}:"),
+                        (["render", str(out)], f"{config}:{lines + 1}:")):
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"turnwave: config error: {where} not UTF-8"), err
+        assert "Traceback" not in err
+
+
+def test_cli_output_dir_that_cannot_be_made_exit_2_before_the_run(tmp_path, monkeypatch,
+                                                                  capsys):
+    """An output directory under a regular file is a config error (exit 2)
+    raised before any pipeline starts, not a traceback after the run."""
+    import turnwave.cli
+    started = []
+    monkeypatch.setattr(turnwave.cli, "run_scenario", started.append)
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "out"
+    assert main(["run", os.path.join(CONFIG_DIR, "muskat-breakdown.cfg"),
+                 "--out", str(out)]) == 2
+    assert started == []
+    assert capsys.readouterr().err.startswith("turnwave: config error:")
+
+
 def test_rerun_into_a_directory_removes_stale_snapshots(tmp_path):
     """A shorter run into the directory of a longer one leaves only its own
     snapshots: verify passes and render draws its last curve, t = 0.5."""

@@ -1,7 +1,8 @@
 """Byte-for-byte determinism of the O(N^2) right-hand sides, of the
 water-wave Birkhoff-Rott block, and of the turning certificate's
 d_alpha v1(0), across BLAS thread counts; and of a run directory across
-the sizes of the sample stacks that stepping.run diagnoses."""
+the sizes of the sample stacks that stepping.run diagnoses and across
+fresh interpreters."""
 
 import os
 import runpy
@@ -110,5 +111,36 @@ def test_run_directory_does_not_depend_on_the_stack_size(monkeypatch, tmp_path, 
     for nodes in (n, stepping.STACK_NODES):
         monkeypatch.setattr(stepping, "STACK_NODES", nodes)
         assert run_scenario(cfg).exit_code == 0
+        hashes.append(hash_dir(tmp_path))
+    assert hashes[0] == hashes[1]
+
+
+FRESH_RUN = """
+import sys
+from turnwave.config import load_config
+from turnwave.scenarios import run_scenario
+config, out = sys.argv[1:]
+cfg = load_config(config)
+cfg.output_dir = out
+sys.exit(run_scenario(cfg).exit_code)
+"""
+
+
+@pytest.mark.parametrize("config", ["waterwave-turning", "muskat-breakdown"])
+def test_run_directory_is_the_same_in_fresh_interpreters(tmp_path, config):
+    """A bundled run writes the same files, byte for byte, in two fresh
+    interpreters at one BLAS thread: nothing a run leaves in a process
+    (a scratch pool, a cache) reaches the files of the next.  Both runs
+    write into one output directory, hashed as
+    scripts/run_all_scenarios.py hashes a run."""
+    hash_dir = runpy.run_path(os.path.join(ROOT, "scripts", "run_all_scenarios.py"))["hash_dir"]
+    src = os.path.dirname(os.path.dirname(turnwave.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    hashes = []
+    for _ in range(2):
+        subprocess.run([sys.executable, "-c", FRESH_RUN,
+                        os.path.join(ROOT, "configs", f"{config}.cfg"), str(tmp_path)],
+                       env=env, check=True, timeout=300)
         hashes.append(hash_dir(tmp_path))
     assert hashes[0] == hashes[1]

@@ -5,6 +5,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from turnwave import strip as strip_mod
 from turnwave.closures import PhysicalConstants
@@ -14,7 +16,9 @@ from turnwave.spectral import modes
 from turnwave.strip import (InsufficientAnalyticityError, RegimeExitError,
                             amplified_tail, ck_solve, decay_violation,
                             extend_to_strip, strip_distance, strip_norm)
-from turnwave.scenarios import run_scenario
+from turnwave.diagnostics import rt_report, sigma_muskat
+from turnwave.scenarios import _rt_margin, run_scenario
+from turnwave.stepping import RT_RUN_LENGTH
 
 from conftest import flat_curve
 
@@ -259,8 +263,8 @@ def test_breakdown_real_curves_share_one_grid(monkeypatch, tmp_path):
     """The real curves of a bundled muskat-breakdown run, over fifty,
     take the grid of their strip solve's first real curve: its two solves
     make at most two new grids between them, where each real curve checked
-    and copied its own.  (Over a hundred before the RT probes read the z1
-    row alone and ck_solve passed its checked real curves on to G.)"""
+    and copied its own.  (Over a hundred when each real curve made its
+    own grid.)"""
     grids, real_curve = [], strip_mod._real_curve
 
     def recorded(coeffs, grid=None):
@@ -277,16 +281,27 @@ def test_breakdown_real_curves_share_one_grid(monkeypatch, tmp_path):
     assert len({id(g) for g in grids}) <= 2
 
 
-def test_rt_probes_read_the_run_length_of_the_full_path(monkeypatch, tmp_path):
-    """On the bundled breakdown continuation, at every time that Brent's
-    method probes, the run length read from the z1 row alone equals the
-    longest negative run of sigma_muskat on the full real curve there; the
-    located (time, curve, report) is the one the full path, which built
-    both at every probe, returns; and location builds one StripCurve, the
-    one at the located time."""
+@settings(max_examples=300, deadline=None)
+@given(sigma=st.lists(st.one_of(st.sampled_from([0.0, -0.0, -1.0]), st.floats(-1e300, 1e300)),
+                      min_size=RT_RUN_LENGTH, max_size=24))
+@example(sigma=[-1.0] * 8)                                       # negative throughout
+@example(sigma=[-1.0, -2.0, 1.0, 0.0, 3.0, 1.0, 0.0, -5e-14])    # a run through the seam
+@example(sigma=[-1.0, -1.0, 0.0, -1.0, -1.0, 0.0, 2.0, 1.0])     # runs cut by sigma = 0
+def test_rt_margin_is_negative_exactly_on_a_long_negative_run(sigma):
+    """_rt_margin(sigma) < 0 exactly when rt_report's longest periodic
+    negative run reaches RT_RUN_LENGTH."""
+    sigma = np.array(sigma)
+    run = rt_report(periodic_grid(len(sigma)), sigma, True).longest_negative_run
+    assert (_rt_margin(sigma) < 0.0) == (run >= RT_RUN_LENGTH)
+
+
+def test_rt_sign_change_is_the_root_of_the_margin(monkeypatch, tmp_path):
+    """On the bundled breakdown continuation, Brent's method on _rt_margin
+    locates the RT sign change in at most 10 probes of the dense output,
+    strictly between the bracketing nodes, and the curve and report
+    returned are those of the dense output at the located time, whose
+    longest negative run reaches RT_RUN_LENGTH."""
     from turnwave import scenarios
-    from turnwave.diagnostics import sigma_muskat
-    from turnwave.stepping import RT_RUN_LENGTH, _brent
 
     calls = []
     locate = scenarios._locate_rt_sign_change
@@ -297,45 +312,13 @@ def test_rt_probes_read_the_run_length_of_the_full_path(monkeypatch, tmp_path):
     cfg.output_dir = str(tmp_path / "run")
     assert run_scenario(cfg).exit_code == 0
     (res, nodes, j, consts), = calls
-
-    def full_path():
-        """The location as it was, a real curve and RT report per probe."""
-        hits = [(res.times[j],) + nodes[j]]
-
-        def excess(t):
-            rc = res.at(t).real_curve()
-            hits.append((t, rc, sigma_muskat(rc, consts, derivative(rc, 1))))
-            return RT_RUN_LENGTH - 0.5 - hits[-1][2].longest_negative_run
-
-        _brent(excess, res.times[j - 1], res.times[j], *(
-            RT_RUN_LENGTH - 0.5 - sig.longest_negative_run for _, sig in nodes[j - 1:j + 1]))
-        return hits[1:], min((h for h in hits if h[2].longest_negative_run >= RT_RUN_LENGTH),
-                             key=lambda h: h[0])
-
-    probes, lean_run = [], scenarios._negative_run
-    monkeypatch.setattr(scenarios, "_negative_run",
-                        lambda *args: probes.append((args[1], lean_run(*args))) or probes[-1][1])
-    built = []
-    post_init = strip_mod.StripCurve.__post_init__
-    monkeypatch.setattr(strip_mod.StripCurve, "__post_init__",
-                        lambda self: built.append(self.t) or post_init(self))
+    probes, brent = [], scenarios._brent
+    monkeypatch.setattr(scenarios, "_brent",
+                        lambda f, *args: brent(lambda t: probes.append(t) or f(t), *args))
     t, rc, sig = locate(res, nodes, j, consts)
-    assert built == [t]
-    full_probes, (t_full, rc_full, sig_full) = full_path()
-    assert len(probes) > 10
-    assert [p for p, _ in probes] == [h[0] for h in full_probes]
-    for (_, run), (_, _, report) in zip(probes, full_probes):
-        assert run == report.longest_negative_run
-    assert t == t_full and t != res.times[j]
-    assert rc.z1.tobytes() == rc_full.z1.tobytes() and rc.z2.tobytes() == rc_full.z2.tobytes()
-    assert sig.sigma.tobytes() == sig_full.sigma.tobytes()
-    assert (sig.negative_intervals, sig.min_sigma, sig.longest_negative_run) == (
-        sig_full.negative_intervals, sig_full.min_sigma, sig_full.longest_negative_run)
-
-
-def test_z1_at_is_the_real_curve_z1():
-    """CKResult.z1_at(t) is at(t).real_curve().z1 bit for bit, at nodes,
-    inside panels and at the horizon."""
-    res = ck_solve(extend_to_strip(eps_cos_curve(n=64, eps=0.05), 0.2), 0.02, PREF)
-    for t in np.concatenate([res.times, np.linspace(0.0, 0.02, 13)[1:-1]]):
-        assert res.z1_at(t).tobytes() == res.at(t).real_curve().z1.tobytes()
+    assert 0 < len(probes) <= 10 and t in probes
+    assert res.times[j - 1] < t < res.times[j]
+    assert sig.longest_negative_run >= RT_RUN_LENGTH
+    full = res.at(t).real_curve()
+    assert rc.z1.tobytes() == full.z1.tobytes() and rc.z2.tobytes() == full.z2.tobytes()
+    assert sig.sigma.tobytes() == sigma_muskat(full, consts, derivative(full, 1)).sigma.tobytes()
